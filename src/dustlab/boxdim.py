@@ -17,7 +17,7 @@ import numpy as np
 
 from .cantor import CantorApproximant
 from .errors import ParameterError
-from .geometry import BoxGrid, Square, rasterize
+from .geometry import BoxGrid, Square, aligned_span, halve, rasterize
 
 LN2 = math.log(2.0)
 
@@ -45,6 +45,18 @@ class ScaleSchedule:
         lo = 2 if grid.level >= 4 else 0
         return ScaleSchedule.span(lo, grid.level)
 
+    @staticmethod
+    def resolving(grid: BoxGrid, extent: float, floor: int = 2, finer: int = 0) -> "ScaleSchedule":
+        """Levels from where cells resolve a feature of size ``extent`` up to the raster.
+
+        The window starts at the coarsest level whose cells are no larger
+        than ``extent`` (taken as at least one raster cell), ``finer``
+        levels further on, clamped to [floor, grid.level - 2] so that at
+        least three levels remain.
+        """
+        lo = math.ceil(math.log2(max(grid.bounds.side / max(extent, grid.cell_size), 1.0))) + finer
+        return ScaleSchedule.span(max(floor, min(lo, grid.level - 2)), grid.level)
+
 
 @dataclass(frozen=True)
 class DimensionEstimate:
@@ -70,24 +82,41 @@ def box_counts(source, schedule: ScaleSchedule, bounds: Square | None = None) ->
     Square input is rasterized once at the finest level and OR-reduced;
     under the half-open convention this equals per-level rasterization.
     """
-    top = max(schedule.levels)
     if isinstance(source, BoxGrid):
-        if top > source.level:
-            raise ParameterError(f"schedule level {top} exceeds grid resolution {source.level}")
         grid = source
     else:
+        top = schedule.levels[-1]
         if bounds is None:
             bounds = Square.unit()
         if isinstance(source, CantorApproximant):
             grid = rasterize(source.leaf_corners(), bounds, top, side=source.side)
         else:
             grid = rasterize(source, bounds, top)
+    return window_counts(grid.bits, grid.level, schedule)
+
+
+def window_counts(bits: np.ndarray, level: int, schedule: ScaleSchedule) -> dict[int, int]:
+    """Occupied-cell counts per schedule level of a window of a level-``level`` raster.
+
+    Counts are taken from fine to coarse by pairwise halving.  The window's
+    start and size must be multiples of 2**(level - schedule.levels[0]), so
+    that it splits into whole cells at every schedule level; its counts
+    then equal those of the full grid with every cell outside the window
+    cleared.  A whole grid is such a window.
+    """
+    _require_resolution(schedule, level)
     counts: dict[int, int] = {}
-    current = grid
-    for m in sorted(schedule.levels, reverse=True):
-        current = current.downsampled(m)
-        counts[m] = current.occupied_count
+    for m in reversed(schedule.levels):
+        for _ in range(level - m):
+            bits = halve(bits)
+        level = m
+        counts[m] = int(np.count_nonzero(bits))
     return dict(sorted(counts.items()))
+
+
+def _require_resolution(schedule: ScaleSchedule, level: int) -> None:
+    if schedule.levels[-1] > level:
+        raise ParameterError(f"schedule level {schedule.levels[-1]} exceeds grid resolution {level}")
 
 
 def estimate_dimension(counts: Mapping[int, int], window: tuple[int, int] | None = None,
@@ -141,11 +170,11 @@ def counts_csv_lines(counts: Mapping[int, int], side: float = 1.0) -> list[str]:
     return lines
 
 
-def clip_to_ball(grid: BoxGrid, p: Sequence[float], radius: float) -> BoxGrid:
-    """Restrict a grid to the closed Chebyshev ball B(p, radius).
+def _ball_span(grid: BoxGrid, p: Sequence[float], radius: float) -> tuple[int, int, int, int]:
+    """Inclusive cell span (iy0, iy1, ix0, ix1) of the closed Chebyshev ball B(p, radius).
 
-    Cells survive when their half-open extent meets the closed ball, which
-    keeps the clipped set a union of whole cells of the original raster.
+    Cells belong when their half-open extent meets the ball; the span is
+    empty (iy0 > iy1 or ix0 > ix1) when no cell does.
     """
     if radius <= 0:
         raise ParameterError(f"radius must be positive, got {radius!r}")
@@ -158,19 +187,40 @@ def clip_to_ball(grid: BoxGrid, p: Sequence[float], radius: float) -> BoxGrid:
         hi = min(int(math.floor((c + radius - o) / w)), n - 1)
         return lo, hi
 
-    ix0, ix1 = span(p[0], x0)
-    iy0, iy1 = span(p[1], y0)
+    return span(p[1], y0) + span(p[0], x0)
+
+
+def clip_to_ball(grid: BoxGrid, p: Sequence[float], radius: float) -> BoxGrid:
+    """Restrict a grid to the closed Chebyshev ball B(p, radius).
+
+    Cells survive when their half-open extent meets the closed ball, which
+    keeps the clipped set a union of whole cells of the original raster.
+    """
+    iy0, iy1, ix0, ix1 = _ball_span(grid, p, radius)
     bits = np.zeros_like(grid.bits)
     if ix0 <= ix1 and iy0 <= iy1:
         bits[iy0:iy1 + 1, ix0:ix1 + 1] = grid.bits[iy0:iy1 + 1, ix0:ix1 + 1]
-    return BoxGrid(grid.bounds, grid.level, bits)
+    return BoxGrid.adopt(grid.bounds, grid.level, bits)
 
 
-def _ball_schedule(grid: BoxGrid, radius: float) -> ScaleSchedule:
-    # finest scales of the raster, starting where cells resolve the ball
-    lo = max(0, int(math.ceil(math.log2(max(2.0 * grid.bounds.side / radius, 1.0)))))
-    lo = min(lo, grid.level - 2)
-    return ScaleSchedule.span(max(lo, 0), grid.level)
+def ball_counts(grid: BoxGrid, p: Sequence[float], radius: float,
+                schedule: ScaleSchedule) -> dict[int, int]:
+    """``box_counts(clip_to_ball(grid, p, radius), schedule)`` without the full-grid copy.
+
+    Only the ball's cells are copied, into a window widened to multiples of
+    2**(grid.level - schedule.levels[0]) cells, and counted there.
+    """
+    _require_resolution(schedule, grid.level)
+    iy0, iy1, ix0, ix1 = _ball_span(grid, p, radius)
+    if ix0 > ix1 or iy0 > iy1:
+        return {m: 0 for m in schedule.levels}
+    step = 1 << (grid.level - schedule.levels[0])
+    rows = aligned_span(iy0, iy1, step)
+    cols = aligned_span(ix0, ix1, step)
+    window = np.zeros((rows.stop - rows.start, cols.stop - cols.start), dtype=bool)
+    window[iy0 - rows.start:iy1 + 1 - rows.start, ix0 - cols.start:ix1 + 1 - cols.start] = \
+        grid.bits[iy0:iy1 + 1, ix0:ix1 + 1]
+    return window_counts(window, grid.level, schedule)
 
 
 def local_dimension_profile(grid: BoxGrid, p: Sequence[float], radii: Sequence[float],
@@ -188,10 +238,9 @@ def local_dimension_profile(grid: BoxGrid, p: Sequence[float], radii: Sequence[f
         raise ParameterError(f"radii must be strictly decreasing, got {radii}")
     out = []
     for r in radii:
-        clipped = clip_to_ball(grid, p, r)
-        sched = schedule if schedule is not None else _ball_schedule(grid, r)
-        counts = box_counts(clipped, sched)
-        out.append(estimate_dimension(counts, side=grid.bounds.side))
+        # finest scales of the raster, starting where cells resolve the ball
+        sched = schedule if schedule is not None else ScaleSchedule.resolving(grid, r / 2.0, floor=0)
+        out.append(estimate_dimension(ball_counts(grid, p, r, sched), side=grid.bounds.side))
     return out
 
 

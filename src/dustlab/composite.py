@@ -20,12 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxdim import (DimensionEstimate, ScaleSchedule, box_counts,
-                     estimate_dimension, find_full_dimension_point)
+                     estimate_dimension, find_full_dimension_point, window_counts)
 from .cantor import (alpha_for_dimension, generate_cantor, placed_frame,
                      scale_and_place)
 from .errors import AssemblyError, ConstructionError, ParameterError, PlacementError
 from .geometry import (BoxGrid, Isometry, Square, grid_intersection,
-                       quads_disjoint, rasterize_quads)
+                       quads_disjoint, rasterize_quads, rasterize_quads_window)
 from .intersect import sample_isometry
 
 #: Copies are generated no deeper than this many subdivision steps.
@@ -169,26 +169,17 @@ def _cheb_distances(grid: BoxGrid, center) -> np.ndarray:
 
 
 def _masked(grid: BoxGrid, mask: np.ndarray) -> BoxGrid:
-    return BoxGrid(grid.bounds, grid.level, grid.bits & mask)
+    return BoxGrid.adopt(grid.bounds, grid.level, grid.bits & mask)
 
 
-def _slice_schedule(grid: BoxGrid, extent: float) -> ScaleSchedule:
-    """Levels that resolve a feature of the given extent, up to the raster."""
-    lo = int(math.ceil(math.log2(max(grid.bounds.side / max(extent, grid.cell_size), 1.0))))
-    lo = max(2, min(lo, grid.level - 2))
-    return ScaleSchedule.span(lo, grid.level)
-
-
-def _slice_estimate(grid: BoxGrid, extent: float) -> DimensionEstimate:
+def _slice_estimate(counts: dict[int, int], schedule: ScaleSchedule,
+                    side: float) -> DimensionEstimate:
     """Slope of a concentrated slice, fitted over all of its resolved levels.
 
     The default window trim is meant for full-size sets; for thin slices
     the finest raster levels carry the structure, so the fit keeps them.
     """
-    schedule = _slice_schedule(grid, extent)
-    counts = box_counts(grid, schedule)
-    return estimate_dimension(counts, window=(schedule.levels[0], schedule.levels[-1]),
-                              side=grid.bounds.side)
+    return estimate_dimension(counts, window=(schedule.levels[0], schedule.levels[-1]), side=side)
 
 
 def _union_estimate(grid: BoxGrid, extent: float) -> DimensionEstimate:
@@ -198,8 +189,7 @@ def _union_estimate(grid: BoxGrid, extent: float) -> DimensionEstimate:
     a cell or two (the placement layout, not the copies' structure), so
     the fit starts one level finer and runs to the raster resolution.
     """
-    lo = int(math.ceil(math.log2(max(grid.bounds.side / max(extent, grid.cell_size), 1.0)))) + 1
-    lo = max(2, min(lo, grid.level - 2))
+    lo = ScaleSchedule.resolving(grid, extent, finer=1).levels[0]
     counts = box_counts(grid, ScaleSchedule.span(2, grid.level))
     return estimate_dimension(counts, window=(lo, grid.level), side=grid.bounds.side)
 
@@ -238,7 +228,9 @@ def build_annuli(E: BoxGrid, p, d_seq, min_mass: int) -> AnnulusChain:
             mask = (cheb >= r_in) & (cheb < r_out)
             mass = int(np.count_nonzero(E.bits & mask))
             if mass >= min_mass:
-                est = _slice_estimate(_masked(E, mask), r_out - r_in)
+                schedule = ScaleSchedule.resolving(E, r_out - r_in)
+                est = _slice_estimate(box_counts(_masked(E, mask), schedule), schedule,
+                                      E.bounds.side)
                 if est.slope >= d_n - 0.1:
                     chosen = r_in
                     break
@@ -316,6 +308,10 @@ def place_cantor_in_annulus(E: BoxGrid, chain: AnnulusChain, index: int, b: floa
     if slice_grid.is_empty():
         raise PlacementError(f"annulus {index} holds no cells of the target set")
     extent = schedule_extent if schedule_extent is not None else diameter
+    schedule = ScaleSchedule.resolving(E, extent)
+    # each trial is rasterized and counted only inside the copy's cell window,
+    # aligned so that it splits into whole cells of every schedule level
+    align = 1 << (E.level - schedule.levels[0])
     window_half = chain.half_widths[index - 1] + 1.5 * diameter
     window = Square.centered(chain.center, window_half)
 
@@ -324,13 +320,13 @@ def place_cantor_in_annulus(E: BoxGrid, chain: AnnulusChain, index: int, b: floa
         rng = np.random.default_rng([seed, i])
         iso = sample_isometry(rng, window)
         quads = scale_and_place(copy, diameter, iso)
-        copy_grid = rasterize_quads(quads, E.bounds, E.level)
-        if not (copy_grid.bits & mask).any():
+        cells, copy_bits = rasterize_quads_window(quads, E.bounds, E.level, align)
+        if not (copy_bits & mask[cells]).any():
             continue
-        inter = grid_intersection(slice_grid, copy_grid)
-        if inter.is_empty():
+        inter = slice_grid.bits[cells] & copy_bits
+        if not inter.any():
             continue
-        est = _slice_estimate(inter, extent)
+        est = _slice_estimate(window_counts(inter, E.level, schedule), schedule, E.bounds.side)
         if best is None or est.slope > best[0] + 1e-12:
             best = (est.slope, iso, est)
     if best is None:
@@ -377,7 +373,7 @@ def assemble_composite(E: BoxGrid, chain: AnnulusChain, placements):
     if not _placements_disjoint(placements):
         raise AssemblyError("placed copies overlap; diameter constraints were not honored")
 
-    g_grid = BoxGrid(E.bounds, E.level, bits)
+    g_grid = BoxGrid.adopt(E.bounds, E.level, bits)
     eprime = grid_intersection(g_grid, E)
 
     dim_e = estimate_dimension(box_counts(E, ScaleSchedule.default_for(E)), side=E.bounds.side)
@@ -428,7 +424,7 @@ def _single_point_result(E: BoxGrid, dim_e: DimensionEstimate) -> PipelineResult
     iy, ix = np.argwhere(E.bits)[0]
     bits = np.zeros_like(E.bits)
     bits[iy, ix] = True
-    eprime = BoxGrid(E.bounds, E.level, bits)
+    eprime = BoxGrid.adopt(E.bounds, E.level, bits)
     point = E.cell_center(int(ix), int(iy))
     counts = box_counts(eprime, ScaleSchedule.default_for(E))
     dim_ep = estimate_dimension(counts, side=E.bounds.side)

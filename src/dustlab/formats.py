@@ -10,17 +10,34 @@ line, letters ``A B C D`` standing for SW SE NW NE.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import FormatError
 from .geometry import Alpha, BoxGrid, Quadrant, Square
 
 
-def dump_bgr(grid: BoxGrid) -> str:
+#: Grid rows per chunk of BGR output; bounds the writer's buffer.
+BGR_BLOCK_ROWS = 256
+
+
+def _bgr_chunks(grid: BoxGrid):
+    """BGR v1 encoding of a grid as bytes-like chunks: the header line, then row blocks."""
     x0, y0 = grid.bounds.corner
-    header = f"bgr 1 {grid.level} {x0!r} {y0!r} {grid.bounds.side!r}"
-    rows = ["".join("1" if b else "0" for b in grid.bits[iy]) for iy in range(grid.size - 1, -1, -1)]
-    return "\n".join([header] + rows) + "\n"
+    yield f"bgr 1 {grid.level} {x0!r} {y0!r} {grid.bounds.side!r}\n".encode()
+    n = grid.size
+    top_first = grid.bits[::-1].view(np.uint8)
+    for start in range(0, n, BGR_BLOCK_ROWS):
+        block = top_first[start:start + BGR_BLOCK_ROWS]
+        text = np.empty((len(block), n + 1), dtype=np.uint8)
+        np.add(block, ord("0"), out=text[:, :n])
+        text[:, n] = ord("\n")
+        yield text
+
+
+def dump_bgr(grid: BoxGrid) -> str:
+    return b"".join(_bgr_chunks(grid)).decode("ascii")
 
 
 def parse_bgr(text: str) -> BoxGrid:
@@ -35,6 +52,9 @@ def parse_bgr(text: str) -> BoxGrid:
         cx, cy, side = (float(f) for f in fields[3:6])
     except ValueError as exc:
         raise FormatError(f"bad grid header {lines[0]!r}") from exc
+    if m < 0 or not all(map(math.isfinite, (cx, cy, side))) or not side > 0.0:
+        raise FormatError(f"bad grid header {lines[0]!r}: need level >= 0, a finite corner "
+                          f"and a finite positive side")
     n = 1 << m
     body = lines[1:]
     if len(body) != n:
@@ -44,12 +64,14 @@ def parse_bgr(text: str) -> BoxGrid:
         if len(row) != n or set(row) - {"0", "1"}:
             raise FormatError(f"bad grid row {i + 1}: {row!r}")
         bits[n - 1 - i] = np.frombuffer(row.encode(), dtype=np.uint8) == ord("1")
-    return BoxGrid(Square((cx, cy), side), m, bits)
+    return BoxGrid.adopt(Square((cx, cy), side), m, bits)
 
 
 def write_bgr(grid: BoxGrid, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(dump_bgr(grid))
+    """Write a grid as BGR v1, one block of rows at a time."""
+    with open(path, "wb") as fh:
+        for chunk in _bgr_chunks(grid):
+            fh.write(chunk)
 
 
 def read_bgr(path) -> BoxGrid:

@@ -181,6 +181,20 @@ def _freeze(bits: np.ndarray) -> np.ndarray:
     return arr
 
 
+def halve(bits: np.ndarray) -> np.ndarray:
+    """One pairwise OR step: each 2x2 block of cells becomes one cell.
+
+    Both dimensions of ``bits`` must be even.  Returns a new array.
+    """
+    rows = bits[0::2] | bits[1::2]
+    return rows[:, 0::2] | rows[:, 1::2]
+
+
+def aligned_span(lo: int, hi: int, step: int) -> slice:
+    """Cell indices lo..hi (inclusive) widened outward to multiples of step."""
+    return slice(lo - lo % step, (hi // step + 1) * step)
+
+
 @dataclass(frozen=True, eq=False)
 class BoxGrid:
     """Occupancy bitmap of a planar set over a stated bounding square.
@@ -193,6 +207,16 @@ class BoxGrid:
     bounds: Square
     level: int
     bits: np.ndarray
+
+    @staticmethod
+    def adopt(bounds: Square, level: int, bits: np.ndarray) -> "BoxGrid":
+        """Grid over an array the caller has just allocated and never writes again.
+
+        The array is made read-only and kept as is; the public constructor
+        copies writable arrays instead.
+        """
+        bits.setflags(write=False)
+        return BoxGrid(bounds, level, bits)
 
     def __post_init__(self) -> None:
         if self.level < 0:
@@ -245,11 +269,10 @@ class BoxGrid:
             return self
         if level > self.level:
             raise ParameterError(f"cannot downsample level {self.level} grid to finer level {level}")
-        f = 1 << (self.level - level)
-        n = 1 << level
-        coarse = self.bits.reshape(n, f, n, f).any(axis=(1, 3))
-        coarse.setflags(write=False)
-        return BoxGrid(self.bounds, level, coarse)
+        coarse = self.bits
+        for _ in range(self.level - level):
+            coarse = halve(coarse)
+        return BoxGrid.adopt(self.bounds, level, coarse)
 
     def same_extent(self, other: "BoxGrid") -> bool:
         return self.bounds == other.bounds and self.level == other.level
@@ -257,12 +280,12 @@ class BoxGrid:
     @staticmethod
     def empty(bounds: Square, level: int) -> "BoxGrid":
         n = 1 << level
-        return BoxGrid(bounds, level, np.zeros((n, n), dtype=bool))
+        return BoxGrid.adopt(bounds, level, np.zeros((n, n), dtype=bool))
 
     @staticmethod
     def full(bounds: Square, level: int) -> "BoxGrid":
         n = 1 << level
-        return BoxGrid(bounds, level, np.ones((n, n), dtype=bool))
+        return BoxGrid.adopt(bounds, level, np.ones((n, n), dtype=bool))
 
 
 def _index_ranges(lo: np.ndarray, hi: np.ndarray, origin: float, cell: float, n: int):
@@ -297,11 +320,11 @@ def rasterize(squares: Iterable[Square] | np.ndarray, bounds: Square, level: int
     else:
         sq = list(squares)
         if not sq:
-            return BoxGrid(bounds, level, bits)
+            return BoxGrid.adopt(bounds, level, bits)
         corners = np.array([s.corner for s in sq], dtype=float)
         sides = np.array([s.side for s in sq], dtype=float)
     if len(corners) == 0:
-        return BoxGrid(bounds, level, bits)
+        return BoxGrid.adopt(bounds, level, bits)
 
     w = bounds.side / n
     x0, y0 = bounds.corner
@@ -312,7 +335,7 @@ def rasterize(squares: Iterable[Square] | np.ndarray, bounds: Square, level: int
     bits[iy_lo[single], ix_lo[single]] = True
     for i in np.nonzero(ok & ~single)[0]:
         bits[iy_lo[i]:iy_hi[i] + 1, ix_lo[i]:ix_hi[i] + 1] = True
-    return BoxGrid(bounds, level, bits)
+    return BoxGrid.adopt(bounds, level, bits)
 
 
 def _common_level(a: BoxGrid, b: BoxGrid) -> tuple[BoxGrid, BoxGrid]:
@@ -328,13 +351,13 @@ def _common_level(a: BoxGrid, b: BoxGrid) -> tuple[BoxGrid, BoxGrid]:
 def grid_intersection(a: BoxGrid, b: BoxGrid) -> BoxGrid:
     """Cellwise AND; when levels differ the finer grid is OR-downsampled first."""
     a, b = _common_level(a, b)
-    return BoxGrid(a.bounds, a.level, a.bits & b.bits)
+    return BoxGrid.adopt(a.bounds, a.level, a.bits & b.bits)
 
 
 def grid_union(a: BoxGrid, b: BoxGrid) -> BoxGrid:
     """Cellwise OR under the same compatibility rules as grid_intersection."""
     a, b = _common_level(a, b)
-    return BoxGrid(a.bounds, a.level, a.bits | b.bits)
+    return BoxGrid.adopt(a.bounds, a.level, a.bits | b.bits)
 
 
 # ---------------------------------------------------------------------------
@@ -426,12 +449,24 @@ def rasterize_quads(quads: np.ndarray, bounds: Square, level: int) -> BoxGrid:
     directions are tested closed.  Identity and quarter-turn images of
     grid-aligned squares therefore reproduce exact occupancy.
     """
+    _, bits = rasterize_quads_window(quads, bounds, level, 1 << level)
+    return BoxGrid.adopt(bounds, level, bits)
+
+
+def rasterize_quads_window(quads: np.ndarray, bounds: Square, level: int,
+                           align: int) -> tuple[tuple[slice, slice], np.ndarray]:
+    """``rasterize_quads`` computed only over the cells the quads can meet.
+
+    Returns ``(window, bits)``.  ``window`` is a (rows, columns) pair of
+    slices of the level-``level`` grid that covers every occupied cell,
+    with start and stop widened outward to multiples of ``align`` (a power
+    of two no larger than the grid), and ``bits`` equals the full raster
+    over that window.  ``align = 2**level`` makes the window the whole
+    grid.  When no quad meets the bounds the window is the first ``align``
+    block and holds no occupied cell.
+    """
     quads = np.asarray(quads, dtype=float).reshape(-1, 4, 2)
     n = 1 << level
-    bits = np.zeros((n, n), dtype=bool)
-    if len(quads) == 0:
-        return BoxGrid(bounds, level, bits)
-
     w = bounds.side / n
     x0, y0 = bounds.corner
 
@@ -447,18 +482,21 @@ def rasterize_quads(quads: np.ndarray, bounds: Square, level: int) -> BoxGrid:
     ymax = quads[:, :, 1].max(axis=1)
     ix_lo, ix_hi, vx = _index_ranges(xmin, xmax, x0, w, n)
     iy_lo, iy_hi, vy = _index_ranges(ymin, ymax, y0, w, n)
-    ok = vx & vy
-    if not ok.any():
-        return BoxGrid(bounds, level, bits)
+    idx = np.nonzero(vx & vy)[0]
+    if len(idx) == 0:
+        rows = cols = aligned_span(0, 0, align)
+        return (rows, cols), np.zeros((align, align), dtype=bool)
+    rows = aligned_span(int(iy_lo[idx].min()), int(iy_hi[idx].max()), align)
+    cols = aligned_span(int(ix_lo[idx].min()), int(ix_hi[idx].max()), align)
+    bits = np.zeros((rows.stop - rows.start, cols.stop - cols.start), dtype=bool)
 
     u = e1[0] / np.linalg.norm(e1[0])
     v = e2[0] / np.linalg.norm(e2[0])
     axis_aligned = congruent and min(abs(u[0]), abs(u[1])) < 1e-12 and min(abs(v[0]), abs(v[1])) < 1e-12
 
-    bw = int((ix_hi[ok] - ix_lo[ok]).max()) + 1
-    bh = int((iy_hi[ok] - iy_lo[ok]).max()) + 1
-    if congruent and int(ok.sum()) * bw * bh <= _QUAD_BLOCK_LIMIT:
-        idx = np.nonzero(ok)[0]
+    bw = int((ix_hi[idx] - ix_lo[idx]).max()) + 1
+    bh = int((iy_hi[idx] - iy_lo[idx]).max()) + 1
+    if congruent and len(idx) * bw * bh <= _QUAD_BLOCK_LIMIT:
         dxs = np.arange(bw)
         dys = np.arange(bh)
         ix = ix_lo[idx, None, None] + dxs[None, None, :]
@@ -476,17 +514,19 @@ def rasterize_quads(quads: np.ndarray, bounds: Square, level: int) -> BoxGrid:
                 lo = off + rel.min()
                 hi = off + rel.max()
                 keep &= (amax >= lo[:, None, None]) & (amin <= hi[:, None, None])
-        flat = (iy * n + ix)[keep]
+        flat = ((iy - rows.start) * bits.shape[1] + (ix - cols.start))[keep]
         bits.reshape(-1)[flat] = True
-        return BoxGrid(bounds, level, bits)
+        return (rows, cols), bits
 
-    for i in np.nonzero(ok)[0]:
-        _raster_one_quad(quads[i], bits, x0, y0, w, n,
-                         ix_lo[i], ix_hi[i], iy_lo[i], iy_hi[i])
-    return BoxGrid(bounds, level, bits)
+    for i in idx:
+        _raster_one_quad(quads[i], bits[iy_lo[i] - rows.start:iy_hi[i] + 1 - rows.start,
+                                        ix_lo[i] - cols.start:ix_hi[i] + 1 - cols.start],
+                         x0, y0, w, ix_lo[i], ix_hi[i], iy_lo[i], iy_hi[i])
+    return (rows, cols), bits
 
 
-def _raster_one_quad(quad, bits, x0, y0, w, n, ix_lo, ix_hi, iy_lo, iy_hi) -> None:
+def _raster_one_quad(quad, block, x0, y0, w, ix_lo, ix_hi, iy_lo, iy_hi) -> None:
+    """OR one quad into ``block``, the cells [iy_lo, iy_hi] x [ix_lo, ix_hi]."""
     e1 = quad[1] - quad[0]
     e2 = quad[3] - quad[0]
     ix = np.arange(ix_lo, ix_hi + 1)
@@ -506,4 +546,4 @@ def _raster_one_quad(quad, bits, x0, y0, w, n, ix_lo, ix_hi, iy_lo, iy_hi) -> No
         amax = base + w * (max(axis[0], 0.0) + max(axis[1], 0.0))
         proj = quad @ axis
         keep &= (amax >= proj.min()) & (amin <= proj.max())
-    bits[iy_lo:iy_hi + 1, ix_lo:ix_hi + 1] |= keep
+    block |= keep

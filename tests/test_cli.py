@@ -75,6 +75,14 @@ class TestDim:
     def test_missing_file_is_io_error(self, tmp_path):
         assert run("dim", "--in", str(tmp_path / "absent.bgr")) == 4
 
+    @pytest.mark.parametrize("header", ["bgr 1 -1 0.0 0.0 1.0", "bgr 1 0 0.0 0.0 nan",
+                                        "bgr 1 0 0.0 0.0 -1.0"])
+    def test_bad_header_values_are_io_errors(self, tmp_path, capsys, header):
+        grid_path = tmp_path / "bad.bgr"
+        grid_path.write_text(header + "\n0\n")
+        assert run("dim", "--in", str(grid_path)) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_config_echo_is_first_line(self, dust_bgr, tmp_path):
         out = tmp_path / "report.csv"
         run("dim", "--in", str(dust_bgr), "--out", str(out))

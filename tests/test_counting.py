@@ -1,0 +1,222 @@
+"""Fast counting kernels checked against the slow references they replaced.
+
+* ``BoxGrid.downsampled`` halves pairwise; the reference is the one-shot
+  ``reshape(n, f, n, f).any(axis=(1, 3))`` block reduction.
+* ``ball_counts`` counts a ball inside an aligned window; the reference is
+  ``box_counts`` of the full-grid ``clip_to_ball``.
+* Placement trials rasterize, intersect and count inside the copy's aligned
+  window; the reference is the same trial on full grids.
+* ``ScaleSchedule.resolving`` replaced three per-caller formulas, kept
+  here verbatim.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from dustlab.boxdim import (ScaleSchedule, ball_counts, box_counts, clip_to_ball,
+                            window_counts)
+from dustlab.cantor import generate_cantor, scale_and_place
+from dustlab.errors import ParameterError
+from dustlab.geometry import (BoxGrid, Isometry, Square, grid_intersection,
+                              rasterize_quads, rasterize_quads_window,
+                              squares_to_quads)
+
+SETTINGS = settings(max_examples=150, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def reference_downsample(bits: np.ndarray, level: int, target: int) -> np.ndarray:
+    f = 1 << (level - target)
+    n = 1 << target
+    return bits.reshape(n, f, n, f).any(axis=(1, 3))
+
+
+def random_bits(seed: int, level: int, density: float) -> np.ndarray:
+    n = 1 << level
+    return np.random.default_rng(seed).random((n, n)) < density
+
+
+bounds_strategy = st.builds(
+    lambda x, y, side: Square((x, y), side),
+    st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.1, 5.0))
+densities = st.sampled_from([0.0, 0.002, 0.05, 0.5, 1.0])
+
+
+@SETTINGS
+@given(level=st.integers(0, 8), data=st.data(), seed=st.integers(0, 2**32 - 1),
+       density=densities)
+def test_halving_matches_block_reduction(level, data, seed, density):
+    target = data.draw(st.integers(0, level))
+    bits = random_bits(seed, level, density)
+    grid = BoxGrid(Square.unit(), level, bits)
+    coarse = grid.downsampled(target)
+    assert coarse.level == target
+    assert np.array_equal(coarse.bits, reference_downsample(bits, level, target))
+    assert not coarse.bits.flags.writeable
+
+
+def schedules(level: int):
+    """Strictly increasing level tuples of length >= 3 ending at or below ``level``."""
+    return (st.lists(st.integers(0, level), min_size=3, unique=True)
+            .map(lambda ms: ScaleSchedule(tuple(sorted(ms)))))
+
+
+@SETTINGS
+@given(level=st.integers(2, 8), data=st.data(), seed=st.integers(0, 2**32 - 1),
+       density=densities, bounds=bounds_strategy)
+def test_window_counts_of_whole_grid_match_reference(level, data, seed, density, bounds):
+    schedule = data.draw(schedules(level))
+    bits = random_bits(seed, level, density)
+    counts = box_counts(BoxGrid(bounds, level, bits), schedule)
+    assert counts == {m: int(reference_downsample(bits, level, m).sum()) for m in schedule.levels}
+
+
+def test_window_counts_reject_levels_beyond_resolution():
+    with pytest.raises(ParameterError):
+        window_counts(np.zeros((4, 4), dtype=bool), 2, ScaleSchedule((1, 2, 3)))
+    with pytest.raises(ParameterError):
+        ball_counts(BoxGrid.full(Square.unit(), 2), (0.5, 0.5), 0.25, ScaleSchedule((1, 2, 3)))
+
+
+@SETTINGS
+@given(level=st.integers(2, 9), data=st.data(), seed=st.integers(0, 2**32 - 1),
+       density=densities, bounds=bounds_strategy,
+       u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0),
+       radius_frac=st.floats(1e-4, 2.0))
+def test_ball_counts_match_full_clip(level, data, seed, density, bounds, u, v, radius_frac):
+    # u, v at 0 or 1 put the point on the bounds edge, and large radii make
+    # the ball's window reach past the grid on several sides
+    grid = BoxGrid(bounds, level, random_bits(seed, level, density))
+    x0, y0 = bounds.corner
+    p = (min(x0 + u * bounds.side, bounds.max_corner[0]),
+         min(y0 + v * bounds.side, bounds.max_corner[1]))
+    radius = radius_frac * bounds.side
+    schedule = data.draw(st.one_of(st.just(ScaleSchedule.resolving(grid, radius / 2.0, floor=0)),
+                                   schedules(level)))
+    assert ball_counts(grid, p, radius, schedule) == box_counts(clip_to_ball(grid, p, radius),
+                                                                schedule)
+
+
+def test_ball_counts_rejects_nonpositive_radius():
+    with pytest.raises(ParameterError):
+        ball_counts(BoxGrid.full(Square.unit(), 4), (0.5, 0.5), 0.0, ScaleSchedule.span(0, 4))
+
+
+def placed_quads(alpha, depth, diameter, theta, reflect, z):
+    return scale_and_place(generate_cantor(alpha, depth), diameter, Isometry(theta, reflect, z))
+
+
+@SETTINGS
+@given(level=st.integers(3, 9), data=st.data(), seed=st.integers(0, 2**32 - 1),
+       density=densities, bounds=bounds_strategy,
+       alpha=st.floats(0.2, 0.45), depth=st.integers(1, 4),
+       diameter_frac=st.floats(0.01, 1.5), theta=st.floats(0.0, 2 * math.pi),
+       reflect=st.booleans(), zu=st.floats(-0.5, 1.5), zv=st.floats(-0.5, 1.5),
+       quarter=st.booleans())
+def test_windowed_trial_counts_match_full_grid(level, data, seed, density, bounds, alpha, depth,
+                                               diameter_frac, theta, reflect, zu, zv, quarter):
+    # translations from -0.5 to 1.5 of the side put copies across the grid
+    # edge or wholly outside it; quarter turns take the axis-aligned path
+    if quarter:
+        theta = math.pi / 2 * round(theta / (math.pi / 2))
+    x0, y0 = bounds.corner
+    z = (x0 + zu * bounds.side, y0 + zv * bounds.side)
+    quads = placed_quads(alpha, depth, diameter_frac * bounds.side, theta, reflect, z)
+    target = BoxGrid(bounds, level, random_bits(seed, level, density))
+    lo = data.draw(st.integers(0, level - 2))
+    schedule = ScaleSchedule.span(lo, level)
+    align = 1 << (level - lo)
+
+    full = rasterize_quads(quads, bounds, level)
+    cells, bits = rasterize_quads_window(quads, bounds, level, align)
+    rows, cols = cells
+    for span in (rows, cols):
+        assert span.start % align == 0 and span.stop % align == 0
+        assert 0 <= span.start < span.stop <= 1 << level
+    assert np.array_equal(bits, full.bits[cells])
+    assert full.occupied_count == int(bits.sum())
+
+    expected = box_counts(grid_intersection(target, full), schedule)
+    assert window_counts(target.bits[cells] & bits, level, schedule) == expected
+
+
+@SETTINGS
+@given(level=st.integers(2, 8), bounds=bounds_strategy, lo=st.integers(0, 6),
+       sides=st.lists(st.floats(0.01, 0.4), min_size=2, max_size=4),
+       corner_fracs=st.lists(st.tuples(st.floats(-0.2, 1.0), st.floats(-0.2, 1.0)),
+                             min_size=4, max_size=4),
+       theta=st.floats(0.0, 2 * math.pi))
+def test_windowed_raster_of_unequal_quads_matches_full_grid(level, bounds, lo, sides,
+                                                            corner_fracs, theta):
+    # quads of different sizes take the per-quad rasterization path
+    x0, y0 = bounds.corner
+    iso = Isometry(theta, False, (0.0, 0.0))
+    quads = np.concatenate([
+        squares_to_quads(np.array([[x0 + u * bounds.side, y0 + v * bounds.side]]),
+                         s * bounds.side) for s, (u, v) in zip(sides, corner_fracs)])
+    center = quads.reshape(-1, 2).mean(axis=0)
+    quads = (quads - center) @ iso.matrix().T + center
+    align = 1 << (level - min(lo, level))
+    full = rasterize_quads(quads, bounds, level)
+    cells, bits = rasterize_quads_window(quads, bounds, level, align)
+    assert np.array_equal(bits, full.bits[cells])
+    assert full.occupied_count == int(bits.sum())
+
+
+def test_window_of_grid_sized_alignment_is_whole_grid():
+    quads = placed_quads(0.3, 3, 0.1, 0.4, False, (0.5, 0.5))
+    cells, bits = rasterize_quads_window(quads, Square.unit(), 6, 64)
+    assert cells == (slice(0, 64), slice(0, 64))
+    assert bits.shape == (64, 64)
+
+
+def test_window_of_quads_outside_bounds_is_empty():
+    quads = placed_quads(0.3, 3, 0.1, 0.4, False, (5.0, 5.0))
+    cells, bits = rasterize_quads_window(quads, Square.unit(), 6, 8)
+    assert cells == (slice(0, 8), slice(0, 8))
+    assert not bits.any()
+
+
+# The formulas ScaleSchedule.resolving replaced, as they stood in boxdim
+# (ball profiles) and composite (annulus slices, unions of copies).
+
+def old_ball_schedule(grid, radius):
+    lo = max(0, int(math.ceil(math.log2(max(2.0 * grid.bounds.side / radius, 1.0)))))
+    lo = min(lo, grid.level - 2)
+    return ScaleSchedule.span(max(lo, 0), grid.level)
+
+
+def old_slice_schedule(grid, extent):
+    lo = int(math.ceil(math.log2(max(grid.bounds.side / max(extent, grid.cell_size), 1.0))))
+    lo = max(2, min(lo, grid.level - 2))
+    return ScaleSchedule.span(lo, grid.level)
+
+
+def old_union_start(grid, extent):
+    lo = int(math.ceil(math.log2(max(grid.bounds.side / max(extent, grid.cell_size), 1.0)))) + 1
+    return max(2, min(lo, grid.level - 2))
+
+
+@settings(max_examples=500, deadline=None)
+@given(level=st.integers(4, 12), side=st.floats(1e-3, 1e3),
+       frac=st.one_of(st.floats(1e-6, 4.0), st.sampled_from([2.0 ** -k for k in range(14)])))
+def test_resolving_schedule_matches_replaced_formulas(level, side, frac):
+    grid = BoxGrid.empty(Square((0.0, 0.0), side), level)
+    extent = frac * side
+    assert ScaleSchedule.resolving(grid, extent / 2.0, floor=0) == old_ball_schedule(grid, extent)
+    assert ScaleSchedule.resolving(grid, extent) == old_slice_schedule(grid, extent)
+    assert ScaleSchedule.resolving(grid, extent, finer=1).levels[0] == old_union_start(grid, extent)
+
+
+def test_adopt_keeps_array_and_constructor_copies():
+    bits = np.zeros((4, 4), dtype=bool)
+    copied = BoxGrid(Square.unit(), 2, bits)
+    bits[0, 0] = True
+    assert not copied.bits[0, 0]
+    adopted = BoxGrid.adopt(Square.unit(), 2, bits)
+    assert adopted.bits is bits
+    assert not bits.flags.writeable

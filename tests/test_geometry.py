@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dustlab.errors import FormatError, ParameterError
-from dustlab.formats import dump_bgr, dump_cad, parse_bgr, parse_cad
+from dustlab.formats import (BGR_BLOCK_ROWS, dump_bgr, dump_cad, parse_bgr, parse_cad,
+                             read_bgr, write_bgr)
 from dustlab.geometry import (Alpha, BoxGrid, Isometry, Quadrant, Square,
                               SquareAddress, grid_intersection, grid_union,
                               quads_disjoint, rasterize, rasterize_quads,
@@ -201,10 +202,34 @@ class TestFormats:
         assert dump_bgr(grid).splitlines()[0] == "bgr 1 1 0.0 0.0 1.0"
 
     @pytest.mark.parametrize("text", ["", "bgr 2 1 0 0 1\n00\n00", "bgr 1 1 0 0 1\n01",
-                                      "bgr 1 1 0 0 1\n0x\n00"])
+                                      "bgr 1 1 0 0 1\n0x\n00",
+                                      "bgr 1 -1 0.0 0.0 1.0\n", "bgr 1 0 0.0 0.0 nan\n0",
+                                      "bgr 1 0 0.0 0.0 -1.0\n0", "bgr 1 0 0.0 0.0 0.0\n0",
+                                      "bgr 1 0 0.0 0.0 inf\n0", "bgr 1 0 nan 0.0 1.0\n0"])
     def test_bgr_rejects_malformed(self, text):
         with pytest.raises(FormatError):
             parse_bgr(text)
+
+    @pytest.mark.parametrize("level", [0, 1, 8, 9])
+    @pytest.mark.parametrize("bounds", [Square.unit(), Square((-0.25, 0.1), 1.7)])
+    def test_bgr_writer_matches_per_cell_encoding(self, tmp_path, level, bounds):
+        # levels 0 and 1 fit in one row block, 8 fills one exactly, 9 needs two
+        assert 1 << 8 == BGR_BLOCK_ROWS
+        n = 1 << level
+        bits = np.random.default_rng(level).random((n, n)) < 0.3
+        grid = BoxGrid(bounds, level, bits)
+        x0, y0 = bounds.corner
+        header = f"bgr 1 {level} {x0!r} {y0!r} {bounds.side!r}"
+        rows = ["".join("1" if b else "0" for b in bits[iy]) for iy in range(n - 1, -1, -1)]
+        expected = "\n".join([header] + rows) + "\n"
+        path = tmp_path / "g.bgr"
+        write_bgr(grid, path)
+        assert path.read_bytes() == expected.encode()
+        assert dump_bgr(grid) == expected
+        back = read_bgr(path)
+        assert back.bounds == bounds
+        assert back.level == level
+        assert np.array_equal(back.bits, bits)
 
     def test_cad_round_trip(self):
         words = [(Quadrant.SW, Quadrant.NE), (Quadrant.SE, Quadrant.NW)]
