@@ -10,7 +10,7 @@ subset of a given rasterized compact set.
 from .boxdim import (DimensionEstimate, ScaleSchedule, box_counts,
                      estimate_dimension, find_full_dimension_point,
                      local_dimension_profile)
-from .cantor import (CantorApproximant, alpha_for_dimension,
+from .cantor import (CantorApproximant, address_corners, alpha_for_dimension,
                      approximant_from_cad, cantor_dimension, generate_cantor,
                      scale_and_place)
 from .composite import (AnnulusChain, CompositePlan, ConstructionReport,
@@ -22,8 +22,7 @@ from .errors import (AssemblyError, BudgetError, ConstructionError, DustError,
                      RingUndeterminedError)
 from .formats import read_bgr, read_cad, write_bgr, write_cad
 from .geometry import (Alpha, BoxGrid, Isometry, Quadrant, Square,
-                       SquareAddress, grid_intersection, grid_union, rasterize,
-                       square_of_address)
+                       grid_intersection, grid_union, rasterize)
 from .intersect import (MattilaSurvey, apply_isometry, intersection_dimension,
                         mattila_survey, sample_isometry)
 from .john import (JohnPath, JohnReport, RingLocation, build_john_path,

@@ -15,9 +15,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cantor import CantorApproximant
 from .errors import ParameterError
-from .geometry import BoxGrid, Square, aligned_span, halve, rasterize
+from .geometry import BoxGrid, aligned_span, halve
 
 LN2 = math.log(2.0)
 
@@ -74,24 +73,8 @@ class DimensionEstimate:
                 f"{self.window[0]}:{self.window[1]}")
 
 
-def box_counts(source, schedule: ScaleSchedule, bounds: Square | None = None) -> dict[int, int]:
-    """Occupied-cell counts per schedule level.
-
-    ``source`` may be a BoxGrid (schedule levels must not exceed its
-    resolution), a CantorApproximant, or a sequence of Square objects.
-    Square input is rasterized once at the finest level and OR-reduced;
-    under the half-open convention this equals per-level rasterization.
-    """
-    if isinstance(source, BoxGrid):
-        grid = source
-    else:
-        top = schedule.levels[-1]
-        if bounds is None:
-            bounds = Square.unit()
-        if isinstance(source, CantorApproximant):
-            grid = rasterize(source.leaf_corners(), bounds, top, side=source.side)
-        else:
-            grid = rasterize(source, bounds, top)
+def box_counts(grid: BoxGrid, schedule: ScaleSchedule) -> dict[int, int]:
+    """Occupied-cell counts of a grid per schedule level (none above its resolution)."""
     return window_counts(grid.bits, grid.level, schedule)
 
 

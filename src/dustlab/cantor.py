@@ -9,13 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import BudgetError, ParameterError
-from .geometry import (SQRT2, Alpha, Isometry, Square, SquareAddress, as_alpha,
-                       squares_to_quads, transform_quads)
+from .geometry import SQRT2, Alpha, Isometry, as_alpha, squares_to_quads
 
 #: Generation is refused once it would materialize more than this many squares.
 ADDRESS_BUDGET = 1 << 24
@@ -52,29 +50,25 @@ class CantorApproximant:
         """Side length of one generation-depth square."""
         return float(self.alpha) ** self.depth
 
-    @cached_property
-    def addresses(self) -> tuple[SquareAddress, ...]:
-        from .geometry import Quadrant
-
-        return tuple(
-            SquareAddress(tuple(Quadrant(int(c)) for c in row), self.alpha)
-            for row in self.codes
-        )
-
     def leaf_corners(self) -> np.ndarray:
         """Lower-left corners of all generation-depth squares, shape (4**n, 2)."""
-        a = float(self.alpha)
-        n = self.depth
-        if n == 0:
-            return np.zeros((1, 2))
-        weights = np.array([a ** k - a ** (k + 1) for k in range(n)])
-        x = ((self.codes & 1) * weights).sum(axis=1)
-        y = (((self.codes >> 1) & 1) * weights).sum(axis=1)
-        return np.column_stack((x, y))
+        return address_corners(self.codes, self.alpha)
 
-    def leaf_squares(self) -> list[Square]:
-        s = self.side
-        return [Square((x, y), s) for x, y in self.leaf_corners()]
+
+def address_corners(codes: np.ndarray, alpha: Alpha | float) -> np.ndarray:
+    """Lower-left corners of addressed squares, shape (N, 2).
+
+    Each row of ``codes`` is one address, a word of quadrant codes
+    (SW SE NW NE as 0 1 2 3).  Step k moves the corner by
+    alpha**k - alpha**(k+1) along each axis whose bit the code sets; an
+    address of n steps names a square of side alpha**n.
+    """
+    a = float(alpha)
+    codes = np.asarray(codes, dtype=np.uint8)
+    weights = np.array([a ** k - a ** (k + 1) for k in range(codes.shape[1])])
+    x = ((codes & 1) * weights).sum(axis=1)
+    y = (((codes >> 1) & 1) * weights).sum(axis=1)
+    return np.column_stack((x, y))
 
 
 def generate_cantor(alpha: Alpha | float, depth: int, budget: int = ADDRESS_BUDGET) -> CantorApproximant:
@@ -133,12 +127,10 @@ def scale_and_place(approximant: CantorApproximant, diameter: float, iso: Isomet
     if not diameter > 0.0:
         raise ParameterError(f"diameter must be positive, got {diameter!r}")
     scale = diameter / SQRT2
-    quads = squares_to_quads(approximant.leaf_corners() * scale, approximant.side * scale)
-    return transform_quads(quads, iso)
+    return iso.apply(squares_to_quads(approximant.leaf_corners() * scale, approximant.side * scale))
 
 
 def placed_frame(diameter: float, iso: Isometry) -> np.ndarray:
     """Image of the copy's scaled unit frame; bounds every placed leaf."""
     scale = diameter / SQRT2
-    frame = squares_to_quads(np.zeros((1, 2)), scale)
-    return transform_quads(frame, iso)[0]
+    return iso.apply(squares_to_quads(np.zeros((1, 2)), scale))[0]

@@ -18,7 +18,7 @@ from .boxdim import ScaleSchedule, box_counts, counts_csv_lines, estimate_dimens
 from .cantor import alpha_for_dimension, cantor_dimension, generate_cantor
 from .composite import run_pipeline
 from .errors import ConstructionError, DustError, FormatError, ParameterError
-from .geometry import Alpha, BoxGrid, Square, rasterize
+from .geometry import Alpha, BoxGrid, Square, grid_size, rasterize
 from .intersect import mattila_survey
 from .john import verify_john
 
@@ -78,6 +78,8 @@ def cmd_gen(args) -> int:
     if not args.out and not args.grid_out:
         raise ParameterError("nothing to do: give --out and/or --grid-out")
     alpha = _resolve_alpha(args)
+    if args.grid_out:
+        grid_size(args.level)
     approx = generate_cantor(alpha, args.depth)
     print(_config_line(args, resolved_alpha=float(alpha),
                        resolved_dimension=cantor_dimension(alpha)))

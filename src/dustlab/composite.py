@@ -27,6 +27,7 @@ from .errors import AssemblyError, ConstructionError, ParameterError, PlacementE
 from .geometry import (BoxGrid, Isometry, Square, grid_intersection,
                        quads_disjoint, rasterize_quads, rasterize_quads_window)
 from .intersect import sample_isometry
+from .parallel import parallel_map
 
 #: Copies are generated no deeper than this many subdivision steps.
 MAX_COPY_DEPTH = 8
@@ -464,17 +465,12 @@ def run_pipeline(E: BoxGrid, annuli: int = 6, trials: int = 480, seed: int = 0,
         raise ConstructionError("no even annulus available for placement")
     common_extent = max(placement_diameter(chain, i) for i in even_indices)
 
-    def place(index: int) -> PlacementRecord:
+    def place(k: int) -> PlacementRecord:
+        index = even_indices[k]
         return place_cantor_in_annulus(E, chain, index, b_seq[index - 1], trials,
                                        seed + 1000 * index, schedule_extent=common_extent)
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            placements = list(pool.map(place, even_indices))
-    else:
-        placements = [place(i) for i in even_indices]
+    placements = parallel_map(place, len(even_indices), jobs)
 
     g_grid, eprime, report = assemble_composite(E, chain, placements)
     plan = CompositePlan(chain.center, chain.half_widths, d_seq, b_seq, tuple(placements))

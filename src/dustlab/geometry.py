@@ -23,9 +23,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import BudgetError, ParameterError
 
 SQRT2 = math.sqrt(2.0)
+
+#: Grids of more than this many cells are refused before they are allocated.
+CELL_BUDGET = 1 << 28
 
 
 class Quadrant(IntEnum):
@@ -77,28 +80,6 @@ def as_alpha(alpha: "Alpha | float") -> Alpha:
 
 
 @dataclass(frozen=True)
-class SquareAddress:
-    """Exact symbolic address of one generation-n square: a word of corner choices."""
-
-    word: tuple[Quadrant, ...]
-    alpha: Alpha
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "word", tuple(Quadrant(q) for q in self.word))
-        object.__setattr__(self, "alpha", as_alpha(self.alpha))
-
-    @property
-    def generation(self) -> int:
-        return len(self.word)
-
-    def child(self, q: Quadrant) -> "SquareAddress":
-        return SquareAddress(self.word + (Quadrant(q),), self.alpha)
-
-    def letters(self) -> str:
-        return "".join(q.letter for q in self.word)
-
-
-@dataclass(frozen=True)
 class Square:
     """Axis-aligned square given by its lower-left corner and side length."""
 
@@ -135,14 +116,6 @@ class Square:
         x1, y1 = self.max_corner
         return x0 <= p[0] <= x1 and y0 <= p[1] <= y1
 
-    def intersects(self, other: "Square") -> bool:
-        """Closed-rectangle overlap test (shared edges count)."""
-        ax0, ay0 = self.corner
-        ax1, ay1 = self.max_corner
-        bx0, by0 = other.corner
-        bx1, by1 = other.max_corner
-        return ax0 <= bx1 and bx0 <= ax1 and ay0 <= by1 and by0 <= ay1
-
     @staticmethod
     def unit() -> "Square":
         return Square((0.0, 0.0), 1.0)
@@ -152,25 +125,13 @@ class Square:
         return Square((center[0] - half_width, center[1] - half_width), 2.0 * half_width)
 
 
-def square_of_address(addr: SquareAddress) -> Square:
-    """Closed-form geometry of an addressed square.
-
-    The lower-left corner per axis is sum over steps k of
-    b_k * (alpha**(k-1) - alpha**k), where b_k selects the far corner on
-    that axis, and the side is alpha**n.  Recomputed from the word each
-    call; nothing is mutated incrementally, so generations do not drift.
-    """
-    a = float(addr.alpha)
-    n = addr.generation
-    terms_x = []
-    terms_y = []
-    for k, q in enumerate(addr.word, start=1):
-        step = a ** (k - 1) - a ** k
-        if q.x_bit:
-            terms_x.append(step)
-        if q.y_bit:
-            terms_y.append(step)
-    return Square((math.fsum(terms_x), math.fsum(terms_y)), a ** n)
+def grid_size(level: int) -> int:
+    """Side ``2**level`` of a level-``level`` grid, checked against ``CELL_BUDGET``."""
+    if level < 0:
+        raise ParameterError(f"grid level must be nonnegative, got {level}")
+    if 4 ** level > CELL_BUDGET:
+        raise BudgetError(f"a level-{level} grid has {4 ** level} cells, over the budget of {CELL_BUDGET}")
+    return 1 << level
 
 
 def _freeze(bits: np.ndarray) -> np.ndarray:
@@ -279,12 +240,12 @@ class BoxGrid:
 
     @staticmethod
     def empty(bounds: Square, level: int) -> "BoxGrid":
-        n = 1 << level
+        n = grid_size(level)
         return BoxGrid.adopt(bounds, level, np.zeros((n, n), dtype=bool))
 
     @staticmethod
     def full(bounds: Square, level: int) -> "BoxGrid":
-        n = 1 << level
+        n = grid_size(level)
         return BoxGrid.adopt(bounds, level, np.ones((n, n), dtype=bool))
 
 
@@ -305,37 +266,16 @@ def rasterize(squares: Iterable[Square] | np.ndarray, bounds: Square, level: int
     """Mark every cell met by at least one input square.
 
     Accepts a sequence of Square objects, or a (N, 2) array of lower-left
-    corners together with a shared ``side``.  Deterministic; an empty
-    input yields an empty grid.
+    corners together with a shared ``side``.  The squares are rasterized
+    as axis-aligned quads by ``rasterize_quads``.
     """
-    if level < 0:
-        raise ParameterError(f"grid level must be nonnegative, got {level}")
-    n = 1 << level
-    bits = np.zeros((n, n), dtype=bool)
     if isinstance(squares, np.ndarray):
         if side is None:
             raise ParameterError("corner-array input requires an explicit side")
-        corners = np.asarray(squares, dtype=float).reshape(-1, 2)
-        sides = np.full(len(corners), float(side))
+        quads = squares_to_quads(squares, side)
     else:
-        sq = list(squares)
-        if not sq:
-            return BoxGrid.adopt(bounds, level, bits)
-        corners = np.array([s.corner for s in sq], dtype=float)
-        sides = np.array([s.side for s in sq], dtype=float)
-    if len(corners) == 0:
-        return BoxGrid.adopt(bounds, level, bits)
-
-    w = bounds.side / n
-    x0, y0 = bounds.corner
-    ix_lo, ix_hi, vx = _index_ranges(corners[:, 0], corners[:, 0] + sides, x0, w, n)
-    iy_lo, iy_hi, vy = _index_ranges(corners[:, 1], corners[:, 1] + sides, y0, w, n)
-    ok = vx & vy
-    single = ok & (ix_lo == ix_hi) & (iy_lo == iy_hi)
-    bits[iy_lo[single], ix_lo[single]] = True
-    for i in np.nonzero(ok & ~single)[0]:
-        bits[iy_lo[i]:iy_hi[i] + 1, ix_lo[i]:ix_hi[i] + 1] = True
-    return BoxGrid.adopt(bounds, level, bits)
+        quads = np.array([s.corners() for s in squares], dtype=float)
+    return rasterize_quads(quads, bounds, level)
 
 
 def _common_level(a: BoxGrid, b: BoxGrid) -> tuple[BoxGrid, BoxGrid]:
@@ -415,11 +355,6 @@ def squares_to_quads(corners: np.ndarray, side: float) -> np.ndarray:
     return c[:, None, :] + offs[None, :, :]
 
 
-def transform_quads(quads: np.ndarray, iso: Isometry) -> np.ndarray:
-    q = np.asarray(quads, dtype=float)
-    return q @ iso.matrix().T + np.asarray(iso.z)
-
-
 def quads_disjoint(p: np.ndarray, q: np.ndarray) -> bool:
     """True when two convex quads share no point (closed sets, SAT test)."""
     p = np.asarray(p, dtype=float)
@@ -438,7 +373,9 @@ def quads_disjoint(p: np.ndarray, q: np.ndarray) -> bool:
     return False
 
 
-_QUAD_BLOCK_LIMIT = 40_000_000
+#: Cells of scratch one rasterization block may span: congruent quads are
+#: grouped into blocks up to this size, and a larger quad is split into row bands.
+_QUAD_BLOCK_LIMIT = 1 << 22
 
 
 def rasterize_quads(quads: np.ndarray, bounds: Square, level: int) -> BoxGrid:
@@ -449,7 +386,7 @@ def rasterize_quads(quads: np.ndarray, bounds: Square, level: int) -> BoxGrid:
     directions are tested closed.  Identity and quarter-turn images of
     grid-aligned squares therefore reproduce exact occupancy.
     """
-    _, bits = rasterize_quads_window(quads, bounds, level, 1 << level)
+    _, bits = rasterize_quads_window(quads, bounds, level, grid_size(level))
     return BoxGrid.adopt(bounds, level, bits)
 
 
@@ -463,25 +400,16 @@ def rasterize_quads_window(quads: np.ndarray, bounds: Square, level: int,
     of two no larger than the grid), and ``bits`` equals the full raster
     over that window.  ``align = 2**level`` makes the window the whole
     grid.  When no quad meets the bounds the window is the first ``align``
-    block and holds no occupied cell.
+    block and holds no occupied cell.  Raises BudgetError when the grid
+    exceeds ``CELL_BUDGET``.
     """
     quads = np.asarray(quads, dtype=float).reshape(-1, 4, 2)
-    n = 1 << level
+    n = grid_size(level)
     w = bounds.side / n
     x0, y0 = bounds.corner
 
-    e1 = quads[:, 1] - quads[:, 0]
-    e2 = quads[:, 3] - quads[:, 0]
-    congruent = (
-        np.ptp(e1, axis=0).max() < 1e-12 if len(quads) > 1 else True
-    ) and (np.ptp(e2, axis=0).max() < 1e-12 if len(quads) > 1 else True)
-
-    xmin = quads[:, :, 0].min(axis=1)
-    xmax = quads[:, :, 0].max(axis=1)
-    ymin = quads[:, :, 1].min(axis=1)
-    ymax = quads[:, :, 1].max(axis=1)
-    ix_lo, ix_hi, vx = _index_ranges(xmin, xmax, x0, w, n)
-    iy_lo, iy_hi, vy = _index_ranges(ymin, ymax, y0, w, n)
+    ix_lo, ix_hi, vx = _index_ranges(quads[:, :, 0].min(axis=1), quads[:, :, 0].max(axis=1), x0, w, n)
+    iy_lo, iy_hi, vy = _index_ranges(quads[:, :, 1].min(axis=1), quads[:, :, 1].max(axis=1), y0, w, n)
     idx = np.nonzero(vx & vy)[0]
     if len(idx) == 0:
         rows = cols = aligned_span(0, 0, align)
@@ -490,60 +418,41 @@ def rasterize_quads_window(quads: np.ndarray, bounds: Square, level: int,
     cols = aligned_span(int(ix_lo[idx].min()), int(ix_hi[idx].max()), align)
     bits = np.zeros((rows.stop - rows.start, cols.stop - cols.start), dtype=bool)
 
-    u = e1[0] / np.linalg.norm(e1[0])
-    v = e2[0] / np.linalg.norm(e2[0])
-    axis_aligned = congruent and min(abs(u[0]), abs(u[1])) < 1e-12 and min(abs(v[0]), abs(v[1])) < 1e-12
-
-    bw = int((ix_hi[idx] - ix_lo[idx]).max()) + 1
-    bh = int((iy_hi[idx] - iy_lo[idx]).max()) + 1
-    if congruent and len(idx) * bw * bh <= _QUAD_BLOCK_LIMIT:
-        dxs = np.arange(bw)
-        dys = np.arange(bh)
-        ix = ix_lo[idx, None, None] + dxs[None, None, :]
-        iy = iy_lo[idx, None, None] + dys[None, :, None]
-        keep = (ix <= ix_hi[idx, None, None]) & (iy <= iy_hi[idx, None, None])
-        if not axis_aligned:
+    def fill(ref, axes, chunk, lo_y, hi_y, bw, bh):
+        """OR quads ``chunk`` into ``bits``: rows lo_y..hi_y, bh at most, of their extents."""
+        ix = ix_lo[chunk, None, None] + np.arange(bw)
+        iy = lo_y[:, None, None] + np.arange(bh)[:, None]
+        keep = (ix <= ix_hi[chunk, None, None]) & (iy <= hi_y[:, None, None])
+        if axes:
             cx = x0 + ix * w
             cy = y0 + iy * w
-            for axis in (u, v):
+            shift = quads[chunk, 0] - quads[ref, 0]
+            for axis in axes:
+                # closed overlap of each cell's projection with the quad's
                 base = cx * axis[0] + cy * axis[1]
                 amin = base + w * (min(axis[0], 0.0) + min(axis[1], 0.0))
                 amax = base + w * (max(axis[0], 0.0) + max(axis[1], 0.0))
-                rel = quads[0] @ axis
-                off = quads[idx, 0, 0] * axis[0] + quads[idx, 0, 1] * axis[1] - rel[0]
-                lo = off + rel.min()
-                hi = off + rel.max()
-                keep &= (amax >= lo[:, None, None]) & (amin <= hi[:, None, None])
-        flat = ((iy - rows.start) * bits.shape[1] + (ix - cols.start))[keep]
-        bits.reshape(-1)[flat] = True
-        return (rows, cols), bits
+                rel = quads[ref] @ axis
+                off = shift @ axis
+                keep &= (amax >= (off + rel.min())[:, None, None]) & \
+                        (amin <= (off + rel.max())[:, None, None])
+        bits.reshape(-1)[((iy - rows.start) * bits.shape[1] + (ix - cols.start))[keep]] = True
 
-    for i in idx:
-        _raster_one_quad(quads[i], bits[iy_lo[i] - rows.start:iy_hi[i] + 1 - rows.start,
-                                        ix_lo[i] - cols.start:ix_hi[i] + 1 - cols.start],
-                         x0, y0, w, ix_lo[i], ix_hi[i], iy_lo[i], iy_hi[i])
+    e1 = quads[:, 1] - quads[:, 0]
+    e2 = quads[:, 3] - quads[:, 0]
+    congruent = len(quads) == 1 or (np.ptp(e1, axis=0).max() < 1e-12 and np.ptp(e2, axis=0).max() < 1e-12)
+    # congruent quads share the first quad's edge directions; others go one at a time
+    for ref, group in [(0, idx)] if congruent else [(i, idx[k:k + 1]) for k, i in enumerate(idx)]:
+        # unit edge directions, leaving out degenerate and grid-parallel ones
+        axes = [e / norm for e in (e1[ref], e2[ref]) if (norm := np.linalg.norm(e)) > 0.0]
+        axes = [a for a in axes if min(abs(a[0]), abs(a[1])) >= 1e-12]
+        bw = int((ix_hi[group] - ix_lo[group]).max()) + 1
+        bh = int((iy_hi[group] - iy_lo[group]).max()) + 1
+        band = min(bh, max(1, _QUAD_BLOCK_LIMIT // bw))  # rows per block
+        per = max(1, _QUAD_BLOCK_LIMIT // (bw * band))  # quads per block
+        for start in range(0, len(group), per):
+            chunk = group[start:start + per]
+            lo_y, hi_y = iy_lo[chunk], iy_hi[chunk]
+            for r in range(0, bh, band):
+                fill(ref, axes, chunk, lo_y + r, np.minimum(hi_y, lo_y + (r + band - 1)), bw, band)
     return (rows, cols), bits
-
-
-def _raster_one_quad(quad, block, x0, y0, w, ix_lo, ix_hi, iy_lo, iy_hi) -> None:
-    """OR one quad into ``block``, the cells [iy_lo, iy_hi] x [ix_lo, ix_hi]."""
-    e1 = quad[1] - quad[0]
-    e2 = quad[3] - quad[0]
-    ix = np.arange(ix_lo, ix_hi + 1)
-    iy = np.arange(iy_lo, iy_hi + 1)
-    keep = np.ones((len(iy), len(ix)), dtype=bool)
-    for edge in (e1, e2):
-        norm = np.linalg.norm(edge)
-        if norm == 0.0:
-            continue
-        axis = edge / norm
-        if min(abs(axis[0]), abs(axis[1])) < 1e-12:
-            continue
-        cx = x0 + ix * w
-        cy = y0 + iy * w
-        base = cy[:, None] * axis[1] + cx[None, :] * axis[0]
-        amin = base + w * (min(axis[0], 0.0) + min(axis[1], 0.0))
-        amax = base + w * (max(axis[0], 0.0) + max(axis[1], 0.0))
-        proj = quad @ axis
-        keep &= (amax >= proj.min()) & (amin <= proj.max())
-    block |= keep

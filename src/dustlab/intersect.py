@@ -12,7 +12,6 @@ threshold on rasterized inputs.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,8 @@ from .boxdim import DimensionEstimate, ScaleSchedule, box_counts, estimate_dimen
 from .cantor import CantorApproximant, cantor_dimension
 from .errors import ParameterError
 from .geometry import (SQRT2, BoxGrid, Isometry, Square, grid_intersection,
-                       rasterize_quads, squares_to_quads, transform_quads)
+                       rasterize_quads, squares_to_quads)
+from .parallel import parallel_map
 
 
 @dataclass(frozen=True)
@@ -78,33 +78,24 @@ def sample_isometry(rng: np.random.Generator, translation_window: Square) -> Iso
     return Isometry(theta, reflect, z)
 
 
-def _source_squares(source) -> tuple[np.ndarray, float]:
+def _source_quads(source) -> np.ndarray:
     if isinstance(source, CantorApproximant):
-        return source.leaf_corners(), source.side
+        return squares_to_quads(source.leaf_corners(), source.side)
     if isinstance(source, BoxGrid):
         w = source.cell_size
-        centers = source.occupied_cell_centers()
-        return centers - w / 2.0, w
-    corners = np.array([s.corner for s in source], dtype=float).reshape(-1, 2)
-    sides = {float(s.side) for s in source}
-    if len(sides) > 1:
-        raise ParameterError("square sequences must share one side length here")
-    return corners, sides.pop() if sides else 0.0
+        return squares_to_quads(source.occupied_cell_centers() - w / 2.0, w)
+    return np.array([s.corners() for s in source], dtype=float).reshape(-1, 4, 2)
 
 
 def apply_isometry(source, iso: Isometry, out_bounds: Square, out_level: int) -> BoxGrid:
     """Conservative raster of the image of a set under an isometry.
 
     ``source`` may be a CantorApproximant, a BoxGrid (its occupied cells
-    are taken as squares), or a sequence of equal squares.  An output cell
-    is occupied iff it meets the image of some input square; rotated
-    squares go through the exact polygon/cell overlap test.
+    are taken as squares), or a sequence of squares.  An output cell is
+    occupied iff it meets the image of some input square; rotated squares
+    go through the exact polygon/cell overlap test.
     """
-    corners, side = _source_squares(source)
-    if len(corners) == 0:
-        return BoxGrid.empty(out_bounds, out_level)
-    quads = transform_quads(squares_to_quads(corners, side), iso)
-    return rasterize_quads(quads, out_bounds, out_level)
+    return rasterize_quads(iso.apply(_source_quads(source)), out_bounds, out_level)
 
 
 def default_survey_window(a: BoxGrid, frame_side: float = 1.0) -> Square:
@@ -119,16 +110,12 @@ def default_survey_window(a: BoxGrid, frame_side: float = 1.0) -> Square:
     return Square.centered((cx, cy), half)
 
 
-def _intersection_schedule(a: BoxGrid) -> ScaleSchedule:
-    # match the schedule used for A's own slope so per-trial fits are comparable
-    return ScaleSchedule.default_for(a)
-
-
 def intersection_dimension(a: BoxGrid, b_source, iso: Isometry,
                            schedule: ScaleSchedule | None = None) -> DimensionEstimate:
     """Dimension estimate of A intersected with the moved copy of B."""
     if schedule is None:
-        schedule = _intersection_schedule(a)
+        # match the schedule used for A's own slope so per-trial fits are comparable
+        schedule = ScaleSchedule.default_for(a)
     image = apply_isometry(b_source, iso, a.bounds, a.level)
     inter = grid_intersection(a, image)
     return estimate_dimension(box_counts(inter, schedule), side=a.bounds.side)
@@ -176,7 +163,7 @@ def mattila_survey(a: BoxGrid, b, trials: int, tolerance: float = 0.15,
         frame = 1.0 if isinstance(b, CantorApproximant) else b.bounds.side
         window = default_survey_window(a, frame)
     if schedule is None:
-        schedule = _intersection_schedule(a)
+        schedule = ScaleSchedule.default_for(a)
     counts_a = box_counts(a, schedule)
     if min(counts_a.values()) <= 0:
         raise ParameterError("set A must have positive box counts at every schedule level")
@@ -193,11 +180,7 @@ def mattila_survey(a: BoxGrid, b, trials: int, tolerance: float = 0.15,
         return TrialRow(i, iso.theta, iso.reflect, iso.z[0], iso.z[1],
                         est.slope, est.empty, hit)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run_trial, range(trials)))
-    else:
-        rows = [run_trial(i) for i in range(trials)]
+    rows = parallel_map(run_trial, trials, jobs)
     hits = sum(r.hit for r in rows)
     return MattilaSurvey(s, t, threshold, tolerance, trials, hits,
                          tuple(rows), seed, window)

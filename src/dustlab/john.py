@@ -26,9 +26,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .cantor import generate_cantor
+from .cantor import address_corners, generate_cantor
 from .errors import DustError, ParameterError, RingUndeterminedError
 from .geometry import Alpha, Quadrant, as_alpha
+from .parallel import parallel_map
 
 UNIT_CENTER = (0.5, 0.5)
 
@@ -102,19 +103,6 @@ class JohnReport:
         lines.append(f"epsilon,{self.epsilon:.12g},samples,{self.samples},"
                      f"length_constant,{self.length_constant:.12g}")
         return lines
-
-
-def _square_geometry(word: Sequence[Quadrant], alpha: float):
-    """Corner and side of the square addressed by a word (fsum per axis)."""
-    xs, ys = [], []
-    for k, q in enumerate(word):
-        step = alpha ** k - alpha ** (k + 1)
-        if q.x_bit:
-            xs.append(step)
-        if q.y_bit:
-            ys.append(step)
-    n = len(word)
-    return (math.fsum(xs), math.fsum(ys)), alpha ** n
 
 
 def _child_curve_boxes(corner, side, alpha):
@@ -284,8 +272,10 @@ def build_john_path(z: Sequence[float], alpha: Alpha | float, depth: int) -> Joh
         return JohnPath(np.array(vertices), z, -1, tuple(landings))
 
     w = z
+    word = np.array(loc.word, dtype=np.uint8).reshape(1, -1)
     for g in range(loc.generation, -1, -1):
-        corner, side = _square_geometry(loc.word[:g], a)
+        corner = tuple(address_corners(word[:, :g], a)[0].tolist())
+        side = a ** g
         center = (corner[0] + side / 2.0, corner[1] + side / 2.0)
         half = curve_half_width(a, g)
         boxes = _child_curve_boxes(corner, side, a)
@@ -385,13 +375,7 @@ def verify_john(alpha: Alpha | float, depth: int, samples: int, seed: int,
         stretch = path.length / anchor_dist if anchor_dist > 1e-15 else 0.0
         return ratio, stretch
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(evaluate, range(samples)))
-    else:
-        results = [evaluate(i) for i in range(samples)]
+    results = parallel_map(evaluate, samples, jobs)
     worst = np.array([r[0] for r in results])
     length_constant = max((r[1] for r in results), default=0.0)
 
@@ -408,15 +392,15 @@ def sample_ring_clearances(alpha: Alpha | float, depth: int, samples: int, seed:
     Returns (array, unresolved) where array rows are
     (x, y, ring generation, distance) for points drawn uniformly over the
     unit square minus the depth-n approximant.  Distances go to the
-    approximant at ``measure_depth`` (default: the sampling depth).  Ring
+    approximant at ``measure_depth``, by default depth + 1.  Ring
     generation g guarantees clearance alpha**g * (1-2*alpha)/4 only
     against approximants of depth at least g + 1: points of the deepest
-    ring hug the generation-depth squares themselves, so certifying the
-    full sample needs measure_depth = depth + 1.
+    ring hug the generation-depth squares themselves, so a measure depth
+    of ``depth`` or less cannot certify the full sample.
     """
     a = float(as_alpha(alpha))
     if measure_depth is None:
-        measure_depth = depth
+        measure_depth = depth + 1
     leaves = generate_cantor(a, measure_depth)
     corners = leaves.leaf_corners()
     rng = np.random.default_rng(seed)
@@ -428,6 +412,5 @@ def sample_ring_clearances(alpha: Alpha | float, depth: int, samples: int, seed:
         loc = ring_of_point(z, a, depth)
         rows[i, 0], rows[i, 1] = z
         rows[i, 2] = loc.generation
-        rows[i, 3] = math.nan
     rows[:, 3] = distance_to_squares(rows[:, :2], corners, leaves.side)
     return rows, unresolved

@@ -1,0 +1,24 @@
+"""The thread map behind every ``jobs`` parameter."""
+
+from __future__ import annotations
+
+import os
+from concurrent import futures
+from typing import Callable
+
+from .errors import ParameterError
+
+
+def parallel_map(fn: Callable[[int], object], n: int, jobs: int) -> list:
+    """``[fn(i) for i in range(n)]`` on at most ``jobs`` threads, in index order.
+
+    Threads are capped at ``os.cpu_count()`` and at ``n``; with one, ``fn``
+    runs in the calling thread.  Raises ParameterError when ``jobs < 1``.
+    """
+    if jobs < 1:
+        raise ParameterError(f"jobs must be at least 1, got {jobs}")
+    workers = min(jobs, n, os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(i) for i in range(n)]
+    with futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, range(n)))

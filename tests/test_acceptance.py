@@ -56,7 +56,7 @@ def test_criterion_1_dimension_formula():
 def test_criterion_2_box_count_recovery():
     t0 = time.monotonic()
     failures = []
-    est1 = estimate_dimension(box_counts(generate_cantor(0.25, 8), EVEN_SCHEDULE))
+    est1 = estimate_dimension(box_counts(dust_grid(0.25, 8, 12), EVEN_SCHEDULE))
     if abs(est1.slope - 1.0) > 0.05:
         failures.append(f"quarter-dust slope {est1.slope:.4f} not within 0.05 of 1.0")
     if est1.r2 < 0.999:
@@ -65,7 +65,7 @@ def test_criterion_2_box_count_recovery():
     if t1 - t0 >= 30.0:
         failures.append(f"first fit took {t1 - t0:.1f}s, over 30s")
 
-    est2 = estimate_dimension(box_counts(generate_cantor(alpha_for_dimension(1.5), 7),
+    est2 = estimate_dimension(box_counts(dust_grid(alpha_for_dimension(1.5), 7, 12),
                                          EVEN_SCHEDULE))
     if abs(est2.slope - 1.5) > 0.07:
         failures.append(f"d=1.5 slope {est2.slope:.4f} not within 0.07 of 1.5")

@@ -39,16 +39,16 @@ class TestScaleSchedule:
 
 class TestBoxCounts:
     def test_full_square_fills_every_cell(self):
-        counts = box_counts([Square.unit()], ScaleSchedule((1, 2, 3)))
+        counts = box_counts(rasterize([Square.unit()], Square.unit(), 3), ScaleSchedule((1, 2, 3)))
         assert counts == {1: 4, 2: 16, 3: 64}
 
     def test_single_point_counts_one(self):
         tiny = Square((0.34375, 0.71875), 1e-12)
-        counts = box_counts([tiny], ScaleSchedule((2, 4, 6, 8)))
+        counts = box_counts(rasterize([tiny], Square.unit(), 8), ScaleSchedule((2, 4, 6, 8)))
         assert set(counts.values()) == {1}
 
     def test_dust_aligned_powers(self):
-        counts = box_counts(generate_cantor(0.25, 6), ScaleSchedule((2, 4, 6, 8, 10, 12)))
+        counts = box_counts(dust_grid(0.25, 6, 12), ScaleSchedule((2, 4, 6, 8, 10, 12)))
         assert counts == {m: 4 ** (m // 2) for m in (2, 4, 6, 8, 10, 12)}
 
     def test_monotone_in_level(self):
@@ -104,7 +104,8 @@ class TestEstimateDimension:
         sched = ScaleSchedule.span(3, 9)
         full = estimate_dimension(box_counts(BoxGrid.full(Square.unit(), 9), sched))
         assert full.slope == pytest.approx(2.0, abs=0.02)
-        point = estimate_dimension(box_counts([Square((0.3, 0.7), 1e-12)], sched))
+        point = estimate_dimension(box_counts(rasterize([Square((0.3, 0.7), 1e-12)],
+                                                        Square.unit(), 9), sched))
         assert point.slope == pytest.approx(0.0, abs=0.02)
         seg = estimate_dimension(box_counts(segment_grid(9), sched))
         assert seg.slope == pytest.approx(1.0, abs=0.02)

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from dustlab.boxdim import ScaleSchedule, box_counts
-from dustlab.cantor import (alpha_for_dimension,
+from dustlab.cantor import (address_corners, alpha_for_dimension,
                             cantor_dimension, generate_cantor, placed_frame,
                             scale_and_place)
 from dustlab.errors import BudgetError, ParameterError
-from dustlab.geometry import Isometry, Square, rasterize, square_of_address
+from dustlab.geometry import Isometry, Square, rasterize
 
 mp.mp.dps = 50
 
@@ -22,7 +22,8 @@ class TestGenerate:
     def test_depth_zero_single_empty_word(self):
         approx = generate_cantor(0.25, 0)
         assert approx.count == 1
-        assert approx.addresses[0].word == ()
+        assert approx.codes.shape == (1, 0)
+        assert approx.leaf_corners().tolist() == [[0.0, 0.0]]
 
     def test_depth_three_count(self):
         assert generate_cantor(0.25, 3).count == 64
@@ -51,7 +52,7 @@ class TestGenerate:
         approx = generate_cantor(0.3, 2)
         assert approx.count == 16
         assert approx.side == pytest.approx(0.09, abs=1e-15)
-        squares = approx.leaf_squares()
+        squares = [Square(c, approx.side) for c in approx.leaf_corners()]
         gaps = []
         for i in range(len(squares)):
             for j in range(i + 1, len(squares)):
@@ -65,10 +66,14 @@ class TestGenerate:
     def test_leaf_corners_match_addresses(self):
         approx = generate_cantor(0.35, 3)
         corners = approx.leaf_corners()
+        assert np.array_equal(corners, address_corners(approx.codes, 0.35))
+        steps = [0.35 ** k - 0.35 ** (k + 1) for k in range(3)]
         for k in (0, 17, 63):
-            sq = square_of_address(approx.addresses[k])
-            assert corners[k][0] == pytest.approx(sq.corner[0], abs=1e-13)
-            assert corners[k][1] == pytest.approx(sq.corner[1], abs=1e-13)
+            word = approx.codes[k]
+            x = math.fsum(d for d, q in zip(steps, word) if q & 1)
+            y = math.fsum(d for d, q in zip(steps, word) if q & 2)
+            assert corners[k][0] == pytest.approx(x, abs=1e-13)
+            assert corners[k][1] == pytest.approx(y, abs=1e-13)
 
     def test_monotone_nesting_of_rasters(self):
         coarse = generate_cantor(0.3, 2)
@@ -172,7 +177,8 @@ class TestScaleAndPlace:
 class TestCountsOnGrids:
     def test_exact_aligned_counts_depth_six(self):
         approx = generate_cantor(0.25, 6)
-        counts = box_counts(approx, ScaleSchedule((2, 4, 6, 8, 10, 12)))
+        grid = rasterize(approx.leaf_corners(), Square.unit(), 12, side=approx.side)
+        counts = box_counts(grid, ScaleSchedule((2, 4, 6, 8, 10, 12)))
         assert counts == {m: 4 ** (m // 2) for m in (2, 4, 6, 8, 10, 12)}
 
 

@@ -48,6 +48,15 @@ class TestGen:
         assert run("gen", "--alpha", "0.5", "--depth", "2",
                    "--out", str(tmp_path / "x.cad")) == 2
 
+    def test_level_over_budget_writes_nothing(self, tmp_path, capsys):
+        # the grid level is checked before the config line or any file
+        assert run("gen", "--alpha", "0.25", "--depth", "1", "--out", str(tmp_path / "x.cad"),
+                   "--grid-out", str(tmp_path / "x.bgr"), "--level", "40") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "budget" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDim:
     def test_full_square_slope_two(self, tmp_path, capsys):
@@ -105,6 +114,13 @@ class TestJohn:
     def test_seed_required(self):
         assert run("john", "--alpha", "0.25", "--depth", "2") == 2
 
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "john.csv"
+        assert run("john", "--alpha", "0.25", "--depth", "2", "--samples", "10",
+                   "--seed", "1", "--jobs", "0", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: jobs must be at least 1")
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -121,6 +137,13 @@ class TestMattila:
         assert run("mattila", "--a-alpha", "0.315", "--a-depth", "5", "--level", "8",
                    "--b-dim", "1.2", "--b-depth", "4", "--trials", "5",
                    "--seed", "3") == 2
+
+    def test_level_over_budget_is_usage_error(self, tmp_path, capsys):
+        assert run("mattila", "--a-alpha", "0.315", "--a-depth", "5", "--level", "40",
+                   "--b-dim", "1.7", "--b-depth", "4", "--trials", "5", "--seed", "3",
+                   "--out", str(tmp_path / "survey.csv")) == 2
+        assert "budget" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_survey_runs_and_is_deterministic(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -160,6 +183,12 @@ class TestConstruct:
         report = (tmp_path / "run.report.csv").read_text().splitlines()
         assert report[0].startswith("# config: ")
         assert any(line.startswith("dim_eprime_slope,") for line in report)
+
+    def test_level_over_budget_is_usage_error(self, tmp_path, capsys):
+        assert run("construct", "--gen-alpha", "0.4", "--gen-depth", "4", "--level", "40",
+                   "--seed", "5", "--out-prefix", str(tmp_path / "run")) == 2
+        assert "budget" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_subcommand_is_usage_error(self):
         assert run("frobnicate") == 2

@@ -8,6 +8,10 @@
   window; the reference is the same trial on full grids.
 * ``ScaleSchedule.resolving`` replaced three per-caller formulas, kept
   here verbatim.
+* ``rasterize`` became a thin entry to ``rasterize_quads``, whose block
+  kernel now also takes quads that are not congruent; the axis-aligned
+  index-and-scatter body of ``rasterize`` and the per-quad kernel
+  ``_raster_one_quad`` are kept here verbatim as references.
 """
 
 import math
@@ -17,12 +21,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dustlab import geometry
 from dustlab.boxdim import (ScaleSchedule, ball_counts, box_counts, clip_to_ball,
                             window_counts)
 from dustlab.cantor import generate_cantor, scale_and_place
 from dustlab.errors import ParameterError
-from dustlab.geometry import (BoxGrid, Isometry, Square, grid_intersection,
-                              rasterize_quads, rasterize_quads_window,
+from dustlab.geometry import (BoxGrid, Isometry, Square, _index_ranges, grid_intersection,
+                              rasterize, rasterize_quads, rasterize_quads_window,
                               squares_to_quads)
 
 SETTINGS = settings(max_examples=150, deadline=None,
@@ -220,3 +225,171 @@ def test_adopt_keeps_array_and_constructor_copies():
     adopted = BoxGrid.adopt(Square.unit(), 2, bits)
     assert adopted.bits is bits
     assert not bits.flags.writeable
+
+
+# The two rasterizers the block kernel of rasterize_quads replaced, as they
+# stood in geometry: rasterize's own body (axis-aligned squares) and the
+# per-quad kernel for quads that were not congruent.
+
+def reference_rasterize(corners, sides, bounds, level):
+    n = 1 << level
+    bits = np.zeros((n, n), dtype=bool)
+    if len(corners) == 0:
+        return bits
+    w = bounds.side / n
+    x0, y0 = bounds.corner
+    ix_lo, ix_hi, vx = _index_ranges(corners[:, 0], corners[:, 0] + sides, x0, w, n)
+    iy_lo, iy_hi, vy = _index_ranges(corners[:, 1], corners[:, 1] + sides, y0, w, n)
+    ok = vx & vy
+    single = ok & (ix_lo == ix_hi) & (iy_lo == iy_hi)
+    bits[iy_lo[single], ix_lo[single]] = True
+    for i in np.nonzero(ok & ~single)[0]:
+        bits[iy_lo[i]:iy_hi[i] + 1, ix_lo[i]:ix_hi[i] + 1] = True
+    return bits
+
+
+def _raster_one_quad(quad, block, x0, y0, w, ix_lo, ix_hi, iy_lo, iy_hi) -> None:
+    """OR one quad into ``block``, the cells [iy_lo, iy_hi] x [ix_lo, ix_hi]."""
+    e1 = quad[1] - quad[0]
+    e2 = quad[3] - quad[0]
+    ix = np.arange(ix_lo, ix_hi + 1)
+    iy = np.arange(iy_lo, iy_hi + 1)
+    keep = np.ones((len(iy), len(ix)), dtype=bool)
+    for edge in (e1, e2):
+        norm = np.linalg.norm(edge)
+        if norm == 0.0:
+            continue
+        axis = edge / norm
+        if min(abs(axis[0]), abs(axis[1])) < 1e-12:
+            continue
+        cx = x0 + ix * w
+        cy = y0 + iy * w
+        base = cy[:, None] * axis[1] + cx[None, :] * axis[0]
+        amin = base + w * (min(axis[0], 0.0) + min(axis[1], 0.0))
+        amax = base + w * (max(axis[0], 0.0) + max(axis[1], 0.0))
+        proj = quad @ axis
+        keep &= (amax >= proj.min()) & (amin <= proj.max())
+    block |= keep
+
+
+def reference_one_quad(quad, bounds, level):
+    n = 1 << level
+    bits = np.zeros((n, n), dtype=bool)
+    w = bounds.side / n
+    x0, y0 = bounds.corner
+    (ix_lo,), (ix_hi,), (vx,) = _index_ranges(quad[:, 0].min(keepdims=True),
+                                              quad[:, 0].max(keepdims=True), x0, w, n)
+    (iy_lo,), (iy_hi,), (vy,) = _index_ranges(quad[:, 1].min(keepdims=True),
+                                              quad[:, 1].max(keepdims=True), y0, w, n)
+    if vx and vy:
+        _raster_one_quad(quad, bits[iy_lo:iy_hi + 1, ix_lo:ix_hi + 1],
+                         x0, y0, w, ix_lo, ix_hi, iy_lo, iy_hi)
+    return bits
+
+
+def squares_in(bounds, fracs, sides):
+    """Squares placed by fractions of ``bounds``: corners (u, v) and sides s."""
+    x0, y0 = bounds.corner
+    return [Square((x0 + u * bounds.side, y0 + v * bounds.side), s * bounds.side)
+            for (u, v), s in zip(fracs, sides)]
+
+
+def assert_matches_reference(squares, bounds, level):
+    corners = np.array([s.corner for s in squares], dtype=float).reshape(-1, 2)
+    sides = np.array([s.side for s in squares], dtype=float)
+    expected = reference_rasterize(corners, sides, bounds, level)
+    assert np.array_equal(rasterize(squares, bounds, level).bits, expected)
+    if len(set(sides.tolist())) == 1:
+        grid = rasterize(corners, bounds, level, side=float(sides[0]))
+        assert np.array_equal(grid.bits, expected)
+
+
+fracs = st.tuples(st.floats(-0.5, 1.2), st.floats(-0.5, 1.2))
+
+
+@SETTINGS
+@given(level=st.integers(0, 8), bounds=bounds_strategy,
+       corners=st.lists(fracs, min_size=0, max_size=12),
+       sides=st.lists(st.one_of(st.floats(1e-9, 0.6), st.sampled_from([2.0 ** -k for k in range(9)])),
+                      min_size=12, max_size=12))
+def test_axis_aligned_squares_of_mixed_sizes_match_reference(level, bounds, corners, sides):
+    # sides of exactly 2**-k tile the grid; corners below 0 or above 1 leave the bounds
+    assert_matches_reference(squares_in(bounds, corners, sides), bounds, level)
+
+
+@SETTINGS
+@given(level=st.integers(0, 8), bounds=bounds_strategy, data=st.data(),
+       count=st.integers(1, 40), cell_frac=st.floats(1e-12, 1.0))
+def test_single_cell_squares_match_reference(level, bounds, data, count, cell_frac):
+    # equal squares no larger than one cell, some on cell boundaries
+    n = 1 << level
+    cells = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                         st.sampled_from([0.0, 0.5, 1.0 - cell_frac])),
+                               min_size=count, max_size=count))
+    side = cell_frac / n
+    squares_frac = [((ix + t) / n, (iy + t) / n) for ix, iy, t in cells]
+    assert_matches_reference(squares_in(bounds, squares_frac, [side] * count), bounds, level)
+
+
+@SETTINGS
+@given(level=st.integers(0, 6), bounds=bounds_strategy,
+       corners=st.lists(st.tuples(st.sampled_from([-2.0, -1.0, 1.0, 2.0]), st.floats(-2.0, 2.0)),
+                        min_size=1, max_size=6),
+       sides=st.lists(st.floats(0.01, 1.0), min_size=6, max_size=6), swap=st.booleans())
+def test_squares_outside_bounds_match_reference(level, bounds, corners, sides, swap):
+    # each square starts past an edge or ends on one: nothing, or an edge strip
+    fracs_out = [(v, u) if swap else (u, v) for u, v in corners]
+    squares = squares_in(bounds, fracs_out, [min(s, 0.99) for s in sides])
+    assert_matches_reference(squares, bounds, level)
+
+
+rotations = st.one_of(st.floats(0.0, 2 * math.pi),
+                      st.sampled_from([k * math.pi / 8 for k in range(16)]))
+
+
+@SETTINGS
+@given(level=st.integers(0, 8), bounds=bounds_strategy, center=fracs,
+       half=st.floats(1e-6, 0.7), theta=rotations, reflect=st.booleans())
+def test_single_rotated_quad_matches_reference(level, bounds, center, half, theta, reflect):
+    x0, y0 = bounds.corner
+    z = (x0 + center[0] * bounds.side, y0 + center[1] * bounds.side)
+    side = 2.0 * half * bounds.side
+    quad = Isometry(theta, reflect, z).apply(squares_to_quads(np.array([[-side / 2, -side / 2]]), side))
+    assert np.array_equal(rasterize_quads(quad, bounds, level).bits,
+                          reference_one_quad(quad[0], bounds, level))
+
+
+@SETTINGS
+@given(level=st.integers(0, 8), bounds=bounds_strategy,
+       centers=st.lists(fracs, min_size=2, max_size=4),
+       halves=st.lists(st.floats(1e-6, 0.5), min_size=4, max_size=4, unique=True),
+       theta=rotations)
+def test_unequal_rotated_quads_match_reference(level, bounds, centers, halves, theta):
+    # quads of different sizes are rasterized one at a time, each as the per-quad kernel did
+    x0, y0 = bounds.corner
+    quads = np.concatenate([
+        Isometry(theta, False, (x0 + u * bounds.side, y0 + v * bounds.side)).apply(
+            squares_to_quads(np.array([[-h * bounds.side] * 2]), 2.0 * h * bounds.side))
+        for (u, v), h in zip(centers, halves)])
+    expected = np.zeros((1 << level, 1 << level), dtype=bool)
+    for quad in quads:
+        expected |= reference_one_quad(quad, bounds, level)
+    assert np.array_equal(rasterize_quads(quads, bounds, level).bits, expected)
+
+
+@SETTINGS
+@given(level=st.integers(2, 7), bounds=bounds_strategy, limit=st.sampled_from([1, 3, 16, 100]),
+       corners=st.lists(fracs, min_size=1, max_size=5), side=st.floats(0.05, 1.5),
+       theta=rotations)
+def test_oversized_quads_match_reference_under_lowered_limit(level, bounds, limit, corners, side,
+                                                             theta):
+    # a limit below one quad's extent splits it into row bands; below the
+    # group's total it splits congruent quads into blocks
+    squares = squares_in(bounds, corners, [side] * len(corners))
+    quad = Isometry(theta, False, squares[0].center).apply(
+        squares_to_quads(np.array([[-squares[0].side / 2] * 2]), squares[0].side))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_QUAD_BLOCK_LIMIT", limit)
+        assert_matches_reference(squares, bounds, level)
+        assert np.array_equal(rasterize_quads(quad, bounds, level).bits,
+                              reference_one_quad(quad[0], bounds, level))

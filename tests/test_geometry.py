@@ -6,11 +6,10 @@ import pytest
 from dustlab.errors import FormatError, ParameterError
 from dustlab.formats import (BGR_BLOCK_ROWS, dump_bgr, dump_cad, parse_bgr, parse_cad,
                              read_bgr, write_bgr)
+from dustlab.cantor import address_corners
 from dustlab.geometry import (Alpha, BoxGrid, Isometry, Quadrant, Square,
-                              SquareAddress, grid_intersection, grid_union,
-                              quads_disjoint, rasterize, rasterize_quads,
-                              square_of_address, squares_to_quads,
-                              transform_quads)
+                              grid_intersection, grid_union, quads_disjoint,
+                              rasterize, rasterize_quads, squares_to_quads)
 
 
 def subdivide_oracle(word, alpha):
@@ -36,19 +35,35 @@ class TestAlpha:
             Alpha(bad)
 
 
+def square_of(word, alpha):
+    """The addressed square, corner from ``address_corners`` and side alpha**n."""
+    codes = np.array([[int(q) for q in word]], dtype=np.uint8).reshape(1, len(word))
+    return Square(tuple(address_corners(codes, alpha)[0]), alpha ** len(word))
+
+
+def fsum_corner(word, alpha):
+    """Correctly rounded corner: fsum of the steps alpha**k - alpha**(k+1) per axis."""
+    steps = [alpha ** k - alpha ** (k + 1) for k in range(len(word))]
+    return (math.fsum(d for d, q in zip(steps, word) if q.x_bit),
+            math.fsum(d for d, q in zip(steps, word) if q.y_bit))
+
+
 class TestSquareOfAddress:
+    """Address-to-corner geometry, as ``address_corners`` computes it."""
+
     def test_empty_word_is_unit_square(self):
-        sq = square_of_address(SquareAddress((), Alpha(0.25)))
+        sq = square_of((), 0.25)
         assert sq.corner == (0.0, 0.0)
         assert sq.side == 1.0
+        assert address_corners(np.zeros((3, 0), dtype=np.uint8), 0.25).tolist() == [[0.0, 0.0]] * 3
 
     def test_ne_child_quarter(self):
-        sq = square_of_address(SquareAddress((Quadrant.NE,), Alpha(0.25)))
+        sq = square_of((Quadrant.NE,), 0.25)
         assert sq.corner == (0.75, 0.75)
         assert sq.side == 0.25
 
     def test_all_sw_keeps_origin(self):
-        sq = square_of_address(SquareAddress((Quadrant.SW, Quadrant.SW), Alpha(0.3)))
+        sq = square_of((Quadrant.SW, Quadrant.SW), 0.3)
         assert sq.corner == (0.0, 0.0)
         assert sq.side == pytest.approx(0.09, abs=1e-15)
 
@@ -57,19 +72,21 @@ class TestSquareOfAddress:
         for _ in range(200):
             alpha = float(rng.uniform(0.05, 0.49))
             word = tuple(Quadrant(int(q)) for q in rng.integers(0, 4, size=int(rng.integers(0, 7))))
-            sq = square_of_address(SquareAddress(word, Alpha(alpha)))
+            sq = square_of(word, alpha)
             corner, side = subdivide_oracle(word, alpha)
             assert sq.corner[0] == pytest.approx(corner[0], abs=1e-12)
             assert sq.corner[1] == pytest.approx(corner[1], abs=1e-12)
             assert sq.side == pytest.approx(side, rel=1e-12)
+            assert sq.corner[0] == pytest.approx(fsum_corner(word, alpha)[0], abs=1e-15)
+            assert sq.corner[1] == pytest.approx(fsum_corner(word, alpha)[1], abs=1e-15)
 
     def test_nesting(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
             word = tuple(Quadrant(int(q)) for q in rng.integers(0, 4, size=3))
-            parent = square_of_address(SquareAddress(word, Alpha(0.3)))
+            parent = square_of(word, 0.3)
             for q in Quadrant:
-                child = square_of_address(SquareAddress(word + (q,), Alpha(0.3)))
+                child = square_of(word + (q,), 0.3)
                 assert parent.corner[0] <= child.corner[0]
                 assert child.max_corner[0] <= parent.max_corner[0] + 1e-12
                 assert parent.corner[1] <= child.corner[1]
@@ -82,7 +99,7 @@ class TestRasterize:
         assert grid.occupied_count == 4
 
     def test_generation_one_quarter_children_hit_corner_cells_only(self):
-        squares = [square_of_address(SquareAddress((q,), Alpha(0.25))) for q in Quadrant]
+        squares = [square_of((q,), 0.25) for q in Quadrant]
         grid = rasterize(squares, Square.unit(), 2)
         assert grid.occupied_count == 4
         expected = np.zeros((4, 4), dtype=bool)
@@ -103,6 +120,20 @@ class TestRasterize:
             nxt = rasterize(squares[:k], Square.unit(), 5)
             assert np.all(nxt.bits[grid.bits])
             grid = nxt
+
+    def test_grid_over_budget_refused(self):
+        from dustlab.errors import BudgetError
+        from dustlab.geometry import CELL_BUDGET
+
+        assert 4 ** 14 == CELL_BUDGET
+        for make in (lambda: rasterize([Square.unit()], Square.unit(), 15),
+                     lambda: rasterize_quads(np.zeros((0, 4, 2)), Square.unit(), 40),
+                     lambda: BoxGrid.empty(Square.unit(), 15),
+                     lambda: BoxGrid.full(Square.unit(), 40)):
+            with pytest.raises(BudgetError):
+                make()
+        with pytest.raises(ParameterError):
+            rasterize([Square.unit()], Square.unit(), -1)
 
     def test_square_outside_bounds_marks_nothing(self):
         grid = rasterize([Square((2.0, 2.0), 0.5)], Square.unit(), 3)
@@ -283,8 +314,8 @@ class TestQuads:
 
     def test_rotated_overlap(self):
         qa = squares_to_quads(np.array([[0.0, 0.0]]), 1.0)[0]
-        qb = transform_quads(squares_to_quads(np.array([[0.0, 0.0]]), 1.0),
-                             Isometry(math.pi / 4, False, (0.5, -0.2)))[0]
+        qb = Isometry(math.pi / 4, False, (0.5, -0.2)).apply(
+            squares_to_quads(np.array([[0.0, 0.0]]), 1.0))[0]
         assert not quads_disjoint(qa, qb)
 
     def test_rasterize_quads_matches_rasterize_for_axis_aligned(self):
@@ -296,7 +327,7 @@ class TestQuads:
 
     def test_rotated_quad_coverage_is_conservative(self):
         iso = Isometry(0.3, False, (0.9, 0.4))
-        quad = transform_quads(squares_to_quads(np.array([[0.0, 0.0]]), 0.5), iso)
+        quad = iso.apply(squares_to_quads(np.array([[0.0, 0.0]]), 0.5))
         grid = rasterize_quads(quad, Square((0.0, 0.0), 2.0), 6)
         # every sampled interior point of the quad lands in an occupied cell
         rng = np.random.default_rng(8)
