@@ -19,6 +19,8 @@ from .errors import ParameterError
 from .geometry import BoxGrid, aligned_span, halve
 
 LN2 = math.log(2.0)
+#: Level of the coarse grid whose occupied cells find_full_dimension_point scores.
+CANDIDATE_LEVEL = 4
 
 
 @dataclass(frozen=True)
@@ -227,8 +229,7 @@ def local_dimension_profile(grid: BoxGrid, p: Sequence[float], radii: Sequence[f
     return out
 
 
-def find_full_dimension_point(grid: BoxGrid, candidate_level: int = 4,
-                              radii: Sequence[float] | None = None,
+def find_full_dimension_point(grid: BoxGrid, radii: Sequence[float] | None = None,
                               min_clearance: float = 0.0) -> tuple[float, float]:
     """Occupied-cell center whose neighborhood keeps the most dimension.
 
@@ -244,7 +245,7 @@ def find_full_dimension_point(grid: BoxGrid, candidate_level: int = 4,
     side = grid.bounds.side
     if radii is None:
         radii = (side / 8.0, side / 16.0, side / 32.0)
-    clevel = min(candidate_level, grid.level)
+    clevel = min(CANDIDATE_LEVEL, grid.level)
     coarse = grid.downsampled(clevel)
     factor = 1 << (grid.level - clevel)
 

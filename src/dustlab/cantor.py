@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ParameterError
-from .geometry import SQRT2, Alpha, Isometry, as_alpha, squares_to_quads
+from .geometry import SQRT2, Alpha, Isometry, as_alpha, freeze, squares_to_quads
 
 #: Generation is refused once it would materialize more than this many squares.
 ADDRESS_BUDGET = 1 << 24
@@ -29,17 +29,11 @@ class CantorApproximant:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", as_alpha(self.alpha))
-        codes = np.asarray(self.codes, dtype=np.uint8)
-        if self.depth == 0:
-            codes = codes.reshape(1, 0)
-        else:
-            codes = codes.reshape(-1, self.depth)
-        if len(codes) != 4 ** self.depth:
-            raise ParameterError(f"expected {4 ** self.depth} addresses, got {len(codes)}")
-        if codes.flags.writeable:
-            codes = codes.copy()
-            codes.setflags(write=False)
-        object.__setattr__(self, "codes", codes)
+        count = 4 ** self.depth
+        codes = freeze(self.codes, np.uint8)
+        if codes.size != count * self.depth:
+            raise ParameterError(f"expected {count} addresses of depth {self.depth}, got {codes.shape}")
+        object.__setattr__(self, "codes", codes.reshape(count, self.depth))
 
     @property
     def count(self) -> int:
@@ -81,9 +75,9 @@ def generate_cantor(alpha: Alpha | float, depth: int, budget: int = ADDRESS_BUDG
     alpha = as_alpha(alpha)
     if depth < 0:
         raise ParameterError(f"depth must be nonnegative, got {depth}")
+    if depth > budget.bit_length() or 4 ** depth > budget:  # no huge 4**depth is computed
+        raise BudgetError(f"depth {depth} needs 4**{depth} addresses, over the budget of {budget}")
     count = 4 ** depth
-    if count > budget:
-        raise BudgetError(f"depth {depth} needs {count} addresses, over the budget of {budget}")
     ids = np.arange(count, dtype=np.int64)
     codes = np.empty((count, depth), dtype=np.uint8)
     for k in range(depth):
@@ -95,11 +89,9 @@ def approximant_from_cad(path) -> CantorApproximant:
     """Load a full address list and validate it enumerates one generation."""
     from .formats import read_cad
 
-    alpha, depth, words = read_cad(path)
-    codes = np.array(sorted(tuple(int(q) for q in w) for w in words),
-                     dtype=np.uint8).reshape(len(words), depth)
+    alpha, depth, codes = read_cad(path)
     reference = generate_cantor(alpha, depth)
-    if not np.array_equal(codes, reference.codes):
+    if len(codes) != reference.count or not np.array_equal(np.unique(codes, axis=0), reference.codes):
         raise ParameterError("address list does not enumerate a full generation")
     return reference
 

@@ -65,13 +65,11 @@ def _parse_levels(text: str) -> ScaleSchedule:
 
 
 def _load_grid(path) -> BoxGrid:
-    with open(path) as fh:
-        text = fh.read()
-    if text.startswith("bgr "):
-        return formats.parse_bgr(text)
-    if text.startswith("cad "):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.startswith(b"cad "):
         raise FormatError("expected a bgr grid file; rasterize addresses with gen --grid-out first")
-    raise FormatError(f"unrecognized file header in {path}")
+    return formats.parse_bgr(data)
 
 
 def cmd_gen(args) -> int:
@@ -84,7 +82,7 @@ def cmd_gen(args) -> int:
     print(_config_line(args, resolved_alpha=float(alpha),
                        resolved_dimension=cantor_dimension(alpha)))
     if args.out:
-        formats.write_cad(alpha, args.depth, [tuple(r) for r in approx.codes], args.out)
+        formats.write_cad(alpha, args.depth, approx.codes, args.out)
         print(f"wrote {approx.count} addresses to {args.out}")
     if args.grid_out:
         grid = rasterize(approx.leaf_corners(), Square.unit(), args.level, side=approx.side)

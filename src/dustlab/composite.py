@@ -34,6 +34,8 @@ MAX_COPY_DEPTH = 8
 #: Fraction of the admissible maximum used as the actual copy diameter,
 #: keeping the strict diameter inequality robust to replay arithmetic.
 DIAMETER_SAFETY = 0.999
+#: Shape of the target dimensions: d_n = dim E * (1 - D_SHAPE / (n + 1)).
+D_SHAPE = 0.7
 
 
 @dataclass(frozen=True)
@@ -435,8 +437,7 @@ def _single_point_result(E: BoxGrid, dim_e: DimensionEstimate) -> PipelineResult
 
 
 def run_pipeline(E: BoxGrid, annuli: int = 6, trials: int = 480, seed: int = 0,
-                 min_mass: int = 24, d_shape: float = 0.7,
-                 jobs: int = 1) -> PipelineResult:
+                 min_mass: int = 24, jobs: int = 1) -> PipelineResult:
     """End-to-end construction of E' = G n E for a rasterized compact set.
 
     Estimates dim E, targets a d sequence rising toward it, builds the
@@ -455,7 +456,7 @@ def run_pipeline(E: BoxGrid, annuli: int = 6, trials: int = 480, seed: int = 0,
         return _single_point_result(E, dim_e)
 
     est = min(dim_e.slope, 1.95)
-    d_seq = tuple(min(est * (1.0 - d_shape / (n + 1)), 1.95) for n in range(1, annuli + 1))
+    d_seq = tuple(min(est * (1.0 - D_SHAPE / (n + 1)), 1.95) for n in range(1, annuli + 1))
     p = find_full_dimension_point(E, min_clearance=E.bounds.side / 4.0)
     chain = build_annuli(E, p, d_seq, min_mass)
     b_seq = choose_b_sequence(d_seq)

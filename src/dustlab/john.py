@@ -28,10 +28,12 @@ import numpy as np
 
 from .cantor import address_corners, generate_cantor
 from .errors import DustError, ParameterError, RingUndeterminedError
-from .geometry import Alpha, Quadrant, as_alpha
+from .geometry import Alpha, as_alpha
 from .parallel import parallel_map
 
 UNIT_CENTER = (0.5, 0.5)
+#: Point-square pairs distance_to_squares compares at once; bounds its scratch.
+DISTANCE_BLOCK_PAIRS = 262144
 
 
 def curve_half_width(alpha: Alpha | float, generation: int) -> float:
@@ -64,7 +66,7 @@ class RingLocation:
 
     kind: str  # "ring" or "exterior"
     generation: int
-    word: tuple[Quadrant, ...]
+    word: tuple[int, ...]  # quadrant codes of the ring's square
 
 
 @dataclass(frozen=True)
@@ -109,44 +111,28 @@ def _child_curve_boxes(corner, side, alpha):
     """Centers and half-width of the four child guard curves of one square."""
     off0 = side * alpha / 2.0
     off1 = side * (1.0 - alpha) + off0
-    centers = []
-    for q in Quadrant:
-        cx = corner[0] + (off1 if q.x_bit else off0)
-        cy = corner[1] + (off1 if q.y_bit else off0)
-        centers.append((cx, cy))
+    centers = [(corner[0] + (off1 if q & 1 else off0), corner[1] + (off1 if q >> 1 else off0))
+               for q in range(4)]
     return centers, side / 4.0
 
 
-def _inside_box(p, center, half) -> bool:
-    return abs(p[0] - center[0]) <= half and abs(p[1] - center[1]) <= half
-
-
 def point_in_approximant(p: Sequence[float], alpha: Alpha | float, depth: int) -> bool:
-    """Closed membership test against the union of generation-depth squares."""
+    """Closed membership test against the union of generation-depth squares.
+
+    The union is the product of two 1-D approximants, so each coordinate
+    descends on its own, into the near or else the far child interval.
+    """
     a = float(as_alpha(alpha))
-    x, y = float(p[0]), float(p[1])
-    if depth == 0:
-        return 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0
-    cx = cy = 0.0
-    s = 1.0
-    for _ in range(depth):
-        tx = x - cx
-        ty = y - cy
-        if 0.0 <= tx <= a * s:
-            bx = 0
-        elif (1.0 - a) * s <= tx <= s:
-            bx = 1
-        else:
+    for t in (float(p[0]), float(p[1])):
+        if not 0.0 <= t <= 1.0:
             return False
-        if 0.0 <= ty <= a * s:
-            by = 0
-        elif (1.0 - a) * s <= ty <= s:
-            by = 1
-        else:
-            return False
-        cx += bx * (1.0 - a) * s
-        cy += by * (1.0 - a) * s
-        s *= a
+        lo, s = 0.0, 1.0
+        for _ in range(depth):
+            if not 0.0 <= t - lo <= a * s:
+                if not (1.0 - a) * s <= t - lo <= s:
+                    return False
+                lo += (1.0 - a) * s
+            s *= a
     return True
 
 
@@ -168,19 +154,20 @@ def ring_of_point(z: Sequence[float], alpha: Alpha | float, depth: int) -> RingL
         raise RingUndeterminedError(
             f"point {z} lies inside a generation-{depth} square; undetermined at this depth")
 
-    word: list[Quadrant] = []
+    word: list[int] = []
     corner, side = (0.0, 0.0), 1.0
     for g in range(depth + 1):
         centers, half = _child_curve_boxes(corner, side, a)
-        hit = next((q for q in Quadrant if _inside_box(z, centers[q], half)), None)
+        hit = next((q for q, (cx, cy) in enumerate(centers)
+                    if abs(z[0] - cx) <= half and abs(z[1] - cy) <= half), None)
         if hit is None:
             return RingLocation("ring", g, tuple(word))
         if g == depth:
             raise RingUndeterminedError(
                 f"point {z} is closer than generation {depth} resolves; undetermined at this depth")
         word.append(hit)
-        corner = (corner[0] + hit.x_bit * (1.0 - a) * side,
-                  corner[1] + hit.y_bit * (1.0 - a) * side)
+        corner = (corner[0] + (hit & 1) * (1.0 - a) * side,
+                  corner[1] + (hit >> 1) * (1.0 - a) * side)
         side *= a
     raise AssertionError("unreachable")
 
@@ -301,13 +288,12 @@ def densify_polyline(vertices: np.ndarray, step: float) -> np.ndarray:
     return np.vstack(chunks)
 
 
-def distance_to_squares(points: np.ndarray, corners: np.ndarray, side: float,
-                        chunk: int = 262144) -> np.ndarray:
+def distance_to_squares(points: np.ndarray, corners: np.ndarray, side: float) -> np.ndarray:
     """Euclidean distance from each point to the union of equal squares."""
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     corners = np.asarray(corners, dtype=float)
     out = np.empty(len(points))
-    block = max(1, chunk // max(len(corners), 1))
+    block = max(1, DISTANCE_BLOCK_PAIRS // max(len(corners), 1))
     for i in range(0, len(points), block):
         px = points[i:i + block, 0][:, None]
         py = points[i:i + block, 1][:, None]

@@ -203,3 +203,27 @@ class TestCadConsumption:
         write_cad(approx.alpha, 2, [tuple(r) for r in approx.codes[:-1]], path)
         with pytest.raises(ParameterError):
             approximant_from_cad(path)
+
+    def test_any_order_accepted_and_duplicates_rejected(self, tmp_path):
+        from dustlab.cantor import approximant_from_cad
+        from dustlab.formats import write_cad
+
+        approx = generate_cantor(0.3, 2)
+        path = tmp_path / "a.cad"
+        write_cad(approx.alpha, 2, approx.codes[::-1], path)
+        assert np.array_equal(approximant_from_cad(path).codes, approx.codes)
+        doubled = approx.codes.copy()
+        doubled[0] = doubled[1]
+        write_cad(approx.alpha, 2, doubled, path)
+        with pytest.raises(ParameterError):
+            approximant_from_cad(path)
+        write_cad(approx.alpha, 0, [()], path)
+        assert approximant_from_cad(path).codes.shape == (1, 0)
+
+
+@pytest.mark.parametrize("shape", [(15, 2), (5,), (16, 3), (17, 2)])
+def test_approximant_rejects_wrong_code_count(shape):
+    from dustlab.cantor import CantorApproximant
+
+    with pytest.raises(ParameterError):
+        CantorApproximant(0.3, 2, np.zeros(shape, dtype=np.uint8))

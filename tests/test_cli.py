@@ -48,6 +48,14 @@ class TestGen:
         assert run("gen", "--alpha", "0.5", "--depth", "2",
                    "--out", str(tmp_path / "x.cad")) == 2
 
+    @pytest.mark.parametrize("level", ["10000", "1000000000"])
+    def test_huge_level_is_usage_error(self, tmp_path, capsys, level):
+        # the budget message must not spell out 4**level
+        assert run("gen", "--alpha", "0.25", "--depth", "1", "--grid-out", str(tmp_path / "x.bgr"),
+                   "--level", level) == 2
+        assert "budget" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_level_over_budget_writes_nothing(self, tmp_path, capsys):
         # the grid level is checked before the config line or any file
         assert run("gen", "--alpha", "0.25", "--depth", "1", "--out", str(tmp_path / "x.cad"),
@@ -192,3 +200,20 @@ class TestConstruct:
 
     def test_unknown_subcommand_is_usage_error(self):
         assert run("frobnicate") == 2
+
+
+@pytest.mark.parametrize("data", [b"bgr 1 1 0.0 0.0 1.0\n0\xff\n00\n",
+                                  b"bgr 1 1 0.0 0.0 1.0\xff\n00\n00\n"])
+@pytest.mark.parametrize("command", [
+    ["dim", "--in", "{grid}"],
+    ["mattila", "--a-in", "{grid}", "--b-dim", "1.7", "--b-depth", "3", "--trials", "2",
+     "--seed", "1"],
+    ["construct", "--in", "{grid}", "--seed", "1", "--out-prefix", "{prefix}"]])
+def test_non_utf8_grid_is_io_error(tmp_path, capsys, command, data):
+    grid_path = tmp_path / "bad.bgr"
+    grid_path.write_bytes(data)
+    args = [a.format(grid=grid_path, prefix=tmp_path / "run") for a in command]
+    assert run(*args) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [grid_path]

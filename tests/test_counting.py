@@ -12,6 +12,10 @@
   kernel now also takes quads that are not congruent; the axis-aligned
   index-and-scatter body of ``rasterize`` and the per-quad kernel
   ``_raster_one_quad`` are kept here verbatim as references.
+* ``rasterize_quads_window`` takes each quad's extent with elementwise
+  ``np.minimum``/``np.maximum`` over its four vertices and tests congruence
+  with per-column max - min; the previous body, with its reductions along
+  the vertex axis and ``np.ptp``, is kept here verbatim as the reference.
 """
 
 import math
@@ -26,9 +30,9 @@ from dustlab.boxdim import (ScaleSchedule, ball_counts, box_counts, clip_to_ball
                             window_counts)
 from dustlab.cantor import generate_cantor, scale_and_place
 from dustlab.errors import ParameterError
-from dustlab.geometry import (BoxGrid, Isometry, Square, _index_ranges, grid_intersection,
-                              rasterize, rasterize_quads, rasterize_quads_window,
-                              squares_to_quads)
+from dustlab.geometry import (_QUAD_BLOCK_LIMIT, BoxGrid, Isometry, Square, _index_ranges,
+                              aligned_span, grid_intersection, grid_size, rasterize,
+                              rasterize_quads, rasterize_quads_window, squares_to_quads)
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -393,3 +397,97 @@ def test_oversized_quads_match_reference_under_lowered_limit(level, bounds, limi
         assert_matches_reference(squares, bounds, level)
         assert np.array_equal(rasterize_quads(quad, bounds, level).bits,
                               reference_one_quad(quad[0], bounds, level))
+
+
+def reference_rasterize_quads_window(quads: np.ndarray, bounds: Square, level: int,
+                           align: int) -> tuple[tuple[slice, slice], np.ndarray]:
+    """``rasterize_quads`` computed only over the cells the quads can meet.
+
+    Returns ``(window, bits)``.  ``window`` is a (rows, columns) pair of
+    slices of the level-``level`` grid that covers every occupied cell,
+    with start and stop widened outward to multiples of ``align`` (a power
+    of two no larger than the grid), and ``bits`` equals the full raster
+    over that window.  ``align = 2**level`` makes the window the whole
+    grid.  When no quad meets the bounds the window is the first ``align``
+    block and holds no occupied cell.  Raises BudgetError when the grid
+    exceeds ``CELL_BUDGET``.
+    """
+    quads = np.asarray(quads, dtype=float).reshape(-1, 4, 2)
+    n = grid_size(level)
+    w = bounds.side / n
+    x0, y0 = bounds.corner
+
+    ix_lo, ix_hi, vx = _index_ranges(quads[:, :, 0].min(axis=1), quads[:, :, 0].max(axis=1), x0, w, n)
+    iy_lo, iy_hi, vy = _index_ranges(quads[:, :, 1].min(axis=1), quads[:, :, 1].max(axis=1), y0, w, n)
+    idx = np.nonzero(vx & vy)[0]
+    if len(idx) == 0:
+        rows = cols = aligned_span(0, 0, align)
+        return (rows, cols), np.zeros((align, align), dtype=bool)
+    rows = aligned_span(int(iy_lo[idx].min()), int(iy_hi[idx].max()), align)
+    cols = aligned_span(int(ix_lo[idx].min()), int(ix_hi[idx].max()), align)
+    bits = np.zeros((rows.stop - rows.start, cols.stop - cols.start), dtype=bool)
+
+    def fill(ref, axes, chunk, lo_y, hi_y, bw, bh):
+        """OR quads ``chunk`` into ``bits``: rows lo_y..hi_y, bh at most, of their extents."""
+        ix = ix_lo[chunk, None, None] + np.arange(bw)
+        iy = lo_y[:, None, None] + np.arange(bh)[:, None]
+        keep = (ix <= ix_hi[chunk, None, None]) & (iy <= hi_y[:, None, None])
+        if axes:
+            cx = x0 + ix * w
+            cy = y0 + iy * w
+            shift = quads[chunk, 0] - quads[ref, 0]
+            for axis in axes:
+                # closed overlap of each cell's projection with the quad's
+                base = cx * axis[0] + cy * axis[1]
+                amin = base + w * (min(axis[0], 0.0) + min(axis[1], 0.0))
+                amax = base + w * (max(axis[0], 0.0) + max(axis[1], 0.0))
+                rel = quads[ref] @ axis
+                off = shift @ axis
+                keep &= (amax >= (off + rel.min())[:, None, None]) & \
+                        (amin <= (off + rel.max())[:, None, None])
+        bits.reshape(-1)[((iy - rows.start) * bits.shape[1] + (ix - cols.start))[keep]] = True
+
+    e1 = quads[:, 1] - quads[:, 0]
+    e2 = quads[:, 3] - quads[:, 0]
+    congruent = len(quads) == 1 or (np.ptp(e1, axis=0).max() < 1e-12 and np.ptp(e2, axis=0).max() < 1e-12)
+    # congruent quads share the first quad's edge directions; others go one at a time
+    for ref, group in [(0, idx)] if congruent else [(i, idx[k:k + 1]) for k, i in enumerate(idx)]:
+        # unit edge directions, leaving out degenerate and grid-parallel ones
+        axes = [e / norm for e in (e1[ref], e2[ref]) if (norm := np.linalg.norm(e)) > 0.0]
+        axes = [a for a in axes if min(abs(a[0]), abs(a[1])) >= 1e-12]
+        bw = int((ix_hi[group] - ix_lo[group]).max()) + 1
+        bh = int((iy_hi[group] - iy_lo[group]).max()) + 1
+        band = min(bh, max(1, _QUAD_BLOCK_LIMIT // bw))  # rows per block
+        per = max(1, _QUAD_BLOCK_LIMIT // (bw * band))  # quads per block
+        for start in range(0, len(group), per):
+            chunk = group[start:start + per]
+            lo_y, hi_y = iy_lo[chunk], iy_hi[chunk]
+            for r in range(0, bh, band):
+                fill(ref, axes, chunk, lo_y + r, np.minimum(hi_y, lo_y + (r + band - 1)), bw, band)
+    return (rows, cols), bits
+
+
+@SETTINGS
+@given(level=st.integers(0, 8), bounds=bounds_strategy, align_level=st.integers(0, 8),
+       corners=st.lists(fracs, min_size=1, max_size=6), side=st.floats(1e-3, 0.6),
+       theta=rotations, reflect=st.booleans(),
+       noise=st.sampled_from([0.0, 1e-13, 4e-13, 5e-13, 6e-13, 1e-12, 3e-12, 1e-6]),
+       seed=st.integers(0, 2**32 - 1), unequal=st.sampled_from([None, "smaller", "taller"]))
+def test_window_raster_matches_previous_expressions(level, bounds, align_level, corners, side,
+                                                   theta, reflect, noise, seed, unequal):
+    # copies of one quad, each vertex moved by up to ``noise``: spreads of the
+    # edge vectors land on both sides of the 1e-12 congruence threshold
+    x0, y0 = bounds.corner
+    s = side * bounds.side
+    base = Isometry(theta, reflect, (0.0, 0.0)).apply(squares_to_quads(np.zeros((1, 2)), s))[0]
+    quads = np.array([base + (x0 + u * bounds.side, y0 + v * bounds.side) for u, v in corners])
+    quads += np.random.default_rng(seed).uniform(-noise, noise, quads.shape)
+    if unequal == "smaller":
+        quads[0] = (quads[0] - quads[0, 0]) * 0.5 + quads[0, 0]
+    elif unequal == "taller":  # the first edge stays, the second grows
+        quads[0, 2:] += 0.5 * (quads[0, 3] - quads[0, 0])
+    align = 1 << min(align_level, level)
+    cells, bits = rasterize_quads_window(quads, bounds, level, align)
+    ref_cells, ref_bits = reference_rasterize_quads_window(quads, bounds, level, align)
+    assert cells == ref_cells
+    assert np.array_equal(bits, ref_bits)

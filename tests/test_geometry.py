@@ -7,7 +7,7 @@ from dustlab.errors import FormatError, ParameterError
 from dustlab.formats import (BGR_BLOCK_ROWS, dump_bgr, dump_cad, parse_bgr, parse_cad,
                              read_bgr, write_bgr)
 from dustlab.cantor import address_corners
-from dustlab.geometry import (Alpha, BoxGrid, Isometry, Quadrant, Square,
+from dustlab.geometry import (Alpha, BoxGrid, Isometry, Square,
                               grid_intersection, grid_union, quads_disjoint,
                               rasterize, rasterize_quads, squares_to_quads)
 
@@ -17,9 +17,9 @@ def subdivide_oracle(word, alpha):
     corner = [0.0, 0.0]
     side = 1.0
     for q in word:
-        if q.x_bit:
+        if q & 1:
             corner[0] += side * (1 - alpha)
-        if q.y_bit:
+        if q >> 1:
             corner[1] += side * (1 - alpha)
         side *= alpha
     return tuple(corner), side
@@ -37,15 +37,15 @@ class TestAlpha:
 
 def square_of(word, alpha):
     """The addressed square, corner from ``address_corners`` and side alpha**n."""
-    codes = np.array([[int(q) for q in word]], dtype=np.uint8).reshape(1, len(word))
+    codes = np.array([word], dtype=np.uint8).reshape(1, len(word))
     return Square(tuple(address_corners(codes, alpha)[0]), alpha ** len(word))
 
 
 def fsum_corner(word, alpha):
     """Correctly rounded corner: fsum of the steps alpha**k - alpha**(k+1) per axis."""
     steps = [alpha ** k - alpha ** (k + 1) for k in range(len(word))]
-    return (math.fsum(d for d, q in zip(steps, word) if q.x_bit),
-            math.fsum(d for d, q in zip(steps, word) if q.y_bit))
+    return (math.fsum(d for d, q in zip(steps, word) if q & 1),
+            math.fsum(d for d, q in zip(steps, word) if q >> 1))
 
 
 class TestSquareOfAddress:
@@ -58,12 +58,12 @@ class TestSquareOfAddress:
         assert address_corners(np.zeros((3, 0), dtype=np.uint8), 0.25).tolist() == [[0.0, 0.0]] * 3
 
     def test_ne_child_quarter(self):
-        sq = square_of((Quadrant.NE,), 0.25)
+        sq = square_of((3,), 0.25)
         assert sq.corner == (0.75, 0.75)
         assert sq.side == 0.25
 
     def test_all_sw_keeps_origin(self):
-        sq = square_of((Quadrant.SW, Quadrant.SW), 0.3)
+        sq = square_of((0, 0), 0.3)
         assert sq.corner == (0.0, 0.0)
         assert sq.side == pytest.approx(0.09, abs=1e-15)
 
@@ -71,7 +71,7 @@ class TestSquareOfAddress:
         rng = np.random.default_rng(3)
         for _ in range(200):
             alpha = float(rng.uniform(0.05, 0.49))
-            word = tuple(Quadrant(int(q)) for q in rng.integers(0, 4, size=int(rng.integers(0, 7))))
+            word = tuple(int(q) for q in rng.integers(0, 4, size=int(rng.integers(0, 7))))
             sq = square_of(word, alpha)
             corner, side = subdivide_oracle(word, alpha)
             assert sq.corner[0] == pytest.approx(corner[0], abs=1e-12)
@@ -83,9 +83,9 @@ class TestSquareOfAddress:
     def test_nesting(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
-            word = tuple(Quadrant(int(q)) for q in rng.integers(0, 4, size=3))
+            word = tuple(int(q) for q in rng.integers(0, 4, size=3))
             parent = square_of(word, 0.3)
-            for q in Quadrant:
+            for q in range(4):
                 child = square_of(word + (q,), 0.3)
                 assert parent.corner[0] <= child.corner[0]
                 assert child.max_corner[0] <= parent.max_corner[0] + 1e-12
@@ -99,7 +99,7 @@ class TestRasterize:
         assert grid.occupied_count == 4
 
     def test_generation_one_quarter_children_hit_corner_cells_only(self):
-        squares = [square_of((q,), 0.25) for q in Quadrant]
+        squares = [square_of((q,), 0.25) for q in range(4)]
         grid = rasterize(squares, Square.unit(), 2)
         assert grid.occupied_count == 4
         expected = np.zeros((4, 4), dtype=bool)
@@ -263,19 +263,20 @@ class TestFormats:
         assert np.array_equal(back.bits, bits)
 
     def test_cad_round_trip(self):
-        words = [(Quadrant.SW, Quadrant.NE), (Quadrant.SE, Quadrant.NW)]
+        words = [(0, 3), (1, 2)]
         text = dump_cad(Alpha(0.3), 2, words)
+        assert text == "cad 1 0.3 2\nAD\nBC\n"
         alpha, depth, back = parse_cad(text)
         assert float(alpha) == 0.3
         assert depth == 2
-        assert back == [tuple(w) for w in words]
+        assert back.dtype == np.uint8 and back.tolist() == [list(w) for w in words]
         assert dump_cad(alpha, depth, back) == text
 
     def test_cad_empty_word_generation_zero(self):
         text = dump_cad(Alpha(0.25), 0, [()])
         alpha, depth, words = parse_cad(text)
         assert depth == 0
-        assert words == [()]
+        assert words.shape == (1, 0)
 
     def test_cad_rejects_wrong_length(self):
         with pytest.raises(FormatError):

@@ -1,8 +1,13 @@
+from typing import Sequence
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dustlab.cantor import generate_cantor
+from dustlab.cantor import address_corners, generate_cantor
 from dustlab.errors import ParameterError, RingUndeterminedError
+from dustlab.geometry import Alpha, as_alpha
 from dustlab.john import (build_john_path, curve_half_width,
                           densify_polyline, distance_to_squares,
                           point_in_approximant, ring_clearance_bound,
@@ -183,3 +188,49 @@ class TestVerify:
         serial = verify_john(0.3, 2, 40, seed=11, jobs=1)
         threaded = verify_john(0.3, 2, 40, seed=11, jobs=4)
         assert serial.csv_lines() == threaded.csv_lines()
+
+
+# The previous membership test, which descended both coordinates together,
+# kept verbatim as the reference for the per-coordinate descent.
+def reference_point_in_approximant(p: Sequence[float], alpha: Alpha | float, depth: int) -> bool:
+    """Closed membership test against the union of generation-depth squares."""
+    a = float(as_alpha(alpha))
+    x, y = float(p[0]), float(p[1])
+    if depth == 0:
+        return 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0
+    cx = cy = 0.0
+    s = 1.0
+    for _ in range(depth):
+        tx = x - cx
+        ty = y - cy
+        if 0.0 <= tx <= a * s:
+            bx = 0
+        elif (1.0 - a) * s <= tx <= s:
+            bx = 1
+        else:
+            return False
+        if 0.0 <= ty <= a * s:
+            by = 0
+        elif (1.0 - a) * s <= ty <= s:
+            by = 1
+        else:
+            return False
+        cx += bx * (1.0 - a) * s
+        cy += by * (1.0 - a) * s
+        s *= a
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(alpha=st.floats(0.05, 0.49), depth=st.integers(0, 6), seed=st.integers(0, 2**32 - 1),
+       corner=st.tuples(st.sampled_from([0.0, 1.0]), st.sampled_from([0.0, 1.0])),
+       nudge=st.sampled_from([0.0, 1e-15, -1e-15, 1e-9, -1e-9, 0.3]),
+       u=st.floats(-0.2, 1.2), v=st.floats(-0.2, 1.2))
+def test_point_in_approximant_matches_joint_descent(alpha, depth, seed, corner, nudge, u, v):
+    # corners and edges of random addressed squares, nudged off them, and free points
+    rng = np.random.default_rng(seed)
+    word = rng.integers(0, 4, size=(1, int(rng.integers(0, depth + 2))), dtype=np.uint8)
+    side = alpha ** word.shape[1]
+    x, y = address_corners(word, alpha)[0] + side * np.array(corner) + nudge
+    for p in ((x, y), (x, v), (u, y), (u, v)):
+        assert point_in_approximant(p, alpha, depth) == reference_point_in_approximant(p, alpha, depth)
