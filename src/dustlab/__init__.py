@@ -21,8 +21,7 @@ from .errors import (AssemblyError, BudgetError, ConstructionError, DustError,
                      FormatError, ParameterError, PlacementError,
                      RingUndeterminedError)
 from .formats import read_bgr, read_cad, write_bgr, write_cad
-from .geometry import (Alpha, BoxGrid, Isometry, Square, grid_intersection,
-                       grid_union, rasterize)
+from .geometry import Alpha, BoxGrid, Isometry, Square, grid_intersection, rasterize
 from .intersect import (MattilaSurvey, apply_isometry, intersection_dimension,
                         mattila_survey, sample_isometry)
 from .john import (JohnPath, JohnReport, RingLocation, build_john_path,

@@ -208,13 +208,13 @@ def ball_counts(grid: BoxGrid, p: Sequence[float], radius: float,
     return window_counts(window, grid.level, schedule)
 
 
-def local_dimension_profile(grid: BoxGrid, p: Sequence[float], radii: Sequence[float],
-                            schedule: ScaleSchedule | None = None) -> list[DimensionEstimate]:
+def local_dimension_profile(grid: BoxGrid, p: Sequence[float],
+                            radii: Sequence[float]) -> list[DimensionEstimate]:
     """Dimension estimates of the set clipped to shrinking balls around p.
 
-    Radii must decrease.  Unless given, the schedule per radius spans the
-    levels that resolve the ball up to the raster resolution.  An empty
-    clip yields an estimate flagged empty.
+    Radii must decrease.  The schedule per radius spans the levels that
+    resolve the ball up to the raster resolution.  An empty clip yields an
+    estimate flagged empty.
     """
     if not grid.bounds.contains_point(p):
         raise ParameterError(f"point {tuple(p)} lies outside the grid bounds")
@@ -224,7 +224,7 @@ def local_dimension_profile(grid: BoxGrid, p: Sequence[float], radii: Sequence[f
     out = []
     for r in radii:
         # finest scales of the raster, starting where cells resolve the ball
-        sched = schedule if schedule is not None else ScaleSchedule.resolving(grid, r / 2.0, floor=0)
+        sched = ScaleSchedule.resolving(grid, r / 2.0, floor=0)
         out.append(estimate_dimension(ball_counts(grid, p, r, sched), side=grid.bounds.side))
     return out
 

@@ -65,23 +65,25 @@ def address_corners(codes: np.ndarray, alpha: Alpha | float) -> np.ndarray:
     return np.column_stack((x, y))
 
 
-def generate_cantor(alpha: Alpha | float, depth: int, budget: int = ADDRESS_BUDGET) -> CantorApproximant:
+def generate_cantor(alpha: Alpha | float, depth: int) -> CantorApproximant:
     """Enumerate the depth-n approximant.
 
     Addresses come out in lexicographic order (SW < SE < NW < NE per step)
     and the result is deterministic.  Raises BudgetError when 4**depth
-    would exceed ``budget``.
+    would exceed ``ADDRESS_BUDGET``.
     """
     alpha = as_alpha(alpha)
+    budget = ADDRESS_BUDGET
     if depth < 0:
         raise ParameterError(f"depth must be nonnegative, got {depth}")
     if depth > budget.bit_length() or 4 ** depth > budget:  # no huge 4**depth is computed
         raise BudgetError(f"depth {depth} needs 4**{depth} addresses, over the budget of {budget}")
-    count = 4 ** depth
-    ids = np.arange(count, dtype=np.int64)
-    codes = np.empty((count, depth), dtype=np.uint8)
+    codes = np.empty((4 ** depth, depth), dtype=np.uint8)
+    # row r is the base-4 expansion of r: axis k of this view is digit k
+    digits = codes.reshape((4,) * depth + (depth,))
     for k in range(depth):
-        codes[:, k] = (ids >> (2 * (depth - 1 - k))) & 3
+        digits[..., k] = np.arange(4, dtype=np.uint8).reshape((4,) + (1,) * (depth - 1 - k))
+    codes.setflags(write=False)  # adopted by the approximant without a copy
     return CantorApproximant(alpha, depth, codes)
 
 

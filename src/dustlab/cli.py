@@ -64,6 +64,14 @@ def _parse_levels(text: str) -> ScaleSchedule:
         raise ParameterError(f"bad level schedule {text!r}; use lo:hi[:step] or m1,m2,...") from exc
 
 
+def _parse_window(text: str) -> tuple[int, int]:
+    try:
+        lo, hi = (int(f) for f in text.split(":"))
+    except ValueError as exc:
+        raise ParameterError(f"bad fit window {text!r}; use lo:hi") from exc
+    return lo, hi
+
+
 def _load_grid(path) -> BoxGrid:
     with open(path, "rb") as fh:
         data = fh.read()
@@ -94,10 +102,7 @@ def cmd_gen(args) -> int:
 def cmd_dim(args) -> int:
     grid = _load_grid(args.infile)
     schedule = _parse_levels(args.levels) if args.levels else ScaleSchedule.default_for(grid)
-    window = None
-    if args.window:
-        lo, hi = (int(f) for f in args.window.split(":"))
-        window = (lo, hi)
+    window = _parse_window(args.window) if args.window else None
     counts = box_counts(grid, schedule)
     est = estimate_dimension(counts, window=window, side=grid.bounds.side)
     lines = [_config_line(args, resolved_levels=",".join(map(str, schedule.levels)))]

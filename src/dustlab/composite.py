@@ -295,9 +295,11 @@ def place_cantor_in_annulus(E: BoxGrid, chain: AnnulusChain, index: int, b: floa
     whose copy meets the annulus slice of E with the best measured slope.
     ``schedule_extent`` fixes the feature size whose scales the slope fit
     spans (so slopes of copies in different annuli stay comparable); it
-    defaults to the copy's own diameter.  Raises PlacementError when every
-    trial misses.
+    defaults to the copy's own diameter.  Raises ParameterError when
+    ``trials`` is below 1 and PlacementError when every trial misses.
     """
+    if trials < 1:
+        raise ParameterError(f"need at least one trial, got {trials}")
     diameter = placement_diameter(chain, index)
     if not diameter > 0.0:
         raise ParameterError(f"annulus {index} leaves no room for a copy")
@@ -451,6 +453,8 @@ def run_pipeline(E: BoxGrid, annuli: int = 6, trials: int = 480, seed: int = 0,
         raise ParameterError("input set has no occupied cells")
     if annuli < 2:
         raise ParameterError(f"need at least 2 annuli, got {annuli}")
+    if trials < 1:
+        raise ParameterError(f"need at least one trial, got {trials}")
     dim_e = estimate_dimension(box_counts(E, ScaleSchedule.default_for(E)), side=E.bounds.side)
     if E.occupied_count < min_mass or dim_e.slope < 0.05:
         return _single_point_result(E, dim_e)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -75,12 +75,6 @@ class Square:
     @property
     def diameter(self) -> float:
         return self.side * SQRT2
-
-    def corners(self) -> np.ndarray:
-        """Vertices in counterclockwise order starting at the lower-left corner."""
-        x0, y0 = self.corner
-        x1, y1 = self.max_corner
-        return np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]], dtype=float)
 
     def contains_point(self, p: Sequence[float]) -> bool:
         x0, y0 = self.corner
@@ -190,12 +184,6 @@ class BoxGrid:
         x0, y0 = self.bounds.corner
         return (x0 + (ix + 0.5) * w, y0 + (iy + 0.5) * w)
 
-    def occupied_cell_centers(self) -> np.ndarray:
-        iy, ix = np.nonzero(self.bits)
-        w = self.cell_size
-        x0, y0 = self.bounds.corner
-        return np.column_stack((x0 + (ix + 0.5) * w, y0 + (iy + 0.5) * w))
-
     def downsampled(self, level: int) -> "BoxGrid":
         """OR-reduction to a coarser level; occupied means "meets the set"."""
         if level == self.level:
@@ -207,18 +195,10 @@ class BoxGrid:
             coarse = halve(coarse)
         return BoxGrid.adopt(self.bounds, level, coarse)
 
-    def same_extent(self, other: "BoxGrid") -> bool:
-        return self.bounds == other.bounds and self.level == other.level
-
     @staticmethod
     def empty(bounds: Square, level: int) -> "BoxGrid":
         n = grid_size(level)
         return BoxGrid.adopt(bounds, level, np.zeros((n, n), dtype=bool))
-
-    @staticmethod
-    def full(bounds: Square, level: int) -> "BoxGrid":
-        n = grid_size(level)
-        return BoxGrid.adopt(bounds, level, np.ones((n, n), dtype=bool))
 
 
 def _index_ranges(lo: np.ndarray, hi: np.ndarray, origin: float, cell: float, n: int):
@@ -233,43 +213,21 @@ def _index_ranges(lo: np.ndarray, hi: np.ndarray, origin: float, cell: float, n:
     return np.clip(f_lo, 0, n - 1), np.clip(f_hi, 0, n - 1), valid
 
 
-def rasterize(squares: Iterable[Square] | np.ndarray, bounds: Square, level: int,
-              side: float | None = None) -> BoxGrid:
-    """Mark every cell met by at least one input square.
+def rasterize(corners: np.ndarray, bounds: Square, level: int, side: float) -> BoxGrid:
+    """Mark every cell met by at least one of the equal squares.
 
-    Accepts a sequence of Square objects, or a (N, 2) array of lower-left
-    corners together with a shared ``side``.  The squares are rasterized
-    as axis-aligned quads by ``rasterize_quads``.
+    ``corners`` is an (N, 2) array of lower-left corners of squares of
+    side ``side``; they are rasterized as axis-aligned quads by
+    ``rasterize_quads``.
     """
-    if isinstance(squares, np.ndarray):
-        if side is None:
-            raise ParameterError("corner-array input requires an explicit side")
-        quads = squares_to_quads(squares, side)
-    else:
-        quads = np.array([s.corners() for s in squares], dtype=float)
-    return rasterize_quads(quads, bounds, level)
-
-
-def _common_level(a: BoxGrid, b: BoxGrid) -> tuple[BoxGrid, BoxGrid]:
-    if a.level > b.level:
-        a = a.downsampled(b.level)
-    elif b.level > a.level:
-        b = b.downsampled(a.level)
-    if not a.same_extent(b):
-        raise ParameterError("grids cover different bounds and cannot be combined")
-    return a, b
+    return rasterize_quads(squares_to_quads(corners, side), bounds, level)
 
 
 def grid_intersection(a: BoxGrid, b: BoxGrid) -> BoxGrid:
-    """Cellwise AND; when levels differ the finer grid is OR-downsampled first."""
-    a, b = _common_level(a, b)
+    """Cellwise AND of two grids over the same bounds at the same level."""
+    if a.bounds != b.bounds or a.level != b.level:
+        raise ParameterError("grids differ in bounds or level and cannot be combined")
     return BoxGrid.adopt(a.bounds, a.level, a.bits & b.bits)
-
-
-def grid_union(a: BoxGrid, b: BoxGrid) -> BoxGrid:
-    """Cellwise OR under the same compatibility rules as grid_intersection."""
-    a, b = _common_level(a, b)
-    return BoxGrid.adopt(a.bounds, a.level, a.bits | b.bits)
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +268,6 @@ class Isometry:
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         return pts @ self.matrix().T + np.asarray(self.z)
-
-    @staticmethod
-    def identity() -> "Isometry":
-        return Isometry(0.0, False, (0.0, 0.0))
-
-    @staticmethod
-    def translation(z: Sequence[float]) -> "Isometry":
-        return Isometry(0.0, False, (z[0], z[1]))
 
 
 def squares_to_quads(corners: np.ndarray, side: float) -> np.ndarray:

@@ -78,104 +78,73 @@ def sample_isometry(rng: np.random.Generator, translation_window: Square) -> Iso
     return Isometry(theta, reflect, z)
 
 
-def _source_quads(source) -> np.ndarray:
-    if isinstance(source, CantorApproximant):
-        return squares_to_quads(source.leaf_corners(), source.side)
-    if isinstance(source, BoxGrid):
-        w = source.cell_size
-        return squares_to_quads(source.occupied_cell_centers() - w / 2.0, w)
-    return np.array([s.corners() for s in source], dtype=float).reshape(-1, 4, 2)
+def apply_isometry(b: CantorApproximant, iso: Isometry, out_bounds: Square,
+                   out_level: int) -> BoxGrid:
+    """Conservative raster of the image of an approximant under an isometry.
 
-
-def apply_isometry(source, iso: Isometry, out_bounds: Square, out_level: int) -> BoxGrid:
-    """Conservative raster of the image of a set under an isometry.
-
-    ``source`` may be a CantorApproximant, a BoxGrid (its occupied cells
-    are taken as squares), or a sequence of squares.  An output cell is
-    occupied iff it meets the image of some input square; rotated squares
-    go through the exact polygon/cell overlap test.
+    An output cell is occupied iff it meets the image of some leaf square;
+    rotated squares go through the exact polygon/cell overlap test.
     """
-    return rasterize_quads(iso.apply(_source_quads(source)), out_bounds, out_level)
+    quads = squares_to_quads(b.leaf_corners(), b.side)
+    return rasterize_quads(iso.apply(quads), out_bounds, out_level)
 
 
-def default_survey_window(a: BoxGrid, frame_side: float = 1.0) -> Square:
-    """Translation window that reaches every placement overlapping A.
+def default_survey_window(a: BoxGrid) -> Square:
+    """Translation window that reaches every placement of a dust overlapping A.
 
-    Any image of a set living in a frame of the given side meets A only if
-    the translation lands within half of A's side plus the frame diagonal
-    of A's center, so that square window is exhaustive.
+    An image of the dust's unit frame meets A only if the translation lands
+    within half of A's side plus the frame diagonal of A's center, so that
+    square window is exhaustive.
     """
     cx, cy = a.bounds.center
-    half = a.bounds.side / 2.0 + SQRT2 * frame_side
+    half = a.bounds.side / 2.0 + SQRT2
     return Square.centered((cx, cy), half)
 
 
-def intersection_dimension(a: BoxGrid, b_source, iso: Isometry,
-                           schedule: ScaleSchedule | None = None) -> DimensionEstimate:
-    """Dimension estimate of A intersected with the moved copy of B."""
-    if schedule is None:
-        # match the schedule used for A's own slope so per-trial fits are comparable
-        schedule = ScaleSchedule.default_for(a)
-    image = apply_isometry(b_source, iso, a.bounds, a.level)
-    inter = grid_intersection(a, image)
-    return estimate_dimension(box_counts(inter, schedule), side=a.bounds.side)
+def intersection_dimension(a: BoxGrid, b: CantorApproximant, iso: Isometry) -> DimensionEstimate:
+    """Dimension estimate of A intersected with the moved copy of B.
+
+    The fit uses A's default schedule, as A's own slope does, so that
+    per-trial slopes are comparable with it.
+    """
+    inter = grid_intersection(a, apply_isometry(b, iso, a.bounds, a.level))
+    return estimate_dimension(box_counts(inter, ScaleSchedule.default_for(a)), side=a.bounds.side)
 
 
-def _dimension_of(grid: BoxGrid) -> float:
-    counts = box_counts(grid, ScaleSchedule.default_for(grid))
-    return estimate_dimension(counts, side=grid.bounds.side).slope
+def mattila_survey(a: BoxGrid, b: CantorApproximant, trials: int, tolerance: float = 0.15,
+                   seed: int = 0, s: float | None = None, jobs: int = 1) -> MattilaSurvey:
+    """Count sampled motions of the dust B whose intersection slope reaches s + t - 2.
 
-
-def mattila_survey(a: BoxGrid, b, trials: int, tolerance: float = 0.15,
-                   seed: int = 0, window: Square | None = None,
-                   schedule: ScaleSchedule | None = None,
-                   s: float | None = None, t: float | None = None,
-                   reflect_mode: str = "random", jobs: int = 1) -> MattilaSurvey:
-    """Count sampled motions whose intersection slope reaches s + t - 2.
-
-    s defaults to the box-count slope of A and t to the exact dust
-    dimension when B is an approximant (its box-count slope otherwise).
-    The hypotheses s + t > 2 and t > 3/2 are enforced before any trial
-    runs.  Trials draw independent per-index generator streams, so runs
-    are reproducible and job count does not affect results.
-    ``reflect_mode`` may force the reflection coin ("on"/"off") while
-    leaving the other draws untouched.
+    s defaults to the box-count slope of A, and t is the exact dimension
+    of the dust.  The hypotheses s + t > 2 and t > 3/2 are enforced
+    before any trial runs.  Motions are drawn from
+    ``default_survey_window(a)``.  Trials draw independent per-index
+    generator streams, so runs are reproducible and job count does not
+    affect results.
     """
     if trials < 1:
         raise ParameterError(f"need at least one trial, got {trials}")
-    if reflect_mode not in ("random", "on", "off"):
-        raise ParameterError(f"unknown reflect_mode {reflect_mode!r}")
+    if not math.isfinite(tolerance):
+        raise ParameterError(f"tolerance must be finite, got {tolerance!r}")
     if a.is_empty():
         raise ParameterError("set A has no occupied cells")
     if s is None:
-        s = _dimension_of(a)
-    if t is None:
-        t = cantor_dimension(b.alpha) if isinstance(b, CantorApproximant) else _dimension_of(b)
+        s = estimate_dimension(box_counts(a, ScaleSchedule.default_for(a)), side=a.bounds.side).slope
+    t = cantor_dimension(b.alpha)  # in (0, 2) for every valid ratio
     if not 0.0 < s < 2.0:
         raise ParameterError(f"hypothesis 0 < s < 2 violated: s={s:.6g}")
-    if not 0.0 < t < 2.0:
-        raise ParameterError(f"hypothesis 0 < t < 2 violated: t={t:.6g}")
     if not s + t > 2.0:
         raise ParameterError(f"hypothesis s + t > 2 violated: s={s:.6g}, t={t:.6g}")
     if not t > 1.5:
         raise ParameterError(f"hypothesis t > 3/2 violated: t={t:.6g}")
-    if window is None:
-        frame = 1.0 if isinstance(b, CantorApproximant) else b.bounds.side
-        window = default_survey_window(a, frame)
-    if schedule is None:
-        schedule = ScaleSchedule.default_for(a)
-    counts_a = box_counts(a, schedule)
-    if min(counts_a.values()) <= 0:
-        raise ParameterError("set A must have positive box counts at every schedule level")
+    window = default_survey_window(a)
     threshold = s + t - 2.0
     floor = threshold - tolerance
 
     def run_trial(i: int) -> TrialRow:
         rng = np.random.default_rng([seed, i])
         iso = sample_isometry(rng, window)
-        if reflect_mode != "random":
-            iso = Isometry(iso.theta, reflect_mode == "on", iso.z)
-        est = intersection_dimension(a, b, iso, schedule)
+        est = intersection_dimension(a, b, iso)
         hit = (not est.empty) and est.slope >= floor
         return TrialRow(i, iso.theta, iso.reflect, iso.z[0], iso.z[1],
                         est.slope, est.empty, hit)

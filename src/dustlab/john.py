@@ -319,7 +319,7 @@ def _draw_sample(rng, alpha: float, depth: int):
 
 
 def verify_john(alpha: Alpha | float, depth: int, samples: int, seed: int,
-                step: float | None = None, jobs: int = 1) -> JohnReport:
+                jobs: int = 1) -> JohnReport:
     """Sample source points, build their paths, and report the worst ratio.
 
     For every path point q the ratio d(q, approximant) / d(q, source) is
@@ -335,8 +335,7 @@ def verify_john(alpha: Alpha | float, depth: int, samples: int, seed: int,
         raise ParameterError(f"need at least one sample, got {samples}")
     if depth < 1:
         raise ParameterError("sampling needs depth at least 1; generation 0 covers the unit square")
-    if step is None:
-        step = a ** depth / 8.0
+    step = a ** depth / 8.0
     leaves = generate_cantor(a, depth)
     corners = leaves.leaf_corners()
     side = leaves.side

@@ -16,6 +16,16 @@ def dust_grid(alpha, depth, level):
     return rasterize(approx.leaf_corners(), Square.unit(), level, side=approx.side)
 
 
+def full_grid(level):
+    n = 1 << level
+    return BoxGrid(Square.unit(), level, np.ones((n, n), dtype=bool))
+
+
+def square_grid(corner, side, level):
+    """Raster over the unit square of the one square at ``corner`` of side ``side``."""
+    return rasterize(np.array([corner], dtype=float), Square.unit(), level, side=side)
+
+
 def segment_grid(level, row=None):
     """One full row of cells: a horizontal segment at the raster scale."""
     n = 1 << level
@@ -39,12 +49,12 @@ class TestScaleSchedule:
 
 class TestBoxCounts:
     def test_full_square_fills_every_cell(self):
-        counts = box_counts(rasterize([Square.unit()], Square.unit(), 3), ScaleSchedule((1, 2, 3)))
+        counts = box_counts(square_grid((0.0, 0.0), 1.0, 3), ScaleSchedule((1, 2, 3)))
         assert counts == {1: 4, 2: 16, 3: 64}
 
     def test_single_point_counts_one(self):
-        tiny = Square((0.34375, 0.71875), 1e-12)
-        counts = box_counts(rasterize([tiny], Square.unit(), 8), ScaleSchedule((2, 4, 6, 8)))
+        tiny = square_grid((0.34375, 0.71875), 1e-12, 8)
+        counts = box_counts(tiny, ScaleSchedule((2, 4, 6, 8)))
         assert set(counts.values()) == {1}
 
     def test_dust_aligned_powers(self):
@@ -59,7 +69,7 @@ class TestBoxCounts:
             assert counts[a] <= counts[b] <= 4 * counts[a]
 
     def test_grid_schedule_above_resolution_rejected(self):
-        grid = BoxGrid.full(Square.unit(), 3)
+        grid = full_grid(3)
         with pytest.raises(ParameterError):
             box_counts(grid, ScaleSchedule((2, 3, 4)))
 
@@ -102,10 +112,9 @@ class TestEstimateDimension:
 
     def test_known_dimension_recovery(self):
         sched = ScaleSchedule.span(3, 9)
-        full = estimate_dimension(box_counts(BoxGrid.full(Square.unit(), 9), sched))
+        full = estimate_dimension(box_counts(full_grid(9), sched))
         assert full.slope == pytest.approx(2.0, abs=0.02)
-        point = estimate_dimension(box_counts(rasterize([Square((0.3, 0.7), 1e-12)],
-                                                        Square.unit(), 9), sched))
+        point = estimate_dimension(box_counts(square_grid((0.3, 0.7), 1e-12, 9), sched))
         assert point.slope == pytest.approx(0.0, abs=0.02)
         seg = estimate_dimension(box_counts(segment_grid(9), sched))
         assert seg.slope == pytest.approx(1.0, abs=0.02)
@@ -115,7 +124,7 @@ class TestLocalProfile:
     def test_full_grid_slopes_two(self):
         # clipped windows keep a boundary ring of partial cells, so the
         # slope sits slightly under 2 at finite resolution
-        grid = BoxGrid.full(Square.unit(), 10)
+        grid = full_grid(10)
         ests = local_dimension_profile(grid, (0.5, 0.5), (0.25, 0.125, 0.0625))
         for est in ests:
             assert est.slope == pytest.approx(2.0, abs=0.15)
@@ -132,15 +141,15 @@ class TestLocalProfile:
         assert all(e.empty for e in ests)
 
     def test_requires_decreasing_radii(self):
-        grid = BoxGrid.full(Square.unit(), 6)
+        grid = full_grid(6)
         with pytest.raises(ParameterError):
             local_dimension_profile(grid, (0.5, 0.5), (0.1, 0.2))
 
     def test_clip_keeps_ball_cells_only(self):
-        grid = BoxGrid.full(Square.unit(), 4)
+        grid = full_grid(4)
         clipped = clip_to_ball(grid, (0.5, 0.5), 0.124)
         assert 4 <= clipped.occupied_count <= 16
-        centers = clipped.occupied_cell_centers()
+        centers = np.array([clipped.cell_center(ix, iy) for iy, ix in zip(*np.nonzero(clipped.bits))])
         cheb = np.max(np.abs(centers - 0.5), axis=1)
         assert np.all(cheb <= 0.124 + grid.cell_size)
 
@@ -191,7 +200,7 @@ class TestStabilityProperties:
         grid = dust_grid(0.25, 5, 10)
         sched = ScaleSchedule.span(2, 10)
         base = estimate_dimension(box_counts(grid, sched))
-        moved = apply_isometry(grid, Isometry(0.3, False, (0.31, 0.12)),
+        moved = apply_isometry(generate_cantor(0.25, 5), Isometry(0.3, False, (0.31, 0.12)),
                                Square((0.0, 0.0), 2.0), 11)
         sched2 = ScaleSchedule.span(3, 11)
         est = estimate_dimension(box_counts(moved, sched2), side=2.0)
@@ -199,7 +208,7 @@ class TestStabilityProperties:
 
     def test_subset_monotonicity(self):
         grid = dust_grid(0.35, 5, 10)
-        half = rasterize([Square((0.0, 0.0), 0.53)], Square.unit(), 10)
+        half = square_grid((0.0, 0.0), 0.53, 10)
         inter = grid_intersection(grid, half)
         sched = ScaleSchedule.span(2, 10)
         s_inter = estimate_dimension(box_counts(inter, sched)).slope

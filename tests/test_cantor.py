@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from dustlab import cantor
 from dustlab.boxdim import ScaleSchedule, box_counts
 from dustlab.cantor import (address_corners, alpha_for_dimension,
                             cantor_dimension, generate_cantor, placed_frame,
@@ -16,6 +18,15 @@ mp.mp.dps = 50
 
 def precise_dimension(alpha: float) -> float:
     return float(-mp.log(4) / mp.log(mp.mpf(repr(alpha))))
+
+
+def reference_codes(depth):
+    """Codes as generate_cantor built them before: shifts and masks of int64 row ids."""
+    ids = np.arange(4 ** depth, dtype=np.int64)
+    codes = np.empty((4 ** depth, depth), dtype=np.uint8)
+    for k in range(depth):
+        codes[:, k] = (ids >> (2 * (depth - 1 - k))) & 3
+    return codes
 
 
 class TestGenerate:
@@ -39,9 +50,28 @@ class TestGenerate:
         assert words[0] == (0, 0)
         assert words[-1] == (3, 3)
 
-    def test_budget_error(self):
+    @pytest.mark.parametrize("depth", range(0, 11))
+    def test_codes_match_reference(self, depth):
+        codes = generate_cantor(0.3, depth).codes
+        assert codes.dtype == np.uint8
+        assert np.array_equal(codes, reference_codes(depth))
+
+    def test_codes_are_built_once(self):
+        # the only large allocation is the code array itself, adopted without a copy
+        tracemalloc.start()
+        try:
+            approx = generate_cantor(0.25, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not approx.codes.flags.writeable
+        assert peak <= 1.1 * approx.codes.nbytes
+
+    def test_budget_error(self, monkeypatch):
+        monkeypatch.setattr(cantor, "ADDRESS_BUDGET", 100)
         with pytest.raises(BudgetError):
-            generate_cantor(0.25, 4, budget=100)
+            generate_cantor(0.25, 4)
+        assert generate_cantor(0.25, 3).count == 64
 
     def test_negative_depth(self):
         with pytest.raises(ParameterError):
@@ -125,13 +155,13 @@ class TestDimensionFormula:
 class TestScaleAndPlace:
     def test_identity_keeps_unit_square(self):
         approx = generate_cantor(0.25, 0)
-        quads = scale_and_place(approx, math.sqrt(2.0), Isometry.identity())
+        quads = scale_and_place(approx, math.sqrt(2.0), Isometry(0.0, False, (0.0, 0.0)))
         assert quads.shape == (1, 4, 2)
         assert np.allclose(quads[0], [[0, 0], [1, 0], [1, 1], [0, 1]])
 
     def test_translation_preserves_frame_diagonal(self):
         approx = generate_cantor(0.3, 2)
-        iso = Isometry.translation((0.4, -0.1))
+        iso = Isometry(0.0, False, (0.4, -0.1))
         quads = scale_and_place(approx, 0.5, iso)
         xy_min = quads.reshape(-1, 2).min(axis=0)
         xy_max = quads.reshape(-1, 2).max(axis=0)
@@ -151,14 +181,14 @@ class TestScaleAndPlace:
 
     def test_gaps_scale_linearly(self):
         approx = generate_cantor(0.3, 1)
-        quads = scale_and_place(approx, 0.3 * math.sqrt(2.0), Isometry.identity())
+        quads = scale_and_place(approx, 0.3 * math.sqrt(2.0), Isometry(0.0, False, (0.0, 0.0)))
         # siblings keep the relative gap (1-2*alpha) of the scaled frame
         gap = quads[1, 0, 0] - quads[0, 1, 0]
         assert gap == pytest.approx(0.3 * (1 - 0.6), abs=1e-12)
 
     def test_rejects_bad_diameter(self):
         with pytest.raises(ParameterError):
-            scale_and_place(generate_cantor(0.25, 1), 0.0, Isometry.identity())
+            scale_and_place(generate_cantor(0.25, 1), 0.0, Isometry(0.0, False, (0.0, 0.0)))
 
     def test_placed_frame_bounds_leaves(self):
         approx = generate_cantor(0.4, 3)

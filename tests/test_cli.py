@@ -69,7 +69,7 @@ class TestGen:
 class TestDim:
     def test_full_square_slope_two(self, tmp_path, capsys):
         grid_path = tmp_path / "full.bgr"
-        write_bgr(BoxGrid.full(Square.unit(), 8), grid_path)
+        write_bgr(BoxGrid(Square.unit(), 8, np.ones((256, 256), dtype=bool)), grid_path)
         out = tmp_path / "report.csv"
         assert run("dim", "--in", str(grid_path), "--out", str(out)) == 0
         summary = out.read_text().splitlines()[-1]
@@ -99,6 +99,14 @@ class TestDim:
         grid_path.write_text(header + "\n0\n")
         assert run("dim", "--in", str(grid_path)) == 4
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("window", ["3", "a:b", "2:3:4"])
+    def test_malformed_window_is_usage_error(self, dust_bgr, tmp_path, capsys, window):
+        out = tmp_path / "report.csv"
+        assert run("dim", "--in", str(dust_bgr), "--window", window, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad fit window") and "Traceback" not in err
+        assert not out.exists()
 
     def test_config_echo_is_first_line(self, dust_bgr, tmp_path):
         out = tmp_path / "report.csv"
@@ -153,6 +161,15 @@ class TestMattila:
         assert "budget" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf"])
+    def test_non_finite_tolerance_is_usage_error(self, tmp_path, capsys, tolerance):
+        out = tmp_path / "survey.csv"
+        assert run("mattila", "--a-alpha", "0.315", "--a-depth", "5", "--level", "8",
+                   "--b-dim", "1.7", "--b-depth", "4", "--trials", "5", "--tolerance", tolerance,
+                   "--seed", "11", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: tolerance must be finite")
+        assert not out.exists()
+
     def test_survey_runs_and_is_deterministic(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -191,6 +208,14 @@ class TestConstruct:
         report = (tmp_path / "run.report.csv").read_text().splitlines()
         assert report[0].startswith("# config: ")
         assert any(line.startswith("dim_eprime_slope,") for line in report)
+
+    @pytest.mark.parametrize("trials", ["0", "-4"])
+    def test_trials_below_one_is_usage_error(self, tmp_path, capsys, trials):
+        assert run("construct", "--gen-alpha", "0.4", "--gen-depth", "4", "--level", "9",
+                   "--annuli", "4", "--trials", trials, "--seed", "5",
+                   "--out-prefix", str(tmp_path / "run")) == 2
+        assert capsys.readouterr().err.startswith("error: need at least one trial")
+        assert list(tmp_path.iterdir()) == []
 
     def test_level_over_budget_is_usage_error(self, tmp_path, capsys):
         assert run("construct", "--gen-alpha", "0.4", "--gen-depth", "4", "--level", "40",

@@ -17,9 +17,14 @@ def dust_grid(alpha, depth, level):
     return rasterize(approx.leaf_corners(), Square.unit(), level, side=approx.side)
 
 
+def full_grid(level):
+    n = 1 << level
+    return BoxGrid(Square.unit(), level, np.ones((n, n), dtype=bool))
+
+
 @pytest.fixture(scope="module")
 def full_chain():
-    E = BoxGrid.full(Square.unit(), 9)
+    E = full_grid(9)
     chain = build_annuli(E, (0.5, 0.5), [1.5, 1.6, 1.7, 1.75], min_mass=16)
     return E, chain
 
@@ -88,7 +93,7 @@ class TestBuildAnnuli:
             assert int((E.bits & chain.annulus_mask(E, n)).sum()) >= 12
 
     def test_requires_increasing_d(self):
-        E = BoxGrid.full(Square.unit(), 6)
+        E = full_grid(6)
         with pytest.raises(ParameterError):
             build_annuli(E, (0.5, 0.5), [1.0, 0.9], min_mass=4)
 
@@ -111,6 +116,12 @@ class TestPlacement:
         chain = AnnulusChain((0.5, 0.5), (0.4, 0.2, 0.1, 0.05, 0.025))
         with pytest.raises(PlacementError):
             place_cantor_in_annulus(E, chain, 2, 1.8, trials=10, seed=1)
+
+    @pytest.mark.parametrize("trials", [0, -4])
+    def test_trials_below_one_rejected(self, full_chain, trials):
+        E, chain = full_chain
+        with pytest.raises(ParameterError, match="at least one trial"):
+            place_cantor_in_annulus(E, chain, 2, 1.8, trials=trials, seed=1)
 
     def test_odd_index_rejected(self, full_chain):
         E, chain = full_chain
@@ -174,7 +185,7 @@ class TestPlan:
     def test_check_plan_flags_fat_copy(self):
         from dustlab.geometry import Isometry
 
-        rec = PlacementRecord(2, 0.47, 2, 0.2, Isometry.identity(), None)
+        rec = PlacementRecord(2, 0.47, 2, 0.2, Isometry(0.0, False, (0.0, 0.0)), None)
         plan = CompositePlan((0.5, 0.5), (0.4, 0.2, 0.1, 0.05, 0.025),
                              (1.0, 1.1, 1.2, 1.3), (1.75, 1.8, 1.85, 1.9),
                              (rec,))
@@ -195,6 +206,14 @@ class TestPipeline:
     def test_empty_input_rejected(self):
         with pytest.raises(ParameterError):
             run_pipeline(BoxGrid.empty(Square.unit(), 6), seed=1)
+
+    @pytest.mark.parametrize("trials", [0, -4])
+    def test_trials_below_one_rejected(self, trials):
+        # refused before any stage, even for a point raster that needs no placement
+        bits = np.zeros((256, 256), dtype=bool)
+        bits[100, 37] = True
+        with pytest.raises(ParameterError, match="at least one trial"):
+            run_pipeline(BoxGrid(Square.unit(), 8, bits), trials=trials, seed=1)
 
     def test_dust_pipeline_end_to_end(self):
         E = dust_grid(0.4, 4, 9)

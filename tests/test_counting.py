@@ -88,7 +88,8 @@ def test_window_counts_reject_levels_beyond_resolution():
     with pytest.raises(ParameterError):
         window_counts(np.zeros((4, 4), dtype=bool), 2, ScaleSchedule((1, 2, 3)))
     with pytest.raises(ParameterError):
-        ball_counts(BoxGrid.full(Square.unit(), 2), (0.5, 0.5), 0.25, ScaleSchedule((1, 2, 3)))
+        ball_counts(BoxGrid(Square.unit(), 2, np.ones((4, 4), dtype=bool)), (0.5, 0.5), 0.25,
+                    ScaleSchedule((1, 2, 3)))
 
 
 @SETTINGS
@@ -112,7 +113,8 @@ def test_ball_counts_match_full_clip(level, data, seed, density, bounds, u, v, r
 
 def test_ball_counts_rejects_nonpositive_radius():
     with pytest.raises(ParameterError):
-        ball_counts(BoxGrid.full(Square.unit(), 4), (0.5, 0.5), 0.0, ScaleSchedule.span(0, 4))
+        ball_counts(BoxGrid(Square.unit(), 4, np.ones((16, 16), dtype=bool)), (0.5, 0.5), 0.0,
+                    ScaleSchedule.span(0, 4))
 
 
 def placed_quads(alpha, depth, diameter, theta, reflect, z):
@@ -302,7 +304,9 @@ def assert_matches_reference(squares, bounds, level):
     corners = np.array([s.corner for s in squares], dtype=float).reshape(-1, 2)
     sides = np.array([s.side for s in squares], dtype=float)
     expected = reference_rasterize(corners, sides, bounds, level)
-    assert np.array_equal(rasterize(squares, bounds, level).bits, expected)
+    quads = np.concatenate([squares_to_quads(s.corner, s.side) for s in squares]
+                           or [np.zeros((0, 4, 2))])
+    assert np.array_equal(rasterize_quads(quads, bounds, level).bits, expected)
     if len(set(sides.tolist())) == 1:
         grid = rasterize(corners, bounds, level, side=float(sides[0]))
         assert np.array_equal(grid.bits, expected)

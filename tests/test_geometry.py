@@ -7,9 +7,8 @@ from dustlab.errors import FormatError, ParameterError
 from dustlab.formats import (BGR_BLOCK_ROWS, dump_bgr, dump_cad, parse_bgr, parse_cad,
                              read_bgr, write_bgr)
 from dustlab.cantor import address_corners
-from dustlab.geometry import (Alpha, BoxGrid, Isometry, Square,
-                              grid_intersection, grid_union, quads_disjoint,
-                              rasterize, rasterize_quads, squares_to_quads)
+from dustlab.geometry import (Alpha, BoxGrid, Isometry, Square, grid_intersection,
+                              quads_disjoint, rasterize, rasterize_quads, squares_to_quads)
 
 
 def subdivide_oracle(word, alpha):
@@ -46,6 +45,17 @@ def fsum_corner(word, alpha):
     steps = [alpha ** k - alpha ** (k + 1) for k in range(len(word))]
     return (math.fsum(d for d, q in zip(steps, word) if q & 1),
             math.fsum(d for d, q in zip(steps, word) if q >> 1))
+
+
+def square_grid(corner, side, level):
+    """Raster over the unit square of the one square at ``corner`` of side ``side``."""
+    return rasterize(np.array([corner], dtype=float), Square.unit(), level, side=side)
+
+
+def quads_of(squares):
+    """(N, 4, 2) quads of Square objects of any sides, for ``rasterize_quads``."""
+    return np.concatenate([squares_to_quads(s.corner, s.side) for s in squares]
+                          or [np.zeros((0, 4, 2))])
 
 
 class TestSquareOfAddress:
@@ -95,12 +105,12 @@ class TestSquareOfAddress:
 
 class TestRasterize:
     def test_unit_square_level_one_fills(self):
-        grid = rasterize([Square.unit()], Square.unit(), 1)
+        grid = square_grid((0.0, 0.0), 1.0, 1)
         assert grid.occupied_count == 4
 
     def test_generation_one_quarter_children_hit_corner_cells_only(self):
-        squares = [square_of((q,), 0.25) for q in range(4)]
-        grid = rasterize(squares, Square.unit(), 2)
+        corners = np.array([square_of((q,), 0.25).corner for q in range(4)])
+        grid = rasterize(corners, Square.unit(), 2, side=0.25)
         assert grid.occupied_count == 4
         expected = np.zeros((4, 4), dtype=bool)
         for iy, ix in ((0, 0), (0, 3), (3, 0), (3, 3)):
@@ -108,7 +118,7 @@ class TestRasterize:
         assert np.array_equal(grid.bits, expected)
 
     def test_empty_input(self):
-        grid = rasterize([], Square.unit(), 3)
+        grid = rasterize(np.zeros((0, 2)), Square.unit(), 3, side=1.0)
         assert grid.occupied_count == 0
 
     def test_monotone_under_additions(self):
@@ -117,7 +127,7 @@ class TestRasterize:
                    for _ in range(12)]
         grid = BoxGrid.empty(Square.unit(), 5)
         for k in range(1, len(squares) + 1):
-            nxt = rasterize(squares[:k], Square.unit(), 5)
+            nxt = rasterize_quads(quads_of(squares[:k]), Square.unit(), 5)
             assert np.all(nxt.bits[grid.bits])
             grid = nxt
 
@@ -126,17 +136,17 @@ class TestRasterize:
         from dustlab.geometry import CELL_BUDGET
 
         assert 4 ** 14 == CELL_BUDGET
-        for make in (lambda: rasterize([Square.unit()], Square.unit(), 15),
+        for make in (lambda: square_grid((0.0, 0.0), 1.0, 15),
                      lambda: rasterize_quads(np.zeros((0, 4, 2)), Square.unit(), 40),
                      lambda: BoxGrid.empty(Square.unit(), 15),
-                     lambda: BoxGrid.full(Square.unit(), 40)):
+                     lambda: square_grid((0.0, 0.0), 1.0, 40)):
             with pytest.raises(BudgetError):
                 make()
         with pytest.raises(ParameterError):
-            rasterize([Square.unit()], Square.unit(), -1)
+            square_grid((0.0, 0.0), 1.0, -1)
 
     def test_square_outside_bounds_marks_nothing(self):
-        grid = rasterize([Square((2.0, 2.0), 0.5)], Square.unit(), 3)
+        grid = square_grid((2.0, 2.0), 0.5, 3)
         assert grid.occupied_count == 0
 
 
@@ -169,18 +179,18 @@ class TestBoxGrid:
 
 class TestGridIntersection:
     def test_idempotent(self):
-        g = rasterize([Square((0.1, 0.1), 0.3)], Square.unit(), 4)
+        g = square_grid((0.1, 0.1), 0.3, 4)
         assert np.array_equal(grid_intersection(g, g).bits, g.bits)
 
     def test_with_empty(self):
-        g = rasterize([Square((0.1, 0.1), 0.3)], Square.unit(), 4)
+        g = square_grid((0.1, 0.1), 0.3, 4)
         e = BoxGrid.empty(Square.unit(), 4)
         assert grid_intersection(g, e).occupied_count == 0
 
     def test_overlapping_halves_share_one_column(self):
         # left rectangle reaches one cell past the midline, right starts at it
-        left = rasterize([Square((0.0, 0.0), 9 / 16)], Square.unit(), 4)
-        right = rasterize([Square((0.5, 0.5 - 0.5), 1.0)], Square.unit(), 4)
+        left = square_grid((0.0, 0.0), 9 / 16, 4)
+        right = square_grid((0.5, 0.5 - 0.5), 1.0, 4)
         inter = grid_intersection(left, right)
         iy, ix = np.nonzero(inter.bits)
         assert set(ix) == {8}
@@ -188,8 +198,8 @@ class TestGridIntersection:
 
     def test_commutative_associative(self):
         rng = np.random.default_rng(12)
-        grids = [rasterize([Square((rng.uniform(0, 0.5), rng.uniform(0, 0.5)), 0.4)],
-                           Square.unit(), 4) for _ in range(3)]
+        grids = [square_grid((rng.uniform(0, 0.5), rng.uniform(0, 0.5)), 0.4, 4)
+                 for _ in range(3)]
         a, b, c = grids
         assert np.array_equal(grid_intersection(a, b).bits, grid_intersection(b, a).bits)
         lhs = grid_intersection(grid_intersection(a, b), c)
@@ -197,9 +207,11 @@ class TestGridIntersection:
         assert np.array_equal(lhs.bits, rhs.bits)
 
     def test_mixed_levels_downsample(self):
-        fine = rasterize([Square((0.0, 0.0), 0.24)], Square.unit(), 4)
-        coarse = rasterize([Square((0.0, 0.0), 0.24)], Square.unit(), 2)
-        inter = grid_intersection(fine, coarse)
+        fine = square_grid((0.0, 0.0), 0.24, 4)
+        coarse = square_grid((0.0, 0.0), 0.24, 2)
+        with pytest.raises(ParameterError):
+            grid_intersection(fine, coarse)
+        inter = grid_intersection(fine.downsampled(2), coarse)
         assert inter.level == 2
         assert np.array_equal(inter.bits, coarse.bits)
 
@@ -210,9 +222,11 @@ class TestGridIntersection:
             grid_intersection(a, b)
 
     def test_union(self):
-        a = rasterize([Square((0.0, 0.0), 0.4)], Square.unit(), 3)
-        b = rasterize([Square((0.6, 0.6), 0.4)], Square.unit(), 3)
-        u = grid_union(a, b)
+        # the raster of a union of squares is the cellwise OR of their rasters
+        a = square_grid((0.0, 0.0), 0.4, 3)
+        b = square_grid((0.6, 0.6), 0.4, 3)
+        u = rasterize(np.array([[0.0, 0.0], [0.6, 0.6]]), Square.unit(), 3, side=0.4)
+        assert np.array_equal(u.bits, a.bits | b.bits)
         assert u.occupied_count == a.occupied_count + b.occupied_count
 
 
@@ -286,7 +300,7 @@ class TestFormats:
 class TestIsometry:
     def test_identity(self):
         pts = np.array([[0.2, 0.7], [1.0, -1.0]])
-        assert np.allclose(Isometry.identity().apply(pts), pts)
+        assert np.allclose(Isometry(0.0, False, (0.0, 0.0)).apply(pts), pts)
 
     def test_quarter_turn_is_exact(self):
         iso = Isometry(math.pi / 2, False, (0.0, 0.0))
@@ -298,7 +312,7 @@ class TestIsometry:
         assert np.allclose(iso.apply(np.array([[0.0, 1.0]])), [[0.0, -1.0]])
 
     def test_translation(self):
-        iso = Isometry.translation((0.5, -0.25))
+        iso = Isometry(0.0, False, (0.5, -0.25))
         assert np.allclose(iso.apply(np.array([[1.0, 1.0]])), [[1.5, 0.75]])
 
 
@@ -321,10 +335,10 @@ class TestQuads:
 
     def test_rasterize_quads_matches_rasterize_for_axis_aligned(self):
         squares = [Square((0.125, 0.25), 0.25), Square((0.5, 0.5), 0.2)]
-        direct = rasterize(squares, Square.unit(), 5)
-        quads = np.stack([s.corners() for s in squares])
-        via_quads = rasterize_quads(quads, Square.unit(), 5)
-        assert np.array_equal(direct.bits, via_quads.bits)
+        direct = square_grid(squares[0].corner, squares[0].side, 5).bits | \
+            square_grid(squares[1].corner, squares[1].side, 5).bits
+        via_quads = rasterize_quads(quads_of(squares), Square.unit(), 5)
+        assert np.array_equal(direct, via_quads.bits)
 
     def test_rotated_quad_coverage_is_conservative(self):
         iso = Isometry(0.3, False, (0.9, 0.4))

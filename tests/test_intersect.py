@@ -4,17 +4,40 @@ import numpy as np
 import pytest
 
 from dustlab.boxdim import ScaleSchedule, box_counts, estimate_dimension
-from dustlab.cantor import alpha_for_dimension, generate_cantor
+from dustlab.cantor import alpha_for_dimension, cantor_dimension, generate_cantor
 from dustlab.errors import ParameterError
 from dustlab.geometry import BoxGrid, Isometry, Square, rasterize
 from dustlab.intersect import (apply_isometry, default_survey_window,
                                intersection_dimension, mattila_survey,
                                sample_isometry)
 
+IDENTITY = Isometry(0.0, False, (0.0, 0.0))
+
 
 def dust_grid(alpha, depth, level):
     approx = generate_cantor(alpha, depth)
     return rasterize(approx.leaf_corners(), Square.unit(), level, side=approx.side)
+
+
+def full_grid(level):
+    n = 1 << level
+    return BoxGrid(Square.unit(), level, np.ones((n, n), dtype=bool))
+
+
+def unit_square():
+    """The depth-0 approximant: the unit square itself, for any ratio."""
+    return generate_cantor(0.25, 0)
+
+
+def survey_hits(a, b, isos, tolerance=0.15):
+    """How many of ``isos`` ``mattila_survey`` would score as hits on A and B."""
+    s = estimate_dimension(box_counts(a, ScaleSchedule.default_for(a)), side=a.bounds.side).slope
+    floor = s + cantor_dimension(b.alpha) - 2.0 - tolerance
+    hits = 0
+    for iso in isos:
+        est = intersection_dimension(a, b, iso)
+        hits += (not est.empty) and est.slope >= floor
+    return hits
 
 
 @pytest.fixture(scope="module")
@@ -54,20 +77,20 @@ class TestSampleIsometry:
 class TestApplyIsometry:
     def test_identity_preserves_occupancy(self):
         grid = dust_grid(0.25, 4, 8)
-        image = apply_isometry(grid, Isometry.identity(), grid.bounds, grid.level)
+        image = apply_isometry(generate_cantor(0.25, 4), IDENTITY, grid.bounds, grid.level)
         assert np.array_equal(image.bits, grid.bits)
 
     def test_quarter_turn_of_symmetric_set(self):
         grid = dust_grid(0.25, 4, 8)
         iso = Isometry(math.pi / 2, False, (1.0, 0.0))  # maps the unit square onto itself
-        image = apply_isometry(grid, iso, grid.bounds, grid.level)
+        image = apply_isometry(generate_cantor(0.25, 4), iso, grid.bounds, grid.level)
         assert np.array_equal(image.bits, grid.bits)
 
     def test_diagonal_rotation_measure_against_fine_oracle(self):
         iso = Isometry(math.pi / 4, False, (1.0, 0.2))
         bounds = Square((-0.5, -0.5), 3.0)
-        coarse = apply_isometry([Square.unit()], iso, bounds, 6)
-        fine = apply_isometry([Square.unit()], iso, bounds, 10)
+        coarse = apply_isometry(unit_square(), iso, bounds, 6)
+        fine = apply_isometry(unit_square(), iso, bounds, 10)
         m_coarse = coarse.occupied_count * coarse.cell_size ** 2
         m_fine = fine.occupied_count * fine.cell_size ** 2
         # conservative smear adds about one cell along the perimeter
@@ -76,26 +99,25 @@ class TestApplyIsometry:
 
     def test_approximant_source(self):
         approx = generate_cantor(0.25, 3)
-        image = apply_isometry(approx, Isometry.identity(), Square.unit(), 6)
+        image = apply_isometry(approx, IDENTITY, Square.unit(), 6)
         direct = rasterize(approx.leaf_corners(), Square.unit(), 6, side=approx.side)
         assert np.array_equal(image.bits, direct.bits)
 
 
 class TestIntersectionDimension:
     def test_full_on_full(self):
-        full = BoxGrid.full(Square.unit(), 8)
-        est = intersection_dimension(full, full, Isometry.identity())
+        est = intersection_dimension(full_grid(8), unit_square(), IDENTITY)
         assert est.slope == pytest.approx(2.0, abs=0.05)
 
     def test_disjoint_flags_empty(self):
         a = dust_grid(0.25, 3, 7)
-        est = intersection_dimension(a, a, Isometry.translation((5.0, 5.0)))
+        est = intersection_dimension(a, generate_cantor(0.25, 3), Isometry(0.0, False, (5.0, 5.0)))
         assert est.empty
         assert est.slope == 0.0
 
     def test_self_intersection_matches_own_slope(self):
         a = dust_grid(0.25, 4, 8)
-        est = intersection_dimension(a, a, Isometry.identity())
+        est = intersection_dimension(a, generate_cantor(0.25, 4), IDENTITY)
         own = estimate_dimension(box_counts(a, ScaleSchedule.default_for(a)))
         assert est.slope == pytest.approx(own.slope, abs=1e-12)
 
@@ -114,10 +136,15 @@ class TestMattilaSurvey:
             mattila_survey(a, b_thin, trials=5, seed=1)
 
     def test_full_square_dimensions_rejected(self):
-        full = BoxGrid.full(Square.unit(), 7)
-        # s and t both estimate to 2, violating s < 2 via the sum gate form
-        with pytest.raises(ParameterError):
-            mattila_survey(full, full, trials=5, seed=1, s=2.0, t=2.0)
+        # A is the full square, so s = 2 breaks the gate 0 < s < 2
+        with pytest.raises(ParameterError, match="0 < s < 2"):
+            mattila_survey(full_grid(7), unit_square(), trials=5, seed=1, s=2.0)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance_rejected(self, survey_pair, tolerance):
+        a, b = survey_pair
+        with pytest.raises(ParameterError, match="tolerance"):
+            mattila_survey(a, b, trials=5, tolerance=tolerance, seed=1)
 
     def test_survey_hits_and_upper_bound(self, survey_pair):
         a, b = survey_pair
@@ -131,8 +158,8 @@ class TestMattilaSurvey:
     def test_far_window_scores_nothing(self, survey_pair):
         a, b = survey_pair
         far = Square((50.0, 50.0), 1.0)
-        survey = mattila_survey(a, b, trials=30, seed=3, window=far)
-        assert survey.hits == 0
+        isos = [sample_isometry(np.random.default_rng([3, i]), far) for i in range(30)]
+        assert survey_hits(a, b, isos) == 0
 
     def test_seed_determinism_byte_identical(self, survey_pair):
         a, b = survey_pair
@@ -148,9 +175,14 @@ class TestMattilaSurvey:
 
     def test_reflection_invariance(self, survey_pair):
         a, b = survey_pair
-        on = mattila_survey(a, b, trials=500, seed=23, reflect_mode="on")
-        off = mattila_survey(a, b, trials=500, seed=23, reflect_mode="off")
-        assert abs(on.hit_fraction - off.hit_fraction) <= 0.05
+        # the survey's draws for seed 23, scored once with the reflection
+        # coin forced on and once forced off
+        window = default_survey_window(a)
+        isos = [sample_isometry(np.random.default_rng([23, i]), window) for i in range(500)]
+        on = survey_hits(a, b, [Isometry(iso.theta, True, iso.z) for iso in isos])
+        off = survey_hits(a, b, [Isometry(iso.theta, False, iso.z) for iso in isos])
+        assert (on, off) == (154, 152)
+        assert abs(on - off) / 500 <= 0.05
 
     def test_default_window_reaches_all_overlaps(self, survey_pair):
         a, _ = survey_pair
