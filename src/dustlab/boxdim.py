@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import BoxGrid, aligned_span, halve
+from .geometry import BoxGrid, aligned_span, halve, rasterize_quads_window
 
 LN2 = math.log(2.0)
 #: Level of the coarse grid whose occupied cells find_full_dimension_point scores.
@@ -97,6 +97,23 @@ def window_counts(bits: np.ndarray, level: int, schedule: ScaleSchedule) -> dict
         level = m
         counts[m] = int(np.count_nonzero(bits))
     return dict(sorted(counts.items()))
+
+
+def overlap_counts(grid: BoxGrid, quads: np.ndarray, schedule: ScaleSchedule) -> dict[int, int]:
+    """Occupied-cell counts per schedule level of a grid ANDed with the raster of quads.
+
+    Equals ``box_counts(grid_intersection(grid, rasterize_quads(quads,
+    grid.bounds, grid.level)), schedule)``, but the quads are rasterized and
+    counted only inside the window of cells they can meet, aligned to whole
+    cells of every schedule level.
+    """
+    _require_resolution(schedule, grid.level)
+    cells, bits = rasterize_quads_window(quads, grid.bounds, grid.level,
+                                         1 << (grid.level - schedule.levels[0]))
+    inter = grid.bits[cells] & bits
+    if not inter.any():
+        return dict.fromkeys(schedule.levels, 0)
+    return window_counts(inter, grid.level, schedule)
 
 
 def _require_resolution(schedule: ScaleSchedule, level: int) -> None:

@@ -44,12 +44,21 @@ def _write_lines(path, lines) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _resolve_alpha(args) -> Alpha:
-    if args.alpha is None and args.dim is None:
-        raise ParameterError("one of --alpha or --dim is required")
-    if args.alpha is not None and args.dim is not None:
-        raise ParameterError("--alpha and --dim are mutually exclusive")
-    return Alpha(args.alpha) if args.alpha is not None else alpha_for_dimension(args.dim)
+def _resolve_alpha(alpha, dim, alpha_flag: str, dim_flag: str) -> Alpha:
+    """The dust ratio given either directly or by the dust's dimension."""
+    if alpha is None and dim is None:
+        raise ParameterError(f"one of {alpha_flag} or {dim_flag} is required")
+    if alpha is not None and dim is not None:
+        raise ParameterError(f"{alpha_flag} and {dim_flag} are mutually exclusive")
+    return Alpha(alpha) if alpha is not None else alpha_for_dimension(dim)
+
+
+def _seed(text: str) -> int:
+    """argparse type of --seed: generator seeds are non-negative integers."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
 
 
 def _parse_levels(text: str) -> ScaleSchedule:
@@ -83,7 +92,7 @@ def _load_grid(path) -> BoxGrid:
 def cmd_gen(args) -> int:
     if not args.out and not args.grid_out:
         raise ParameterError("nothing to do: give --out and/or --grid-out")
-    alpha = _resolve_alpha(args)
+    alpha = _resolve_alpha(args.alpha, args.dim, "--alpha", "--dim")
     if args.grid_out:
         grid_size(args.level)
     approx = generate_cantor(alpha, args.depth)
@@ -126,10 +135,10 @@ def cmd_john(args) -> int:
 
 
 def cmd_mattila(args) -> int:
+    b_alpha = _resolve_alpha(args.b_alpha, args.b_dim, "--b-alpha", "--b-dim")
     a_grid = _load_grid(args.a_in) if args.a_in else _raster_dust(
         args.a_alpha, args.a_depth, args.level)
-    b = generate_cantor(Alpha(args.b_alpha) if args.b_alpha else alpha_for_dimension(args.b_dim),
-                        args.b_depth)
+    b = generate_cantor(b_alpha, args.b_depth)
     survey = mattila_survey(a_grid, b, trials=args.trials, tolerance=args.tolerance,
                             seed=args.seed, jobs=args.jobs)
     lines = [_config_line(args, s=f"{survey.s:.12g}", t=f"{survey.t:.12g}")]
@@ -196,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_john)
@@ -211,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-depth", dest="b_depth", type=int, default=5)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--tolerance", type=float, default=0.15)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_mattila)
@@ -224,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--annuli", type=int, default=6)
     p.add_argument("--trials", type=int, default=480)
     p.add_argument("--min-mass", dest="min_mass", type=int, default=24)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out-prefix", dest="out_prefix", required=True)
     p.set_defaults(func=cmd_construct)

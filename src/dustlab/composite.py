@@ -20,12 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxdim import (DimensionEstimate, ScaleSchedule, box_counts,
-                     estimate_dimension, find_full_dimension_point, window_counts)
+                     estimate_dimension, find_full_dimension_point, overlap_counts)
 from .cantor import (alpha_for_dimension, generate_cantor, placed_frame,
                      scale_and_place)
 from .errors import AssemblyError, ConstructionError, ParameterError, PlacementError
 from .geometry import (BoxGrid, Isometry, Square, grid_intersection,
-                       quads_disjoint, rasterize_quads, rasterize_quads_window)
+                       quads_disjoint, rasterize_quads)
 from .intersect import sample_isometry
 from .parallel import parallel_map
 
@@ -78,11 +78,7 @@ class PlacementRecord:
     depth: int
     diameter: float
     iso: Isometry
-    estimate: DimensionEstimate
-
-    @property
-    def slope(self) -> float:
-        return self.estimate.slope
+    slope: float
 
     def to_dict(self) -> dict:
         return {
@@ -124,7 +120,7 @@ class CompositePlan:
             PlacementRecord(
                 int(p["index"]), float(p["alpha"]), int(p["depth"]), float(p["diameter"]),
                 Isometry(float(p["theta"]), bool(p["reflect"]), tuple(p["z"])),
-                DimensionEstimate({}, float(p["slope"]), 0.0, 0.0, (0, 0)),
+                float(p["slope"]),
             )
             for p in doc["placements"]
         )
@@ -157,7 +153,6 @@ class ConstructionReport:
 class PipelineResult:
     point: tuple[float, float]
     plan: CompositePlan
-    chain: AnnulusChain | None
     g_grid: BoxGrid
     eprime: BoxGrid
     report: ConstructionReport
@@ -308,35 +303,25 @@ def place_cantor_in_annulus(E: BoxGrid, chain: AnnulusChain, index: int, b: floa
     depth = _copy_depth(float(alpha), diameter, E.cell_size)
     copy = generate_cantor(alpha, depth)
 
-    mask = chain.annulus_mask(E, index)
-    slice_grid = _masked(E, mask)
+    slice_grid = _masked(E, chain.annulus_mask(E, index))
     if slice_grid.is_empty():
         raise PlacementError(f"annulus {index} holds no cells of the target set")
     extent = schedule_extent if schedule_extent is not None else diameter
     schedule = ScaleSchedule.resolving(E, extent)
-    # each trial is rasterized and counted only inside the copy's cell window,
-    # aligned so that it splits into whole cells of every schedule level
-    align = 1 << (E.level - schedule.levels[0])
     window_half = chain.half_widths[index - 1] + 1.5 * diameter
     window = Square.centered(chain.center, window_half)
 
-    best: tuple[float, Isometry, DimensionEstimate] | None = None
+    best: tuple[float, Isometry] | None = None
     for i in range(trials):
         rng = np.random.default_rng([seed, i])
         iso = sample_isometry(rng, window)
-        quads = scale_and_place(copy, diameter, iso)
-        cells, copy_bits = rasterize_quads_window(quads, E.bounds, E.level, align)
-        if not (copy_bits & mask[cells]).any():
-            continue
-        inter = slice_grid.bits[cells] & copy_bits
-        if not inter.any():
-            continue
-        est = _slice_estimate(window_counts(inter, E.level, schedule), schedule, E.bounds.side)
-        if best is None or est.slope > best[0] + 1e-12:
-            best = (est.slope, iso, est)
+        counts = overlap_counts(slice_grid, scale_and_place(copy, diameter, iso), schedule)
+        est = _slice_estimate(counts, schedule, E.bounds.side)
+        if not est.empty and (best is None or est.slope > best[0] + 1e-12):
+            best = (est.slope, iso)
     if best is None:
         raise PlacementError(f"annulus {index}: no trial intersected the annulus slice of the set")
-    return PlacementRecord(index, float(alpha), depth, diameter, best[1], best[2])
+    return PlacementRecord(index, float(alpha), depth, diameter, best[1], best[0])
 
 
 def _placement_grid(placement: PlacementRecord, bounds: Square, level: int) -> BoxGrid:
@@ -435,7 +420,7 @@ def _single_point_result(E: BoxGrid, dim_e: DimensionEstimate) -> PipelineResult
     dim_ep = estimate_dimension(counts, side=E.bounds.side)
     plan = CompositePlan(point, (E.bounds.side / 2.0, E.bounds.side / 4.0), (), (), ())
     report = ConstructionReport(dim_e, dim_ep, {}, True, True)
-    return PipelineResult(point, plan, None, eprime, eprime, report)
+    return PipelineResult(point, plan, eprime, eprime, report)
 
 
 def run_pipeline(E: BoxGrid, annuli: int = 6, trials: int = 480, seed: int = 0,
@@ -455,6 +440,8 @@ def run_pipeline(E: BoxGrid, annuli: int = 6, trials: int = 480, seed: int = 0,
         raise ParameterError(f"need at least 2 annuli, got {annuli}")
     if trials < 1:
         raise ParameterError(f"need at least one trial, got {trials}")
+    if min_mass < 1:
+        raise ParameterError(f"min mass must be at least 1 cell, got {min_mass}")
     dim_e = estimate_dimension(box_counts(E, ScaleSchedule.default_for(E)), side=E.bounds.side)
     if E.occupied_count < min_mass or dim_e.slope < 0.05:
         return _single_point_result(E, dim_e)
@@ -479,4 +466,4 @@ def run_pipeline(E: BoxGrid, annuli: int = 6, trials: int = 480, seed: int = 0,
 
     g_grid, eprime, report = assemble_composite(E, chain, placements)
     plan = CompositePlan(chain.center, chain.half_widths, d_seq, b_seq, tuple(placements))
-    return PipelineResult(p, plan, chain, g_grid, eprime, report)
+    return PipelineResult(p, plan, g_grid, eprime, report)

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxdim import DimensionEstimate, ScaleSchedule, box_counts, estimate_dimension
-from .cantor import CantorApproximant, cantor_dimension
+from .boxdim import (DimensionEstimate, ScaleSchedule, box_counts, estimate_dimension,
+                     overlap_counts)
+from .cantor import CantorApproximant, cantor_dimension, scale_and_place
 from .errors import ParameterError
-from .geometry import (SQRT2, BoxGrid, Isometry, Square, grid_intersection,
-                       rasterize_quads, squares_to_quads)
+from .geometry import SQRT2, BoxGrid, Isometry, Square, rasterize_quads
 from .parallel import parallel_map
 
 
@@ -85,8 +85,7 @@ def apply_isometry(b: CantorApproximant, iso: Isometry, out_bounds: Square,
     An output cell is occupied iff it meets the image of some leaf square;
     rotated squares go through the exact polygon/cell overlap test.
     """
-    quads = squares_to_quads(b.leaf_corners(), b.side)
-    return rasterize_quads(iso.apply(quads), out_bounds, out_level)
+    return rasterize_quads(scale_and_place(b, SQRT2, iso), out_bounds, out_level)
 
 
 def default_survey_window(a: BoxGrid) -> Square:
@@ -105,10 +104,11 @@ def intersection_dimension(a: BoxGrid, b: CantorApproximant, iso: Isometry) -> D
     """Dimension estimate of A intersected with the moved copy of B.
 
     The fit uses A's default schedule, as A's own slope does, so that
-    per-trial slopes are comparable with it.
+    per-trial slopes are comparable with it.  The copy keeps its unit
+    frame: diameter sqrt(2) scales it by exactly 1.
     """
-    inter = grid_intersection(a, apply_isometry(b, iso, a.bounds, a.level))
-    return estimate_dimension(box_counts(inter, ScaleSchedule.default_for(a)), side=a.bounds.side)
+    counts = overlap_counts(a, scale_and_place(b, SQRT2, iso), ScaleSchedule.default_for(a))
+    return estimate_dimension(counts, side=a.bounds.side)
 
 
 def mattila_survey(a: BoxGrid, b: CantorApproximant, trials: int, tolerance: float = 0.15,

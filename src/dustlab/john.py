@@ -10,12 +10,11 @@ generations, plus the exterior of the base square, cover the complement
 of the dust.
 
 A path from any point ascends ring by ring: inside R_Q it runs straight
-(or with one axis-aligned detour through the central channel) to the
-nearest point of gamma_Q, which lies in the parent ring, and repeats
-until it lands on the base curve.  Exterior points connect straight to
-the base curve.  The guard-curve geometry keeps every ring at positive
-distance from the dust, which is what makes the distance ratio along
-these paths bounded below.
+to the nearest point of gamma_Q, which lies in the parent ring, and
+repeats until it lands on the base curve, one vertex per curve.
+Exterior points connect straight to the base curve.  The guard-curve
+geometry keeps every ring at positive distance from the dust, which is
+what makes the distance ratio along these paths bounded below.
 """
 
 from __future__ import annotations
@@ -172,71 +171,46 @@ def ring_of_point(z: Sequence[float], alpha: Alpha | float, depth: int) -> RingL
     raise AssertionError("unreachable")
 
 
-def _segment_blocked(fixed: float, lo: float, hi: float, boxes, horizontal: bool) -> bool:
-    """Does an axis-aligned segment cross any open child-curve box?
+def _segment_blocked(fixed: float, lo: float, hi: float, boxes, axis: int) -> bool:
+    """Does a segment along ``axis`` (0 for x, 1 for y) cross any open child-curve box?
 
-    Boxes are shrunk by a relative tolerance so curve landings computed
-    from a neighboring generation's geometry (equal up to rounding) do
-    not register as grazing the interior.
+    The segment runs from ``lo`` to ``hi`` along the axis at coordinate
+    ``fixed`` across it.  Boxes are shrunk by a relative tolerance so curve
+    landings computed from a neighboring generation's geometry (equal up
+    to rounding) do not register as grazing the interior.
     """
     centers, half = boxes
     h = half * (1.0 - 1e-9)
-    for cx, cy in centers:
-        if horizontal:
-            blocked = cy - h < fixed < cy + h and hi > cx - h and lo < cx + h
-        else:
-            blocked = cx - h < fixed < cx + h and hi > cy - h and lo < cy + h
-        if blocked:
+    for center in centers:
+        along, across = center[axis], center[1 - axis]
+        if across - h < fixed < across + h and hi > along - h and lo < along + h:
             return True
     return False
 
 
 def _step_to_curve(w, center, half_width, boxes):
-    """Vertices moving w to the guard curve, avoiding child-curve interiors.
+    """The straight move from w to the nearest side of the guard curve.
 
-    The straight perpendicular to the nearest curve side is used when
-    clear; otherwise the move detours through the central channel with
-    two axis-aligned legs, which the ring geometry always leaves open.
+    Each child-curve box's center is equally far from the two curve sides
+    at its corner, so a move toward one side could cross a box only from a
+    point that is strictly closer to another side: the nearest side is
+    always in the clear.  The move is still checked, and a blocked one
+    raises DustError.  Ties go to the first side in W, E, S, N order.
     """
     cx, cy = center
-    sides = (
-        ("W", w[0] - (cx - half_width)),
-        ("E", (cx + half_width) - w[0]),
-        ("S", w[1] - (cy - half_width)),
-        ("N", (cy + half_width) - w[1]),
+    _, axis, coord = min(
+        (
+            (w[0] - (cx - half_width), 0, cx - half_width),
+            ((cx + half_width) - w[0], 0, cx + half_width),
+            (w[1] - (cy - half_width), 1, cy - half_width),
+            ((cy + half_width) - w[1], 1, cy + half_width),
+        ),
+        key=lambda side: side[0],
     )
-    name, _ = min(sides, key=lambda kv: kv[1])
-    if name == "W":
-        target, horizontal = (cx - half_width, w[1]), True
-    elif name == "E":
-        target, horizontal = (cx + half_width, w[1]), True
-    elif name == "S":
-        target, horizontal = (w[0], cy - half_width), False
-    else:
-        target, horizontal = (w[0], cy + half_width), False
-
-    if horizontal:
-        lo, hi = sorted((w[0], target[0]))
-        direct = not _segment_blocked(w[1], lo, hi, boxes, horizontal=True)
-    else:
-        lo, hi = sorted((w[1], target[1]))
-        direct = not _segment_blocked(w[0], lo, hi, boxes, horizontal=False)
-    if direct:
-        return [target]
-
-    if horizontal:
-        mid = (w[0], cy)
-        end = (target[0], cy)
-        leg1 = not _segment_blocked(w[0], *sorted((w[1], cy)), boxes=boxes, horizontal=False)
-        leg2 = not _segment_blocked(cy, *sorted((w[0], end[0])), boxes=boxes, horizontal=True)
-    else:
-        mid = (cx, w[1])
-        end = (cx, target[1])
-        leg1 = not _segment_blocked(w[1], *sorted((w[0], cx)), boxes=boxes, horizontal=True)
-        leg2 = not _segment_blocked(cx, *sorted((w[1], end[1])), boxes=boxes, horizontal=False)
-    if not (leg1 and leg2):
-        raise DustError(f"channel detour blocked near {w}; ring geometry violated")
-    return [mid, end]
+    target = (coord, w[1]) if axis == 0 else (w[0], coord)
+    if _segment_blocked(w[1 - axis], *sorted((w[axis], coord)), boxes, axis):
+        raise DustError(f"straight move to the guard curve blocked near {w}")
+    return target
 
 
 def build_john_path(z: Sequence[float], alpha: Alpha | float, depth: int) -> JohnPath:
@@ -266,10 +240,10 @@ def build_john_path(z: Sequence[float], alpha: Alpha | float, depth: int) -> Joh
         center = (corner[0] + side / 2.0, corner[1] + side / 2.0)
         half = curve_half_width(a, g)
         boxes = _child_curve_boxes(corner, side, a)
-        for v in _step_to_curve(w, center, half, boxes):
-            if v != w:
-                vertices.append(v)
-                w = v
+        v = _step_to_curve(w, center, half, boxes)
+        if v != w:
+            vertices.append(v)
+            w = v
         landings.append((g, len(vertices) - 1))
     return JohnPath(np.array(vertices), z, loc.generation, tuple(landings))
 

@@ -130,6 +130,13 @@ class TestJohn:
     def test_seed_required(self):
         assert run("john", "--alpha", "0.25", "--depth", "2") == 2
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "john.csv"
+        assert run("john", "--alpha", "0.25", "--depth", "2", "--samples", "10",
+                   "--seed", "-1", "--out", str(out)) == 2
+        assert "--seed: expected a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_jobs_below_one_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "john.csv"
         assert run("john", "--alpha", "0.25", "--depth", "2", "--samples", "10",
@@ -168,6 +175,34 @@ class TestMattila:
                    "--b-dim", "1.7", "--b-depth", "4", "--trials", "5", "--tolerance", tolerance,
                    "--seed", "11", "--out", str(out)) == 2
         assert capsys.readouterr().err.startswith("error: tolerance must be finite")
+        assert not out.exists()
+
+    def test_missing_b_ratio_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "survey.csv"
+        assert run("mattila", "--a-alpha", "0.315", "--a-depth", "5", "--level", "8",
+                   "--b-depth", "4", "--trials", "5", "--seed", "11", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: one of --b-alpha or --b-dim is required")
+        assert not out.exists()
+
+    def test_zero_b_alpha_is_usage_error(self, tmp_path, capsys):
+        # a ratio of 0 is refused, not taken as absent
+        assert run("mattila", "--a-alpha", "0.315", "--a-depth", "5", "--level", "8",
+                   "--b-alpha", "0", "--b-depth", "4", "--trials", "5", "--seed", "11") == 2
+        assert capsys.readouterr().err.startswith("error: scale ratio must lie strictly")
+
+    def test_both_b_ratio_flags_rejected(self, tmp_path, capsys):
+        assert run("mattila", "--a-alpha", "0.315", "--a-depth", "5", "--level", "8",
+                   "--b-alpha", "0.45", "--b-dim", "1.7", "--b-depth", "4", "--trials", "5",
+                   "--seed", "11") == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --b-alpha and --b-dim are mutually exclusive")
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "survey.csv"
+        assert run("mattila", "--a-alpha", "0.315", "--a-depth", "5", "--level", "8",
+                   "--b-dim", "1.7", "--b-depth", "4", "--trials", "5", "--seed", "-5",
+                   "--out", str(out)) == 2
+        assert "--seed: expected a non-negative integer" in capsys.readouterr().err
         assert not out.exists()
 
     def test_survey_runs_and_is_deterministic(self, tmp_path):
@@ -215,6 +250,22 @@ class TestConstruct:
                    "--annuli", "4", "--trials", trials, "--seed", "5",
                    "--out-prefix", str(tmp_path / "run")) == 2
         assert capsys.readouterr().err.startswith("error: need at least one trial")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("min_mass", ["0", "-3"])
+    def test_min_mass_below_one_is_usage_error(self, tmp_path, capsys, min_mass):
+        assert run("construct", "--gen-alpha", "0.4", "--gen-depth", "3", "--level", "7",
+                   "--min-mass", min_mass, "--trials", "5", "--seed", "1",
+                   "--out-prefix", str(tmp_path / "run")) == 2
+        assert capsys.readouterr().err.startswith("error: min mass must be at least 1")
+        assert list(tmp_path.iterdir()) == []
+
+    # -3 gives per-annulus seeds seed + 1000 * index that are all positive
+    @pytest.mark.parametrize("seed", ["-3", "-5000"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, seed):
+        assert run("construct", "--gen-alpha", "0.4", "--gen-depth", "3", "--level", "7",
+                   "--trials", "5", "--seed", seed, "--out-prefix", str(tmp_path / "run")) == 2
+        assert "--seed: expected a non-negative integer" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_level_over_budget_is_usage_error(self, tmp_path, capsys):

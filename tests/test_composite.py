@@ -162,8 +162,7 @@ class TestAssemble:
     def test_overlapping_copies_raise_assembly_error(self, full_chain):
         E, chain = full_chain
         rec = place_cantor_in_annulus(E, chain, 2, 1.8, trials=30, seed=5)
-        clone = PlacementRecord(4, rec.alpha, rec.depth, rec.diameter, rec.iso,
-                                rec.estimate)
+        clone = PlacementRecord(4, rec.alpha, rec.depth, rec.diameter, rec.iso, rec.slope)
         with pytest.raises(AssemblyError):
             assemble_composite(E, chain, [rec, clone])
 
@@ -185,7 +184,7 @@ class TestPlan:
     def test_check_plan_flags_fat_copy(self):
         from dustlab.geometry import Isometry
 
-        rec = PlacementRecord(2, 0.47, 2, 0.2, Isometry(0.0, False, (0.0, 0.0)), None)
+        rec = PlacementRecord(2, 0.47, 2, 0.2, Isometry(0.0, False, (0.0, 0.0)), 0.0)
         plan = CompositePlan((0.5, 0.5), (0.4, 0.2, 0.1, 0.05, 0.025),
                              (1.0, 1.1, 1.2, 1.3), (1.75, 1.8, 1.85, 1.9),
                              (rec,))

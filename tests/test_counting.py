@@ -4,8 +4,9 @@
   ``reshape(n, f, n, f).any(axis=(1, 3))`` block reduction.
 * ``ball_counts`` counts a ball inside an aligned window; the reference is
   ``box_counts`` of the full-grid ``clip_to_ball``.
-* Placement trials rasterize, intersect and count inside the copy's aligned
-  window; the reference is the same trial on full grids.
+* ``overlap_counts`` scores a moved copy (a placement or Mattila trial)
+  inside the copy's aligned window; the reference is the same trial on
+  full grids.
 * ``ScaleSchedule.resolving`` replaced three per-caller formulas, kept
   here verbatim.
 * ``rasterize`` became a thin entry to ``rasterize_quads``, whose block
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 
 from dustlab import geometry
 from dustlab.boxdim import (ScaleSchedule, ball_counts, box_counts, clip_to_ball,
-                            window_counts)
+                            overlap_counts, window_counts)
 from dustlab.cantor import generate_cantor, scale_and_place
 from dustlab.errors import ParameterError
 from dustlab.geometry import (_QUAD_BLOCK_LIMIT, BoxGrid, Isometry, Square, _index_ranges,
@@ -152,7 +153,7 @@ def test_windowed_trial_counts_match_full_grid(level, data, seed, density, bound
     assert full.occupied_count == int(bits.sum())
 
     expected = box_counts(grid_intersection(target, full), schedule)
-    assert window_counts(target.bits[cells] & bits, level, schedule) == expected
+    assert overlap_counts(target, quads, schedule) == expected
 
 
 @SETTINGS

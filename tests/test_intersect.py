@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from dustlab.boxdim import ScaleSchedule, box_counts, estimate_dimension
-from dustlab.cantor import alpha_for_dimension, cantor_dimension, generate_cantor
+from dustlab.cantor import (alpha_for_dimension, cantor_dimension, generate_cantor,
+                            scale_and_place)
 from dustlab.errors import ParameterError
-from dustlab.geometry import BoxGrid, Isometry, Square, rasterize
+from dustlab.geometry import (SQRT2, BoxGrid, Isometry, Square, grid_intersection, rasterize,
+                              rasterize_quads, squares_to_quads)
 from dustlab.intersect import (apply_isometry, default_survey_window,
                                intersection_dimension, mattila_survey,
                                sample_isometry)
@@ -120,6 +122,38 @@ class TestIntersectionDimension:
         est = intersection_dimension(a, generate_cantor(0.25, 4), IDENTITY)
         own = estimate_dimension(box_counts(a, ScaleSchedule.default_for(a)))
         assert est.slope == pytest.approx(own.slope, abs=1e-12)
+
+
+def reference_intersection_dimension(a, b, iso):
+    """The full-grid composition intersection_dimension replaced, as it stood."""
+    moved = rasterize_quads(iso.apply(squares_to_quads(b.leaf_corners(), b.side)),
+                            a.bounds, a.level)
+    inter = grid_intersection(a, moved)
+    return estimate_dimension(box_counts(inter, ScaleSchedule.default_for(a)), side=a.bounds.side)
+
+
+def test_intersection_dimension_matches_full_grid_composition(survey_pair):
+    # the motions of the acceptance survey (seed 11), most of which miss A
+    a, b = survey_pair
+    window = default_survey_window(a)
+    empty = 0
+    for i in range(200):
+        iso = sample_isometry(np.random.default_rng([11, i]), window)
+        est = intersection_dimension(a, b, iso)
+        ref = reference_intersection_dimension(a, b, iso)
+        assert est.counts == ref.counts
+        assert est.slope == ref.slope
+        assert est.empty == ref.empty
+        empty += est.empty
+    assert 0 < empty < 200
+
+
+def test_placement_at_diameter_sqrt2_keeps_unit_scale(survey_pair):
+    # apply_isometry and intersection_dimension place B at diameter sqrt(2)
+    _, b = survey_pair
+    iso = Isometry(0.7, True, (0.2, -0.1))
+    assert np.array_equal(scale_and_place(b, SQRT2, iso),
+                          iso.apply(squares_to_quads(b.leaf_corners(), b.side)))
 
 
 class TestMattilaSurvey:

@@ -2,14 +2,14 @@ from typing import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dustlab.cantor import address_corners, generate_cantor
-from dustlab.errors import ParameterError, RingUndeterminedError
+from dustlab.errors import DustError, ParameterError, RingUndeterminedError
 from dustlab.geometry import Alpha, as_alpha
-from dustlab.john import (build_john_path, curve_half_width,
-                          densify_polyline, distance_to_squares,
+from dustlab.john import (UNIT_CENTER, JohnPath, _child_curve_boxes, build_john_path,
+                          curve_half_width, densify_polyline, distance_to_squares,
                           point_in_approximant, ring_clearance_bound,
                           ring_of_point, sample_ring_clearances, verify_john)
 
@@ -234,3 +234,151 @@ def test_point_in_approximant_matches_joint_descent(alpha, depth, seed, corner, 
     x, y = address_corners(word, alpha)[0] + side * np.array(corner) + nudge
     for p in ((x, y), (x, v), (u, y), (u, v)):
         assert point_in_approximant(p, alpha, depth) == reference_point_in_approximant(p, alpha, depth)
+
+
+# The path builder as it stood with its channel detour, kept verbatim as the
+# reference for the single straight move, except that it also returns how
+# many steps took the detour.
+def reference_segment_blocked(fixed: float, lo: float, hi: float, boxes, horizontal: bool) -> bool:
+    centers, half = boxes
+    h = half * (1.0 - 1e-9)
+    for cx, cy in centers:
+        if horizontal:
+            blocked = cy - h < fixed < cy + h and hi > cx - h and lo < cx + h
+        else:
+            blocked = cx - h < fixed < cx + h and hi > cy - h and lo < cy + h
+        if blocked:
+            return True
+    return False
+
+
+def reference_step_to_curve(w, center, half_width, boxes):
+    cx, cy = center
+    sides = (
+        ("W", w[0] - (cx - half_width)),
+        ("E", (cx + half_width) - w[0]),
+        ("S", w[1] - (cy - half_width)),
+        ("N", (cy + half_width) - w[1]),
+    )
+    name, _ = min(sides, key=lambda kv: kv[1])
+    if name == "W":
+        target, horizontal = (cx - half_width, w[1]), True
+    elif name == "E":
+        target, horizontal = (cx + half_width, w[1]), True
+    elif name == "S":
+        target, horizontal = (w[0], cy - half_width), False
+    else:
+        target, horizontal = (w[0], cy + half_width), False
+
+    if horizontal:
+        lo, hi = sorted((w[0], target[0]))
+        direct = not reference_segment_blocked(w[1], lo, hi, boxes, horizontal=True)
+    else:
+        lo, hi = sorted((w[1], target[1]))
+        direct = not reference_segment_blocked(w[0], lo, hi, boxes, horizontal=False)
+    if direct:
+        return [target]
+
+    if horizontal:
+        mid = (w[0], cy)
+        end = (target[0], cy)
+        leg1 = not reference_segment_blocked(w[0], *sorted((w[1], cy)), boxes=boxes,
+                                             horizontal=False)
+        leg2 = not reference_segment_blocked(cy, *sorted((w[0], end[0])), boxes=boxes,
+                                             horizontal=True)
+    else:
+        mid = (cx, w[1])
+        end = (cx, target[1])
+        leg1 = not reference_segment_blocked(w[1], *sorted((w[0], cx)), boxes=boxes,
+                                             horizontal=True)
+        leg2 = not reference_segment_blocked(cx, *sorted((w[1], end[1])), boxes=boxes,
+                                             horizontal=False)
+    if not (leg1 and leg2):
+        raise DustError(f"channel detour blocked near {w}; ring geometry violated")
+    return [mid, end]
+
+
+def reference_build_john_path(z, alpha, depth) -> tuple[JohnPath, int]:
+    a = float(as_alpha(alpha))
+    z = (float(z[0]), float(z[1]))
+    loc = ring_of_point(z, a, depth)
+
+    vertices = [z]
+    landings: list[tuple[int, int]] = []
+
+    if loc.kind == "exterior":
+        half = curve_half_width(a, 0)
+        lo = UNIT_CENTER[0] - half
+        hi = UNIT_CENTER[0] + half
+        target = (min(max(z[0], lo), hi), min(max(z[1], lo), hi))
+        if target != z:
+            vertices.append(target)
+        landings.append((0, len(vertices) - 1))
+        return JohnPath(np.array(vertices), z, -1, tuple(landings)), 0
+
+    detours = 0
+    w = z
+    word = np.array(loc.word, dtype=np.uint8).reshape(1, -1)
+    for g in range(loc.generation, -1, -1):
+        corner = tuple(address_corners(word[:, :g], a)[0].tolist())
+        side = a ** g
+        center = (corner[0] + side / 2.0, corner[1] + side / 2.0)
+        half = curve_half_width(a, g)
+        boxes = _child_curve_boxes(corner, side, a)
+        step = reference_step_to_curve(w, center, half, boxes)
+        detours += len(step) > 1
+        for v in step:
+            if v != w:
+                vertices.append(v)
+                w = v
+        landings.append((g, len(vertices) - 1))
+    return JohnPath(np.array(vertices), z, loc.generation, tuple(landings)), detours
+
+
+def assert_path_matches_reference(z, alpha, depth):
+    try:
+        path = build_john_path(z, alpha, depth)
+    except RingUndeterminedError:
+        with pytest.raises(RingUndeterminedError):
+            reference_build_john_path(z, alpha, depth)
+        return
+    ref, detours = reference_build_john_path(z, alpha, depth)
+    assert detours == 0
+    assert np.array_equal(path.vertices, ref.vertices)
+    assert path.landings == ref.landings
+    assert path.ring_generation == ref.ring_generation
+
+
+PATH_SETTINGS = settings(max_examples=500, deadline=None)
+
+
+@PATH_SETTINGS
+@given(alpha=st.floats(0.02, 0.499), depth=st.integers(1, 5),
+       x=st.floats(-0.6, 1.6), y=st.floats(-0.6, 1.6))
+# ties between curve sides: all four, W and E, S and N, W and S
+@example(alpha=0.25, depth=3, x=0.5, y=0.5)
+@example(alpha=0.25, depth=3, x=0.5, y=0.45)
+@example(alpha=0.25, depth=3, x=0.45, y=0.5)
+@example(alpha=0.25, depth=3, x=0.3, y=0.3)
+def test_straight_path_matches_reference_from_anywhere(alpha, depth, x, y):
+    assert_path_matches_reference((x, y), alpha, depth)
+
+
+@PATH_SETTINGS
+@given(alpha=st.floats(0.02, 0.499), depth=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       child=st.integers(0, 3), edge=st.sampled_from("WESN"), along=st.floats(0.0, 1.0),
+       exponent=st.floats(-15.0, -3.0))
+def test_straight_path_matches_reference_beside_child_curves(alpha, depth, seed, child, edge,
+                                                             along, exponent):
+    # sources just outside a child-curve box edge, where a straight move
+    # toward the nearest side would first run along the box
+    rng = np.random.default_rng(seed)
+    word = rng.integers(0, 4, size=(1, int(rng.integers(0, depth))), dtype=np.uint8)
+    side = alpha ** word.shape[1]
+    centers, half = _child_curve_boxes(tuple(address_corners(word, alpha)[0]), side, alpha)
+    cx, cy = centers[child]
+    gap = 10.0 ** exponent * side
+    t = -half + 2.0 * half * along
+    z = {"W": (cx - half - gap, cy + t), "E": (cx + half + gap, cy + t),
+         "S": (cx + t, cy - half - gap), "N": (cx + t, cy + half + gap)}[edge]
+    assert_path_matches_reference(z, alpha, depth)
