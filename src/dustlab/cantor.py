@@ -73,11 +73,7 @@ def generate_cantor(alpha: Alpha | float, depth: int) -> CantorApproximant:
     would exceed ``ADDRESS_BUDGET``.
     """
     alpha = as_alpha(alpha)
-    budget = ADDRESS_BUDGET
-    if depth < 0:
-        raise ParameterError(f"depth must be nonnegative, got {depth}")
-    if depth > budget.bit_length() or 4 ** depth > budget:  # no huge 4**depth is computed
-        raise BudgetError(f"depth {depth} needs 4**{depth} addresses, over the budget of {budget}")
+    _check_depth(depth)
     codes = np.empty((4 ** depth, depth), dtype=np.uint8)
     # row r is the base-4 expansion of r: axis k of this view is digit k
     digits = codes.reshape((4,) * depth + (depth,))
@@ -85,6 +81,29 @@ def generate_cantor(alpha: Alpha | float, depth: int) -> CantorApproximant:
         digits[..., k] = np.arange(4, dtype=np.uint8).reshape((4,) + (1,) * (depth - 1 - k))
     codes.setflags(write=False)  # adopted by the approximant without a copy
     return CantorApproximant(alpha, depth, codes)
+
+
+def interval_starts(alpha: Alpha | float, depth: int) -> np.ndarray:
+    """Left ends of the 2**depth intervals of the 1-D approximant, ascending.
+
+    The depth-n approximant is this 1-D approximant times itself.  The
+    starts are ``address_corners`` of the 0/1 words in lexicographic order,
+    so each equals, float for float, the x corner of the leaves in its column.
+    Depths are refused as in ``generate_cantor``.
+    """
+    alpha = as_alpha(alpha)
+    _check_depth(depth)
+    bits = (np.arange(2 ** depth)[:, None] >> np.arange(depth - 1, -1, -1)) & 1
+    return address_corners(bits.astype(np.uint8), alpha)[:, 0]
+
+
+def _check_depth(depth: int) -> None:
+    """Refuse a negative depth, or one whose 4**depth addresses exceed the budget."""
+    budget = ADDRESS_BUDGET
+    if depth < 0:
+        raise ParameterError(f"depth must be nonnegative, got {depth}")
+    if depth > budget.bit_length() or 4 ** depth > budget:  # no huge 4**depth is computed
+        raise BudgetError(f"depth {depth} needs 4**{depth} addresses, over the budget of {budget}")
 
 
 def approximant_from_cad(path) -> CantorApproximant:

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cantor import address_corners, generate_cantor
+from .cantor import address_corners, interval_starts
 from .errors import DustError, ParameterError, RingUndeterminedError
 from .geometry import Alpha, as_alpha
 from .parallel import parallel_map
@@ -263,7 +263,11 @@ def densify_polyline(vertices: np.ndarray, step: float) -> np.ndarray:
 
 
 def distance_to_squares(points: np.ndarray, corners: np.ndarray, side: float) -> np.ndarray:
-    """Euclidean distance from each point to the union of equal squares."""
+    """Euclidean distance from each point to the union of equal squares.
+
+    Compares every point with every square; the reference that
+    ``distance_to_dust`` matches on the approximant's leaves.
+    """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     corners = np.asarray(corners, dtype=float)
     out = np.empty(len(points))
@@ -275,6 +279,34 @@ def distance_to_squares(points: np.ndarray, corners: np.ndarray, side: float) ->
         dy = np.maximum(np.maximum(corners[None, :, 1] - py, py - corners[None, :, 1] - side), 0.0)
         out[i:i + block] = np.hypot(dx, dy).min(axis=1)
     return out
+
+
+def distance_to_dust(points: np.ndarray, starts: np.ndarray, side: float) -> np.ndarray:
+    """Euclidean distance from each point to the approximant with these interval starts.
+
+    ``starts`` are the ascending left ends of the disjoint 1-D intervals of
+    length ``side`` (``interval_starts``).  Distance to a product set
+    separates, d((x, y), A x A)**2 = d(x, A)**2 + d(y, A)**2, and the nearest
+    interval to t is one of the two whose starts bracket it, so one
+    ``searchsorted`` per axis gives, float for float, what
+    ``distance_to_squares`` finds over all leaf squares.
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    return np.hypot(_distance_to_intervals(points[:, 0], starts, side),
+                    _distance_to_intervals(points[:, 1], starts, side))
+
+
+def _distance_to_intervals(t: np.ndarray, starts: np.ndarray, side: float) -> np.ndarray:
+    """Distance from each t to the nearer of the intervals that bracket it."""
+    i = np.searchsorted(starts, t, "right")
+    gaps = [np.maximum(np.maximum(c - t, t - c - side), 0.0)
+            for c in (starts[np.maximum(i - 1, 0)], starts[np.minimum(i, len(starts) - 1)])]
+    return np.minimum(*gaps)
+
+
+def _check_sampling_depth(depth: int) -> None:
+    if depth < 1:  # the depth-0 approximant covers the unit square: no draw would succeed
+        raise ParameterError("sampling needs depth at least 1; generation 0 covers the unit square")
 
 
 def _draw_sample(rng, alpha: float, depth: int):
@@ -307,12 +339,10 @@ def verify_john(alpha: Alpha | float, depth: int, samples: int, seed: int,
     a = float(as_alpha(alpha))
     if samples < 1:
         raise ParameterError(f"need at least one sample, got {samples}")
-    if depth < 1:
-        raise ParameterError("sampling needs depth at least 1; generation 0 covers the unit square")
-    step = a ** depth / 8.0
-    leaves = generate_cantor(a, depth)
-    corners = leaves.leaf_corners()
-    side = leaves.side
+    _check_sampling_depth(depth)
+    starts = interval_starts(a, depth)
+    side = a ** depth
+    step = side / 8.0
 
     rng = np.random.default_rng(seed)
     points = np.empty((samples, 2))
@@ -325,7 +355,7 @@ def verify_john(alpha: Alpha | float, depth: int, samples: int, seed: int,
         z = tuple(points[i])
         path = build_john_path(z, a, depth)
         dense = densify_polyline(path.vertices, step)
-        d_set = distance_to_squares(dense, corners, side)
+        d_set = distance_to_dust(dense, starts, side)
         d_src = np.hypot(dense[:, 0] - z[0], dense[:, 1] - z[1])
         mask = d_src > 1e-15
         ratios = d_set[mask] / d_src[mask]
@@ -358,10 +388,12 @@ def sample_ring_clearances(alpha: Alpha | float, depth: int, samples: int, seed:
     of ``depth`` or less cannot certify the full sample.
     """
     a = float(as_alpha(alpha))
+    _check_sampling_depth(depth)
+    if samples < 0:
+        raise ParameterError(f"sample count must be nonnegative, got {samples}")
     if measure_depth is None:
         measure_depth = depth + 1
-    leaves = generate_cantor(a, measure_depth)
-    corners = leaves.leaf_corners()
+    starts = interval_starts(a, measure_depth)
     rng = np.random.default_rng(seed)
     rows = np.empty((samples, 4))
     unresolved = 0
@@ -371,5 +403,5 @@ def sample_ring_clearances(alpha: Alpha | float, depth: int, samples: int, seed:
         loc = ring_of_point(z, a, depth)
         rows[i, 0], rows[i, 1] = z
         rows[i, 2] = loc.generation
-    rows[:, 3] = distance_to_squares(rows[:, :2], corners, leaves.side)
+    rows[:, 3] = distance_to_dust(rows[:, :2], starts, a ** measure_depth)
     return rows, unresolved

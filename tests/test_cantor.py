@@ -8,8 +8,8 @@ import pytest
 from dustlab import cantor
 from dustlab.boxdim import ScaleSchedule, box_counts
 from dustlab.cantor import (address_corners, alpha_for_dimension,
-                            cantor_dimension, generate_cantor, placed_frame,
-                            scale_and_place)
+                            cantor_dimension, generate_cantor, interval_starts,
+                            placed_frame, scale_and_place)
 from dustlab.errors import BudgetError, ParameterError
 from dustlab.geometry import Isometry, Square, rasterize
 
@@ -76,6 +76,21 @@ class TestGenerate:
     def test_negative_depth(self):
         with pytest.raises(ParameterError):
             generate_cantor(0.25, -1)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.4999])
+    @pytest.mark.parametrize("depth", range(0, 7))
+    def test_interval_starts_are_the_x_corners(self, alpha, depth):
+        # ascending, and float for float the distinct x corners of the leaves
+        starts = interval_starts(alpha, depth)
+        assert len(starts) == 2 ** depth
+        assert np.all(np.diff(starts) > 0)
+        assert np.array_equal(np.unique(generate_cantor(alpha, depth).leaf_corners()[:, 0]), starts)
+
+    def test_interval_starts_share_the_budget(self, monkeypatch):
+        monkeypatch.setattr(cantor, "ADDRESS_BUDGET", 100)
+        with pytest.raises(BudgetError, match="over the budget of 100"):
+            interval_starts(0.25, 4)
+        assert len(interval_starts(0.25, 3)) == 8
 
     def test_sibling_gap_brute_force(self):
         # alpha=0.3, depth 2: 16 squares of side 0.09, min gap 0.3*(1-0.6)

@@ -144,6 +144,13 @@ class TestJohn:
         assert capsys.readouterr().err.startswith("error: jobs must be at least 1")
         assert not out.exists()
 
+    def test_depth_over_budget_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "john.csv"
+        assert run("john", "--alpha", "0.25", "--depth", "13", "--samples", "5",
+                   "--seed", "1", "--out", str(out)) == 2
+        assert "over the budget" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dustlab.cantor import address_corners, generate_cantor
+from dustlab.cantor import address_corners, generate_cantor, interval_starts
 from dustlab.errors import DustError, ParameterError, RingUndeterminedError
 from dustlab.geometry import Alpha, as_alpha
 from dustlab.john import (UNIT_CENTER, JohnPath, _child_curve_boxes, build_john_path,
-                          curve_half_width, densify_polyline, distance_to_squares,
-                          point_in_approximant, ring_clearance_bound,
+                          curve_half_width, densify_polyline, distance_to_dust,
+                          distance_to_squares, point_in_approximant, ring_clearance_bound,
                           ring_of_point, sample_ring_clearances, verify_john)
 
 
@@ -86,6 +86,18 @@ class TestRingClearance:
         doubled = 2.0 * np.array([ring_clearance_bound(0.25, g) for g in gen])
         assert int((rows[:, 3] <= doubled).sum()) > 0
 
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_is_refused(self, depth):
+        # the depth-0 approximant covers the unit square, so no draw would succeed
+        with pytest.raises(ParameterError, match="depth at least 1"):
+            sample_ring_clearances(0.25, depth, 3, seed=1)
+
+    def test_negative_sample_count_is_refused(self):
+        with pytest.raises(ParameterError, match="nonnegative"):
+            sample_ring_clearances(0.25, 3, -1, seed=1)
+        rows, unresolved = sample_ring_clearances(0.25, 3, 0, seed=1)
+        assert rows.shape == (0, 4) and unresolved == 0
+
 
 class TestBuildPath:
     def test_center_source_keeps_quarter_clearance(self):
@@ -153,6 +165,10 @@ class TestVerify:
         r3 = verify_john(0.25, 3, 150, seed=7)
         r4 = verify_john(0.25, 4, 150, seed=7)
         assert 0.5 <= r3.epsilon / r4.epsilon <= 2.0
+        r5 = verify_john(0.25, 5, 150, seed=7)
+        r6 = verify_john(0.25, 6, 150, seed=7)
+        assert 0.5 <= r4.epsilon / r5.epsilon <= 2.0
+        assert 0.5 <= r5.epsilon / r6.epsilon <= 2.0
 
     def test_narrow_gaps_give_smaller_epsilon(self):
         wide = verify_john(0.25, 3, 150, seed=7)
@@ -188,6 +204,33 @@ class TestVerify:
         serial = verify_john(0.3, 2, 40, seed=11, jobs=1)
         threaded = verify_john(0.3, 2, 40, seed=11, jobs=4)
         assert serial.csv_lines() == threaded.csv_lines()
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.floats(0.05, 0.49), depth=st.integers(0, 5),
+       x=st.floats(-0.5, 1.5), y=st.floats(-0.5, 1.5),
+       mark=st.sampled_from(["start", "end", "gap"]), k=st.integers(0, 63))
+# at alpha 0.25, depth 2 the interval starts are 0, 0.1875, 0.75 and 0.9375, of side 0.0625
+@example(alpha=0.25, depth=2, x=0.1875, y=0.75, mark="start", k=0)  # interval starts
+@example(alpha=0.25, depth=2, x=0.25, y=1.0, mark="end", k=0)  # interval ends
+@example(alpha=0.25, depth=2, x=0.5, y=0.125, mark="gap", k=0)  # gap midpoints
+@example(alpha=0.25, depth=2, x=-0.3, y=1.4, mark="start", k=0)  # outside the unit square
+@example(alpha=0.45, depth=5, x=1.5, y=-0.5, mark="end", k=31)
+@example(alpha=0.25, depth=0, x=1.0, y=0.5, mark="gap", k=0)
+def test_distance_to_dust_matches_all_squares(alpha, depth, x, y, mark, k):
+    # free points, and points with one or both coordinates on the k-th
+    # interval start, interval end or gap midpoint
+    leaves = generate_cantor(alpha, depth)
+    starts = interval_starts(alpha, depth)
+    ends = starts + leaves.side
+    marks = {"start": starts, "end": ends, "gap": (ends[:-1] + starts[1:]) / 2}[mark]
+    points = [(x, y)]
+    if len(marks):
+        m = marks[k % len(marks)]
+        points += [(m, y), (x, m), (m, m)]
+    points = np.array(points)
+    assert np.array_equal(distance_to_dust(points, starts, leaves.side),
+                          distance_to_squares(points, leaves.leaf_corners(), leaves.side))
 
 
 # The previous membership test, which descended both coordinates together,
