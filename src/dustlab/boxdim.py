@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import BoxGrid, aligned_span, halve, rasterize_quads_window
+from .geometry import BoxGrid, Isometry, aligned_span, halve, rasterize_quads_window
 
 LN2 = math.log(2.0)
 #: Level of the coarse grid whose occupied cells find_full_dimension_point scores.
@@ -99,21 +99,39 @@ def window_counts(bits: np.ndarray, level: int, schedule: ScaleSchedule) -> dict
     return dict(sorted(counts.items()))
 
 
-def overlap_counts(grid: BoxGrid, quads: np.ndarray, schedule: ScaleSchedule) -> dict[int, int]:
-    """Occupied-cell counts per schedule level of a grid ANDed with the raster of quads.
+def overlap_counts(grid: BoxGrid, quads: np.ndarray, iso: Isometry, frame: np.ndarray,
+                   schedule: ScaleSchedule) -> dict[int, int]:
+    """Occupied-cell counts per schedule level of a grid ANDed with the raster of moved quads.
 
-    Equals ``box_counts(grid_intersection(grid, rasterize_quads(quads,
-    grid.bounds, grid.level)), schedule)``, but the quads are rasterized and
-    counted only inside the window of cells they can meet, aligned to whole
-    cells of every schedule level.
+    Equals ``box_counts(grid_intersection(grid, rasterize_quads(iso.apply(quads),
+    grid.bounds, grid.level)), schedule)``.  ``frame`` is a quad holding
+    every moved quad (``cantor.placed_frame`` of the copy).  When no
+    occupied cell of the grid lies in the frame's cell span widened by one
+    cell, which absorbs rounding, the counts are zero and the quads are
+    neither moved nor rasterized.  Otherwise the moved quads are rasterized
+    and counted only inside the window of cells they can meet, aligned to
+    whole cells of every schedule level.
     """
     _require_resolution(schedule, grid.level)
-    cells, bits = rasterize_quads_window(quads, grid.bounds, grid.level,
+    if not _frame_meets_occupied(grid, frame):
+        return dict.fromkeys(schedule.levels, 0)
+    cells, bits = rasterize_quads_window(iso.apply(quads), grid.bounds, grid.level,
                                          1 << (grid.level - schedule.levels[0]))
     inter = grid.bits[cells] & bits
     if not inter.any():
         return dict.fromkeys(schedule.levels, 0)
     return window_counts(inter, grid.level, schedule)
+
+
+def _frame_meets_occupied(grid: BoxGrid, frame: np.ndarray) -> bool:
+    """Whether an occupied cell meets the frame's box widened by one cell on every side.
+
+    The widening absorbs the rounding by which moved leaves can stick out
+    of their moved frame.
+    """
+    w = grid.cell_size
+    iy0, iy1, ix0, ix1 = _box_span(grid, frame.min(axis=0) - w, frame.max(axis=0) + w)
+    return ix0 <= ix1 and iy0 <= iy1 and bool(grid.bits[iy0:iy1 + 1, ix0:ix1 + 1].any())
 
 
 def _require_resolution(schedule: ScaleSchedule, level: int) -> None:
@@ -172,24 +190,28 @@ def counts_csv_lines(counts: Mapping[int, int], side: float = 1.0) -> list[str]:
     return lines
 
 
-def _ball_span(grid: BoxGrid, p: Sequence[float], radius: float) -> tuple[int, int, int, int]:
-    """Inclusive cell span (iy0, iy1, ix0, ix1) of the closed Chebyshev ball B(p, radius).
+def _box_span(grid: BoxGrid, lo: Sequence[float],
+              hi: Sequence[float]) -> tuple[int, int, int, int]:
+    """Inclusive cell span (iy0, iy1, ix0, ix1) of the closed box from corner lo to corner hi.
 
-    Cells belong when their half-open extent meets the ball; the span is
+    Cells belong when their half-open extent meets the box; the span is
     empty (iy0 > iy1 or ix0 > ix1) when no cell does.
     """
-    if radius <= 0:
-        raise ParameterError(f"radius must be positive, got {radius!r}")
     w = grid.cell_size
     x0, y0 = grid.bounds.corner
     n = grid.size
 
-    def span(c, o):
-        lo = max(int(math.floor((c - radius - o) / w)), 0)
-        hi = min(int(math.floor((c + radius - o) / w)), n - 1)
-        return lo, hi
+    def span(a, b, o):
+        return max(int(math.floor((a - o) / w)), 0), min(int(math.floor((b - o) / w)), n - 1)
 
-    return span(p[1], y0) + span(p[0], x0)
+    return span(lo[1], hi[1], y0) + span(lo[0], hi[0], x0)
+
+
+def _ball_span(grid: BoxGrid, p: Sequence[float], radius: float) -> tuple[int, int, int, int]:
+    """``_box_span`` of the closed Chebyshev ball B(p, radius)."""
+    if radius <= 0:
+        raise ParameterError(f"radius must be positive, got {radius!r}")
+    return _box_span(grid, (p[0] - radius, p[1] - radius), (p[0] + radius, p[1] + radius))
 
 
 def clip_to_ball(grid: BoxGrid, p: Sequence[float], radius: float) -> BoxGrid:

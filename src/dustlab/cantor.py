@@ -129,18 +129,27 @@ def alpha_for_dimension(d: float) -> Alpha:
     return Alpha(4.0 ** (-1.0 / d))
 
 
-def scale_and_place(approximant: CantorApproximant, diameter: float, iso: Isometry) -> np.ndarray:
-    """Scale a copy to the requested diameter and move it by an isometry.
+def scaled_quads(approximant: CantorApproximant, diameter: float) -> np.ndarray:
+    """Leaf quads of a copy scaled to the requested diameter, not yet moved.
 
     The copy is scaled uniformly about the origin of its unit frame so the
-    frame diagonal equals ``diameter``, then every leaf square is mapped
-    through ``iso``.  Returns the placed leaves as an (N, 4, 2) array of
-    corner quads (rotations leave the axis-aligned square family).
+    frame diagonal equals ``diameter``.  Returns an (N, 4, 2) array of
+    corner quads; a search over motions builds it once per copy.
     """
     if not diameter > 0.0:
         raise ParameterError(f"diameter must be positive, got {diameter!r}")
     scale = diameter / SQRT2
-    return iso.apply(squares_to_quads(approximant.leaf_corners() * scale, approximant.side * scale))
+    return squares_to_quads(approximant.leaf_corners() * scale, approximant.side * scale)
+
+
+def scale_and_place(approximant: CantorApproximant, diameter: float, iso: Isometry) -> np.ndarray:
+    """Scale a copy to the requested diameter and move it by an isometry.
+
+    Every leaf quad of ``scaled_quads`` is mapped through ``iso``.  Returns
+    the placed leaves as an (N, 4, 2) array of corner quads (rotations
+    leave the axis-aligned square family).
+    """
+    return iso.apply(scaled_quads(approximant, diameter))
 
 
 def placed_frame(diameter: float, iso: Isometry) -> np.ndarray:

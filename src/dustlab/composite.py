@@ -13,6 +13,7 @@ E' = G n E whose dimension estimate the report compares against E's.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -22,12 +23,12 @@ import numpy as np
 from .boxdim import (DimensionEstimate, ScaleSchedule, box_counts,
                      estimate_dimension, find_full_dimension_point, overlap_counts)
 from .cantor import (alpha_for_dimension, generate_cantor, placed_frame,
-                     scale_and_place)
+                     scale_and_place, scaled_quads)
 from .errors import AssemblyError, ConstructionError, ParameterError, PlacementError
 from .geometry import (BoxGrid, Isometry, Square, grid_intersection,
                        quads_disjoint, rasterize_quads)
 from .intersect import sample_isometry
-from .parallel import parallel_map
+from .parallel import check_jobs, parallel_map
 
 #: Copies are generated no deeper than this many subdivision steps.
 MAX_COPY_DEPTH = 8
@@ -301,7 +302,7 @@ def place_cantor_in_annulus(E: BoxGrid, chain: AnnulusChain, index: int, b: floa
 
     alpha = alpha_for_dimension(b)
     depth = _copy_depth(float(alpha), diameter, E.cell_size)
-    copy = generate_cantor(alpha, depth)
+    quads = scaled_quads(generate_cantor(alpha, depth), diameter)
 
     slice_grid = _masked(E, chain.annulus_mask(E, index))
     if slice_grid.is_empty():
@@ -315,7 +316,7 @@ def place_cantor_in_annulus(E: BoxGrid, chain: AnnulusChain, index: int, b: floa
     for i in range(trials):
         rng = np.random.default_rng([seed, i])
         iso = sample_isometry(rng, window)
-        counts = overlap_counts(slice_grid, scale_and_place(copy, diameter, iso), schedule)
+        counts = overlap_counts(slice_grid, quads, iso, placed_frame(diameter, iso), schedule)
         est = _slice_estimate(counts, schedule, E.bounds.side)
         if not est.empty and (best is None or est.slope > best[0] + 1e-12):
             best = (est.slope, iso)
@@ -332,14 +333,17 @@ def _placement_grid(placement: PlacementRecord, bounds: Square, level: int) -> B
 
 def _placements_disjoint(placements) -> bool:
     frames = [placed_frame(p.diameter, p.iso) for p in placements]
+
+    @functools.cache
+    def leaves(k: int) -> np.ndarray:  # built only for copies whose frame meets another's
+        p = placements[k]
+        return scale_and_place(generate_cantor(p.alpha, p.depth), p.diameter, p.iso)
+
     for i in range(len(placements)):
         for j in range(i + 1, len(placements)):
             if quads_disjoint(frames[i], frames[j]):
                 continue
-            a = scale_and_place(generate_cantor(placements[i].alpha, placements[i].depth),
-                                placements[i].diameter, placements[i].iso)
-            b = scale_and_place(generate_cantor(placements[j].alpha, placements[j].depth),
-                                placements[j].diameter, placements[j].iso)
+            a, b = leaves(i), leaves(j)
             if any(not quads_disjoint(qa, qb) for qa in a for qb in b):
                 return False
     return True
@@ -442,6 +446,7 @@ def run_pipeline(E: BoxGrid, annuli: int = 6, trials: int = 480, seed: int = 0,
         raise ParameterError(f"need at least one trial, got {trials}")
     if min_mass < 1:
         raise ParameterError(f"min mass must be at least 1 cell, got {min_mass}")
+    check_jobs(jobs)
     dim_e = estimate_dimension(box_counts(E, ScaleSchedule.default_for(E)), side=E.bounds.side)
     if E.occupied_count < min_mass or dim_e.slope < 0.05:
         return _single_point_result(E, dim_e)

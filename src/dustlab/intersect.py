@@ -18,10 +18,11 @@ import numpy as np
 
 from .boxdim import (DimensionEstimate, ScaleSchedule, box_counts, estimate_dimension,
                      overlap_counts)
-from .cantor import CantorApproximant, cantor_dimension, scale_and_place
+from .cantor import (CantorApproximant, cantor_dimension, placed_frame, scale_and_place,
+                     scaled_quads)
 from .errors import ParameterError
 from .geometry import SQRT2, BoxGrid, Isometry, Square, rasterize_quads
-from .parallel import parallel_map
+from .parallel import check_jobs, parallel_map
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,12 @@ def intersection_dimension(a: BoxGrid, b: CantorApproximant, iso: Isometry) -> D
     per-trial slopes are comparable with it.  The copy keeps its unit
     frame: diameter sqrt(2) scales it by exactly 1.
     """
-    counts = overlap_counts(a, scale_and_place(b, SQRT2, iso), ScaleSchedule.default_for(a))
+    return _moved_copy_dimension(a, scaled_quads(b, SQRT2), iso)
+
+
+def _moved_copy_dimension(a: BoxGrid, quads: np.ndarray, iso: Isometry) -> DimensionEstimate:
+    """``intersection_dimension`` given B's unit-frame quads, built once per survey."""
+    counts = overlap_counts(a, quads, iso, placed_frame(SQRT2, iso), ScaleSchedule.default_for(a))
     return estimate_dimension(counts, side=a.bounds.side)
 
 
@@ -124,6 +130,7 @@ def mattila_survey(a: BoxGrid, b: CantorApproximant, trials: int, tolerance: flo
     """
     if trials < 1:
         raise ParameterError(f"need at least one trial, got {trials}")
+    check_jobs(jobs)
     if not math.isfinite(tolerance):
         raise ParameterError(f"tolerance must be finite, got {tolerance!r}")
     if a.is_empty():
@@ -140,11 +147,12 @@ def mattila_survey(a: BoxGrid, b: CantorApproximant, trials: int, tolerance: flo
     window = default_survey_window(a)
     threshold = s + t - 2.0
     floor = threshold - tolerance
+    quads = scaled_quads(b, SQRT2)
 
     def run_trial(i: int) -> TrialRow:
         rng = np.random.default_rng([seed, i])
         iso = sample_isometry(rng, window)
-        est = intersection_dimension(a, b, iso)
+        est = _moved_copy_dimension(a, quads, iso)
         hit = (not est.empty) and est.slope >= floor
         return TrialRow(i, iso.theta, iso.reflect, iso.z[0], iso.z[1],
                         est.slope, est.empty, hit)

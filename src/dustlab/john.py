@@ -28,7 +28,7 @@ import numpy as np
 from .cantor import address_corners, interval_starts
 from .errors import DustError, ParameterError, RingUndeterminedError
 from .geometry import Alpha, as_alpha
-from .parallel import parallel_map
+from .parallel import check_jobs, parallel_map
 
 UNIT_CENTER = (0.5, 0.5)
 #: Point-square pairs distance_to_squares compares at once; bounds its scratch.
@@ -339,6 +339,7 @@ def verify_john(alpha: Alpha | float, depth: int, samples: int, seed: int,
     a = float(as_alpha(alpha))
     if samples < 1:
         raise ParameterError(f"need at least one sample, got {samples}")
+    check_jobs(jobs)
     _check_sampling_depth(depth)
     starts = interval_starts(a, depth)
     side = a ** depth

@@ -9,7 +9,7 @@ from dustlab import cantor
 from dustlab.boxdim import ScaleSchedule, box_counts
 from dustlab.cantor import (address_corners, alpha_for_dimension,
                             cantor_dimension, generate_cantor, interval_starts,
-                            placed_frame, scale_and_place)
+                            placed_frame, scale_and_place, scaled_quads)
 from dustlab.errors import BudgetError, ParameterError
 from dustlab.geometry import Isometry, Square, rasterize
 
@@ -204,6 +204,14 @@ class TestScaleAndPlace:
     def test_rejects_bad_diameter(self):
         with pytest.raises(ParameterError):
             scale_and_place(generate_cantor(0.25, 1), 0.0, Isometry(0.0, False, (0.0, 0.0)))
+
+    def test_placing_moves_the_scaled_quads(self):
+        approx = generate_cantor(0.35, 3)
+        iso = Isometry(2.2, True, (0.3, -0.1))
+        quads = scaled_quads(approx, 0.8)
+        assert np.array_equal(scale_and_place(approx, 0.8, iso), iso.apply(quads))
+        with pytest.raises(ParameterError):
+            scaled_quads(approx, -1.0)
 
     def test_placed_frame_bounds_leaves(self):
         approx = generate_cantor(0.4, 3)

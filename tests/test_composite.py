@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from dustlab.boxdim import find_full_dimension_point
-from dustlab.cantor import generate_cantor
+from dustlab import composite
+from dustlab.boxdim import ScaleSchedule, find_full_dimension_point, window_counts
+from dustlab.cantor import alpha_for_dimension, generate_cantor, scale_and_place
 from dustlab.composite import (AnnulusChain, CompositePlan, PlacementRecord,
                                assemble_composite, build_annuli, check_plan,
                                choose_b_sequence, place_cantor_in_annulus,
                                placement_diameter, run_pipeline)
 from dustlab.errors import (AssemblyError, ConstructionError, ParameterError,
                             PlacementError)
-from dustlab.geometry import BoxGrid, Square, rasterize
+from dustlab.geometry import BoxGrid, Square, rasterize, rasterize_quads_window
+from dustlab.intersect import sample_isometry
 
 
 def dust_grid(alpha, depth, level):
@@ -214,6 +216,16 @@ class TestPipeline:
         with pytest.raises(ParameterError, match="at least one trial"):
             run_pipeline(BoxGrid(Square.unit(), 8, bits), trials=trials, seed=1)
 
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected_before_any_stage(self, monkeypatch, jobs):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(composite, "box_counts", unreachable)
+        monkeypatch.setattr(composite, "find_full_dimension_point", unreachable)
+        with pytest.raises(ParameterError, match="jobs must be at least 1"):
+            run_pipeline(dust_grid(0.4, 4, 9), annuli=4, trials=10, seed=1, jobs=jobs)
+
     def test_dust_pipeline_end_to_end(self):
         E = dust_grid(0.4, 4, 9)
         result = run_pipeline(E, annuli=4, trials=80, seed=5)
@@ -254,3 +266,50 @@ class TestPipeline:
         serial = run_pipeline(E, annuli=4, trials=30, seed=3, jobs=1)
         threaded = run_pipeline(E, annuli=4, trials=30, seed=3, jobs=3)
         assert serial.plan.to_json() == threaded.plan.to_json()
+
+
+# Placement search as it stood before each copy's quads were built once and
+# trials whose frame reaches no occupied cell were skipped: every trial
+# places the copy with scale_and_place and scores it in its aligned window.
+
+def windowed_overlap_counts(grid, quads, schedule):
+    cells, bits = rasterize_quads_window(quads, grid.bounds, grid.level,
+                                         1 << (grid.level - schedule.levels[0]))
+    inter = grid.bits[cells] & bits
+    if not inter.any():
+        return dict.fromkeys(schedule.levels, 0)
+    return window_counts(inter, grid.level, schedule)
+
+
+def reference_placement(E, chain, index, b, trials, seed, schedule_extent):
+    diameter = placement_diameter(chain, index)
+    alpha = alpha_for_dimension(b)
+    depth = composite._copy_depth(float(alpha), diameter, E.cell_size)
+    copy = generate_cantor(alpha, depth)
+    slice_grid = composite._masked(E, chain.annulus_mask(E, index))
+    schedule = ScaleSchedule.resolving(E, schedule_extent)
+    window = Square.centered(chain.center, chain.half_widths[index - 1] + 1.5 * diameter)
+    best = None
+    for i in range(trials):
+        iso = sample_isometry(np.random.default_rng([seed, i]), window)
+        counts = windowed_overlap_counts(slice_grid, scale_and_place(copy, diameter, iso), schedule)
+        est = composite._slice_estimate(counts, schedule, E.bounds.side)
+        if not est.empty and (best is None or est.slope > best[0] + 1e-12):
+            best = (est.slope, iso)
+    return PlacementRecord(index, float(alpha), depth, diameter, best[1], best[0])
+
+
+def test_placements_match_per_trial_reference_at_construct_workload():
+    # the benchmark's construct workload: a level-10 raster of the alpha 0.4,
+    # depth-5 dust, 6 annuli, 160 trials per annulus, seed 5
+    E = dust_grid(0.4, 5, 10)
+    seed = 5
+    result = run_pipeline(E, annuli=6, trials=160, seed=seed)
+    plan = result.plan
+    chain = AnnulusChain(plan.center, plan.half_widths)
+    even = range(2, chain.count + 1, 2)
+    extent = max(placement_diameter(chain, i) for i in even)
+    expected = tuple(reference_placement(E, chain, i, plan.b_seq[i - 1], 160, seed + 1000 * i,
+                                         extent) for i in even)
+    assert len(plan.placements) == 3
+    assert plan.placements == expected

@@ -5,8 +5,9 @@
 * ``ball_counts`` counts a ball inside an aligned window; the reference is
   ``box_counts`` of the full-grid ``clip_to_ball``.
 * ``overlap_counts`` scores a moved copy (a placement or Mattila trial)
-  inside the copy's aligned window; the reference is the same trial on
-  full grids.
+  inside the copy's aligned window, and scores zero without rasterizing
+  when the copy's frame reaches no occupied cell; the reference is the
+  same trial on full grids.
 * ``ScaleSchedule.resolving`` replaced three per-caller formulas, kept
   here verbatim.
 * ``rasterize`` became a thin entry to ``rasterize_quads``, whose block
@@ -23,15 +24,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dustlab import geometry
+from dustlab import boxdim, geometry
 from dustlab.boxdim import (ScaleSchedule, ball_counts, box_counts, clip_to_ball,
                             overlap_counts, window_counts)
-from dustlab.cantor import generate_cantor, scale_and_place
+from dustlab.cantor import generate_cantor, placed_frame, scale_and_place, scaled_quads
 from dustlab.errors import ParameterError
-from dustlab.geometry import (_QUAD_BLOCK_LIMIT, BoxGrid, Isometry, Square, _index_ranges,
+from dustlab.geometry import (_QUAD_BLOCK_LIMIT, SQRT2, BoxGrid, Isometry, Square, _index_ranges,
                               aligned_span, grid_intersection, grid_size, rasterize,
                               rasterize_quads, rasterize_quads_window, squares_to_quads)
 
@@ -137,7 +138,9 @@ def test_windowed_trial_counts_match_full_grid(level, data, seed, density, bound
         theta = math.pi / 2 * round(theta / (math.pi / 2))
     x0, y0 = bounds.corner
     z = (x0 + zu * bounds.side, y0 + zv * bounds.side)
-    quads = placed_quads(alpha, depth, diameter_frac * bounds.side, theta, reflect, z)
+    iso = Isometry(theta, reflect, z)
+    copy = generate_cantor(alpha, depth)
+    quads = scale_and_place(copy, diameter_frac * bounds.side, iso)
     target = BoxGrid(bounds, level, random_bits(seed, level, density))
     lo = data.draw(st.integers(0, level - 2))
     schedule = ScaleSchedule.span(lo, level)
@@ -153,7 +156,140 @@ def test_windowed_trial_counts_match_full_grid(level, data, seed, density, bound
     assert full.occupied_count == int(bits.sum())
 
     expected = box_counts(grid_intersection(target, full), schedule)
-    assert overlap_counts(target, quads, schedule) == expected
+    assert trial_counts(target, copy, diameter_frac * bounds.side, iso, schedule) == expected
+
+
+def trial_counts(target, copy, diameter, iso, schedule):
+    """The trial scorer as placement and survey trials call it."""
+    return overlap_counts(target, scaled_quads(copy, diameter), iso, placed_frame(diameter, iso),
+                          schedule)
+
+
+def padded_frame_span(grid, frame):
+    """Per axis, the inclusive cell span of the frame's box widened by one cell, unclipped."""
+    w = grid.cell_size
+    lo, hi = frame.min(axis=0) - w, frame.max(axis=0) + w
+    return [(math.floor((lo[k] - o) / w), math.floor((hi[k] - o) / w))
+            for k, o in enumerate(grid.bounds.corner)]
+
+
+UNIT = Square.unit()
+
+
+@SETTINGS
+@given(level=st.integers(3, 8), bounds=bounds_strategy, alpha=st.floats(0.2, 0.45),
+       depth=st.integers(1, 4), diameter_frac=st.floats(0.01, 1.5),
+       theta=st.floats(0.0, 2 * math.pi), reflect=st.booleans(), zu=st.floats(-0.5, 1.5),
+       zv=st.floats(-0.5, 1.5), quarter=st.booleans(), axis=st.integers(0, 1),
+       end=st.integers(0, 1), step=st.sampled_from([-1, 0, 1]), along=st.floats(0.0, 1.0))
+# frame corner on the grid's lower-left corner, quarter turns and reflections of dyadic data
+@example(level=6, bounds=UNIT, alpha=0.25, depth=3, diameter_frac=0.5 * SQRT2, theta=0.0,
+         reflect=False, zu=0.0, zv=0.0, quarter=False, axis=0, end=0, step=1, along=0.0)
+@example(level=6, bounds=UNIT, alpha=0.25, depth=3, diameter_frac=0.25 * SQRT2,
+         theta=math.pi / 2, reflect=False, zu=0.5, zv=0.25, quarter=True, axis=0, end=0, step=1,
+         along=0.5)
+@example(level=6, bounds=UNIT, alpha=0.25, depth=3, diameter_frac=0.25 * SQRT2,
+         theta=math.pi, reflect=True, zu=0.5, zv=0.5, quarter=True, axis=1, end=1, step=1,
+         along=0.0)
+@example(level=6, bounds=UNIT, alpha=0.25, depth=3, diameter_frac=0.25 * SQRT2,
+         theta=3 * math.pi / 2, reflect=True, zu=0.75, zv=0.5, quarter=True, axis=1, end=0,
+         step=0, along=1.0)
+# frame sitting exactly on the grid's right edge, and one just past it
+@example(level=5, bounds=UNIT, alpha=0.3, depth=2, diameter_frac=0.25 * SQRT2, theta=0.0,
+         reflect=False, zu=1.0, zv=0.25, quarter=False, axis=0, end=0, step=-1, along=0.5)
+@example(level=5, bounds=UNIT, alpha=0.3, depth=2, diameter_frac=0.25 * SQRT2, theta=0.0,
+         reflect=False, zu=1.0 + 2 ** -5, zv=0.25, quarter=False, axis=0, end=0, step=1,
+         along=0.5)
+# frames crossing the lower and upper grid edges, rotated off the axes
+@example(level=7, bounds=UNIT, alpha=0.4, depth=3, diameter_frac=0.6, theta=0.7,
+         reflect=True, zu=0.3, zv=-0.1, quarter=False, axis=1, end=0, step=1, along=0.3)
+@example(level=7, bounds=UNIT, alpha=0.4, depth=3, diameter_frac=0.6, theta=2.5,
+         reflect=False, zu=0.4, zv=1.05, quarter=False, axis=1, end=1, step=0, along=0.6)
+def test_single_cell_by_padded_frame_span_counts_as_full_grid(
+        level, bounds, alpha, depth, diameter_frac, theta, reflect, zu, zv, quarter, axis, end,
+        step, along):
+    # the one occupied cell lies just outside (step -1), on (0) or just inside (1)
+    # the chosen end of the padded frame span along ``axis``; ``along`` places it
+    # across the span on the other axis; cells past the grid are clipped onto it
+    if quarter:
+        theta = math.pi / 2 * round(theta / (math.pi / 2))
+    x0, y0 = bounds.corner
+    iso = Isometry(theta, reflect, (x0 + zu * bounds.side, y0 + zv * bounds.side))
+    diameter = diameter_frac * bounds.side
+    copy = generate_cantor(alpha, depth)
+    n = 1 << level
+    spans = padded_frame_span(BoxGrid.empty(bounds, level), placed_frame(diameter, iso))
+    lo, hi = spans[axis]
+    cell = [0, 0]
+    cell[axis] = lo + step if end == 0 else hi - step
+    olo, ohi = spans[1 - axis]
+    cell[1 - axis] = olo + round(along * (ohi - olo))
+    ix, iy = (min(max(c, 0), n - 1) for c in cell)
+    bits = np.zeros((n, n), dtype=bool)
+    bits[iy, ix] = True
+    target = BoxGrid(bounds, level, bits)
+    schedule = ScaleSchedule.span(level - 2, level)
+
+    full = rasterize_quads(scale_and_place(copy, diameter, iso), bounds, level)
+    expected = box_counts(grid_intersection(target, full), schedule)
+    assert trial_counts(target, copy, diameter, iso, schedule) == expected
+
+
+@SETTINGS
+@given(level=st.integers(3, 8), alpha=st.floats(0.2, 0.45), depth=st.integers(1, 4),
+       diameter_frac=st.floats(0.05, 1.5), theta=st.floats(0.0, 2 * math.pi),
+       reflect=st.booleans(), zu=st.floats(-0.5, 1.5), zv=st.floats(-0.5, 1.5),
+       quarter=st.booleans(), axis=st.integers(0, 1), end=st.integers(0, 1))
+# frames whose right and top edges round to just below a cell boundary that
+# a leaf's rounded edge crosses: only the one-cell pad keeps these trials
+@example(level=3, alpha=0.221, depth=3, diameter_frac=0.89, theta=0.733, reflect=True,
+         zu=-0.38877850196411073, zv=0.3, quarter=False, axis=0, end=1)
+@example(level=4, alpha=0.305, depth=2, diameter_frac=0.942, theta=2.564, reflect=True,
+         zu=0.3, zv=-0.42173383326023, quarter=False, axis=1, end=1)
+def test_outermost_raster_cell_is_scored(level, alpha, depth, diameter_frac, theta, reflect,
+                                         zu, zv, quarter, axis, end):
+    # the copy's outermost raster cell on one side is the nearest an occupied
+    # cell can come to the frame edge and still score
+    if quarter:
+        theta = math.pi / 2 * round(theta / (math.pi / 2))
+    iso = Isometry(theta, reflect, (zu, zv))
+    copy = generate_cantor(alpha, depth)
+    full = rasterize_quads(scale_and_place(copy, diameter_frac, iso), UNIT, level)
+    occupied = np.argwhere(full.bits)  # rows of (iy, ix)
+    if len(occupied) == 0:
+        return
+    along = occupied[:, 1 - axis]
+    iy, ix = occupied[np.argmin(along) if end == 0 else np.argmax(along)]
+    bits = np.zeros_like(full.bits)
+    bits[iy, ix] = True
+    target = BoxGrid(UNIT, level, bits)
+    schedule = ScaleSchedule.span(level - 2, level)
+    counts = trial_counts(target, copy, diameter_frac, iso, schedule)
+    assert counts == box_counts(target, schedule)
+    assert counts[level] == 1
+
+
+def test_trial_whose_frame_misses_every_occupied_cell_is_not_rasterized(monkeypatch):
+    calls = []
+    kernel = boxdim.rasterize_quads_window
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(boxdim, "rasterize_quads_window", counted)
+    bits = np.zeros((64, 64), dtype=bool)
+    bits[48:, 48:] = True  # occupied only in the upper-right quarter
+    target = BoxGrid(UNIT, 6, bits)
+    copy = generate_cantor(0.3, 3)
+    schedule = ScaleSchedule.span(2, 6)
+    # the frame's padded span ends at column 47, beside the occupied block
+    miss = Isometry(0.0, False, (0.42, 0.6))
+    assert trial_counts(target, copy, 0.3 * SQRT2, miss, schedule) == dict.fromkeys(range(2, 7), 0)
+    assert calls == []
+    hit = Isometry(0.0, False, (0.7, 0.7))
+    assert trial_counts(target, copy, 0.3 * SQRT2, hit, schedule)[6] > 0
+    assert len(calls) == 1
 
 
 @SETTINGS

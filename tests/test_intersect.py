@@ -9,6 +9,7 @@ from dustlab.cantor import (alpha_for_dimension, cantor_dimension, generate_cant
 from dustlab.errors import ParameterError
 from dustlab.geometry import (SQRT2, BoxGrid, Isometry, Square, grid_intersection, rasterize,
                               rasterize_quads, squares_to_quads)
+from dustlab import intersect
 from dustlab.intersect import (apply_isometry, default_survey_window,
                                intersection_dimension, mattila_survey,
                                sample_isometry)
@@ -179,6 +180,18 @@ class TestMattilaSurvey:
         a, b = survey_pair
         with pytest.raises(ParameterError, match="tolerance"):
             mattila_survey(a, b, trials=5, tolerance=tolerance, seed=1)
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected_before_any_work(self, survey_pair, monkeypatch, jobs):
+        a, b = survey_pair
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the survey started")
+
+        monkeypatch.setattr(intersect, "box_counts", unreachable)
+        monkeypatch.setattr(intersect, "sample_isometry", unreachable)
+        with pytest.raises(ParameterError, match="jobs must be at least 1"):
+            mattila_survey(a, b, trials=5, seed=1, jobs=jobs)
 
     def test_survey_hits_and_upper_bound(self, survey_pair):
         a, b = survey_pair

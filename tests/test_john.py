@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dustlab import john
 from dustlab.cantor import address_corners, generate_cantor, interval_starts
 from dustlab.errors import DustError, ParameterError, RingUndeterminedError
 from dustlab.geometry import Alpha, as_alpha
@@ -187,6 +188,15 @@ class TestVerify:
             verify_john(0.25, 0, 10, seed=1)
         with pytest.raises(ParameterError):
             verify_john(0.25, 3, 0, seed=1)
+
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected_before_drawing(self, monkeypatch, jobs):
+        def unreachable(*args):
+            raise AssertionError("a source was drawn")
+
+        monkeypatch.setattr(john, "_draw_sample", unreachable)
+        with pytest.raises(ParameterError, match="jobs must be at least 1"):
+            verify_john(0.25, 3, 10, seed=1, jobs=jobs)
 
     def test_sources_avoid_approximant(self):
         report = verify_john(0.4, 2, 100, seed=3)
