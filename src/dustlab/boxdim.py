@@ -290,9 +290,8 @@ def find_full_dimension_point(grid: BoxGrid, radii: Sequence[float] | None = Non
 
     def representative(cy: int, cx: int) -> tuple[float, float]:
         block = grid.bits[cy * factor:(cy + 1) * factor, cx * factor:(cx + 1) * factor]
-        ys, xs = np.nonzero(block)
-        k = np.lexsort((xs, ys))[0]
-        return grid.cell_center(cx * factor + int(xs[k]), cy * factor + int(ys[k]))
+        ys, xs = np.nonzero(block)  # row-major: the first is the lowest row's leftmost cell
+        return grid.cell_center(cx * factor + int(xs[0]), cy * factor + int(ys[0]))
 
     x0, y0 = grid.bounds.corner
     x1, y1 = grid.bounds.max_corner

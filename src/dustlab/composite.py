@@ -13,7 +13,7 @@ E' = G n E whose dimension estimate the report compares against E's.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -325,28 +325,27 @@ def place_cantor_in_annulus(E: BoxGrid, chain: AnnulusChain, index: int, b: floa
     return PlacementRecord(index, float(alpha), depth, diameter, best[1], best[0])
 
 
-def _placement_grid(placement: PlacementRecord, bounds: Square, level: int) -> BoxGrid:
-    copy = generate_cantor(placement.alpha, placement.depth)
-    quads = scale_and_place(copy, placement.diameter, placement.iso)
-    return rasterize_quads(quads, bounds, level)
+def _placements_disjoint(leaves) -> bool:
+    """True when no two copies, given by their placed leaf quads in address order, share a point."""
+    def bounds(quads, index, g):  # vertex k from the leaf coded (0, 1, 3, 2)[k] below each square
+        m = max((len(quads).bit_length() - 1) // 2 - g, 0)  # generations down to the leaves
+        first, step = index * 4 ** m, (4 ** m - 1) // 3
+        q = np.stack([quads[first + c * step, k] for k, c in enumerate((0, 1, 3, 2))], axis=1)
+        # it holds every leaf below; widened one float step, a gap that the leaf test rounds away stays
+        return q if m == 0 else np.nextafter(q, np.copysign(np.inf, 2 * q - q[:, :1] - q[:, 2:3]))
 
+    def meet(a, b, g, ia, ib) -> bool:  # Gray & Moore's paired descent from squares ia, ib of generation g
+        keep = ~quads_disjoint(bounds(a, ia, g), bounds(b, ib, g))
+        ka, kb = (4 if len(q) > 4 ** g else 1 for q in (a, b))  # children 4i + c; none at the leaves
+        if ka * kb == 1 or not keep.any():
+            return bool(keep.any())
+        ia, ib = (x.ravel() for x in np.broadcast_arrays(
+            ka * ia[keep, None, None] + np.arange(ka)[:, None], kb * ib[keep, None, None] + np.arange(kb)))
+        size = max(len(a), len(b))  # no kernel call takes more pairs than a copy has leaves
+        return any(meet(a, b, g + 1, ia[s:s + size], ib[s:s + size]) for s in range(0, len(ia), size))
 
-def _placements_disjoint(placements) -> bool:
-    frames = [placed_frame(p.diameter, p.iso) for p in placements]
-
-    @functools.cache
-    def leaves(k: int) -> np.ndarray:  # built only for copies whose frame meets another's
-        p = placements[k]
-        return scale_and_place(generate_cantor(p.alpha, p.depth), p.diameter, p.iso)
-
-    for i in range(len(placements)):
-        for j in range(i + 1, len(placements)):
-            if quads_disjoint(frames[i], frames[j]):
-                continue
-            a, b = leaves(i), leaves(j)
-            if any(not quads_disjoint(qa, qb) for qa in a for qb in b):
-                return False
-    return True
+    root = np.zeros(1, dtype=np.int64)
+    return not any(meet(a, b, 0, root, root) for a, b in itertools.combinations(leaves, 2))
 
 
 def assemble_composite(E: BoxGrid, chain: AnnulusChain, placements):
@@ -359,12 +358,13 @@ def assemble_composite(E: BoxGrid, chain: AnnulusChain, placements):
     placements = list(placements)
     if not placements:
         raise ParameterError("need at least one placement to assemble")
+    leaves = [scale_and_place(generate_cantor(p.alpha, p.depth), p.diameter, p.iso) for p in placements]
     bits = np.zeros_like(E.bits)
-    for placement in placements:
-        bits |= _placement_grid(placement, E.bounds, E.level).bits
+    for quads in leaves:
+        bits |= rasterize_quads(quads, E.bounds, E.level).bits
     ix, iy = E.point_cell(chain.center)
     bits[iy, ix] = True
-    if not _placements_disjoint(placements):
+    if not _placements_disjoint(leaves):
         raise AssemblyError("placed copies overlap; diameter constraints were not honored")
 
     g_grid = BoxGrid.adopt(E.bounds, E.level, bits)
@@ -386,12 +386,16 @@ def assemble_composite(E: BoxGrid, chain: AnnulusChain, placements):
 def check_plan(plan: CompositePlan) -> list[str]:
     """Independent replay of every constraint a plan promises.
 
-    Returns human-readable violation strings; an empty list means the
-    b-sequence bounds, diameter bounds, and pairwise copy disjointness
-    all hold.
+    Returns human-readable violation strings; an empty list means that
+    there is one d and one b value per annulus, the b-sequence bounds
+    hold, every copy sits in an even annulus under its diameter bound,
+    and no two copies share a point.
     """
     issues = []
     K = len(plan.half_widths) - 1
+    for name, seq in (("d", plan.d_seq), ("b", plan.b_seq)):
+        if len(seq) != K:
+            issues.append(f"{name} sequence has {len(seq)} entries for {K} annuli")
     for n, (d_n, b_n) in enumerate(zip(plan.d_seq, plan.b_seq), start=1):
         if not 2.0 - d_n < b_n:
             issues.append(f"b[{n}] = {b_n:.6g} is not above 2 - d = {2.0 - d_n:.6g}")
@@ -403,13 +407,17 @@ def check_plan(plan: CompositePlan) -> list[str]:
         issues.append("half widths are not strictly decreasing")
     widths = [plan.half_widths[i] - plan.half_widths[i + 1] for i in range(K)]
     for p in plan.placements:
+        if p.index % 2 != 0 or not 2 <= p.index <= K:
+            issues.append(f"copy index {p.index} is not an even annulus index in 2..{K}")
+            continue
         limits = [widths[p.index - 2]]
         if p.index < K:
             limits.append(widths[p.index])
         bound = min(limits) / 2.0
         if not p.diameter < bound:
             issues.append(f"copy {p.index} diameter {p.diameter:.6g} is not below {bound:.6g}")
-    if len(plan.placements) > 1 and not _placements_disjoint(plan.placements):
+    if not _placements_disjoint([scale_and_place(generate_cantor(p.alpha, p.depth), p.diameter, p.iso)
+                                 for p in plan.placements]):
         issues.append("placed copies are not pairwise disjoint")
     return issues
 
@@ -422,7 +430,7 @@ def _single_point_result(E: BoxGrid, dim_e: DimensionEstimate) -> PipelineResult
     point = E.cell_center(int(ix), int(iy))
     counts = box_counts(eprime, ScaleSchedule.default_for(E))
     dim_ep = estimate_dimension(counts, side=E.bounds.side)
-    plan = CompositePlan(point, (E.bounds.side / 2.0, E.bounds.side / 4.0), (), (), ())
+    plan = CompositePlan(point, (E.bounds.side / 2.0,), (), (), ())  # no annuli
     report = ConstructionReport(dim_e, dim_ep, {}, True, True)
     return PipelineResult(point, plan, eprime, eprime, report)
 

@@ -277,22 +277,20 @@ def squares_to_quads(corners: np.ndarray, side: float) -> np.ndarray:
     return c[:, None, :] + offs[None, :, :]
 
 
-def quads_disjoint(p: np.ndarray, q: np.ndarray) -> bool:
-    """True when two convex quads share no point (closed sets, SAT test)."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    for poly in (p, q):
-        edges = np.roll(poly, -1, axis=0) - poly
-        for ex, ey in edges:
-            axis = np.array([-ey, ex])
-            norm = math.hypot(*axis)
-            if norm == 0.0:
-                continue
-            pa = p @ axis
-            qa = q @ axis
-            if pa.max() < qa.min() or qa.max() < pa.min():
-                return True
-    return False
+def quads_disjoint(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """True where two convex quads share no point (closed sets, SAT test).
+
+    Quads (..., 4, 2) pair up by broadcasting; a zero-length edge's zero axis separates nothing.
+    """
+    pv, qv = (np.moveaxis(np.asarray(v, dtype=float), (-2, -1), (0, 1)).copy() for v in (p, q))
+    disjoint = False
+    for v in (pv, qv):
+        for k in range(4):
+            ax, ay = v[k, 1] - v[(k + 1) % 4, 1], v[(k + 1) % 4, 0] - v[k, 0]
+            pa, qa = pv[:, 0] * ax + pv[:, 1] * ay, qv[:, 0] * ax + qv[:, 1] * ay
+            # vertex-major copies: min/max run elementwise over four rows, not along a short axis
+            disjoint = disjoint | (pa.max(0) < qa.min(0)) | (qa.max(0) < pa.min(0))
+    return disjoint
 
 
 #: Cells of scratch one rasterization block may span: congruent quads are

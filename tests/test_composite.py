@@ -10,7 +10,7 @@ from dustlab.composite import (AnnulusChain, CompositePlan, PlacementRecord,
                                placement_diameter, run_pipeline)
 from dustlab.errors import (AssemblyError, ConstructionError, ParameterError,
                             PlacementError)
-from dustlab.geometry import BoxGrid, Square, rasterize, rasterize_quads_window
+from dustlab.geometry import BoxGrid, Isometry, Square, rasterize, rasterize_quads_window
 from dustlab.intersect import sample_isometry
 
 
@@ -194,6 +194,45 @@ class TestPlan:
         assert any("diameter" in s for s in issues)
 
 
+def one_copy_plan(index, d_seq=(1.0, 1.1, 1.2, 1.3), b_seq=(1.75, 1.8, 1.85, 1.9)):
+    """A 4-annulus plan with one small copy in annulus ``index``."""
+    rec = PlacementRecord(index, 0.3, 1, 0.001, Isometry(0.0, False, (0.5, 0.5)), 0.0)
+    return CompositePlan((0.5, 0.5), (0.4, 0.2, 0.1, 0.05, 0.025), d_seq, b_seq, (rec,))
+
+
+class TestCheckPlanShape:
+    @pytest.mark.parametrize("index", [2, 4])
+    def test_even_index_in_range_replays_cleanly(self, index):
+        assert check_plan(one_copy_plan(index)) == []
+
+    def test_index_zero_is_flagged(self):
+        assert check_plan(one_copy_plan(0)) == ["copy index 0 is not an even annulus index in 2..4"]
+
+    @pytest.mark.parametrize("index", [1, 3, 5])
+    def test_odd_index_is_flagged(self, index):
+        assert check_plan(one_copy_plan(index)) == [
+            f"copy index {index} is not an even annulus index in 2..4"]
+
+    @pytest.mark.parametrize("index", [6, 9])
+    def test_index_past_the_last_annulus_is_flagged(self, index):
+        assert check_plan(one_copy_plan(index)) == [
+            f"copy index {index} is not an even annulus index in 2..4"]
+
+    def test_short_d_sequence_is_flagged(self):
+        plan = one_copy_plan(2, d_seq=(1.0, 1.1, 1.2))
+        assert check_plan(plan) == ["d sequence has 3 entries for 4 annuli"]
+
+    def test_long_b_sequence_is_flagged(self):
+        plan = one_copy_plan(2, b_seq=(1.75, 1.8, 1.85, 1.9, 1.95))
+        assert check_plan(plan) == ["b sequence has 5 entries for 4 annuli"]
+
+    def test_single_point_plan_replays_cleanly(self):
+        bits = np.zeros((256, 256), dtype=bool)
+        bits[100, 37] = True
+        result = run_pipeline(BoxGrid(Square.unit(), 8, bits), seed=1)
+        assert check_plan(result.plan) == []
+
+
 class TestPipeline:
     def test_single_point_short_circuit(self):
         bits = np.zeros((256, 256), dtype=bool)
@@ -241,15 +280,16 @@ class TestPipeline:
 
     def test_union_counts_dominate_piece_counts(self):
         from dustlab.boxdim import ScaleSchedule, box_counts
-        from dustlab.composite import _placement_grid
-        from dustlab.geometry import grid_intersection
+        from dustlab.geometry import grid_intersection, rasterize_quads
 
         E = dust_grid(0.4, 4, 9)
         result = run_pipeline(E, annuli=4, trials=60, seed=7)
         sched = ScaleSchedule.span(2, 9)
         union_counts = box_counts(result.eprime, sched)
         for placement in result.plan.placements:
-            piece = grid_intersection(_placement_grid(placement, E.bounds, E.level), E)
+            leaves = scale_and_place(generate_cantor(placement.alpha, placement.depth),
+                                     placement.diameter, placement.iso)
+            piece = grid_intersection(rasterize_quads(leaves, E.bounds, E.level), E)
             piece_counts = box_counts(piece, sched)
             for m in sched.levels:
                 assert union_counts[m] >= piece_counts[m]
