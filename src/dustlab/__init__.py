@@ -11,8 +11,7 @@ from .boxdim import (DimensionEstimate, ScaleSchedule, box_counts,
                      estimate_dimension, find_full_dimension_point,
                      local_dimension_profile)
 from .cantor import (CantorApproximant, address_corners, alpha_for_dimension,
-                     approximant_from_cad, cantor_dimension, generate_cantor,
-                     scale_and_place)
+                     cantor_dimension, generate_cantor, scale_and_place)
 from .composite import (AnnulusChain, CompositePlan, ConstructionReport,
                         PlacementRecord, assemble_composite, build_annuli,
                         check_plan, choose_b_sequence, place_cantor_in_annulus,
@@ -20,7 +19,7 @@ from .composite import (AnnulusChain, CompositePlan, ConstructionReport,
 from .errors import (AssemblyError, BudgetError, ConstructionError, DustError,
                      FormatError, ParameterError, PlacementError,
                      RingUndeterminedError)
-from .formats import read_bgr, read_cad, write_bgr, write_cad
+from .formats import read_cad, write_bgr, write_cad
 from .geometry import Alpha, BoxGrid, Isometry, Square, grid_intersection, rasterize
 from .intersect import (MattilaSurvey, apply_isometry, intersection_dimension,
                         mattila_survey, sample_isometry)

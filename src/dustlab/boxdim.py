@@ -183,7 +183,7 @@ def estimate_dimension(counts: Mapping[int, int], window: tuple[int, int] | None
     return DimensionEstimate(dict(counts), slope, intercept, r2, win)
 
 
-def counts_csv_lines(counts: Mapping[int, int], side: float = 1.0) -> list[str]:
+def counts_csv_lines(counts: Mapping[int, int], side: float) -> list[str]:
     lines = ["level,delta,count"]
     for m in sorted(counts):
         lines.append(f"{m},{side * 2.0 ** -m:.12g},{counts[m]}")
@@ -268,22 +268,20 @@ def local_dimension_profile(grid: BoxGrid, p: Sequence[float],
     return out
 
 
-def find_full_dimension_point(grid: BoxGrid, radii: Sequence[float] | None = None,
-                              min_clearance: float = 0.0) -> tuple[float, float]:
+def find_full_dimension_point(grid: BoxGrid, min_clearance: float = 0.0) -> tuple[float, float]:
     """Occupied-cell center whose neighborhood keeps the most dimension.
 
     Scans occupied cells of a coarse candidate grid; each candidate is
     represented by its first occupied fine cell (row-major from the bottom
-    row) and scored by the minimum local slope over a fixed radius ladder.
-    Ties keep the earliest candidate in row-major order.  ``min_clearance``
-    optionally discards candidates closer than that to the bounds edge
-    (falling back to the unfiltered scan if none survive).
+    row) and scored by the minimum local slope over the radii side/8,
+    side/16 and side/32.  Ties keep the earliest candidate in row-major
+    order.  ``min_clearance`` optionally discards candidates closer than
+    that to the bounds edge (falling back to all of them if none survive).
     """
     if grid.is_empty():
         raise ParameterError("cannot locate a point in an empty set")
     side = grid.bounds.side
-    if radii is None:
-        radii = (side / 8.0, side / 16.0, side / 32.0)
+    radii = (side / 8.0, side / 16.0, side / 32.0)
     clevel = min(CANDIDATE_LEVEL, grid.level)
     coarse = grid.downsampled(clevel)
     factor = 1 << (grid.level - clevel)
@@ -299,18 +297,12 @@ def find_full_dimension_point(grid: BoxGrid, radii: Sequence[float] | None = Non
     def clearance(p) -> float:
         return min(p[0] - x0, x1 - p[0], p[1] - y0, y1 - p[1])
 
-    for enforce in ((min_clearance,) if min_clearance > 0 else ()) + (0.0,):
-        best = None
-        best_score = -math.inf
-        for cy, cx in zip(*np.nonzero(coarse.bits)):
-            p = representative(int(cy), int(cx))
-            if clearance(p) < enforce:
-                continue
-            score = min(est.slope if not est.empty else 0.0
-                        for est in local_dimension_profile(grid, p, radii))
-            if score > best_score + 1e-12:
-                best_score = score
-                best = p
-        if best is not None:
-            return best
-    raise ParameterError("cannot locate a point in an empty set")
+    candidates = [representative(int(cy), int(cx)) for cy, cx in zip(*np.nonzero(coarse.bits))]
+    best, best_score = None, -math.inf
+    for p in [p for p in candidates if clearance(p) >= min_clearance] or candidates:
+        score = min(est.slope if not est.empty else 0.0
+                    for est in local_dimension_profile(grid, p, radii))
+        if score > best_score + 1e-12:  # slopes are finite: the first candidate is always taken
+            best_score = score
+            best = p
+    return best

@@ -106,17 +106,6 @@ def _check_depth(depth: int) -> None:
         raise BudgetError(f"depth {depth} needs 4**{depth} addresses, over the budget of {budget}")
 
 
-def approximant_from_cad(path) -> CantorApproximant:
-    """Load a full address list and validate it enumerates one generation."""
-    from .formats import read_cad
-
-    alpha, depth, codes = read_cad(path)
-    reference = generate_cantor(alpha, depth)
-    if len(codes) != reference.count or not np.array_equal(np.unique(codes, axis=0), reference.codes):
-        raise ParameterError("address list does not enumerate a full generation")
-    return reference
-
-
 def cantor_dimension(alpha: Alpha | float) -> float:
     """Similarity dimension log 4 / log(1/alpha); strictly increasing in alpha."""
     return -math.log(4.0) / math.log(float(as_alpha(alpha)))

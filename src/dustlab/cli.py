@@ -17,7 +17,7 @@ from . import formats
 from .boxdim import ScaleSchedule, box_counts, counts_csv_lines, estimate_dimension
 from .cantor import alpha_for_dimension, cantor_dimension, generate_cantor
 from .composite import run_pipeline
-from .errors import ConstructionError, DustError, FormatError, ParameterError
+from .errors import DustError, FormatError, ParameterError
 from .geometry import Alpha, BoxGrid, Square, grid_size, rasterize
 from .intersect import mattila_survey
 from .john import verify_john
@@ -171,7 +171,7 @@ def cmd_construct(args) -> int:
         fh.write(result.plan.to_json())
     formats.write_bgr(result.g_grid, f"{prefix}.g.bgr")
     formats.write_bgr(result.eprime, f"{prefix}.eprime.bgr")
-    lines = [_config_line(args, point=f"{result.point[0]:.12g}:{result.point[1]:.12g}")]
+    lines = [_config_line(args, point=f"{result.plan.center[0]:.12g}:{result.plan.center[1]:.12g}")]
     lines += result.report.csv_lines()
     _write_lines(f"{prefix}.report.csv", lines)
     print(lines[0])
@@ -251,9 +251,6 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except ConstructionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CONSTRUCTION_ERROR
     except (OSError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return IO_ERROR

@@ -152,7 +152,6 @@ class ConstructionReport:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    point: tuple[float, float]
     plan: CompositePlan
     g_grid: BoxGrid
     eprime: BoxGrid
@@ -282,17 +281,16 @@ def placement_diameter(chain: AnnulusChain, index: int) -> float:
 
 
 def place_cantor_in_annulus(E: BoxGrid, chain: AnnulusChain, index: int, b: float,
-                            trials: int, seed: int,
-                            schedule_extent: float | None = None) -> PlacementRecord:
+                            trials: int, seed: int) -> PlacementRecord:
     """Randomized isometry search for one dust copy inside an even annulus.
 
     The copy gets the largest admissible diameter (just under half the
     width of the neighboring odd annuli), and the search keeps the motion
     whose copy meets the annulus slice of E with the best measured slope.
-    ``schedule_extent`` fixes the feature size whose scales the slope fit
-    spans (so slopes of copies in different annuli stay comparable); it
-    defaults to the copy's own diameter.  Raises ParameterError when
-    ``trials`` is below 1 and PlacementError when every trial misses.
+    The slope fit spans the scales that resolve the largest copy diameter
+    of any even annulus of the chain, so slopes of copies in different
+    annuli stay comparable.  Raises ParameterError when ``trials`` is
+    below 1 and PlacementError when every trial misses.
     """
     if trials < 1:
         raise ParameterError(f"need at least one trial, got {trials}")
@@ -307,7 +305,7 @@ def place_cantor_in_annulus(E: BoxGrid, chain: AnnulusChain, index: int, b: floa
     slice_grid = _masked(E, chain.annulus_mask(E, index))
     if slice_grid.is_empty():
         raise PlacementError(f"annulus {index} holds no cells of the target set")
-    extent = schedule_extent if schedule_extent is not None else diameter
+    extent = max(placement_diameter(chain, i) for i in range(2, chain.count + 1, 2))
     schedule = ScaleSchedule.resolving(E, extent)
     window_half = chain.half_widths[index - 1] + 1.5 * diameter
     window = Square.centered(chain.center, window_half)
@@ -383,13 +381,32 @@ def assemble_composite(E: BoxGrid, chain: AnnulusChain, placements):
     return g_grid, eprime, report
 
 
+def _copy_issues(p: PlacementRecord) -> list[str]:
+    """Fields of a placement that lie outside what the program places; builds no leaf."""
+    issues = []
+    if not 0.0 < p.alpha < 0.5:
+        issues.append(f"copy {p.index} ratio {p.alpha:.6g} is not in (0, 1/2)")
+    if not 0 <= p.depth <= MAX_COPY_DEPTH:
+        issues.append(f"copy {p.index} depth {p.depth} is not in 0..{MAX_COPY_DEPTH}")
+    if not 0.0 < p.diameter < math.inf:
+        issues.append(f"copy {p.index} diameter {p.diameter:.6g} is not finite and positive")
+    for name, value in (("theta", p.iso.theta), ("z[0]", p.iso.z[0]), ("z[1]", p.iso.z[1]),
+                        ("slope", p.slope)):
+        if not math.isfinite(value):
+            issues.append(f"copy {p.index} {name} {value} is not finite")
+    return issues
+
+
 def check_plan(plan: CompositePlan) -> list[str]:
     """Independent replay of every constraint a plan promises.
 
-    Returns human-readable violation strings; an empty list means that
-    there is one d and one b value per annulus, the b-sequence bounds
-    hold, every copy sits in an even annulus under its diameter bound,
-    and no two copies share a point.
+    Returns human-readable violation strings and never raises; an empty
+    list means that there is one d and one b value per annulus, the
+    b-sequence bounds hold, every copy sits in an even annulus under its
+    diameter bound with parameters the program could have chosen, and no
+    two copies share a point.  Copies whose parameters are out of range
+    are reported before any leaf is built and left out of the
+    disjointness replay.
     """
     issues = []
     K = len(plan.half_widths) - 1
@@ -406,18 +423,23 @@ def check_plan(plan: CompositePlan) -> list[str]:
     if any(b >= a for a, b in zip(plan.half_widths, plan.half_widths[1:])):
         issues.append("half widths are not strictly decreasing")
     widths = [plan.half_widths[i] - plan.half_widths[i + 1] for i in range(K)]
+    replayed = []
     for p in plan.placements:
         if p.index % 2 != 0 or not 2 <= p.index <= K:
             issues.append(f"copy index {p.index} is not an even annulus index in 2..{K}")
-            continue
-        limits = [widths[p.index - 2]]
-        if p.index < K:
-            limits.append(widths[p.index])
-        bound = min(limits) / 2.0
-        if not p.diameter < bound:
-            issues.append(f"copy {p.index} diameter {p.diameter:.6g} is not below {bound:.6g}")
+        else:
+            limits = [widths[p.index - 2]]
+            if p.index < K:
+                limits.append(widths[p.index])
+            bound = min(limits) / 2.0
+            if not p.diameter < bound:
+                issues.append(f"copy {p.index} diameter {p.diameter:.6g} is not below {bound:.6g}")
+        out_of_range = _copy_issues(p)
+        issues += out_of_range
+        if not out_of_range:
+            replayed.append(p)
     if not _placements_disjoint([scale_and_place(generate_cantor(p.alpha, p.depth), p.diameter, p.iso)
-                                 for p in plan.placements]):
+                                 for p in replayed]):
         issues.append("placed copies are not pairwise disjoint")
     return issues
 
@@ -432,7 +454,7 @@ def _single_point_result(E: BoxGrid, dim_e: DimensionEstimate) -> PipelineResult
     dim_ep = estimate_dimension(counts, side=E.bounds.side)
     plan = CompositePlan(point, (E.bounds.side / 2.0,), (), (), ())  # no annuli
     report = ConstructionReport(dim_e, dim_ep, {}, True, True)
-    return PipelineResult(point, plan, eprime, eprime, report)
+    return PipelineResult(plan, eprime, eprime, report)
 
 
 def run_pipeline(E: BoxGrid, annuli: int = 6, trials: int = 480, seed: int = 0,
@@ -465,18 +487,14 @@ def run_pipeline(E: BoxGrid, annuli: int = 6, trials: int = 480, seed: int = 0,
     chain = build_annuli(E, p, d_seq, min_mass)
     b_seq = choose_b_sequence(d_seq)
 
-    even_indices = list(range(2, chain.count + 1, 2))
-    if not even_indices:
-        raise ConstructionError("no even annulus available for placement")
-    common_extent = max(placement_diameter(chain, i) for i in even_indices)
+    even_indices = range(2, chain.count + 1, 2)
 
     def place(k: int) -> PlacementRecord:
         index = even_indices[k]
-        return place_cantor_in_annulus(E, chain, index, b_seq[index - 1], trials,
-                                       seed + 1000 * index, schedule_extent=common_extent)
+        return place_cantor_in_annulus(E, chain, index, b_seq[index - 1], trials, seed + 1000 * index)
 
     placements = parallel_map(place, len(even_indices), jobs)
 
     g_grid, eprime, report = assemble_composite(E, chain, placements)
     plan = CompositePlan(chain.center, chain.half_widths, d_seq, b_seq, tuple(placements))
-    return PipelineResult(p, plan, g_grid, eprime, report)
+    return PipelineResult(plan, g_grid, eprime, report)

@@ -132,11 +132,6 @@ def write_bgr(grid: BoxGrid, path) -> None:
             fh.write(chunk)
 
 
-def read_bgr(path) -> BoxGrid:
-    with open(path, "rb") as fh:
-        return parse_bgr(fh.read())
-
-
 def dump_cad(alpha: Alpha, depth: int, codes) -> str:
     """CAD v1 text of an (N, depth) array of quadrant codes, one address per row."""
     codes = np.asarray(codes, dtype=np.uint8).reshape(len(codes), depth)

@@ -72,10 +72,6 @@ class Square:
         h = 0.5 * self.side
         return (self.corner[0] + h, self.corner[1] + h)
 
-    @property
-    def diameter(self) -> float:
-        return self.side * SQRT2
-
     def contains_point(self, p: Sequence[float]) -> bool:
         x0, y0 = self.corner
         x1, y1 = self.max_corner

@@ -63,8 +63,7 @@ def ring_clearance_bound(alpha: Alpha | float, generation: int) -> float:
 class RingLocation:
     """Which ring (or the exterior) a point belongs to."""
 
-    kind: str  # "ring" or "exterior"
-    generation: int
+    generation: int  # -1 for the exterior
     word: tuple[int, ...]  # quadrant codes of the ring's square
 
 
@@ -73,7 +72,6 @@ class JohnPath:
     """Polyline from a source point up to the base curve."""
 
     vertices: np.ndarray  # (M, 2)
-    source: tuple[float, float]
     ring_generation: int  # -1 for exterior sources
     landings: tuple[tuple[int, int], ...]  # (generation, vertex index) per curve crossed
 
@@ -148,7 +146,7 @@ def ring_of_point(z: Sequence[float], alpha: Alpha | float, depth: int) -> RingL
     z = (float(z[0]), float(z[1]))
     base_half = curve_half_width(a, 0)
     if max(abs(z[0] - UNIT_CENTER[0]), abs(z[1] - UNIT_CENTER[1])) > base_half:
-        return RingLocation("exterior", -1, ())
+        return RingLocation(-1, ())
     if point_in_approximant(z, a, depth):
         raise RingUndeterminedError(
             f"point {z} lies inside a generation-{depth} square; undetermined at this depth")
@@ -160,7 +158,7 @@ def ring_of_point(z: Sequence[float], alpha: Alpha | float, depth: int) -> RingL
         hit = next((q for q, (cx, cy) in enumerate(centers)
                     if abs(z[0] - cx) <= half and abs(z[1] - cy) <= half), None)
         if hit is None:
-            return RingLocation("ring", g, tuple(word))
+            return RingLocation(g, tuple(word))
         if g == depth:
             raise RingUndeterminedError(
                 f"point {z} is closer than generation {depth} resolves; undetermined at this depth")
@@ -222,7 +220,7 @@ def build_john_path(z: Sequence[float], alpha: Alpha | float, depth: int) -> Joh
     vertices = [z]
     landings: list[tuple[int, int]] = []
 
-    if loc.kind == "exterior":
+    if loc.generation == -1:
         half = curve_half_width(a, 0)
         lo = UNIT_CENTER[0] - half
         hi = UNIT_CENTER[0] + half
@@ -230,7 +228,7 @@ def build_john_path(z: Sequence[float], alpha: Alpha | float, depth: int) -> Joh
         if target != z:
             vertices.append(target)
         landings.append((0, len(vertices) - 1))
-        return JohnPath(np.array(vertices), z, -1, tuple(landings))
+        return JohnPath(np.array(vertices), -1, tuple(landings))
 
     w = z
     word = np.array(loc.word, dtype=np.uint8).reshape(1, -1)
@@ -245,7 +243,7 @@ def build_john_path(z: Sequence[float], alpha: Alpha | float, depth: int) -> Joh
             vertices.append(v)
             w = v
         landings.append((g, len(vertices) - 1))
-    return JohnPath(np.array(vertices), z, loc.generation, tuple(landings))
+    return JohnPath(np.array(vertices), loc.generation, tuple(landings))
 
 
 def densify_polyline(vertices: np.ndarray, step: float) -> np.ndarray:
@@ -310,18 +308,20 @@ def _check_sampling_depth(depth: int) -> None:
 
 
 def _draw_sample(rng, alpha: float, depth: int):
-    """Next source point: uniform over the unit square minus the approximant."""
+    """Next source point, uniform over the unit square minus the approximant.
+
+    Returns ``(z, ring, unresolved)``: the point, its ``RingLocation``, and
+    the number of draws skipped because their ring was undetermined.
+    """
     unresolved = 0
     while True:
         z = (float(rng.random()), float(rng.random()))
         if point_in_approximant(z, alpha, depth):
             continue
         try:
-            ring_of_point(z, alpha, depth)
+            return z, ring_of_point(z, alpha, depth), unresolved
         except RingUndeterminedError:
             unresolved += 1
-            continue
-        return z, unresolved
 
 
 def verify_john(alpha: Alpha | float, depth: int, samples: int, seed: int,
@@ -349,7 +349,7 @@ def verify_john(alpha: Alpha | float, depth: int, samples: int, seed: int,
     points = np.empty((samples, 2))
     unresolved = 0
     for i in range(samples):
-        points[i], skipped = _draw_sample(rng, a, depth)
+        points[i], _, skipped = _draw_sample(rng, a, depth)
         unresolved += skipped
 
     def evaluate(i: int) -> tuple[float, float]:
@@ -399,9 +399,8 @@ def sample_ring_clearances(alpha: Alpha | float, depth: int, samples: int, seed:
     rows = np.empty((samples, 4))
     unresolved = 0
     for i in range(samples):
-        z, skipped = _draw_sample(rng, a, depth)
+        z, loc, skipped = _draw_sample(rng, a, depth)
         unresolved += skipped
-        loc = ring_of_point(z, a, depth)
         rows[i, 0], rows[i, 1] = z
         rows[i, 2] = loc.generation
     rows[:, 3] = distance_to_dust(rows[:, :2], starts, a ** measure_depth)

@@ -167,9 +167,8 @@ class TestFindFullDimensionPoint:
 
     def test_dust_point_keeps_local_dimension(self):
         grid = dust_grid(0.25, 6, 11)
-        radii = (0.25, 0.125, 0.0625)
-        p = find_full_dimension_point(grid, radii=radii)
-        ests = local_dimension_profile(grid, p, radii)
+        p = find_full_dimension_point(grid)
+        ests = local_dimension_profile(grid, p, (1 / 8, 1 / 16, 1 / 32))  # the finder's ladder
         assert min(e.slope for e in ests) >= 0.9
 
     def test_prefers_the_richer_component(self):

@@ -237,41 +237,16 @@ class TestCountsOnGrids:
 
 class TestCadConsumption:
     def test_round_trip_through_file(self, tmp_path):
-        from dustlab.cantor import approximant_from_cad
-        from dustlab.formats import write_cad
+        from dustlab.formats import read_cad, write_cad
 
         approx = generate_cantor(0.3, 3)
         path = tmp_path / "a.cad"
         write_cad(approx.alpha, approx.depth, [tuple(r) for r in approx.codes], path)
-        back = approximant_from_cad(path)
+        alpha, depth, codes = read_cad(path)
+        back = generate_cantor(alpha, depth)
         assert back.depth == 3
+        assert np.array_equal(codes, approx.codes)
         assert np.array_equal(back.codes, approx.codes)
-
-    def test_partial_list_rejected(self, tmp_path):
-        from dustlab.cantor import approximant_from_cad
-        from dustlab.formats import write_cad
-
-        approx = generate_cantor(0.3, 2)
-        path = tmp_path / "partial.cad"
-        write_cad(approx.alpha, 2, [tuple(r) for r in approx.codes[:-1]], path)
-        with pytest.raises(ParameterError):
-            approximant_from_cad(path)
-
-    def test_any_order_accepted_and_duplicates_rejected(self, tmp_path):
-        from dustlab.cantor import approximant_from_cad
-        from dustlab.formats import write_cad
-
-        approx = generate_cantor(0.3, 2)
-        path = tmp_path / "a.cad"
-        write_cad(approx.alpha, 2, approx.codes[::-1], path)
-        assert np.array_equal(approximant_from_cad(path).codes, approx.codes)
-        doubled = approx.codes.copy()
-        doubled[0] = doubled[1]
-        write_cad(approx.alpha, 2, doubled, path)
-        with pytest.raises(ParameterError):
-            approximant_from_cad(path)
-        write_cad(approx.alpha, 0, [()], path)
-        assert approximant_from_cad(path).codes.shape == (1, 0)
 
 
 @pytest.mark.parametrize("shape", [(15, 2), (5,), (16, 3), (17, 2)])

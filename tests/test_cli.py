@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from dustlab import cli
 from dustlab.cli import main
-from dustlab.formats import read_bgr, read_cad, write_bgr
+from dustlab.errors import (AssemblyError, BudgetError, ConstructionError, DustError, FormatError,
+                            ParameterError, PlacementError, RingUndeterminedError)
+from dustlab.formats import parse_bgr, read_cad, write_bgr
 from dustlab.geometry import BoxGrid, Square
 
 
@@ -236,7 +239,7 @@ class TestConstruct:
         prefix = tmp_path / "run"
         assert run("construct", "--in", str(grid_path), "--seed", "1",
                    "--out-prefix", str(prefix)) == 0
-        eprime = read_bgr(f"{prefix}.eprime.bgr")
+        eprime = parse_bgr((tmp_path / "run.eprime.bgr").read_bytes())
         assert eprime.occupied_count == 1
 
     def test_pipeline_writes_all_artifacts(self, tmp_path):
@@ -300,3 +303,19 @@ def test_non_utf8_grid_is_io_error(tmp_path, capsys, command, data):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert list(tmp_path.iterdir()) == [grid_path]
+
+
+@pytest.mark.parametrize("error, code", [
+    (ParameterError, 2), (BudgetError, 2), (ConstructionError, 3), (PlacementError, 3),
+    (AssemblyError, 3), (RingUndeterminedError, 3), (DustError, 3), (FormatError, 4),
+    (OSError, 4)])
+def test_exit_code_map(monkeypatch, capsys, error, code):
+    # the documented codes: 2 usage or parameter, 3 construction, 4 input/output
+    def failing(args):
+        raise error("planted")
+
+    monkeypatch.setattr(cli, "cmd_dim", failing)
+    assert run("dim", "--in", "unused.bgr") == code
+    captured = capsys.readouterr()
+    assert captured.err == "error: planted\n"
+    assert captured.out == ""

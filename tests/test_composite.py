@@ -1,5 +1,10 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dustlab import composite
 from dustlab.boxdim import ScaleSchedule, find_full_dimension_point, window_counts
@@ -139,9 +144,7 @@ class TestPlacement:
 class TestAssemble:
     def test_single_annulus_union_tracks_placement(self, full_chain):
         E, chain = full_chain
-        diam = placement_diameter(chain, 2)
-        rec = place_cantor_in_annulus(E, chain, 2, 1.8, trials=60, seed=3,
-                                      schedule_extent=diam / 2)
+        rec = place_cantor_in_annulus(E, chain, 2, 1.8, trials=60, seed=3)
         g, eprime, report = assemble_composite(E, chain, [rec])
         assert report.containment
         assert report.disjoint
@@ -241,7 +244,7 @@ class TestPipeline:
         result = run_pipeline(E, seed=1)
         assert result.eprime.occupied_count == 1
         assert result.report.dim_eprime.slope == pytest.approx(0.0, abs=1e-9)
-        assert result.point == E.cell_center(37, 100)
+        assert result.plan.center == E.cell_center(37, 100)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ParameterError):
@@ -339,17 +342,118 @@ def reference_placement(E, chain, index, b, trials, seed, schedule_extent):
     return PlacementRecord(index, float(alpha), depth, diameter, best[1], best[0])
 
 
-def test_placements_match_per_trial_reference_at_construct_workload():
+@pytest.fixture(scope="module")
+def construct_workload():
     # the benchmark's construct workload: a level-10 raster of the alpha 0.4,
     # depth-5 dust, 6 annuli, 160 trials per annulus, seed 5
     E = dust_grid(0.4, 5, 10)
-    seed = 5
-    result = run_pipeline(E, annuli=6, trials=160, seed=seed)
+    return E, run_pipeline(E, annuli=6, trials=160, seed=5)
+
+
+@pytest.fixture(scope="module")
+def construct_reference(construct_workload):
+    """Reference records for the construct plan's chain, fitted over the largest copy's scales."""
+    E, result = construct_workload
     plan = result.plan
     chain = AnnulusChain(plan.center, plan.half_widths)
     even = range(2, chain.count + 1, 2)
     extent = max(placement_diameter(chain, i) for i in even)
-    expected = tuple(reference_placement(E, chain, i, plan.b_seq[i - 1], 160, seed + 1000 * i,
-                                         extent) for i in even)
+    return tuple(reference_placement(E, chain, i, plan.b_seq[i - 1], 160, 5 + 1000 * i, extent)
+                 for i in even)
+
+
+def test_placements_match_per_trial_reference_at_construct_workload(construct_workload,
+                                                                    construct_reference):
+    plan = construct_workload[1].plan
     assert len(plan.placements) == 3
-    assert plan.placements == expected
+    assert plan.placements == construct_reference
+
+
+def test_lone_placement_derives_the_chains_extent(construct_workload, construct_reference):
+    # one call, given no extent, fits over the scales of the chain's largest copy
+    E, result = construct_workload
+    plan = result.plan
+    chain = AnnulusChain(plan.center, plan.half_widths)
+    for rec in construct_reference:
+        i = rec.index
+        assert place_cantor_in_annulus(E, chain, i, plan.b_seq[i - 1], 160, 5 + 1000 * i) == rec
+
+
+# check_plan on perturbed copies of the construct plan's records: every
+# field may leave its range, and no leaf of such a copy may be built.
+
+def perturbed(record, changes):
+    changes = dict(changes)
+    iso = Isometry(changes.pop("theta", record.iso.theta), changes.pop("reflect", record.iso.reflect),
+                   changes.pop("z", record.iso.z))
+    return replace(record, iso=iso, **changes)
+
+
+PERTURBATIONS = st.tuples(st.integers(0, 2), st.fixed_dictionaries({}, optional={
+    "index": st.integers(-1, 8),
+    "alpha": st.floats(),
+    "depth": st.integers(-2, 14),
+    "diameter": st.floats(),
+    "slope": st.floats(),
+    "theta": st.floats(),
+    "reflect": st.booleans(),
+    "z": st.tuples(st.floats(), st.floats()),
+}))
+
+
+def assert_builds_in_range(monkeypatch):
+    real = composite.generate_cantor
+
+    def checked(alpha, depth):
+        assert 0.0 < alpha < 0.5 and 0 <= depth <= composite.MAX_COPY_DEPTH, (alpha, depth)
+        return real(alpha, depth)
+
+    monkeypatch.setattr(composite, "generate_cantor", checked)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(PERTURBATIONS, min_size=1, max_size=2))
+@example([(0, {"alpha": 0.6})])
+@example([(0, {"depth": 13})])
+@example([(0, {"diameter": -0.001})])
+@example([(0, {"depth": 9})])
+@example([(0, {"depth": 9}), (1, {})])
+@example([(0, {"theta": math.nan}), (1, {"z": (0.5, math.inf)})])
+def test_check_plan_reports_and_never_raises(construct_workload, perturbations):
+    plan = construct_workload[1].plan
+    copies = tuple(perturbed(plan.placements[k], changes) for k, changes in perturbations)
+    with pytest.MonkeyPatch.context() as mp:
+        assert_builds_in_range(mp)
+        issues = check_plan(replace(plan, placements=copies))
+    assert isinstance(issues, list) and all(isinstance(s, str) for s in issues)
+
+
+@pytest.mark.parametrize("changes, issue", [
+    ({"alpha": 0.6}, "copy 2 ratio 0.6 is not in (0, 1/2)"),
+    ({"alpha": math.nan}, "copy 2 ratio nan is not in (0, 1/2)"),
+    ({"depth": 13}, "copy 2 depth 13 is not in 0..8"),
+    ({"depth": 9}, "copy 2 depth 9 is not in 0..8"),
+    ({"depth": -1}, "copy 2 depth -1 is not in 0..8"),
+    ({"diameter": -0.001}, "copy 2 diameter -0.001 is not finite and positive"),
+    ({"theta": math.inf}, "copy 2 theta inf is not finite"),
+    ({"z": (math.nan, 0.5)}, "copy 2 z[0] nan is not finite"),
+    ({"z": (0.5, -math.inf)}, "copy 2 z[1] -inf is not finite"),
+    ({"slope": math.nan}, "copy 2 slope nan is not finite"),
+])
+def test_out_of_range_copy_is_reported_before_any_leaf(construct_workload, monkeypatch,
+                                                        changes, issue):
+    plan = construct_workload[1].plan
+    one_copy = replace(plan, placements=(perturbed(plan.placements[0], changes),))
+    monkeypatch.setattr(composite, "generate_cantor", lambda *args: pytest.fail("a leaf was built"))
+    assert check_plan(one_copy) == [issue]
+
+
+def test_out_of_range_copy_is_left_out_of_the_replay(construct_workload, monkeypatch):
+    # a copy of the first record at depth 9 would overlap it; only the first is built
+    plan = construct_workload[1].plan
+    first = plan.placements[0]
+    assert_builds_in_range(monkeypatch)
+    assert check_plan(replace(plan, placements=(first, replace(first, depth=9)))) == [
+        "copy 2 depth 9 is not in 0..8"]
+    assert check_plan(replace(plan, placements=(first, first))) == [
+        "placed copies are not pairwise disjoint"]

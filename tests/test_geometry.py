@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from dustlab.errors import FormatError, ParameterError
-from dustlab.formats import (BGR_BLOCK_ROWS, dump_bgr, dump_cad, parse_bgr, parse_cad,
-                             read_bgr, write_bgr)
+from dustlab.formats import BGR_BLOCK_ROWS, dump_bgr, dump_cad, parse_bgr, parse_cad, write_bgr
 from dustlab.cantor import address_corners
 from dustlab.geometry import (Alpha, BoxGrid, Isometry, Square, grid_intersection,
                               quads_disjoint, rasterize, rasterize_quads, squares_to_quads)
@@ -271,7 +270,7 @@ class TestFormats:
         write_bgr(grid, path)
         assert path.read_bytes() == expected.encode()
         assert dump_bgr(grid) == expected
-        back = read_bgr(path)
+        back = parse_bgr(path.read_bytes())
         assert back.bounds == bounds
         assert back.level == level
         assert np.array_equal(back.bits, bits)

@@ -9,10 +9,11 @@ from dustlab import john
 from dustlab.cantor import address_corners, generate_cantor, interval_starts
 from dustlab.errors import DustError, ParameterError, RingUndeterminedError
 from dustlab.geometry import Alpha, as_alpha
-from dustlab.john import (UNIT_CENTER, JohnPath, _child_curve_boxes, build_john_path,
-                          curve_half_width, densify_polyline, distance_to_dust,
-                          distance_to_squares, point_in_approximant, ring_clearance_bound,
-                          ring_of_point, sample_ring_clearances, verify_john)
+from dustlab.john import (UNIT_CENTER, JohnPath, RingLocation, _child_curve_boxes,
+                          build_john_path, curve_half_width, densify_polyline,
+                          distance_to_dust, distance_to_squares, point_in_approximant,
+                          ring_clearance_bound, ring_of_point, sample_ring_clearances,
+                          verify_john)
 
 
 def dust_distance(points, alpha, depth):
@@ -23,12 +24,11 @@ def dust_distance(points, alpha, depth):
 class TestRingOfPoint:
     def test_unit_center_is_generation_zero(self):
         loc = ring_of_point((0.5, 0.5), 0.25, 3)
-        assert loc.kind == "ring"
         assert loc.generation == 0
         assert loc.word == ()
 
     def test_far_point_is_exterior(self):
-        assert ring_of_point((2.0, 2.0), 0.25, 3).kind == "exterior"
+        assert ring_of_point((2.0, 2.0), 0.25, 3) == RingLocation(-1, ())
 
     def test_sw_child_center_is_generation_one(self):
         loc = ring_of_point((0.125, 0.125), 0.25, 3)
@@ -98,6 +98,34 @@ class TestRingClearance:
             sample_ring_clearances(0.25, 3, -1, seed=1)
         rows, unresolved = sample_ring_clearances(0.25, 3, 0, seed=1)
         assert rows.shape == (0, 4) and unresolved == 0
+
+    @pytest.mark.parametrize("alpha, depth", [(0.25, 3), (0.3, 4), (0.45, 2)])
+    def test_rows_match_a_second_ring_lookup(self, monkeypatch, alpha, depth):
+        # each sample's ring comes from the lookup that accepted the draw;
+        # the rows equal those of drawing first and locating again
+        rng = np.random.default_rng(5)
+        expected, skipped = [], 0
+        while len(expected) < 300:
+            z = (float(rng.random()), float(rng.random()))
+            if point_in_approximant(z, alpha, depth):
+                continue
+            try:
+                ring_of_point(z, alpha, depth)
+            except RingUndeterminedError:
+                skipped += 1
+                continue
+            expected.append((*z, ring_of_point(z, alpha, depth).generation))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return ring_of_point(*args)
+
+        monkeypatch.setattr(john, "ring_of_point", counted)
+        rows, unresolved = sample_ring_clearances(alpha, depth, 300, seed=5)
+        assert unresolved == skipped
+        assert np.array_equal(rows[:, :3], np.array(expected))
+        assert len(calls) == 300 + unresolved
 
 
 class TestBuildPath:
@@ -359,7 +387,7 @@ def reference_build_john_path(z, alpha, depth) -> tuple[JohnPath, int]:
     vertices = [z]
     landings: list[tuple[int, int]] = []
 
-    if loc.kind == "exterior":
+    if loc.generation == -1:
         half = curve_half_width(a, 0)
         lo = UNIT_CENTER[0] - half
         hi = UNIT_CENTER[0] + half
@@ -367,7 +395,7 @@ def reference_build_john_path(z, alpha, depth) -> tuple[JohnPath, int]:
         if target != z:
             vertices.append(target)
         landings.append((0, len(vertices) - 1))
-        return JohnPath(np.array(vertices), z, -1, tuple(landings)), 0
+        return JohnPath(np.array(vertices), -1, tuple(landings)), 0
 
     detours = 0
     w = z
@@ -385,7 +413,7 @@ def reference_build_john_path(z, alpha, depth) -> tuple[JohnPath, int]:
                 vertices.append(v)
                 w = v
         landings.append((g, len(vertices) - 1))
-    return JohnPath(np.array(vertices), z, loc.generation, tuple(landings)), detours
+    return JohnPath(np.array(vertices), loc.generation, tuple(landings)), detours
 
 
 def assert_path_matches_reference(z, alpha, depth):
