@@ -154,6 +154,16 @@ class TestJohn:
         assert "over the budget" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("alpha, depth", [("1e-300", "3"), ("1e-200", "1")])
+    def test_unindexable_step_is_usage_error(self, tmp_path, capsys, alpha, depth):
+        # alpha**depth / 8 underflows to 0, or 2 / step exceeds 2**53
+        out = tmp_path / "john.csv"
+        assert run("john", "--alpha", alpha, "--depth", depth, "--samples", "5",
+                   "--seed", "1", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid step") and "Traceback" not in err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 from typing import Sequence
 
 import numpy as np
@@ -101,31 +103,37 @@ class TestRingClearance:
 
     @pytest.mark.parametrize("alpha, depth", [(0.25, 3), (0.3, 4), (0.45, 2)])
     def test_rows_match_a_second_ring_lookup(self, monkeypatch, alpha, depth):
-        # each sample's ring comes from the lookup that accepted the draw;
-        # the rows equal those of drawing first and locating again
+        # each sample's ring comes from the batched lookup that accepted the
+        # draw; the rows equal those of drawing first and locating again
         rng = np.random.default_rng(5)
         expected, skipped = [], 0
         while len(expected) < 300:
             z = (float(rng.random()), float(rng.random()))
-            if point_in_approximant(z, alpha, depth):
+            if scalar_point_in_approximant(z, alpha, depth):
                 continue
             try:
-                ring_of_point(z, alpha, depth)
+                scalar_ring_of_point(z, alpha, depth)
             except RingUndeterminedError:
                 skipped += 1
                 continue
-            expected.append((*z, ring_of_point(z, alpha, depth).generation))
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return ring_of_point(*args)
-
-        monkeypatch.setattr(john, "ring_of_point", counted)
+            expected.append((*z, scalar_ring_of_point(z, alpha, depth).generation))
+        located = count_located(monkeypatch)
         rows, unresolved = sample_ring_clearances(alpha, depth, 300, seed=5)
         assert unresolved == skipped
         assert np.array_equal(rows[:, :3], np.array(expected))
-        assert len(calls) == 300 + unresolved
+        assert sum(located) == 300 + unresolved
+
+
+def count_located(monkeypatch) -> list[int]:
+    """Patch the batched ring lookup to record how many rows each call locates."""
+    located, locate = [], john._locate
+
+    def counted(z, *args):
+        located.append(len(z))
+        return locate(z, *args)
+
+    monkeypatch.setattr(john, "_locate", counted)
+    return located
 
 
 class TestBuildPath:
@@ -198,6 +206,10 @@ class TestVerify:
         r6 = verify_john(0.25, 6, 150, seed=7)
         assert 0.5 <= r4.epsilon / r5.epsilon <= 2.0
         assert 0.5 <= r5.epsilon / r6.epsilon <= 2.0
+        r7 = verify_john(0.25, 7, 150, seed=7)
+        r8 = verify_john(0.25, 8, 150, seed=7)
+        assert 0.5 <= r6.epsilon / r7.epsilon <= 2.0
+        assert 0.5 <= r7.epsilon / r8.epsilon <= 2.0
 
     def test_narrow_gaps_give_smaller_epsilon(self):
         wide = verify_john(0.25, 3, 150, seed=7)
@@ -222,9 +234,58 @@ class TestVerify:
         def unreachable(*args):
             raise AssertionError("a source was drawn")
 
-        monkeypatch.setattr(john, "_draw_sample", unreachable)
+        monkeypatch.setattr(john, "_draw_sources", unreachable)
         with pytest.raises(ParameterError, match="jobs must be at least 1"):
             verify_john(0.25, 3, 10, seed=1, jobs=jobs)
+
+    @pytest.mark.parametrize("alpha, depth, seed", [(0.25, 3, 5), (0.45, 2, 1), (0.25, 2, 3)])
+    def test_each_draw_is_located_once(self, monkeypatch, alpha, depth, seed):
+        # the paths start from the rings found for the draws: samples +
+        # unresolved rows are located, where locating each path's source again
+        # made it 2 * samples + unresolved
+        located = count_located(monkeypatch)
+        report = verify_john(alpha, depth, 200, seed)
+        assert report.unresolved > 0
+        assert sum(located) == 200 + report.unresolved
+
+    @pytest.mark.parametrize("alpha, depth", [(1e-300, 3), (1e-200, 1), (0.05, 12)])
+    def test_unindexable_step_rejected_before_drawing(self, monkeypatch, alpha, depth):
+        # alpha**depth / 8 underflows to 0, or 2 / step exceeds 2**53
+        def unreachable(*args):
+            raise AssertionError("a source was drawn")
+
+        monkeypatch.setattr(john, "_draw_sources", unreachable)
+        with pytest.raises(ParameterError, match="too small to index exactly"):
+            verify_john(alpha, depth, 5, seed=1)
+
+    def test_step_bound_is_exact(self):
+        john._check_step(2.0 ** -52)  # ceil(2 / step) == 2**53
+        for step in (np.nextafter(2.0 ** -52, 0.0), 5e-324, 0.0, float("nan")):
+            with pytest.raises(ParameterError):
+                john._check_step(step)
+
+    def test_deep_runs_grow_by_breakpoints_not_points(self):
+        # densifying at alpha**n / 8 grew the peak x4 per depth: 29.2 MB at
+        # depth 8 and 116.9 MB at depth 9
+        peaks = {}
+        for depth in (8, 9):
+            tracemalloc.start()
+            try:
+                verify_john(0.25, depth, 20, seed=7)
+                peaks[depth] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[9] <= 2.5 * peaks[8]
+        assert peaks[8] < 27.9e6 / 4
+
+    def test_path_lengths_sum_like_each_path(self):
+        # numpy sums 8 or more terms pairwise, so 3-segment and 12-segment
+        # paths round differently from a running sum
+        rng = np.random.default_rng(4)
+        owner = np.repeat(np.arange(40), rng.integers(1, 20, size=40))
+        lengths = rng.random(len(owner)) * rng.random(len(owner)) ** 4
+        assert np.array_equal(john._path_lengths(owner, lengths, 40),
+                              [lengths[owner == i].sum() for i in range(40)])
 
     def test_sources_avoid_approximant(self):
         report = verify_john(0.4, 2, 100, seed=3)
@@ -463,3 +524,350 @@ def test_straight_path_matches_reference_beside_child_curves(alpha, depth, seed,
     z = {"W": (cx - half - gap, cy + t), "E": (cx + half + gap, cy + t),
          "S": (cx + t, cy - half - gap), "N": (cx + t, cy + half + gap)}[edge]
     assert_path_matches_reference(z, alpha, depth)
+
+
+# The scalar ring lookup, membership test and path builder as they stood
+# before the batched kernels, kept verbatim as the oracles they must match.
+def scalar_point_in_approximant(p: Sequence[float], alpha: Alpha | float, depth: int) -> bool:
+    a = float(as_alpha(alpha))
+    for t in (float(p[0]), float(p[1])):
+        if not 0.0 <= t <= 1.0:
+            return False
+        lo, s = 0.0, 1.0
+        for _ in range(depth):
+            if not 0.0 <= t - lo <= a * s:
+                if not (1.0 - a) * s <= t - lo <= s:
+                    return False
+                lo += (1.0 - a) * s
+            s *= a
+    return True
+
+
+def scalar_ring_of_point(z: Sequence[float], alpha: Alpha | float, depth: int) -> RingLocation:
+    a = float(as_alpha(alpha))
+    if depth < 0:
+        raise ParameterError(f"depth must be nonnegative, got {depth}")
+    z = (float(z[0]), float(z[1]))
+    base_half = curve_half_width(a, 0)
+    if max(abs(z[0] - UNIT_CENTER[0]), abs(z[1] - UNIT_CENTER[1])) > base_half:
+        return RingLocation(-1, ())
+    if scalar_point_in_approximant(z, a, depth):
+        raise RingUndeterminedError(
+            f"point {z} lies inside a generation-{depth} square; undetermined at this depth")
+
+    word: list[int] = []
+    corner, side = (0.0, 0.0), 1.0
+    for g in range(depth + 1):
+        centers, half = _child_curve_boxes(corner, side, a)
+        hit = next((q for q, (cx, cy) in enumerate(centers)
+                    if abs(z[0] - cx) <= half and abs(z[1] - cy) <= half), None)
+        if hit is None:
+            return RingLocation(g, tuple(word))
+        if g == depth:
+            raise RingUndeterminedError(
+                f"point {z} is closer than generation {depth} resolves; undetermined at this depth")
+        word.append(hit)
+        corner = (corner[0] + (hit & 1) * (1.0 - a) * side,
+                  corner[1] + (hit >> 1) * (1.0 - a) * side)
+        side *= a
+    raise AssertionError("unreachable")
+
+
+def scalar_segment_blocked(fixed: float, lo: float, hi: float, boxes, axis: int) -> bool:
+    centers, half = boxes
+    h = half * (1.0 - 1e-9)
+    for center in centers:
+        along, across = center[axis], center[1 - axis]
+        if across - h < fixed < across + h and hi > along - h and lo < along + h:
+            return True
+    return False
+
+
+def scalar_step_to_curve(w, center, half_width, boxes):
+    cx, cy = center
+    _, axis, coord = min(
+        (
+            (w[0] - (cx - half_width), 0, cx - half_width),
+            ((cx + half_width) - w[0], 0, cx + half_width),
+            (w[1] - (cy - half_width), 1, cy - half_width),
+            ((cy + half_width) - w[1], 1, cy + half_width),
+        ),
+        key=lambda side: side[0],
+    )
+    target = (coord, w[1]) if axis == 0 else (w[0], coord)
+    if scalar_segment_blocked(w[1 - axis], *sorted((w[axis], coord)), boxes, axis):
+        raise DustError(f"straight move to the guard curve blocked near {w}")
+    return target
+
+
+def scalar_build_john_path(z: Sequence[float], alpha: Alpha | float, depth: int) -> JohnPath:
+    a = float(as_alpha(alpha))
+    z = (float(z[0]), float(z[1]))
+    loc = scalar_ring_of_point(z, a, depth)
+
+    vertices = [z]
+    landings: list[tuple[int, int]] = []
+
+    if loc.generation == -1:
+        half = curve_half_width(a, 0)
+        lo = UNIT_CENTER[0] - half
+        hi = UNIT_CENTER[0] + half
+        target = (min(max(z[0], lo), hi), min(max(z[1], lo), hi))
+        if target != z:
+            vertices.append(target)
+        landings.append((0, len(vertices) - 1))
+        return JohnPath(np.array(vertices), -1, tuple(landings))
+
+    w = z
+    word = np.array(loc.word, dtype=np.uint8).reshape(1, -1)
+    for g in range(loc.generation, -1, -1):
+        corner = tuple(address_corners(word[:, :g], a)[0].tolist())
+        side = a ** g
+        center = (corner[0] + side / 2.0, corner[1] + side / 2.0)
+        half = curve_half_width(a, g)
+        boxes = _child_curve_boxes(corner, side, a)
+        v = scalar_step_to_curve(w, center, half, boxes)
+        if v != w:
+            vertices.append(v)
+            w = v
+        landings.append((g, len(vertices) - 1))
+    return JohnPath(np.array(vertices), loc.generation, tuple(landings))
+
+
+def scalar_outcome(fn, *args):
+    """What a scalar call returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except (RingUndeterminedError, DustError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(alpha=st.floats(0.02, 0.499), depth=st.integers(0, 6), seed=st.integers(0, 2**32 - 1),
+       exponent=st.floats(-15.0, -2.0))
+# a source on the north side of its generation-5 guard curve whose move is
+# blocked, in the oracle as in the batch
+@example(alpha=0.022013903243894285, depth=5, seed=0, exponent=-2.0)
+def test_batched_rings_and_paths_match_scalar_oracles(alpha, depth, seed, exponent):
+    # one batch of free points, points just beside child-curve box sides and
+    # points on guard-curve sides and corners of random addressed squares
+    rng = np.random.default_rng(seed)
+    points = list(rng.uniform(-0.6, 1.6, (16, 2)))
+    for _ in range(16):
+        g = int(rng.integers(0, depth + 1))
+        corner = address_corners(rng.integers(0, 4, size=(1, g), dtype=np.uint8), alpha)[0]
+        centers, half = _child_curve_boxes(tuple(corner), alpha ** g, alpha)
+        sign = rng.choice([-1.0, 1.0], size=2)
+        points.append(np.array(centers[rng.integers(0, 4)])
+                      + sign * half * (1.0 + 10.0 ** exponent * rng.integers(0, 2, 2)))
+        points.append(corner + alpha ** g / 2.0
+                      + sign * curve_half_width(alpha, g) * rng.integers(0, 2, 2))
+    z = np.array(points)
+
+    inside = john._in_approximant(z, alpha, depth)
+    assert inside.tolist() == [scalar_point_in_approximant(p, alpha, depth) for p in z]
+    outside = z[~inside]
+    gen, words = john._locate(outside, alpha, depth)
+    resolved = gen != john.UNRESOLVED
+    for p, g, w, ok in zip(outside, gen, words, resolved):
+        expected = scalar_outcome(scalar_ring_of_point, p, alpha, depth)
+        assert (RingLocation(int(g), tuple(w[:max(g, 0)].tolist())) if ok else
+                (RingUndeterminedError, expected[1])) == expected
+
+    sources, gen, words = outside[resolved], gen[resolved], words[resolved]
+    expected = [scalar_outcome(scalar_build_john_path, p, alpha, depth) for p in sources]
+    clear = np.array([isinstance(e, JohnPath) for e in expected], dtype=bool)
+    if not clear.all():  # a blocked move raises for the whole batch
+        with pytest.raises(DustError, match="blocked near"):
+            john._ascend(sources, gen, words, alpha)
+    columns = john._ascend(sources[clear], gen[clear], words[clear], alpha)
+    for path, e in zip(columns, [e for e in expected if isinstance(e, JohnPath)]):
+        moved = (path[1:] != path[:-1]).any(axis=1)
+        assert np.array_equal(np.concatenate((path[:1], path[1:][moved])), e.vertices)
+
+    # the public one-row calls go through the same kernels
+    for p in z[::6]:
+        assert point_in_approximant(p, alpha, depth) == scalar_point_in_approximant(p, alpha, depth)
+        assert (scalar_outcome(ring_of_point, p, alpha, depth)
+                == scalar_outcome(scalar_ring_of_point, p, alpha, depth))
+        one_row = scalar_outcome(build_john_path, p, alpha, depth)
+        expected = scalar_outcome(scalar_build_john_path, p, alpha, depth)
+        if isinstance(expected, JohnPath):
+            assert np.array_equal(one_row.vertices, expected.vertices)
+            assert (one_row.landings, one_row.ring_generation) == (expected.landings,
+                                                                   expected.ring_generation)
+        else:
+            assert one_row == expected
+
+
+def dense_worst_ratio(vertices, starts, side, step) -> float:
+    """The worst ratio along a path as the densified evaluation found it."""
+    z = vertices[0]
+    dense = densify_polyline(vertices, step)
+    d_set = distance_to_dust(dense, starts, side)
+    d_src = np.hypot(dense[:, 0] - z[0], dense[:, 1] - z[1])
+    mask = d_src > 1e-15
+    ratios = d_set[mask] / d_src[mask]
+    return float(ratios.min()) if len(ratios) else math.inf
+
+
+def candidate_worst_ratio(vertices, starts, side, step) -> float:
+    ends = np.stack((vertices[:-1], vertices[1:]), axis=1)
+    worst = john._worst_ratios(vertices[:1], np.zeros(len(ends), dtype=int), ends, starts, side,
+                               step)
+    assert np.all(worst == worst[0]) or np.all(np.isnan(worst))
+    return float(worst[0])
+
+
+#: Grid steps a generated segment spans at most, so the dense reference stays small.
+REACH = 20_000
+
+
+@st.composite
+def axis_parallel_paths(draw):
+    """(alpha, depth, vertices) of a path of axis-parallel moves from its source.
+
+    Each coordinate is free or within a few grid steps of an interval start,
+    an interval end or a gap midpoint, exactly on it in half the cases.
+    """
+    alpha, depth = draw(st.floats(0.05, 0.49)), draw(st.integers(1, 6))
+    starts, side = interval_starts(alpha, depth), alpha ** depth
+    step = side / 8.0
+    ends = starts + side
+    marks = {"start": starts, "end": ends, "gap": (ends[:-1] + starts[1:]) / 2.0}
+
+    def coordinate(t):
+        kind = draw(st.sampled_from(["free", "start", "end", "gap"]))
+        if kind != "free":
+            m = marks[kind]
+            near = m[np.clip(np.searchsorted(m, t) + draw(st.integers(-1, 0)), 0, len(m) - 1)]
+            near += draw(st.sampled_from([0.0, 0.0, 0.5, -1.25])) * step
+            if near != t and abs(near - t) <= REACH * step:
+                return near
+        return t + draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(1.0, REACH)) * step
+
+    vertices = [(draw(st.floats(-0.2, 1.2)), draw(st.floats(-0.2, 1.2)))]
+    vertices[0] = (coordinate(vertices[0][0]), coordinate(vertices[0][1]))
+    for _ in range(draw(st.integers(1, 4))):
+        axis = draw(st.integers(0, 1))
+        p = list(vertices[-1])
+        p[axis] = coordinate(p[axis])
+        vertices.append(tuple(p))
+    return alpha, depth, np.array(vertices)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=axis_parallel_paths())
+# at alpha 0.25, depth 2 the interval starts are 0, 0.1875, 0.75 and 0.9375,
+# the ends 0.0625, 0.25, 0.8125 and 1, and the gap midpoints 0.125, 0.5, 0.875
+@example(case=(0.25, 2, np.array([(0.5, 0.3), (0.25, 0.3), (0.25, 0.125), (0.8125, 0.125)])))
+@example(case=(0.25, 2, np.array([(0.4, 0.6), (0.4, 0.875), (0.125, 0.875)])))
+@example(case=(0.25, 2, np.array([(0.3, 0.45), (0.5, 0.45), (0.5, 1.0)])))
+@example(case=(0.3, 3, np.array([(0.5, 0.5), (0.5, 0.91), (1.0, 0.91)])))
+@example(case=(0.05, 6, np.array([(0.95 + 1e-9, 0.3), (0.95 + 2e-5, 0.3)])))
+# the last move runs 0.1 above the dust end 0.25 and 0.1 below a source
+# 1e-12 (1e-11) left of the interval end 0.25: the ratio falls 5e-12 below 1
+# near x = 0.35 and stays within 2**-44 of its minimum over 995 (312) grid
+# points, where rounding alone decides which one is lowest
+@example(case=(0.25, 6, np.array([(0.25 - 1e-12, 0.45), (0.25 - 1e-12, 0.35), (0.5, 0.35)])))
+@example(case=(0.25, 6, np.array([(0.25 - 1e-11, 0.45), (0.25 - 1e-11, 0.35), (0.5, 0.35)])))
+def test_candidate_minimum_equals_dense_minimum(case):
+    alpha, depth, vertices = case
+    starts, side = interval_starts(alpha, depth), alpha ** depth
+    expected = dense_worst_ratio(vertices, starts, side, side / 8.0)
+    got = candidate_worst_ratio(vertices, starts, side, side / 8.0)
+    assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+
+def continuous_minimum(vertices, starts, side) -> float:
+    """Exact minimum of d(q, dust) / d(q, source) along an axis-parallel path.
+
+    Between consecutive interval starts, interval ends and gap midpoints the
+    moving coordinate's distance to the 1-D approximant is 0 or |t - b| for
+    one interval end b, so the ratio's critical points on a piece are the
+    real roots of h p**2 + (e**2 - c**2 + h**2) p - h c**2, p = t - b.
+    """
+    z, ends = vertices[0], starts + side
+    cuts = np.sort(np.concatenate((starts, ends, (ends[:-1] + starts[1:]) / 2.0)))
+
+    def dist(t):
+        return float(john._distance_to_intervals(np.array([t]), starts, side)[0])
+
+    best = math.inf
+    for p, q in zip(vertices[:-1], vertices[1:]):
+        ax = int(p[0] == q[0])
+        c, e, t0 = dist(p[1 - ax]), p[1 - ax] - z[1 - ax], z[ax]
+        lo, hi = sorted((p[ax], q[ax]))
+        pieces = [lo, *cuts[(cuts > lo) & (cuts < hi)], hi]
+        for left, right in zip(pieces[:-1], pieces[1:]):
+            ts = [left, right]
+            mid = (left + right) / 2.0
+            if dist(mid) > 0.0:
+                i = np.searchsorted(starts, mid)
+                near = list(ends[max(i - 1, 0):i]) + list(starts[i:i + 1])
+                b = min(near, key=lambda b: abs(mid - b))
+                h = b - t0
+                roots = np.roots([h, e * e - c * c + h * h, -h * c * c]) if h else [0.0]
+                ts += [b + r.real for r in np.atleast_1d(roots)
+                       if abs(r.imag) == 0.0 and left <= b + r.real <= right]
+            for t in ts:
+                d_src = math.hypot(t - t0, e)
+                if d_src > 1e-15:
+                    best = min(best, math.hypot(dist(t), c) / d_src)
+    return best
+
+
+@pytest.mark.parametrize("alpha, depth, samples, seed",
+                         [(0.25, 4, 60, 7), (0.45, 3, 40, 2), (0.1, 5, 30, 3), (0.3, 6, 30, 5)])
+def test_continuous_minimum_certifies_reported_ratio(alpha, depth, samples, seed):
+    # the grid minimum can only overstate the path's true minimum; over
+    # these samples it does so by at most 2.9e-2 relative (alpha 0.45, depth 3)
+    report = verify_john(alpha, depth, samples, seed)
+    starts, side = interval_starts(alpha, depth), alpha ** depth
+    for z, reported in zip(report.points, report.worst_ratios):
+        exact = continuous_minimum(build_john_path(z, alpha, depth).vertices, starts, side)
+        assert exact <= reported * (1.0 + 1e-12)
+        assert reported <= exact * 1.05
+
+
+def reference_verify_john(alpha, depth, samples, seed):
+    """verify_john as it stood: pairwise draws, scalar paths, densified ratios.
+
+    Returns the sources, the worst ratios, the length constant and the
+    number of unresolved draws.
+    """
+    starts, side = interval_starts(alpha, depth), alpha ** depth
+    rng = np.random.default_rng(seed)
+    points, unresolved = [], 0
+    while len(points) < samples:
+        z = (float(rng.random()), float(rng.random()))
+        if scalar_point_in_approximant(z, alpha, depth):
+            continue
+        try:
+            scalar_ring_of_point(z, alpha, depth)
+        except RingUndeterminedError:
+            unresolved += 1
+            continue
+        points.append(z)
+    worst, stretch = [], []
+    for z in points:
+        path = scalar_build_john_path(z, alpha, depth)
+        worst.append(dense_worst_ratio(path.vertices, starts, side, side / 8.0))
+        anchor_dist = float(np.hypot(*(path.vertices[-1] - np.asarray(z))))
+        stretch.append(path.length / anchor_dist if anchor_dist > 1e-15 else 0.0)
+    return np.array(points), np.array(worst), max(stretch), unresolved
+
+
+@pytest.mark.parametrize("block", [john.CANDIDATE_BLOCK, 64])
+@pytest.mark.parametrize("alpha, depth, samples, seed",
+                         [(0.25, 3, 60, 7), (0.49, 9, 40, 1), (0.12, 3, 30, 2), (0.49, 2, 20, 5)])
+def test_report_matches_dense_reference(monkeypatch, block, alpha, depth, samples, seed):
+    # at alpha 0.49, depth 9, 8 paths have 8 to 10 segments, whose lengths
+    # numpy sums pairwise; small blocks split paths across threads
+    monkeypatch.setattr(john, "CANDIDATE_BLOCK", block)
+    report = verify_john(alpha, depth, samples, seed, jobs=3)
+    points, worst, length_constant, unresolved = reference_verify_john(alpha, depth, samples, seed)
+    assert np.array_equal(report.points, points)
+    assert np.array_equal(report.worst_ratios, worst)
+    assert report.length_constant == length_constant
+    assert report.unresolved == unresolved
