@@ -108,15 +108,17 @@ def overlap_counts(grid: BoxGrid, quads: np.ndarray, iso: Isometry, frame: np.nd
     every moved quad (``cantor.placed_frame`` of the copy).  When no
     occupied cell of the grid lies in the frame's cell span widened by one
     cell, which absorbs rounding, the counts are zero and the quads are
-    neither moved nor rasterized.  Otherwise the moved quads are rasterized
-    and counted only inside the window of cells they can meet, aligned to
-    whole cells of every schedule level.
+    neither moved nor rasterized.  Otherwise only the moved quads whose
+    cell box holds an occupied cell of the grid are rasterized, and they
+    are counted only inside the window of cells they can meet, aligned to
+    whole cells of every schedule level.  The grid's halvings that this
+    test reads are built once per grid (``BoxGrid.halved``).
     """
     _require_resolution(schedule, grid.level)
     if not _frame_meets_occupied(grid, frame):
         return dict.fromkeys(schedule.levels, 0)
     cells, bits = rasterize_quads_window(iso.apply(quads), grid.bounds, grid.level,
-                                         1 << (grid.level - schedule.levels[0]))
+                                         1 << (grid.level - schedule.levels[0]), grid)
     inter = grid.bits[cells] & bits
     if not inter.any():
         return dict.fromkeys(schedule.levels, 0)

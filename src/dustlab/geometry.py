@@ -17,6 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,6 +29,9 @@ SQRT2 = math.sqrt(2.0)
 
 #: Grids of more than this many cells are refused before they are allocated.
 CELL_BUDGET = 1 << 28
+
+#: Guards every grid's cache of halvings: trial threads share their target grid.
+_HALVINGS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -191,6 +195,19 @@ class BoxGrid:
             coarse = halve(coarse)
         return BoxGrid.adopt(self.bounds, level, coarse)
 
+    def halved(self, k: int) -> np.ndarray:
+        """``downsampled(level - k).bits``, cached read-only on the grid.
+
+        Each halving up to ``k`` is built once per grid, under a lock, and
+        kept for later calls; the cache goes with the grid.
+        """
+        with _HALVINGS_LOCK:
+            cache = self.__dict__.setdefault("_halvings", [self.bits])
+            while len(cache) <= k:
+                cache.append(halve(cache[-1]))
+                cache[-1].setflags(write=False)
+            return cache[k]
+
     @staticmethod
     def empty(bounds: Square, level: int) -> "BoxGrid":
         n = grid_size(level)
@@ -306,8 +323,8 @@ def rasterize_quads(quads: np.ndarray, bounds: Square, level: int) -> BoxGrid:
     return BoxGrid.adopt(bounds, level, bits)
 
 
-def rasterize_quads_window(quads: np.ndarray, bounds: Square, level: int,
-                           align: int) -> tuple[tuple[slice, slice], np.ndarray]:
+def rasterize_quads_window(quads: np.ndarray, bounds: Square, level: int, align: int,
+                           target: BoxGrid | None = None) -> tuple[tuple[slice, slice], np.ndarray]:
     """``rasterize_quads`` computed only over the cells the quads can meet.
 
     Returns ``(window, bits)``.  ``window`` is a (rows, columns) pair of
@@ -316,8 +333,15 @@ def rasterize_quads_window(quads: np.ndarray, bounds: Square, level: int,
     of two no larger than the grid), and ``bits`` equals the full raster
     over that window.  ``align = 2**level`` makes the window the whole
     grid.  When no quad meets the bounds the window is the first ``align``
-    block and holds no occupied cell.  Raises BudgetError when the grid
-    exceeds ``CELL_BUDGET``.
+    block and holds no occupied cell.
+
+    ``target`` is a grid over the same bounds and level whose occupied
+    cells are all the caller reads.  A quad whose cell box holds none of
+    them is then dropped: boxes are tested at the finest halving of
+    ``target`` at which each spans at most 2x2 cells.  ``bits`` and the
+    window then come from the kept quads only, and ``bits`` equals the
+    full raster at every occupied cell of ``target`` in the window.
+    Raises BudgetError when the grid exceeds ``CELL_BUDGET``.
     """
     quads = np.asarray(quads, dtype=float).reshape(-1, 4, 2)
     n = grid_size(level)
@@ -330,6 +354,12 @@ def rasterize_quads_window(quads: np.ndarray, bounds: Square, level: int,
     ix_lo, ix_hi, vx = _index_ranges(lo[:, 0], hi[:, 0], x0, w, n)
     iy_lo, iy_hi, vy = _index_ranges(lo[:, 1], hi[:, 1], y0, w, n)
     idx = np.nonzero(vx & vy)[0]
+    if target is not None and len(idx):
+        # at halving k every box spans at most 2x2 cells, so its four corners find each one
+        k = int(max((ix_hi - ix_lo)[idx].max(), (iy_hi - iy_lo)[idx].max())).bit_length()
+        xl, xh, yl, yh = (i[idx] >> k for i in (ix_lo, ix_hi, iy_lo, iy_hi))
+        occ = target.halved(k)
+        idx = idx[occ[yl, xl] | occ[yl, xh] | occ[yh, xl] | occ[yh, xh]]
     if len(idx) == 0:
         rows = cols = aligned_span(0, 0, align)
         return (rows, cols), np.zeros((align, align), dtype=bool)

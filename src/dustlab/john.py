@@ -224,7 +224,9 @@ def _ascend(z: np.ndarray, gen: np.ndarray, words: np.ndarray, a: float) -> np.n
         centers, box_half = _child_curve_boxes(corner.T, side, a)
         boxes = np.stack([np.column_stack(c) for c in centers], axis=1)
         along, across, fixed = boxes[r, :, ax], boxes[r, :, 1 - ax], p[r, 1 - ax][:, None]
-        h = box_half * (1.0 - 1e-9)  # a landing equal to a box side up to rounding does not graze
+        # a landing equal to a box side up to rounding does not graze; four ulps of the box
+        # coordinates keep the shrink when 1e-9 of a small half-width rounds away
+        h = box_half * (1.0 - 1e-9) - 4.0 * np.spacing(np.abs(boxes).max(axis=(1, 2)))[:, None]
         blocked = ((across - h < fixed) & (fixed < across + h)
                    & (hi > along - h) & (lo < along + h)).any(axis=1)
         if blocked.any():

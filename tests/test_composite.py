@@ -309,6 +309,12 @@ class TestPipeline:
         serial = run_pipeline(E, annuli=4, trials=30, seed=3, jobs=1)
         threaded = run_pipeline(E, annuli=4, trials=30, seed=3, jobs=3)
         assert serial.plan.to_json() == threaded.plan.to_json()
+        # a sparse set (3.5% of cells): trial scoring drops most moved leaves
+        # before the raster, and the threads share each slice's halvings
+        sparse = dust_grid(0.33, 5, 9)
+        serial = run_pipeline(sparse, annuli=4, trials=30, seed=3, min_mass=8, jobs=1)
+        threaded = run_pipeline(sparse, annuli=4, trials=30, seed=3, min_mass=8, jobs=3)
+        assert serial.plan.to_json() == threaded.plan.to_json()
 
 
 # Placement search as it stood before each copy's quads were built once and

@@ -5,9 +5,11 @@
 * ``ball_counts`` counts a ball inside an aligned window; the reference is
   ``box_counts`` of the full-grid ``clip_to_ball``.
 * ``overlap_counts`` scores a moved copy (a placement or Mattila trial)
-  inside the copy's aligned window, and scores zero without rasterizing
-  when the copy's frame reaches no occupied cell; the reference is the
-  same trial on full grids.
+  inside the copy's aligned window, scores zero without rasterizing when
+  the copy's frame reaches no occupied cell, and rasterizes only the
+  leaves whose cell box holds an occupied cell (tested on the target's
+  cached halvings, ``BoxGrid.halved``); the reference is the same trial
+  on full grids, sparse targets and single occupied cells included.
 * ``ScaleSchedule.resolving`` replaced three per-caller formulas, kept
   here verbatim.
 * ``rasterize`` became a thin entry to ``rasterize_quads``, whose block
@@ -20,7 +22,12 @@
   the vertex axis and ``np.ptp``, is kept here verbatim as the reference.
 """
 
+import gc
 import math
+import sys
+import time
+import weakref
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -33,7 +40,7 @@ from dustlab.boxdim import (ScaleSchedule, ball_counts, box_counts, clip_to_ball
 from dustlab.cantor import generate_cantor, placed_frame, scale_and_place, scaled_quads
 from dustlab.errors import ParameterError
 from dustlab.geometry import (_QUAD_BLOCK_LIMIT, SQRT2, BoxGrid, Isometry, Square, _index_ranges,
-                              aligned_span, grid_intersection, grid_size, rasterize,
+                              aligned_span, grid_intersection, grid_size, halve, rasterize,
                               rasterize_quads, rasterize_quads_window, squares_to_quads)
 
 SETTINGS = settings(max_examples=150, deadline=None,
@@ -327,6 +334,139 @@ def test_window_of_quads_outside_bounds_is_empty():
     cells, bits = rasterize_quads_window(quads, Square.unit(), 6, 8)
     assert cells == (slice(0, 8), slice(0, 8))
     assert not bits.any()
+
+
+@SETTINGS
+@given(level=st.integers(3, 8), bounds=bounds_strategy, alpha=st.floats(0.2, 0.45),
+       depth=st.integers(1, 4), diameter_frac=st.floats(0.01, 1.5),
+       theta=st.floats(0.0, 2 * math.pi), reflect=st.booleans(), zu=st.floats(-0.5, 1.5),
+       zv=st.floats(-0.5, 1.5), lo=st.integers(0, 6), seed=st.integers(0, 2**32 - 1),
+       density=st.sampled_from([0.0, 0.001, 0.005, 0.02]),
+       block=st.none() | st.tuples(st.integers(0, 255), st.integers(0, 255), st.integers(1, 8)))
+# quad 0 is pruned and a later quad scores, on and off the axes
+@example(level=6, bounds=UNIT, alpha=0.25, depth=2, diameter_frac=0.5 * SQRT2, theta=0.0,
+         reflect=False, zu=0.25, zv=0.25, lo=6, seed=0, density=0.0, block=(47, 47, 1))
+@example(level=7, bounds=UNIT, alpha=0.337, depth=3, diameter_frac=0.206, theta=4.924,
+         reflect=False, zu=0.554, zv=0.496, lo=6, seed=0, density=0.0, block=(73, 51, 1))
+# the one occupied cell lies in a box only past a level-k cell boundary, where
+# the gathers at the boxes' upper ends find it
+@example(level=7, bounds=UNIT, alpha=0.315, depth=3, diameter_frac=0.823, theta=0.235,
+         reflect=True, zu=0.24, zv=0.429, lo=6, seed=0, density=0.0, block=(113, 17, 1))
+# the box of quad 0 spans cells 1..8 (k = 3): one halving fewer, it would span
+# three cells a side, and the one occupied cell, 5, lies in the middle one
+@example(level=6, bounds=UNIT, alpha=0.4, depth=1, diameter_frac=7.5 / 64 / 0.4 * SQRT2,
+         theta=0.0, reflect=False, zu=1.25 / 64, zv=1.25 / 64, lo=6, seed=0, density=0.0,
+         block=(5, 5, 1))
+# the scoring box is clipped at the right edge of the grid, and at the bottom edge
+@example(level=5, bounds=UNIT, alpha=0.245, depth=1, diameter_frac=0.305, theta=0.154,
+         reflect=False, zu=0.793, zv=0.457, lo=6, seed=0, density=0.0, block=(31, 17, 1))
+@example(level=7, bounds=UNIT, alpha=0.274, depth=1, diameter_frac=0.356, theta=3.748,
+         reflect=False, zu=0.472, zv=0.067, lo=6, seed=0, density=0.0, block=(54, 0, 1))
+# the one occupied cell is a corner of a kept box that the rotated quad misses
+@example(level=6, bounds=UNIT, alpha=0.383, depth=2, diameter_frac=0.712, theta=5.869,
+         reflect=False, zu=0.435, zv=0.302, lo=6, seed=0, density=0.0, block=(27, 17, 1))
+def test_pruned_trial_counts_match_full_raster_on_sparse_targets(
+        level, bounds, alpha, depth, diameter_frac, theta, reflect, zu, zv, lo, seed, density,
+        block):
+    # sparse targets and single occupied blocks leave most boxes without an
+    # occupied cell, so the scorer drops most quads before the raster
+    n = 1 << level
+    bits = random_bits(seed, level, density)
+    if block is not None:
+        bx, by, size = block
+        bits[by % n:by % n + size, bx % n:bx % n + size] = True
+    target = BoxGrid(bounds, level, bits)
+    x0, y0 = bounds.corner
+    iso = Isometry(theta, reflect, (x0 + zu * bounds.side, y0 + zv * bounds.side))
+    diameter = diameter_frac * bounds.side
+    quads = scaled_quads(generate_cantor(alpha, depth), diameter)
+    schedule = ScaleSchedule.span(min(lo, level - 2), level)
+
+    full = rasterize_quads(iso.apply(quads), bounds, level)
+    expected = box_counts(grid_intersection(target, full), schedule)
+    assert overlap_counts(target, quads, iso, placed_frame(diameter, iso), schedule) == expected
+
+    align = 1 << (level - schedule.levels[0])
+    cells, window = rasterize_quads_window(iso.apply(quads), bounds, level, align, target)
+    assert all(span.start % align == 0 and span.stop % align == 0 for span in cells)
+    met = full.bits & target.bits
+    assert np.array_equal(window & target.bits[cells], met[cells])
+    met[cells] = False
+    assert not met.any()
+
+
+def test_quad_whose_box_meets_no_occupied_cell_does_not_widen_window():
+    quads = squares_to_quads(np.array([[0.05, 0.05], [0.8, 0.8]]), 0.1)
+    bits = np.zeros((64, 64), dtype=bool)
+    bits[54, 54] = True  # under the upper square only
+    target = BoxGrid(UNIT, 6, bits)
+    assert rasterize_quads_window(quads, UNIT, 6, 8)[0] == (slice(0, 64), slice(0, 64))
+    cells, window = rasterize_quads_window(quads, UNIT, 6, 8, target)
+    alone_cells, alone = rasterize_quads_window(quads[1:], UNIT, 6, 8)
+    assert cells == alone_cells == (slice(48, 64), slice(48, 64))
+    assert np.array_equal(window, alone)
+    bits[54, 54] = False
+    cells, window = rasterize_quads_window(quads, UNIT, 6, 8, BoxGrid(UNIT, 6, bits))
+    assert cells == (slice(0, 8), slice(0, 8)) and not window.any()
+
+
+@SETTINGS
+@given(level=st.integers(0, 8), data=st.data(), seed=st.integers(0, 2**32 - 1),
+       density=densities)
+def test_halvings_equal_downsampled_grids_and_are_read_only(level, data, seed, density):
+    grid = BoxGrid(Square.unit(), level, random_bits(seed, level, density))
+    k = data.draw(st.integers(0, level))
+    for j in (k, *range(k + 1)):  # the deepest first, then the cached ones on its way
+        assert np.array_equal(grid.halved(j), grid.downsampled(level - j).bits)
+        assert not grid.halved(j).flags.writeable
+    assert grid.halved(0) is grid.bits
+
+
+def test_halvings_are_built_once_per_grid_under_threads(monkeypatch):
+    shapes = []
+
+    def counted(bits):
+        shapes.append(bits.shape)
+        time.sleep(0.005)  # a slow halving: other threads reach the cache meanwhile
+        return halve(bits)
+
+    monkeypatch.setattr(geometry, "halve", counted)
+    grid = BoxGrid(UNIT, 6, random_bits(0, 6, 0.02))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads switch often, so an unguarded build would repeat
+    try:
+        with futures.ThreadPoolExecutor(max_workers=8) as pool:  # more threads than cores
+            levels = list(pool.map(lambda i: grid.halved(1 + i % 4), range(64), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert shapes == [(64, 64), (32, 32), (16, 16), (8, 8)]
+    assert all(a is grid.halved(1 + i % 4) for i, a in enumerate(levels))
+    assert len(shapes) == 4
+    # a second grid keeps its own halvings, and they go with it
+    other = BoxGrid(UNIT, 6, grid.bits)
+    other.halved(2)
+    assert len(shapes) == 6
+    gone = weakref.ref(other)
+    del other
+    gc.collect()
+    assert gone() is None
+
+
+def test_trials_on_one_grid_halve_it_once(monkeypatch):
+    shapes = []
+
+    def counted(bits):
+        shapes.append(bits.shape)
+        return halve(bits)
+
+    monkeypatch.setattr(geometry, "halve", counted)
+    target = BoxGrid(UNIT, 8, random_bits(3, 8, 0.01))
+    copy = generate_cantor(0.3, 3)
+    schedule = ScaleSchedule.span(3, 8)
+    for i in range(20):
+        iso = Isometry(0.3 * i, i % 2 == 1, (0.05 * i, 0.5 - 0.02 * i))
+        trial_counts(target, copy, 0.4, iso, schedule)
+    assert shapes and len(shapes) == len(set(shapes))
 
 
 # The formulas ScaleSchedule.resolving replaced, as they stood in boxdim

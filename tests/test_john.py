@@ -383,7 +383,7 @@ def test_point_in_approximant_matches_joint_descent(alpha, depth, seed, corner, 
 # many steps took the detour.
 def reference_segment_blocked(fixed: float, lo: float, hi: float, boxes, horizontal: bool) -> bool:
     centers, half = boxes
-    h = half * (1.0 - 1e-9)
+    h = half * (1.0 - 1e-9) - 4.0 * np.spacing(max(abs(c) for center in centers for c in center))
     for cx, cy in centers:
         if horizontal:
             blocked = cy - h < fixed < cy + h and hi > cx - h and lo < cx + h
@@ -575,7 +575,7 @@ def scalar_ring_of_point(z: Sequence[float], alpha: Alpha | float, depth: int) -
 
 def scalar_segment_blocked(fixed: float, lo: float, hi: float, boxes, axis: int) -> bool:
     centers, half = boxes
-    h = half * (1.0 - 1e-9)
+    h = half * (1.0 - 1e-9) - 4.0 * np.spacing(max(abs(c) for center in centers for c in center))
     for center in centers:
         along, across = center[axis], center[1 - axis]
         if across - h < fixed < across + h and hi > along - h and lo < along + h:
@@ -645,8 +645,9 @@ def scalar_outcome(fn, *args):
 @settings(max_examples=100, deadline=None)
 @given(alpha=st.floats(0.02, 0.499), depth=st.integers(0, 6), seed=st.integers(0, 2**32 - 1),
        exponent=st.floats(-15.0, -2.0))
-# a source on the north side of its generation-5 guard curve whose move is
-# blocked, in the oracle as in the batch
+# a source on a child-curve box side, up to rounding, at generation 4: a
+# shrink of 1e-9 of the box half-width rounds away there, and the move read
+# as blocked, in the oracle as in the batch, until the shrink kept four ulps
 @example(alpha=0.022013903243894285, depth=5, seed=0, exponent=-2.0)
 def test_batched_rings_and_paths_match_scalar_oracles(alpha, depth, seed, exponent):
     # one batch of free points, points just beside child-curve box sides and
@@ -698,6 +699,23 @@ def test_batched_rings_and_paths_match_scalar_oracles(alpha, depth, seed, expone
                                                                    expected.ring_generation)
         else:
             assert one_row == expected
+
+
+# the source of the @example above whose straight move read as blocked
+GRAZING_SOURCE = (0.0004846093510629458, 0.9995261123914525)
+
+
+def test_source_on_a_box_side_up_to_rounding_builds_the_oracle_path():
+    alpha, depth = 0.022013903243894285, 5
+    z = np.array([GRAZING_SOURCE])
+    gen, words = john._locate(z, alpha, depth)
+    expected = scalar_build_john_path(GRAZING_SOURCE, alpha, depth)
+    columns = john._ascend(z, gen, words, alpha)[0]
+    moved = (columns[1:] != columns[:-1]).any(axis=1)
+    assert np.array_equal(np.concatenate((columns[:1], columns[1:][moved])), expected.vertices)
+    path = build_john_path(GRAZING_SOURCE, alpha, depth)
+    assert np.array_equal(path.vertices, expected.vertices)
+    assert (path.ring_generation, path.landings) == (5, tuple((g, 5 - g) for g in range(5, -1, -1)))
 
 
 def dense_worst_ratio(vertices, starts, side, step) -> float:
