@@ -15,7 +15,7 @@ import sys
 
 from . import formats
 from .boxdim import ScaleSchedule, box_counts, counts_csv_lines, estimate_dimension
-from .cantor import alpha_for_dimension, cantor_dimension, generate_cantor
+from .cantor import CantorApproximant, alpha_for_dimension, cantor_dimension, generate_cantor
 from .composite import run_pipeline
 from .errors import DustError, FormatError, ParameterError
 from .geometry import Alpha, BoxGrid, Square, grid_size, rasterize
@@ -94,15 +94,15 @@ def cmd_gen(args) -> int:
         raise ParameterError("nothing to do: give --out and/or --grid-out")
     alpha = _resolve_alpha(args.alpha, args.dim, "--alpha", "--dim")
     if args.grid_out:
-        grid_size(args.level)
-    approx = generate_cantor(alpha, args.depth)
+        approx, grid = _raster_dust(alpha, args.depth, args.level)
+    else:
+        approx = generate_cantor(alpha, args.depth)
     print(_config_line(args, resolved_alpha=float(alpha),
                        resolved_dimension=cantor_dimension(alpha)))
     if args.out:
         formats.write_cad(alpha, args.depth, approx.codes, args.out)
         print(f"wrote {approx.count} addresses to {args.out}")
     if args.grid_out:
-        grid = rasterize(approx.leaf_corners(), Square.unit(), args.level, side=approx.side)
         formats.write_bgr(grid, args.grid_out)
         print(f"wrote level-{args.level} grid to {args.grid_out}")
     return 0
@@ -136,8 +136,7 @@ def cmd_john(args) -> int:
 
 def cmd_mattila(args) -> int:
     b_alpha = _resolve_alpha(args.b_alpha, args.b_dim, "--b-alpha", "--b-dim")
-    a_grid = _load_grid(args.a_in) if args.a_in else _raster_dust(
-        args.a_alpha, args.a_depth, args.level)
+    a_grid = _load_grid(args.a_in) if args.a_in else _raster_dust(args.a_alpha, args.a_depth, args.level)[1]
     b = generate_cantor(b_alpha, args.b_depth)
     survey = mattila_survey(a_grid, b, trials=args.trials, tolerance=args.tolerance,
                             seed=args.seed, jobs=args.jobs)
@@ -150,18 +149,19 @@ def cmd_mattila(args) -> int:
     return 0
 
 
-def _raster_dust(alpha: float, depth: int, level: int) -> BoxGrid:
+def _raster_dust(alpha: Alpha | float | None, depth: int, level: int) -> tuple[CantorApproximant, BoxGrid]:
     if alpha is None:
         raise ParameterError("give --a-in or --a-alpha")
-    approx = generate_cantor(Alpha(alpha), depth)
-    return rasterize(approx.leaf_corners(), Square.unit(), level, side=approx.side)
+    grid_size(level)
+    approx = generate_cantor(alpha, depth)
+    return approx, rasterize(approx.leaf_corners(), Square.unit(), level, side=approx.side)
 
 
 def cmd_construct(args) -> int:
     if args.infile:
         E = _load_grid(args.infile)
     elif args.gen_alpha is not None:
-        E = _raster_dust(args.gen_alpha, args.gen_depth, args.level)
+        E = _raster_dust(args.gen_alpha, args.gen_depth, args.level)[1]
     else:
         raise ParameterError("give an input grid with --in or --gen-alpha/--gen-depth")
     result = run_pipeline(E, annuli=args.annuli, trials=args.trials, seed=args.seed,

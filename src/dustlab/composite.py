@@ -43,19 +43,20 @@ D_SHAPE = 0.7
 class AnnulusChain:
     """Concentric square shells around a center point.
 
-    half_widths holds K+1 strictly decreasing values; annulus n (1-based)
-    is the set of points with Chebyshev distance to the center in
-    [half_widths[n], half_widths[n-1]).
+    half_widths holds K+1 strictly decreasing, finite, positive values; annulus n
+    (1-based) is the set of points with Chebyshev distance to the center in
+    [half_widths[n], half_widths[n-1]), and a grid cell lies in it when its centre does.
     """
 
     center: tuple[float, float]
     half_widths: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        hw = tuple(float(r) for r in self.half_widths)
-        if len(hw) < 2 or any(b >= a for a, b in zip(hw, hw[1:])) or hw[-1] <= 0:
-            raise ParameterError("half widths must be strictly decreasing and positive")
-        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
+        hw, center = tuple(map(float, self.half_widths)), (float(self.center[0]), float(self.center[1]))
+        valid = all(map(math.isfinite, center)) and all(math.inf > a > b > 0.0 for a, b in zip(hw, hw[1:]))
+        if len(hw) < 2 or not valid:  # a NaN fails every comparison
+            raise ParameterError("need a finite center and strictly decreasing, finite, positive half widths")
+        object.__setattr__(self, "center", center)
         object.__setattr__(self, "half_widths", hw)
 
     @property
@@ -65,9 +66,8 @@ class AnnulusChain:
     def width(self, n: int) -> float:
         return self.half_widths[n - 1] - self.half_widths[n]
 
-    def annulus_mask(self, grid: BoxGrid, n: int) -> np.ndarray:
-        d = _cheb_distances(grid, self.center)
-        return (d >= self.half_widths[n]) & (d < self.half_widths[n - 1])
+    def annulus_slice(self, grid: BoxGrid, n: int) -> BoxGrid:
+        return _annulus_slice(grid, self.center, self.half_widths[n], self.half_widths[n - 1])
 
 
 @dataclass(frozen=True)
@@ -158,16 +158,21 @@ class PipelineResult:
     report: ConstructionReport
 
 
-def _cheb_distances(grid: BoxGrid, center) -> np.ndarray:
-    w = grid.cell_size
-    x0, y0 = grid.bounds.corner
-    xs = x0 + (np.arange(grid.size) + 0.5) * w
-    ys = y0 + (np.arange(grid.size) + 0.5) * w
-    return np.maximum(np.abs(ys[:, None] - center[1]), np.abs(xs[None, :] - center[0]))
+def _annulus_slice(grid: BoxGrid, center, r_in: float, r_out: float) -> BoxGrid:
+    """The cells of ``grid`` whose centre has Chebyshev distance in [r_in, r_out) to ``center``.
 
+    max(dy, dx) < r exactly when dy < r and dx < r, so the slice is a difference of two blocks.
+    """
+    k = np.arange(grid.size) + 0.5
+    offsets = [np.abs(c0 + k * grid.cell_size - c) for c0, c in zip(grid.bounds.corner, center)]
 
-def _masked(grid: BoxGrid, mask: np.ndarray) -> BoxGrid:
-    return BoxGrid.adopt(grid.bounds, grid.level, grid.bits & mask)
+    def block(r: float) -> tuple[slice, ...]:  # offsets grow away from the centre, so each span is contiguous
+        return tuple(slice(np.argmax(near), np.argmax(near) + np.count_nonzero(near))
+                     for near in (offsets[1] < r, offsets[0] < r))  # rows, then columns, nearer than r
+    bits = np.zeros_like(grid.bits)
+    bits[block(r_out)] = grid.bits[block(r_out)]
+    bits[block(r_in)] = False
+    return BoxGrid.adopt(grid.bounds, grid.level, bits)
 
 
 def _slice_estimate(counts: dict[int, int], schedule: ScaleSchedule,
@@ -216,27 +221,22 @@ def build_annuli(E: BoxGrid, p, d_seq, min_mass: int) -> AnnulusChain:
     if r < 2.0 * cell:
         raise ConstructionError("annulus 1: center too close to the bounds to fit any shell")
 
-    cheb = _cheb_distances(E, p)
     radii = [r]
     for n, d_n in enumerate(d_seq, start=1):
         r_out = radii[-1]
-        chosen = None
         r_in = r_out / 2.0
         while r_in >= cell:
-            mask = (cheb >= r_in) & (cheb < r_out)
-            mass = int(np.count_nonzero(E.bits & mask))
-            if mass >= min_mass:
+            slice_grid = _annulus_slice(E, p, r_in, r_out)
+            if slice_grid.occupied_count >= min_mass:
                 schedule = ScaleSchedule.resolving(E, r_out - r_in)
-                est = _slice_estimate(box_counts(_masked(E, mask), schedule), schedule,
-                                      E.bounds.side)
+                est = _slice_estimate(box_counts(slice_grid, schedule), schedule, E.bounds.side)
                 if est.slope >= d_n - 0.1:
-                    chosen = r_in
                     break
             r_in /= 2.0
-        if chosen is None:
+        else:
             raise ConstructionError(
                 f"annulus {n}: no inner radius gives mass >= {min_mass} and slope >= {d_n - 0.1:.4g}")
-        radii.append(chosen)
+        radii.append(r_in)
     return AnnulusChain((float(p[0]), float(p[1])), tuple(radii))
 
 
@@ -302,7 +302,7 @@ def place_cantor_in_annulus(E: BoxGrid, chain: AnnulusChain, index: int, b: floa
     depth = _copy_depth(float(alpha), diameter, E.cell_size)
     quads = scaled_quads(generate_cantor(alpha, depth), diameter)
 
-    slice_grid = _masked(E, chain.annulus_mask(E, index))
+    slice_grid = chain.annulus_slice(E, index)
     if slice_grid.is_empty():
         raise PlacementError(f"annulus {index} holds no cells of the target set")
     extent = max(placement_diameter(chain, i) for i in range(2, chain.count + 1, 2))
@@ -420,8 +420,8 @@ def check_plan(plan: CompositePlan) -> list[str]:
             issues.append(f"b[{n}] = {b_n:.6g} is not below 2")
         if not b_n > 1.5:
             issues.append(f"b[{n}] = {b_n:.6g} is not above 3/2")
-    if any(b >= a for a, b in zip(plan.half_widths, plan.half_widths[1:])):
-        issues.append("half widths are not strictly decreasing")
+    if not all(math.inf > a > b > 0.0 for a, b in zip(plan.half_widths, plan.half_widths[1:])):
+        issues.append("half widths are not strictly decreasing, finite and positive")
     widths = [plan.half_widths[i] - plan.half_widths[i + 1] for i in range(K)]
     replayed = []
     for p in plan.placements:

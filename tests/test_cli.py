@@ -188,6 +188,14 @@ class TestMattila:
         assert "budget" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_level_over_budget_is_refused_before_the_dust_is_built(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "generate_cantor", lambda *args: pytest.fail("the dust was built"))
+        assert run("mattila", "--a-alpha", "0.3", "--a-depth", "9", "--level", "15",
+                   "--b-dim", "1.7", "--b-depth", "4", "--trials", "5", "--seed", "3",
+                   "--out", str(tmp_path / "survey.csv")) == 2
+        assert "over the budget" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("tolerance", ["nan", "inf"])
     def test_non_finite_tolerance_is_usage_error(self, tmp_path, capsys, tolerance):
         out = tmp_path / "survey.csv"
@@ -292,6 +300,13 @@ class TestConstruct:
         assert run("construct", "--gen-alpha", "0.4", "--gen-depth", "4", "--level", "40",
                    "--seed", "5", "--out-prefix", str(tmp_path / "run")) == 2
         assert "budget" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_level_over_budget_is_refused_before_the_dust_is_built(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "generate_cantor", lambda *args: pytest.fail("the dust was built"))
+        assert run("construct", "--gen-alpha", "0.4", "--gen-depth", "9", "--level", "15",
+                   "--seed", "5", "--out-prefix", str(tmp_path / "run")) == 2
+        assert "over the budget" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_subcommand_is_usage_error(self):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -70,16 +71,21 @@ class TestBuildAnnuli:
             assert b == pytest.approx(a / 2)
 
     def test_annuli_nested_and_disjoint(self, full_chain):
+        # E is the all-ones grid, so each slice holds every cell of its annulus
         E, chain = full_chain
-        masks = [chain.annulus_mask(E, n) for n in range(1, chain.count + 1)]
-        for i in range(len(masks)):
-            for j in range(i + 1, len(masks)):
-                assert not (masks[i] & masks[j]).any()
+        assert E.bits.all()
+        slices = [chain.annulus_slice(E, n).bits for n in range(1, chain.count + 1)]
+        for i in range(len(slices)):
+            for j in range(i + 1, len(slices)):
+                assert not (slices[i] & slices[j]).any()
+        d = cheb_distances(E, chain.center)
+        hw = chain.half_widths
+        assert np.array_equal(np.logical_or.reduce(slices), (d >= hw[-1]) & (d < hw[0]))
 
     def test_each_annulus_has_mass(self, full_chain):
         E, chain = full_chain
         for n in range(1, chain.count + 1):
-            assert int((E.bits & chain.annulus_mask(E, n)).sum()) >= 16
+            assert chain.annulus_slice(E, n).occupied_count >= 16
 
     def test_single_point_fails_immediately(self):
         bits = np.zeros((64, 64), dtype=bool)
@@ -97,12 +103,83 @@ class TestBuildAnnuli:
         chain = build_annuli(E, p, [0.5, 0.6, 0.7], min_mass=12)
         assert chain.count == 3
         for n in range(1, 4):
-            assert int((E.bits & chain.annulus_mask(E, n)).sum()) >= 12
+            assert chain.annulus_slice(E, n).occupied_count >= 12
 
     def test_requires_increasing_d(self):
         E = full_grid(6)
         with pytest.raises(ParameterError):
             build_annuli(E, (0.5, 0.5), [1.0, 0.9], min_mass=4)
+
+
+def cheb_distances(grid, center):
+    """Chebyshev distance of every cell centre to ``center``, as a dense field (the reference rule)."""
+    w = grid.cell_size
+    x0, y0 = grid.bounds.corner
+    xs = x0 + (np.arange(grid.size) + 0.5) * w
+    ys = y0 + (np.arange(grid.size) + 0.5) * w
+    return np.maximum(np.abs(ys[:, None] - center[1]), np.abs(xs[None, :] - center[0]))
+
+
+@st.composite
+def annulus_cases(draw):
+    """A grid over a square of any corner and side, a centre in or near it, and two radii."""
+    level = draw(st.integers(0, 7))
+    n = 1 << level
+    corner = (draw(st.floats(-4.0, 4.0)), draw(st.floats(-4.0, 4.0)))
+    bounds = Square(corner, draw(st.floats(0.01, 8.0)))
+    seed = draw(st.none() | st.integers(0, 2**32 - 1))  # None: the all-ones grid
+    bits = np.ones((n, n), dtype=bool) if seed is None else np.random.default_rng(seed).random((n, n)) < 0.5
+    grid = BoxGrid(bounds, level, bits)
+    center = tuple(c0 + draw(st.floats(-0.5, 1.5)) * bounds.side for c0 in corner)
+    offsets = np.unique(cheb_distances(grid, center))
+    radius = st.floats(0.0, 2.0 * bounds.side) | st.sampled_from(offsets.tolist())
+    return grid, center, draw(radius), draw(radius)
+
+
+@settings(max_examples=150, deadline=None)
+@given(annulus_cases())
+# radii equal to exact centre offsets: the ring at r_in lies in the slice, the ring at r_out does not
+@example((full_grid(3), (0.5, 0.5), 0.0625, 0.3125))
+# a centre on a cell boundary: the two middle rows and columns share one offset
+@example((full_grid(4), (0.5, 0.25), 0.03125, 0.21875))
+# r_in below half a cell around a cell corner: the inner block is empty
+@example((full_grid(5), (0.25, 0.75), 0.01, 0.2))
+# r_out past the grid: the outer block is the whole grid
+@example((full_grid(3), (0.2, 0.9), 0.3, 5.0))
+def test_annulus_slice_matches_the_dense_distance_rule(case):
+    grid, center, r_in, r_out = case
+    d = cheb_distances(grid, center)
+    got = composite._annulus_slice(grid, center, r_in, r_out)
+    assert got.bounds == grid.bounds and got.level == grid.level
+    assert np.array_equal(got.bits, grid.bits & ((d >= r_in) & (d < r_out)))
+
+
+class TestAnnulusChainValues:
+    @pytest.mark.parametrize("center, half_widths", [
+        ((0.5, 0.5), (0.5, math.nan, 0.1)),
+        ((0.5, 0.5), (0.4, 0.2, math.nan)),
+        ((0.5, 0.5), (math.nan, 0.2, 0.1)),
+        ((0.5, 0.5), (math.inf, 0.2, 0.1)),
+        ((0.5, 0.5), (0.4, 0.2, -0.01)),
+        ((0.5, 0.5), (0.4, 0.2, 0.0)),
+        ((0.5, 0.5), (0.4, 0.4, 0.1)),
+        ((0.5, 0.5), (0.4,)),
+        ((math.nan, 0.5), (0.4, 0.2, 0.1)),
+        ((0.5, -math.inf), (0.4, 0.2, 0.1)),
+    ])
+    def test_rejected(self, center, half_widths):
+        with pytest.raises(ParameterError, match="finite center and strictly decreasing"):
+            AnnulusChain(center, half_widths)
+
+    @pytest.mark.parametrize("half_widths", [
+        (0.4, 0.2, 0.1, 0.05, -0.01),
+        (0.4, 0.2, 0.1, math.nan, 0.025),
+        (math.inf, 0.2, 0.1, 0.05, 0.025),
+        (0.4, 0.2, 0.2, 0.05, 0.025),
+    ])
+    def test_check_plan_reports_them_once(self, half_widths):
+        plan = CompositePlan((0.5, 0.5), half_widths, (1.0, 1.1, 1.2, 1.3), (1.75, 1.8, 1.85, 1.9), ())
+        assert check_plan(plan) == ["half widths are not strictly decreasing, finite and positive"]
 
 
 class TestPlacement:
@@ -335,7 +412,8 @@ def reference_placement(E, chain, index, b, trials, seed, schedule_extent):
     alpha = alpha_for_dimension(b)
     depth = composite._copy_depth(float(alpha), diameter, E.cell_size)
     copy = generate_cantor(alpha, depth)
-    slice_grid = composite._masked(E, chain.annulus_mask(E, index))
+    d, hw = cheb_distances(E, chain.center), chain.half_widths
+    slice_grid = BoxGrid(E.bounds, E.level, E.bits & (d >= hw[index]) & (d < hw[index - 1]))
     schedule = ScaleSchedule.resolving(E, schedule_extent)
     window = Square.centered(chain.center, chain.half_widths[index - 1] + 1.5 * diameter)
     best = None
@@ -418,20 +496,29 @@ def assert_builds_in_range(monkeypatch):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(PERTURBATIONS, min_size=1, max_size=2))
-@example([(0, {"alpha": 0.6})])
-@example([(0, {"depth": 13})])
-@example([(0, {"diameter": -0.001})])
-@example([(0, {"depth": 9})])
-@example([(0, {"depth": 9}), (1, {})])
-@example([(0, {"theta": math.nan}), (1, {"z": (0.5, math.inf)})])
-def test_check_plan_reports_and_never_raises(construct_workload, perturbations):
+@given(st.lists(PERTURBATIONS, min_size=1, max_size=2),
+       st.dictionaries(st.integers(0, 6), st.floats(), max_size=2))
+@example([(0, {"alpha": 0.6})], {})
+@example([(0, {"depth": 13})], {})
+@example([(0, {"diameter": -0.001})], {})
+@example([(0, {"depth": 9})], {})
+@example([(0, {"depth": 9}), (1, {})], {})
+@example([(0, {"theta": math.nan}), (1, {"z": (0.5, math.inf)})], {})
+@example([(0, {})], {6: -0.01})
+@example([(0, {})], {3: math.nan})
+@example([(1, {})], {0: math.inf, 5: 0.0})
+def test_check_plan_reports_and_never_raises(construct_workload, perturbations, shells):
+    # shells replaces half widths by position; every plan field may leave its range
     plan = construct_workload[1].plan
     copies = tuple(perturbed(plan.placements[k], changes) for k, changes in perturbations)
+    half_widths = tuple(shells.get(i, r) for i, r in enumerate(plan.half_widths))
     with pytest.MonkeyPatch.context() as mp:
         assert_builds_in_range(mp)
-        issues = check_plan(replace(plan, placements=copies))
+        issues = check_plan(replace(plan, placements=copies, half_widths=half_widths))
     assert isinstance(issues, list) and all(isinstance(s, str) for s in issues)
+    hw = np.array(half_widths)
+    in_range = bool(np.isfinite(hw).all() and (hw > 0).all() and (np.diff(hw) < 0).all())
+    assert in_range == ("half widths are not strictly decreasing, finite and positive" not in issues)
 
 
 @pytest.mark.parametrize("changes, issue", [
@@ -463,3 +550,38 @@ def test_out_of_range_copy_is_left_out_of_the_replay(construct_workload, monkeyp
         "copy 2 depth 9 is not in 0..8"]
     assert check_plan(replace(plan, placements=(first, first))) == [
         "placed copies are not pairwise disjoint"]
+
+
+# Memory of the annulus slices at the construct workload: each slice is one
+# grid-sized bool array, with no grid-sized float field behind it.
+
+def traced_growth(call):
+    """Peak bytes that ``call()`` allocates above what was live before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_annuli_allocates_a_few_grids(construct_workload):
+    E, result = construct_workload
+    plan = result.plan
+    chain, growth = traced_growth(lambda: build_annuli(E, plan.center, plan.d_seq, min_mass=24))
+    assert chain.half_widths == plan.half_widths
+    assert growth < 4 * E.bits.nbytes
+
+
+def test_placement_allocates_a_few_grids(construct_workload):
+    E, result = construct_workload
+    plan = result.plan
+    chain = AnnulusChain(plan.center, plan.half_widths)
+    for rec in plan.placements:
+        i = rec.index
+        got, growth = traced_growth(
+            lambda: place_cantor_in_annulus(E, chain, i, plan.b_seq[i - 1], 160, 5 + 1000 * i))
+        assert got == rec
+        assert growth < 4 * E.bits.nbytes, i
