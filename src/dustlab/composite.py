@@ -32,6 +32,10 @@ from .parallel import check_jobs, parallel_map
 
 #: Copies are generated no deeper than this many subdivision steps.
 MAX_COPY_DEPTH = 8
+#: Largest coordinate a copy replayed by ``check_plan`` may reach.  The
+#: disjointness test multiplies coordinates by edge vectors; below this
+#: bound no product or sum comes near overflow (each stays below 2**1002).
+_MAX_REPLAY_REACH = 2.0 ** 500
 #: Fraction of the admissible maximum used as the actual copy diameter,
 #: keeping the strict diameter inequality robust to replay arithmetic.
 DIAMETER_SAFETY = 0.999
@@ -382,7 +386,11 @@ def assemble_composite(E: BoxGrid, chain: AnnulusChain, placements):
 
 
 def _copy_issues(p: PlacementRecord) -> list[str]:
-    """Fields of a placement that lie outside what the program places; builds no leaf."""
+    """Fields of a placement that lie outside what the program places; builds no leaf.
+
+    A copy with no such field is still refused when it reaches so far from
+    the origin that the disjointness replay could overflow.
+    """
     issues = []
     if not 0.0 < p.alpha < 0.5:
         issues.append(f"copy {p.index} ratio {p.alpha:.6g} is not in (0, 1/2)")
@@ -394,6 +402,10 @@ def _copy_issues(p: PlacementRecord) -> list[str]:
                         ("slope", p.slope)):
         if not math.isfinite(value):
             issues.append(f"copy {p.index} {name} {value} is not finite")
+    reach = max(abs(p.iso.z[0]), abs(p.iso.z[1])) + p.diameter  # bounds the frame's corners
+    if not issues and not reach < _MAX_REPLAY_REACH:
+        issues.append(f"copy {p.index} reaches {reach:.6g} from the origin, "
+                      f"beyond the {_MAX_REPLAY_REACH:.6g} that the disjointness replay can check")
     return issues
 
 

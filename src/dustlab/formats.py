@@ -9,7 +9,10 @@ line, letters ``A B C D`` standing for the quadrant codes 0 1 2 3
 (SW SE NW NE).
 
 Files are ASCII.  Lines break as ``str.splitlines`` breaks them (LF, CR LF,
-CR, VT, FF, FS, GS, RS), and the last break is optional.
+CR, VT, FF, FS, GS, RS), and the last break is optional.  A file laid out
+as the writers lay it out, with one LF after each line, is read without a
+scan for breaks; any other file, or one that fails a check, is read by
+the general scan, which decides every error.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import FormatError, ParameterError
 from .geometry import Alpha, BoxGrid, Square
@@ -32,6 +36,7 @@ _LETTERS = np.frombuffer(b"ABCD", dtype=np.uint8)
 
 #: Bytes that end a line; CR followed by LF ends one line.
 _BREAKS = np.frombuffer(b"\n\v\f\r\x1c\x1d\x1e", dtype=np.uint8)
+_LF = ord("\n")
 
 
 def _encode(codes: np.ndarray, letters: np.ndarray):
@@ -45,20 +50,42 @@ def _encode(codes: np.ndarray, letters: np.ndarray):
         yield text
 
 
-def _read(data: bytes | str, magic: str, what: str, types) -> tuple[list, np.ndarray, np.ndarray]:
+def _read(data: bytes | str, magic: str, what: str, types, width=None) -> tuple[list, np.ndarray, np.ndarray]:
     """Split a file into its header fields and the spans of the lines after the header.
 
     The header must be ``<magic> 1`` followed by one field per entry of
     ``types``, which converts it.  Returns ``(fields, buf, spans)``:
     ``buf`` is a uint8 view of the file, and the k-th line after the
-    header is ``buf[spans[k, 0]:spans[k, 1]]`` without its break.  One
-    scan finds every break; no line after the header is copied.
+    header is ``buf[spans[k, 0]:spans[k, 1]]`` without its break.  No line
+    after the header is copied.
+
+    Without ``width``, one scan of the file finds every break.  ``width``,
+    a function of the header fields giving the length of every line, asks
+    for the layout the writers give a file instead: the header ends at the
+    first break, an LF, and each line after it is ``width`` bytes followed
+    by LF, the last LF optional.  Then no byte after the header is
+    scanned: the spans follow from the header and the file length, and
+    one strided read checks the LF after each line.  A file in any other
+    layout raises FormatError.
     """
-    buf = np.frombuffer(data.encode() if isinstance(data, str) else data, dtype=np.uint8)
+    raw = data.encode() if isinstance(data, str) else data
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    if width is None:
+        spans = _break_spans(buf, what)
+        return _header(buf[:spans[0, 1]], magic, what, types), buf, spans[1:]
+    end = raw.find(b"\n")
+    if end < 0 or np.isin(buf[:end], _BREAKS).any():
+        raise FormatError("the header does not end in its first break, an LF")
+    fields = _header(buf[:end], magic, what, types)
+    return fields, buf, _lf_spans(buf, end + 1, width(*fields))
+
+
+def _break_spans(buf: np.ndarray, what: str) -> np.ndarray:
+    """Spans of every line of ``buf``, the header first, from one scan for control bytes."""
     ctrl = np.flatnonzero(buf < 0x20)
     is_break = np.isin(buf[ctrl], _BREAKS)
     pos = ctrl[is_break]
-    crlf = np.flatnonzero((buf[pos[:-1]] == ord("\r")) & (buf[pos[1:]] == ord("\n")) & (np.diff(pos) == 1))
+    crlf = np.flatnonzero((buf[pos[:-1]] == ord("\r")) & (buf[pos[1:]] == _LF) & (np.diff(pos) == 1))
     spans = np.column_stack((np.insert(np.delete(pos + 1, crlf), 0, 0),
                              np.append(np.delete(pos, crlf + 1), len(buf))))
     if len(spans) > 1 and spans[-1, 0] == len(buf):  # a break ends the last line
@@ -66,14 +93,39 @@ def _read(data: bytes | str, magic: str, what: str, types) -> tuple[list, np.nda
     stray = ctrl[~is_break]
     if len(stray) and stray[-1] > spans[0, 1]:  # other control bytes may sit in the header only
         raise FormatError(f"control byte {buf[stray[-1]]:#04x} after the {what} file header")
-    header = buf[:spans[0, 1]].tobytes()
+    return spans
+
+
+def _lf_spans(buf: np.ndarray, start: int, width: int) -> np.ndarray:
+    """Spans of the lines from ``start`` on, each ``width`` bytes and LF, the last LF optional."""
+    stride = width + 1
+    stop = len(buf) if buf[-1] == _LF else len(buf) + 1  # as if the last LF were there
+    if not (0 <= width < len(buf) and (stop - start) % stride == 0
+            and (buf[start + width:stop:stride] == _LF).all()):
+        raise FormatError(f"the lines are not {width} bytes each ended by LF")
+    first = np.arange(start, stop, stride)
+    return np.column_stack((first, first + width))
+
+
+def _header(header: np.ndarray, magic: str, what: str, types) -> list:
+    """Fields of a header line, each converted by its entry of ``types``."""
     try:
-        fields = header.decode("ascii").split()
+        fields = header.tobytes().decode("ascii").split()
         if len(fields) != len(types) + 2 or fields[:2] != [magic, "1"]:
             raise ValueError("wrong fields")
-        return [convert(f) for convert, f in zip(types, fields[2:])], buf, spans[1:]
+        return [convert(f) for convert, f in zip(types, fields[2:])]
     except ValueError as exc:  # UnicodeDecodeError is one
-        raise FormatError(f"bad {what} header {header!r}") from exc
+        raise FormatError(f"bad {what} header {header.tobytes()!r}") from exc
+
+
+def _written_layout_first(parse, data, width):
+    """``parse(data, width)``, the read of a file in the layout the writers
+    give it, or when that raises FormatError, ``parse(data, None)``, the
+    general read; so every error comes from the general read."""
+    try:
+        return parse(data, width)
+    except FormatError:
+        return parse(data, None)
 
 
 def _decode(buf: np.ndarray, spans: np.ndarray, width: int, letters: np.ndarray, what: str,
@@ -82,7 +134,10 @@ def _decode(buf: np.ndarray, spans: np.ndarray, width: int, letters: np.ndarray,
 
     The codes fill the rows of ``out``, or of a new uint8 array, which is
     allocated only once every line is known to have ``width`` letters.
-    Works BGR_BLOCK_ROWS lines at a time.
+    Works BGR_BLOCK_ROWS lines at a time.  Lines lie at least one break
+    byte apart, so a block whose lines are evenly spread lies exactly one
+    apart and is read as a strided view of the file; any other block is
+    read through a mask of its letters.
     """
     bad = np.flatnonzero(spans[:, 1] - spans[:, 0] != width)
     if len(bad) == 0:
@@ -91,9 +146,13 @@ def _decode(buf: np.ndarray, spans: np.ndarray, width: int, letters: np.ndarray,
             block = spans[start:start + BGR_BLOCK_ROWS]
             rows = out[start:start + len(block)]
             seg = buf[block[0, 0]:block[-1, 1]]
-            np.subtract(seg[seg >= 0x20].reshape(rows.shape), letters[0], out=rows)
-            bad = start + np.flatnonzero((rows >= len(letters)).any(axis=1))
-            if len(bad):
+            if block[-1, 0] - block[0, 0] == (len(block) - 1) * (width + 1):
+                lines = as_strided(seg, rows.shape, (width + 1, 1), writeable=False)
+            else:
+                lines = seg[seg >= 0x20].reshape(rows.shape)
+            np.subtract(lines, letters[0], out=rows)
+            if rows.max(initial=0) >= len(letters):  # a byte below the first letter wraps past them
+                bad = start + np.flatnonzero((rows >= len(letters)).any(axis=1))
                 break
     if len(bad):
         raise FormatError(f"bad {what} on line {bad[0] + 2}")
@@ -113,7 +172,12 @@ def dump_bgr(grid: BoxGrid) -> str:
 
 def parse_bgr(data: bytes | str) -> BoxGrid:
     """Read BGR v1 from bytes or text."""
-    (m, cx, cy, side), buf, spans = _read(data, "bgr", "grid", (int, float, float, float))
+    # no file has lines of -1 bytes: a level outside 0..63 goes to the general read, which refuses it
+    return _written_layout_first(_parse_bgr, data, lambda m, *_: 1 << m if 0 <= m < 64 else -1)
+
+
+def _parse_bgr(data: bytes | str, width) -> BoxGrid:
+    (m, cx, cy, side), buf, spans = _read(data, "bgr", "grid", (int, float, float, float), width)
     if m < 0 or not all(map(math.isfinite, (cx, cy, side))) or not side > 0.0:
         raise FormatError("bad grid header: need level >= 0, a finite corner "
                           "and a finite positive side")
@@ -142,7 +206,11 @@ def dump_cad(alpha: Alpha, depth: int, codes) -> str:
 
 def parse_cad(data: bytes | str) -> tuple[Alpha, int, np.ndarray]:
     """Read CAD v1 as ``(alpha, depth, codes)``, codes an (N, depth) uint8 array."""
-    (alpha, depth), buf, spans = _read(data, "cad", "address", (lambda f: Alpha(float(f)), int))
+    return _written_layout_first(_parse_cad, data, lambda alpha, depth: depth)
+
+
+def _parse_cad(data: bytes | str, width) -> tuple[Alpha, int, np.ndarray]:
+    (alpha, depth), buf, spans = _read(data, "cad", "address", (lambda f: Alpha(float(f)), int), width)
     if not 0 <= depth <= np.iinfo(np.intp).max:
         raise FormatError(f"bad address header: depth {depth} is negative or too large")
     return alpha, depth, _decode(buf, spans, depth, _LETTERS, "address")

@@ -111,10 +111,12 @@ def freeze(values, dtype) -> np.ndarray:
 def halve(bits: np.ndarray) -> np.ndarray:
     """One pairwise OR step: each 2x2 block of cells becomes one cell.
 
-    Both dimensions of ``bits`` must be even.  Returns a new array.
+    Both dimensions of ``bits`` must be even.  Returns a new array.  The
+    pairs of rows are ORed into a C-ordered array, where each pair of
+    cells is one uint16 word, nonzero when either cell is set.
     """
-    rows = bits[0::2] | bits[1::2]
-    return rows[:, 0::2] | rows[:, 1::2]
+    rows = np.bitwise_or(bits[0::2], bits[1::2], order="C")
+    return rows.view(np.uint16) != 0
 
 
 def aligned_span(lo: int, hi: int, step: int) -> slice:

@@ -11,6 +11,7 @@ is rejected (the oracle accepted it when no address line followed).
 """
 
 import math
+import tracemalloc
 from enum import IntEnum
 
 import numpy as np
@@ -233,11 +234,47 @@ class TestBgrCodec:
         write_bgr(grid, path)
         assert same_grid(parse_bgr(path.read_bytes()), grid)
 
+    # The examples keep the length of a file in the written layout (header, then 2**m rows of
+    # 2**m letters, each ended by LF), which the reader tries before its general scan.
     @settings(max_examples=600, deadline=None)
-    @given(st.data(), grids(max_level=3))
-    def test_malformed_agrees_with_oracle(self, data, grid):
-        assert_agrees(parse_bgr, oracle_parse_bgr, data.draw(mutated(dump_bgr(grid).encode())),
-                      same_grid)
+    @given(grids(max_level=3).flatmap(lambda grid: mutated(dump_bgr(grid).encode())))
+    @example(b"bgr 1 2 0 0 1\n0110\n1\n01\n0000\n1111\n")  # a letter became LF
+    @example(b"bgr 1 2 0 0 1\n011\n01001\n0000\n1111\n")  # ... and the LF after it a letter
+    @example(b"bgr 1 1 0 0 1\n01110\n")  # an LF became a letter
+    @example(b"bgr 1 2 0 0 1\n011\n10010\n0000\n1111\n")  # one line short, the next long
+    @example(b"bgr 1 2 0 0 1\n0110\n10010\n000\n1111\n")
+    @example(b"bgr 1 1 0 0 1\n0\x00\n10\n")
+    @example(b"bgr 1 1 0 0 1\n0\t\n10\n")
+    @example(b"bgr 1 1 0 0 1\n0\v\n10\n")
+    @example(b"bgr 1 1 0 0 1\n01\n1\v\n")
+    @example(b"bgr 1 1 0 0 1\n0\r\n10\n")  # a CR before a single LF
+    @example(b"bgr 1 1 0 0 1\r\n01\n10\n")  # a CR LF header over an LF body
+    @example(b"bgr 1 1 0 0\r1\n01\n10\n")  # a CR inside the header
+    @example(b"bgr 1 1 0 0 1\n01\n10")  # no final LF
+    @example(b"bgr 1 1 0 0 1\n01\n10\n\n")  # one LF too many
+    @example(b"bgr 1 0 0 0 1\n1")
+    @example(b"bgr 1 0 0 0 1\n\n\n")
+    @example(b"bgr 1 1 0 0 inf\n0\x00\n10\n")  # a bad header value and a control byte
+    @example(b"bgr 1 -1 0 0 1\n0\n")
+    @example(b"bgr 1 99 0 0 1\n0\n")
+    def test_malformed_agrees_with_oracle(self, data):
+        assert_agrees(parse_bgr, oracle_parse_bgr, data, same_grid)
+
+    def test_written_file_reads_with_little_more_memory_than_its_grid(self, tmp_path):
+        # the rows are read straight from the file into the grid, with no mask or copy of a block
+        n = 1 << 11
+        grid = BoxGrid(Square.unit(), 11, np.random.default_rng(11).random((n, n)) < 0.5)
+        write_bgr(grid, tmp_path / "g.bgr")
+        data = (tmp_path / "g.bgr").read_bytes()
+        tracemalloc.start()
+        try:
+            back = parse_bgr(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert same_grid(back, grid)
+        assert peak < 1.1 * n * n
+        assert same_grid(parse_bgr(data.replace(b"\n", b"\r\n")), grid)
 
     @pytest.mark.parametrize("data", [
         b"bgr 1 1 0 0 1\n0\xff\n00\n", b"bgr 1 1 0 0 1\xff\n00\n00\n",
@@ -274,11 +311,30 @@ class TestCadCodec:
         assert text == "cad 1 0.25 0\n\n" == oracle_dump_cad(Alpha(0.25), 0, [()])
         assert parse_cad(text)[2].shape == (1, 0)
 
+    # As for BGR, the examples keep the length of a file in the written layout.
     @settings(max_examples=600, deadline=None)
-    @given(st.data(), code_arrays(max_depth=3, max_rows=6))
-    def test_malformed_agrees_with_oracle(self, data, cad):
-        assert_agrees(parse_cad, oracle_parse_cad, data.draw(mutated(dump_cad(*cad).encode())),
-                      same_cad)
+    @given(code_arrays(max_depth=3, max_rows=6).flatmap(lambda cad: mutated(dump_cad(*cad).encode())))
+    @example(b"cad 1 0.25 2\nA\n\nCD\n")  # a letter became LF
+    @example(b"cad 1 0.25 2\nA\nBCD\n")  # ... and the LF after it a letter
+    @example(b"cad 1 0.25 2\nABC\nD\nAB\n")  # one line long, the next short
+    @example(b"cad 1 0.25 2\nABCCD\n")  # an LF became a letter
+    @example(b"cad 1 0.25 2\nA\x00\nCD\n")
+    @example(b"cad 1 0.25 2\nA\t\nCD\n")
+    @example(b"cad 1 0.25 2\nA\v\nCD\n")
+    @example(b"cad 1 0.25 2\nA\r\nCD\n")  # a CR before a single LF
+    @example(b"cad 1 0.25 2\r\nAB\nCD\n")  # a CR LF header over an LF body
+    @example(b"cad 1 0.25\r2\nAB\nCD\n")  # a CR inside the header
+    @example(b"cad 1 0.25 2\nAB\nCD")  # no final LF
+    @example(b"cad 1 0.25 2\nAB\nCD\n\n")  # one LF too many
+    @example(b"cad 1 0.25 0\n\n\n")  # depth 0: empty lines
+    @example(b"cad 1 0.25 0\n\nA\n")
+    @example(b"cad 1 0.25 0\n")
+    @example(b"cad 1 0.25 2\n")  # no address line
+    @example(b"cad 1 0.25 2")
+    @example(b"cad 1 0.25 -1\n")
+    @example(b"cad 1 0.7 2\nA\x00\nCD\n")  # a bad header value and a control byte
+    def test_malformed_agrees_with_oracle(self, data):
+        assert_agrees(parse_cad, oracle_parse_cad, data, same_cad)
 
     @pytest.mark.parametrize("data", [b"cad 1 0.25 1\nA\n\xffB\n", b"cad 1 0.25\xff 1\nA\n",
                                       b"cad 1 0.25 -1\n", b"cad 1 0.7 1\nA\n", b"cad 1 0.25 1\nA\x00\n",

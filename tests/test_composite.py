@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -507,12 +508,16 @@ def assert_builds_in_range(monkeypatch):
 @example([(0, {})], {6: -0.01})
 @example([(0, {})], {3: math.nan})
 @example([(1, {})], {0: math.inf, 5: 0.0})
+@example([(0, {"diameter": 1e308}), (1, {})], {})
+@example([(0, {"z": (1.7e308, 0.5)}), (1, {})], {})
 def test_check_plan_reports_and_never_raises(construct_workload, perturbations, shells):
-    # shells replaces half widths by position; every plan field may leave its range
+    # shells replaces half widths by position; every plan field may leave its range, and
+    # no step of the replay may overflow or leave its verdict to inf and NaN
     plan = construct_workload[1].plan
     copies = tuple(perturbed(plan.placements[k], changes) for k, changes in perturbations)
     half_widths = tuple(shells.get(i, r) for i, r in enumerate(plan.half_widths))
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         assert_builds_in_range(mp)
         issues = check_plan(replace(plan, placements=copies, half_widths=half_widths))
     assert isinstance(issues, list) and all(isinstance(s, str) for s in issues)
@@ -532,6 +537,8 @@ def test_check_plan_reports_and_never_raises(construct_workload, perturbations, 
     ({"z": (math.nan, 0.5)}, "copy 2 z[0] nan is not finite"),
     ({"z": (0.5, -math.inf)}, "copy 2 z[1] -inf is not finite"),
     ({"slope": math.nan}, "copy 2 slope nan is not finite"),
+    ({"z": (1.7e308, 0.5)}, "copy 2 reaches 1.7e+308 from the origin, "
+                            "beyond the 3.27339e+150 that the disjointness replay can check"),
 ])
 def test_out_of_range_copy_is_reported_before_any_leaf(construct_workload, monkeypatch,
                                                         changes, issue):
@@ -550,6 +557,10 @@ def test_out_of_range_copy_is_left_out_of_the_replay(construct_workload, monkeyp
         "copy 2 depth 9 is not in 0..8"]
     assert check_plan(replace(plan, placements=(first, first))) == [
         "placed copies are not pairwise disjoint"]
+    # a copy too large for the replay to check without overflow is left out as well
+    huge = check_plan(replace(plan, placements=(first, replace(first, diameter=1e308))))
+    assert huge[1:] == ["copy 2 reaches 1e+308 from the origin, "
+                        "beyond the 3.27339e+150 that the disjointness replay can check"]
 
 
 # Memory of the annulus slices at the construct workload: each slice is one

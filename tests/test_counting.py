@@ -2,6 +2,9 @@
 
 * ``BoxGrid.downsampled`` halves pairwise; the reference is the one-shot
   ``reshape(n, f, n, f).any(axis=(1, 3))`` block reduction.
+* ``halve`` ORs pairs of rows into a C-ordered array and reads each pair
+  of cells as one uint16 word; the two-slice OR it replaced is kept here
+  verbatim as the reference.
 * ``ball_counts`` counts a ball inside an aligned window; the reference is
   ``box_counts`` of the full-grid ``clip_to_ball``.
 * ``overlap_counts`` scores a moved copy (a placement or Mattila trial)
@@ -51,6 +54,11 @@ def reference_downsample(bits: np.ndarray, level: int, target: int) -> np.ndarra
     f = 1 << (level - target)
     n = 1 << target
     return bits.reshape(n, f, n, f).any(axis=(1, 3))
+
+
+def reference_halve(bits: np.ndarray) -> np.ndarray:
+    rows = bits[0::2] | bits[1::2]
+    return rows[:, 0::2] | rows[:, 1::2]
 
 
 def random_bits(seed: int, level: int, density: float) -> np.ndarray:
@@ -420,6 +428,40 @@ def test_halvings_equal_downsampled_grids_and_are_read_only(level, data, seed, d
         assert np.array_equal(grid.halved(j), grid.downsampled(level - j).bits)
         assert not grid.halved(j).flags.writeable
     assert grid.halved(0) is grid.bits
+
+
+#: Even-shaped bool arrays of each memory layout ``halve`` may be given, cut from random
+#: bits at least twice as tall and wide: (rows, columns, bits) -> array of that shape.
+HALVE_LAYOUTS = {
+    "C": lambda r, c, bits: np.ascontiguousarray(bits[:r, :c]),
+    "Fortran": lambda r, c, bits: np.asfortranarray(bits[:r, :c]),
+    "transposed": lambda r, c, bits: bits[:c, :r].T,
+    "column-strided": lambda r, c, bits: bits[:r, ::2][:, :c],
+    "read-only": lambda r, c, bits: read_only(bits[:r, :c].copy()),
+    "odd window": lambda r, c, bits: bits[1:r + 1, 3:c + 3],
+}
+
+
+def read_only(bits: np.ndarray) -> np.ndarray:
+    bits.setflags(write=False)
+    return bits
+
+
+@pytest.mark.parametrize("layout", HALVE_LAYOUTS)
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(0, 12), cols=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
+       density=densities)
+def test_halve_matches_two_slice_reference(layout, rows, cols, seed, density):
+    r, c = 2 * rows, 2 * cols
+    side = 2 * (r + c) + 4
+    source = np.random.default_rng(seed).random((side, side)) < density
+    bits = HALVE_LAYOUTS[layout](r, c, source)
+    before = bits.copy()
+    assert bits.shape == (r, c)
+    half = halve(bits)
+    assert half.dtype == bool and half.shape == (rows, cols)
+    assert np.array_equal(half, reference_halve(bits))
+    assert np.array_equal(bits, before)
 
 
 def test_halvings_are_built_once_per_grid_under_threads(monkeypatch):
