@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import BoxGrid, Isometry, aligned_span, halve, rasterize_quads_window
+from .geometry import _QUAD_BLOCK_LIMIT, BoxGrid, Isometry, _quad_hits, aligned_span, halve
 
 LN2 = math.log(2.0)
 #: Level of the coarse grid whose occupied cells find_full_dimension_point scores.
@@ -99,41 +99,39 @@ def window_counts(bits: np.ndarray, level: int, schedule: ScaleSchedule) -> dict
     return dict(sorted(counts.items()))
 
 
-def overlap_counts(grid: BoxGrid, quads: np.ndarray, iso: Isometry, frame: np.ndarray,
-                   schedule: ScaleSchedule) -> dict[int, int]:
-    """Occupied-cell counts per schedule level of a grid ANDed with the raster of moved quads.
+def overlap_counts(grid: BoxGrid, quads: np.ndarray, isos: Sequence[Isometry],
+                   frames: Sequence[np.ndarray], schedule: ScaleSchedule) -> list[dict[int, int]]:
+    """Counts per schedule level of the grid ANDed with ``rasterize_quads(isos[j].apply(quads))``.
 
-    Equals ``box_counts(grid_intersection(grid, rasterize_quads(iso.apply(quads),
-    grid.bounds, grid.level)), schedule)``.  ``frame`` is a quad holding
-    every moved quad (``cantor.placed_frame`` of the copy).  When no
-    occupied cell of the grid lies in the frame's cell span widened by one
-    cell, which absorbs rounding, the counts are zero and the quads are
-    neither moved nor rasterized.  Otherwise only the moved quads whose
-    cell box holds an occupied cell of the grid are rasterized, and they
-    are counted only inside the window of cells they can meet, aligned to
-    whole cells of every schedule level.  The grid's halvings that this
-    test reads are built once per grid (``BoxGrid.halved``).
+    A motion whose frame (``cantor.placed_frame``) reaches no occupied cell scores zero unmoved.
+    The others are moved ``_QUAD_BLOCK_LIMIT`` quads at a time, and only the occupied cells in
+    their boxes are tested (``_quad_hits``).  A cell met is keyed ``(t, Morton code)``, and
+    level m counts the distinct ``key >> 2 * (grid.level - m)``.
     """
     _require_resolution(schedule, grid.level)
-    if not _frame_meets_occupied(grid, frame):
-        return dict.fromkeys(schedule.levels, 0)
-    cells, bits = rasterize_quads_window(iso.apply(quads), grid.bounds, grid.level,
-                                         1 << (grid.level - schedule.levels[0]), grid)
-    inter = grid.bits[cells] & bits
-    if not inter.any():
-        return dict.fromkeys(schedule.levels, 0)
-    return window_counts(inter, grid.level, schedule)
+    counts = np.zeros((len(isos), len(schedule.levels)), dtype=np.int64)
+    w = grid.cell_size  # a frame widened by one cell absorbs the rounding of the moved leaves
+    spans = [_box_span(grid, frame.min(axis=0) - w, frame.max(axis=0) + w) for frame in frames]
+    live = [j for j, (iy0, iy1, ix0, ix1) in enumerate(spans)
+            if ix0 <= ix1 and iy0 <= iy1 and grid.bits[iy0:iy1 + 1, ix0:ix1 + 1].any()]
+    per = max(1, _QUAD_BLOCK_LIMIT // max(len(quads), 1))
+    for block in (live[s:s + per] for s in range(0, len(live), per)):
+        hits = _quad_hits(np.stack([isos[j].apply(quads) for j in block]), grid.bounds, grid.level, grid)
+        keys = np.sort(np.concatenate([np.zeros(0, dtype=np.int64)] +
+                                      [t << 2 * grid.level | _morton(c >> grid.level, c & (grid.size - 1))
+                                       for t, c in hits]))
+        # a key is new at level m when it differs from the one before above bit 2 * (level - m)
+        step, trial = keys ^ np.concatenate([[-1], keys[:-1]]), keys >> 2 * grid.level
+        for c, m in enumerate(schedule.levels):
+            counts[block, c] = np.bincount(trial[step >> 2 * (grid.level - m) != 0], minlength=len(block))
+    return [dict(zip(schedule.levels, map(int, row))) for row in counts]
 
 
-def _frame_meets_occupied(grid: BoxGrid, frame: np.ndarray) -> bool:
-    """Whether an occupied cell meets the frame's box widened by one cell on every side.
-
-    The widening absorbs the rounding by which moved leaves can stick out
-    of their moved frame.
-    """
-    w = grid.cell_size
-    iy0, iy1, ix0, ix1 = _box_span(grid, frame.min(axis=0) - w, frame.max(axis=0) + w)
-    return ix0 <= ix1 and iy0 <= iy1 and bool(grid.bits[iy0:iy1 + 1, ix0:ix1 + 1].any())
+def _morton(iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
+    """Bits of ix and iy (below 2**16) interleaved, ix's first: a level coarser is ``>> 2``."""
+    for s, mask in ((8, 0x00FF00FF), (4, 0x0F0F0F0F), (2, 0x33333333), (1, 0x55555555)):
+        iy, ix = (iy | iy << s) & mask, (ix | ix << s) & mask
+    return iy << 1 | ix
 
 
 def _require_resolution(schedule: ScaleSchedule, level: int) -> None:

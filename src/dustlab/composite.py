@@ -21,13 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxdim import (DimensionEstimate, ScaleSchedule, box_counts,
-                     estimate_dimension, find_full_dimension_point, overlap_counts)
-from .cantor import (alpha_for_dimension, generate_cantor, placed_frame,
-                     scale_and_place, scaled_quads)
+                     estimate_dimension, find_full_dimension_point)
+from .cantor import alpha_for_dimension, generate_cantor, scale_and_place, scaled_quads
 from .errors import AssemblyError, ConstructionError, ParameterError, PlacementError
 from .geometry import (BoxGrid, Isometry, Square, grid_intersection,
                        quads_disjoint, rasterize_quads)
-from .intersect import sample_isometry
+from .intersect import scored_trials
 from .parallel import check_jobs, parallel_map
 
 #: Copies are generated no deeper than this many subdivision steps.
@@ -315,10 +314,7 @@ def place_cantor_in_annulus(E: BoxGrid, chain: AnnulusChain, index: int, b: floa
     window = Square.centered(chain.center, window_half)
 
     best: tuple[float, Isometry] | None = None
-    for i in range(trials):
-        rng = np.random.default_rng([seed, i])
-        iso = sample_isometry(rng, window)
-        counts = overlap_counts(slice_grid, quads, iso, placed_frame(diameter, iso), schedule)
+    for iso, counts in scored_trials(slice_grid, quads, diameter, window, schedule, trials, seed, 1):
         est = _slice_estimate(counts, schedule, E.bounds.side)
         if not est.empty and (best is None or est.slope > best[0] + 1e-12):
             best = (est.slope, iso)

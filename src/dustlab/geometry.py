@@ -30,7 +30,7 @@ SQRT2 = math.sqrt(2.0)
 #: Grids of more than this many cells are refused before they are allocated.
 CELL_BUDGET = 1 << 28
 
-#: Guards every grid's cache of halvings: trial threads share their target grid.
+#: Guards every grid's caches (halvings, occupied cells): trial threads share their target grid.
 _HALVINGS_LOCK = threading.Lock()
 
 
@@ -210,6 +210,13 @@ class BoxGrid:
                 cache[-1].setflags(write=False)
             return cache[k]
 
+    def occupied_cells(self) -> np.ndarray:
+        """Sorted row-major indices ``iy * size + ix`` of the occupied cells, cached like ``halved``."""
+        with _HALVINGS_LOCK:
+            if "_occupied" not in self.__dict__:
+                self.__dict__["_occupied"] = freeze(np.flatnonzero(self.bits), np.int64)
+            return self.__dict__["_occupied"]
+
     @staticmethod
     def empty(bounds: Square, level: int) -> "BoxGrid":
         n = grid_size(level)
@@ -282,7 +289,8 @@ class Isometry:
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        return pts @ self.matrix().T + np.asarray(self.z)
+        # one (M, 2) @ (2, 2) product; a stacked (N, 4, 2) operand would take one per quad
+        return (pts.reshape(-1, 2) @ self.matrix().T).reshape(pts.shape) + np.asarray(self.z)
 
 
 def squares_to_quads(corners: np.ndarray, side: float) -> np.ndarray:
@@ -308,9 +316,8 @@ def quads_disjoint(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return disjoint
 
 
-#: Cells of scratch one rasterization block may span: congruent quads are
-#: grouped into blocks up to this size, and a larger quad is split into row bands.
-_QUAD_BLOCK_LIMIT = 1 << 22
+#: Quads moved at once by ``boxdim.overlap_counts``, and (quad, cell) pairs SAT-tested at once.
+_QUAD_BLOCK_LIMIT = 1 << 12
 
 
 def rasterize_quads(quads: np.ndarray, bounds: Square, level: int) -> BoxGrid:
@@ -321,89 +328,77 @@ def rasterize_quads(quads: np.ndarray, bounds: Square, level: int) -> BoxGrid:
     directions are tested closed.  Identity and quarter-turn images of
     grid-aligned squares therefore reproduce exact occupancy.
     """
-    _, bits = rasterize_quads_window(quads, bounds, level, grid_size(level))
+    bits = np.zeros((grid_size(level),) * 2, dtype=bool)
+    for _, cell in _quad_hits(np.asarray(quads, dtype=float).reshape(1, -1, 4, 2), bounds, level):
+        bits.reshape(-1)[cell] = True
     return BoxGrid.adopt(bounds, level, bits)
 
 
-def rasterize_quads_window(quads: np.ndarray, bounds: Square, level: int, align: int,
-                           target: BoxGrid | None = None) -> tuple[tuple[slice, slice], np.ndarray]:
-    """``rasterize_quads`` computed only over the cells the quads can meet.
+def _quad_hits(moved: np.ndarray, bounds: Square, level: int, target: BoxGrid | None = None):
+    """Yield blocks ``(t, iy * 2**level + ix)`` of the cells met by the quads ``moved[t]``, (T, N, 4, 2).
 
-    Returns ``(window, bits)``.  ``window`` is a (rows, columns) pair of
-    slices of the level-``level`` grid that covers every occupied cell,
-    with start and stop widened outward to multiples of ``align`` (a power
-    of two no larger than the grid), and ``bits`` equals the full raster
-    over that window.  ``align = 2**level`` makes the window the whole
-    grid.  When no quad meets the bounds the window is the first ``align``
-    block and holds no occupied cell.
-
-    ``target`` is a grid over the same bounds and level whose occupied
-    cells are all the caller reads.  A quad whose cell box holds none of
-    them is then dropped: boxes are tested at the finest halving of
-    ``target`` at which each spans at most 2x2 cells.  ``bits`` and the
-    window then come from the kept quads only, and ``bits`` equals the
-    full raster at every occupied cell of ``target`` in the window.
-    Raises BudgetError when the grid exceeds ``CELL_BUDGET``.
+    A quad's cell box is its extent taken half open, as in ``rasterize``, and
+    its cells take a closed SAT test on its edge directions (per t, congruent
+    quads share quad 0's).  With a ``target`` over the same bounds and level,
+    only its occupied cells are tested: boxes without one at the finest halving
+    where they span at most 2x2 cells are dropped, and a kept box row's cells
+    come from one ``searchsorted`` pair in ``target.occupied_cells()``.  A block
+    tests about ``_QUAD_BLOCK_LIMIT`` (quad, cell) pairs.
     """
-    quads = np.asarray(quads, dtype=float).reshape(-1, 4, 2)
+    trials, count = moved.shape[:2]
+    quads = moved.reshape(-1, 4, 2)
     n = grid_size(level)
-    w = bounds.side / n
-    x0, y0 = bounds.corner
-
+    w, (x0, y0) = bounds.side / n, bounds.corner
     # elementwise over the four vertices: reductions along a length-4 axis are slow
-    lo = np.minimum(np.minimum(quads[:, 0], quads[:, 1]), np.minimum(quads[:, 2], quads[:, 3]))
-    hi = np.maximum(np.maximum(quads[:, 0], quads[:, 1]), np.maximum(quads[:, 2], quads[:, 3]))
+    lo, hi = (f(f(quads[:, 0], quads[:, 1]), f(quads[:, 2], quads[:, 3])) for f in (np.minimum, np.maximum))
     ix_lo, ix_hi, vx = _index_ranges(lo[:, 0], hi[:, 0], x0, w, n)
     iy_lo, iy_hi, vy = _index_ranges(lo[:, 1], hi[:, 1], y0, w, n)
-    idx = np.nonzero(vx & vy)[0]
-    if target is not None and len(idx):
-        # at halving k every box spans at most 2x2 cells, so its four corners find each one
-        k = int(max((ix_hi - ix_lo)[idx].max(), (iy_hi - iy_lo)[idx].max())).bit_length()
-        xl, xh, yl, yh = (i[idx] >> k for i in (ix_lo, ix_hi, iy_lo, iy_hi))
-        occ = target.halved(k)
-        idx = idx[occ[yl, xl] | occ[yl, xh] | occ[yh, xl] | occ[yh, xh]]
-    if len(idx) == 0:
-        rows = cols = aligned_span(0, 0, align)
-        return (rows, cols), np.zeros((align, align), dtype=bool)
-    rows = aligned_span(int(iy_lo[idx].min()), int(iy_hi[idx].max()), align)
-    cols = aligned_span(int(ix_lo[idx].min()), int(ix_hi[idx].max()), align)
-    bits = np.zeros((rows.stop - rows.start, cols.stop - cols.start), dtype=bool)
+    valid = (vx & vy).reshape(trials, count)
+    # edge coordinates as rows, (T, 4, N): each max and min runs along a whole row
+    e = np.stack([moved[:, :, v, c] - moved[:, :, 0, c] for v in (1, 3) for c in (0, 1)], axis=1)
+    congruent = (count == 1) | (e.max(2, initial=-np.inf) - e.min(2, initial=np.inf) < 1e-12).all(axis=1)
+    del lo, hi, e  # freed now: the generator's frame outlives its yields
+    kept, slots = [np.zeros(0, dtype=np.int64)], [np.zeros((0, 2, 6))]
+    for t in np.nonzero(valid.any(axis=1))[0]:
+        idx = np.nonzero(valid[t])[0] + t * count
+        if target is not None:  # at halving k every box spans at most 2x2 cells: its corners find each one
+            k = int(max((ix_hi - ix_lo)[idx].max(), (iy_hi - iy_lo)[idx].max())).bit_length()
+            occ, (xl, xh, yl, yh) = target.halved(k), (i[idx] >> k for i in (ix_lo, ix_hi, iy_lo, iy_hi))
+            idx = idx[occ[yl, xl] | occ[yl, xh] | occ[yh, xl] | occ[yh, xh]]
+        kept.append(idx)
+        for ref, members in [(t * count, idx)] if congruent[t] else [(i, [i]) for i in idx]:
+            # per member and edge: unit axis, a cell's projection offsets, the member's span
+            slots.append(out := np.tile([0.0, 0.0, 0.0, 0.0, -np.inf, np.inf], (len(members), 2, 1)))
+            for j, edge in enumerate((quads[ref, 1] - quads[ref, 0], quads[ref, 3] - quads[ref, 0])):
+                axis = edge / norm if (norm := np.linalg.norm(edge)) > 0.0 else edge
+                if norm > 0.0 and min(abs(axis[0]), abs(axis[1])) >= 1e-12:
+                    rel, off = quads[ref] @ axis, (quads[members, 0] - quads[ref, 0]) @ axis
+                    out[:, j, :4] = (axis[0], axis[1], w * (min(axis[0], 0.0) + min(axis[1], 0.0)),
+                                     w * (max(axis[0], 0.0) + max(axis[1], 0.0)))
+                    out[:, j, 4], out[:, j, 5] = off + rel.min(), off + rel.max()
+    kept, slots = np.concatenate(kept), np.concatenate(slots)
 
-    def fill(ref, axes, chunk, lo_y, hi_y, bw, bh):
-        """OR quads ``chunk`` into ``bits``: rows lo_y..hi_y, bh at most, of their extents."""
-        ix = ix_lo[chunk, None, None] + np.arange(bw)
-        iy = lo_y[:, None, None] + np.arange(bh)[:, None]
-        keep = (ix <= ix_hi[chunk, None, None]) & (iy <= hi_y[:, None, None])
-        if axes:
-            cx = x0 + ix * w
-            cy = y0 + iy * w
-            shift = quads[chunk, 0] - quads[ref, 0]
-            for axis in axes:
-                # closed overlap of each cell's projection with the quad's
-                base = cx * axis[0] + cy * axis[1]
-                amin = base + w * (min(axis[0], 0.0) + min(axis[1], 0.0))
-                amax = base + w * (max(axis[0], 0.0) + max(axis[1], 0.0))
-                rel = quads[ref] @ axis
-                off = shift @ axis
-                keep &= (amax >= (off + rel.min())[:, None, None]) & \
-                        (amin <= (off + rel.max())[:, None, None])
-        bits.reshape(-1)[((iy - rows.start) * bits.shape[1] + (ix - cols.start))[keep]] = True
+    quad, row = _ranges(iy_lo[kept], iy_hi[kept] - iy_lo[kept] + 1)
+    first, last = row * n + ix_lo[kept[quad]], row * n + ix_hi[kept[quad]]
+    if target is not None:
+        cells = target.occupied_cells()
+        first, last = np.searchsorted(cells, first), np.searchsorted(cells, last, side="right") - 1
+    size = last - first + 1
+    blocks = _QUAD_BLOCK_LIMIT * np.arange(1, size.sum() // _QUAD_BLOCK_LIMIT + 1)
+    tests = [slots[:, j].T for j in (0, 1) if slots[:, j, 0].any()]  # the edges that test a cell
+    for rows in np.split(np.arange(len(size)), np.searchsorted(np.cumsum(size), blocks)):
+        seg, cell = _ranges(first[rows], size[rows])
+        owner, cell = quad[rows][seg], (cell if target is None else cells[cell])
+        keep = np.ones(len(cell), dtype=bool)
+        if tests:  # closed overlap of each cell's projection with the quad's
+            cx, cy = x0 + (cell & (n - 1)) * w, y0 + (cell >> level) * w
+            for ax, ay, cmin, cmax, amin, amax in (slot[:, owner] for slot in tests):
+                base = cx * ax + cy * ay
+                keep &= (base + cmax >= amin) & (base + cmin <= amax)
+        yield kept[owner[keep]] // count, cell[keep]
 
-    e1 = quads[:, 1] - quads[:, 0]
-    e2 = quads[:, 3] - quads[:, 0]
-    congruent = len(quads) == 1 or all(c.max() - c.min() < 1e-12 for c in (*e1.T, *e2.T))
-    # congruent quads share the first quad's edge directions; others go one at a time
-    for ref, group in [(0, idx)] if congruent else [(i, idx[k:k + 1]) for k, i in enumerate(idx)]:
-        # unit edge directions, leaving out degenerate and grid-parallel ones
-        axes = [e / norm for e in (e1[ref], e2[ref]) if (norm := np.linalg.norm(e)) > 0.0]
-        axes = [a for a in axes if min(abs(a[0]), abs(a[1])) >= 1e-12]
-        bw = int((ix_hi[group] - ix_lo[group]).max()) + 1
-        bh = int((iy_hi[group] - iy_lo[group]).max()) + 1
-        band = min(bh, max(1, _QUAD_BLOCK_LIMIT // bw))  # rows per block
-        per = max(1, _QUAD_BLOCK_LIMIT // (bw * band))  # quads per block
-        for start in range(0, len(group), per):
-            chunk = group[start:start + per]
-            lo_y, hi_y = iy_lo[chunk], iy_hi[chunk]
-            for r in range(0, bh, band):
-                fill(ref, axes, chunk, lo_y + r, np.minimum(hi_y, lo_y + (r + band - 1)), bw, band)
-    return (rows, cols), bits
+
+def _ranges(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Range number and value of every integer of the ranges [first[i], first[i] + count[i])."""
+    owner = np.repeat(np.arange(len(count)), count)
+    return owner, first[owner] + (np.arange(len(owner)) - (np.cumsum(count) - count)[owner])

@@ -108,13 +108,29 @@ def intersection_dimension(a: BoxGrid, b: CantorApproximant, iso: Isometry) -> D
     per-trial slopes are comparable with it.  The copy keeps its unit
     frame: diameter sqrt(2) scales it by exactly 1.
     """
-    return _moved_copy_dimension(a, scaled_quads(b, SQRT2), iso)
-
-
-def _moved_copy_dimension(a: BoxGrid, quads: np.ndarray, iso: Isometry) -> DimensionEstimate:
-    """``intersection_dimension`` given B's unit-frame quads, built once per survey."""
-    counts = overlap_counts(a, quads, iso, placed_frame(SQRT2, iso), ScaleSchedule.default_for(a))
+    (counts,) = overlap_counts(a, scaled_quads(b, SQRT2), [iso], [placed_frame(SQRT2, iso)],
+                               ScaleSchedule.default_for(a))
     return estimate_dimension(counts, side=a.bounds.side)
+
+
+#: Trials drawn and scored per ``overlap_counts`` call; threads take whole batches.
+TRIAL_BATCH = 64
+
+
+def scored_trials(grid: BoxGrid, quads: np.ndarray, diameter: float, window: Square,
+                  schedule: ScaleSchedule, trials: int, seed: int, jobs: int) -> list:
+    """``(motion, overlap_counts)`` of trials 0..trials-1 of a copy's unmoved quads, in order.
+
+    Trial i draws its motion over ``window`` from ``default_rng([seed, i])``, so no
+    result depends on ``jobs`` or on how the trials are batched.
+    """
+    def batch(b: int):
+        isos = [sample_isometry(np.random.default_rng([seed, i]), window)
+                for i in range(b * TRIAL_BATCH, min(trials, (b + 1) * TRIAL_BATCH))]
+        frames = [placed_frame(diameter, iso) for iso in isos]
+        return zip(isos, overlap_counts(grid, quads, isos, frames, schedule))
+
+    return [row for rows in parallel_map(batch, -(-trials // TRIAL_BATCH), jobs) for row in rows]
 
 
 def mattila_survey(a: BoxGrid, b: CantorApproximant, trials: int, tolerance: float = 0.15,
@@ -147,17 +163,12 @@ def mattila_survey(a: BoxGrid, b: CantorApproximant, trials: int, tolerance: flo
     window = default_survey_window(a)
     threshold = s + t - 2.0
     floor = threshold - tolerance
-    quads = scaled_quads(b, SQRT2)
-
-    def run_trial(i: int) -> TrialRow:
-        rng = np.random.default_rng([seed, i])
-        iso = sample_isometry(rng, window)
-        est = _moved_copy_dimension(a, quads, iso)
+    rows = []
+    for i, (iso, counts) in enumerate(scored_trials(a, scaled_quads(b, SQRT2), SQRT2, window,
+                                                    ScaleSchedule.default_for(a), trials, seed, jobs)):
+        est = estimate_dimension(counts, side=a.bounds.side)
         hit = (not est.empty) and est.slope >= floor
-        return TrialRow(i, iso.theta, iso.reflect, iso.z[0], iso.z[1],
-                        est.slope, est.empty, hit)
-
-    rows = parallel_map(run_trial, trials, jobs)
+        rows.append(TrialRow(i, iso.theta, iso.reflect, *iso.z, est.slope, est.empty, hit))
     hits = sum(r.hit for r in rows)
     return MattilaSurvey(s, t, threshold, tolerance, trials, hits,
                          tuple(rows), seed, window)

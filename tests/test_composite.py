@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dustlab import composite
-from dustlab.boxdim import ScaleSchedule, find_full_dimension_point, window_counts
+from dustlab.boxdim import ScaleSchedule, find_full_dimension_point
 from dustlab.cantor import alpha_for_dimension, generate_cantor, scale_and_place
 from dustlab.composite import (AnnulusChain, CompositePlan, PlacementRecord,
                                assemble_composite, build_annuli, check_plan,
@@ -17,8 +17,9 @@ from dustlab.composite import (AnnulusChain, CompositePlan, PlacementRecord,
                                placement_diameter, run_pipeline)
 from dustlab.errors import (AssemblyError, ConstructionError, ParameterError,
                             PlacementError)
-from dustlab.geometry import BoxGrid, Isometry, Square, rasterize, rasterize_quads_window
+from dustlab.geometry import BoxGrid, Isometry, Square, rasterize
 from dustlab.intersect import sample_isometry
+from test_counting import dense_trial_counts
 
 
 def dust_grid(alpha, depth, level):
@@ -397,16 +398,8 @@ class TestPipeline:
 
 # Placement search as it stood before each copy's quads were built once and
 # trials whose frame reaches no occupied cell were skipped: every trial
-# places the copy with scale_and_place and scores it in its aligned window.
-
-def windowed_overlap_counts(grid, quads, schedule):
-    cells, bits = rasterize_quads_window(quads, grid.bounds, grid.level,
-                                         1 << (grid.level - schedule.levels[0]))
-    inter = grid.bits[cells] & bits
-    if not inter.any():
-        return dict.fromkeys(schedule.levels, 0)
-    return window_counts(inter, grid.level, schedule)
-
+# places the copy with scale_and_place and scores it with the dense trial
+# scorer, the raster in its aligned window (test_counting's oracle).
 
 def reference_placement(E, chain, index, b, trials, seed, schedule_extent):
     diameter = placement_diameter(chain, index)
@@ -420,7 +413,7 @@ def reference_placement(E, chain, index, b, trials, seed, schedule_extent):
     best = None
     for i in range(trials):
         iso = sample_isometry(np.random.default_rng([seed, i]), window)
-        counts = windowed_overlap_counts(slice_grid, scale_and_place(copy, diameter, iso), schedule)
+        counts = dense_trial_counts(slice_grid, scale_and_place(copy, diameter, iso), schedule)
         est = composite._slice_estimate(counts, schedule, E.bounds.side)
         if not est.empty and (best is None or est.slope > best[0] + 1e-12):
             best = (est.slope, iso)

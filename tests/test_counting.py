@@ -7,22 +7,33 @@
   verbatim as the reference.
 * ``ball_counts`` counts a ball inside an aligned window; the reference is
   ``box_counts`` of the full-grid ``clip_to_ball``.
-* ``overlap_counts`` scores a moved copy (a placement or Mattila trial)
-  inside the copy's aligned window, scores zero without rasterizing when
-  the copy's frame reaches no occupied cell, and rasterizes only the
-  leaves whose cell box holds an occupied cell (tested on the target's
-  cached halvings, ``BoxGrid.halved``); the reference is the same trial
-  on full grids, sparse targets and single occupied cells included.
+* ``overlap_counts`` scores a batch of motions of one copy (placement or
+  Mattila trials) without a raster.  A motion whose frame reaches no
+  occupied cell scores zero without being moved; for the others, the
+  sparse gather (``geometry._quad_hits``) drops the leaves whose box holds no
+  occupied cell at the target's cached halvings (``BoxGrid.halved``),
+  finds the occupied cells in each kept box in the target's sorted cell
+  list (``BoxGrid.occupied_cells``), and runs the closed SAT test of the
+  raster on those (leaf, cell) pairs alone.  The counts are the distinct
+  prefixes of the hits' sorted (trial, Morton code) keys per level, and do
+  not depend on how trials are batched.  The references are the dense
+  trial scorer it replaced (``dense_trial_counts``: the windowed raster
+  with its target, the AND and ``window_counts``, kept here verbatim) and
+  the full-grid ``box_counts(grid_intersection(...))``, on batches that
+  mix misses, reflections, quarter turns, edge-touching and grid-clipped
+  copies, single occupied cells, quad sets that are not congruent, and
+  sparse and dense targets.
 * ``ScaleSchedule.resolving`` replaced three per-caller formulas, kept
   here verbatim.
 * ``rasterize`` became a thin entry to ``rasterize_quads``, whose block
   kernel now also takes quads that are not congruent; the axis-aligned
   index-and-scatter body of ``rasterize`` and the per-quad kernel
   ``_raster_one_quad`` are kept here verbatim as references.
-* ``rasterize_quads_window`` takes each quad's extent with elementwise
-  ``np.minimum``/``np.maximum`` over its four vertices and tests congruence
-  with per-column max - min; the previous body, with its reductions along
-  the vertex axis and ``np.ptp``, is kept here verbatim as the reference.
+* ``rasterize_quads`` runs the same kernel as trial scoring on every cell
+  of each box.  The windowed rasters before it are kept here verbatim as
+  references: the one with reductions along the vertex axis and
+  ``np.ptp`` (``reference_rasterize_quads_window``) and the one with a
+  target (``dense_window``), whose block fill the kernel replaced.
 """
 
 import gc
@@ -42,9 +53,9 @@ from dustlab.boxdim import (ScaleSchedule, ball_counts, box_counts, clip_to_ball
                             overlap_counts, window_counts)
 from dustlab.cantor import generate_cantor, placed_frame, scale_and_place, scaled_quads
 from dustlab.errors import ParameterError
-from dustlab.geometry import (_QUAD_BLOCK_LIMIT, SQRT2, BoxGrid, Isometry, Square, _index_ranges,
-                              aligned_span, grid_intersection, grid_size, halve, rasterize,
-                              rasterize_quads, rasterize_quads_window, squares_to_quads)
+from dustlab.geometry import (SQRT2, BoxGrid, Isometry, Square, _index_ranges,
+                              aligned_span, freeze, grid_intersection, grid_size, halve, rasterize,
+                              rasterize_quads, squares_to_quads)
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -162,7 +173,7 @@ def test_windowed_trial_counts_match_full_grid(level, data, seed, density, bound
     align = 1 << (level - lo)
 
     full = rasterize_quads(quads, bounds, level)
-    cells, bits = rasterize_quads_window(quads, bounds, level, align)
+    cells, bits = dense_window(quads, bounds, level, align)
     rows, cols = cells
     for span in (rows, cols):
         assert span.start % align == 0 and span.stop % align == 0
@@ -171,13 +182,116 @@ def test_windowed_trial_counts_match_full_grid(level, data, seed, density, bound
     assert full.occupied_count == int(bits.sum())
 
     expected = box_counts(grid_intersection(target, full), schedule)
+    assert dense_trial_counts(target, quads, schedule) == expected
     assert trial_counts(target, copy, diameter_frac * bounds.side, iso, schedule) == expected
 
 
 def trial_counts(target, copy, diameter, iso, schedule):
-    """The trial scorer as placement and survey trials call it."""
-    return overlap_counts(target, scaled_quads(copy, diameter), iso, placed_frame(diameter, iso),
-                          schedule)
+    """The trial scorer as placement and survey trials call it, for one motion."""
+    (counts,) = overlap_counts(target, scaled_quads(copy, diameter), [iso],
+                               [placed_frame(diameter, iso)], schedule)
+    return counts
+
+
+# The dense trial scorer that overlap_counts replaced: geometry's windowed
+# raster with its target, as it stood, then boxdim's AND and window_counts.
+
+#: Cells of scratch one block of the dense rasters spanned.
+DENSE_BLOCK_LIMIT = 1 << 22
+
+
+def dense_trial_counts(grid, moved, schedule):
+    """Counts of the grid ANDed with the raster of the moved quads, in their aligned window."""
+    cells, bits = dense_window(moved, grid.bounds, grid.level,
+                               1 << (grid.level - schedule.levels[0]), grid)
+    inter = grid.bits[cells] & bits
+    if not inter.any():
+        return dict.fromkeys(schedule.levels, 0)
+    return window_counts(inter, grid.level, schedule)
+
+
+def dense_window(quads: np.ndarray, bounds: Square, level: int, align: int,
+                 target: BoxGrid | None = None) -> tuple[tuple[slice, slice], np.ndarray]:
+    """``rasterize_quads`` computed only over the cells the quads can meet (the old trial raster).
+
+    Returns ``(window, bits)``.  ``window`` is a (rows, columns) pair of
+    slices of the level-``level`` grid that covers every occupied cell,
+    with start and stop widened outward to multiples of ``align`` (a power
+    of two no larger than the grid), and ``bits`` equals the full raster
+    over that window.  ``align = 2**level`` makes the window the whole
+    grid.  When no quad meets the bounds the window is the first ``align``
+    block and holds no occupied cell.
+
+    ``target`` is a grid over the same bounds and level whose occupied
+    cells are all the caller reads.  A quad whose cell box holds none of
+    them is then dropped: boxes are tested at the finest halving of
+    ``target`` at which each spans at most 2x2 cells.  ``bits`` and the
+    window then come from the kept quads only, and ``bits`` equals the
+    full raster at every occupied cell of ``target`` in the window.
+    Raises BudgetError when the grid exceeds ``CELL_BUDGET``.
+    """
+    quads = np.asarray(quads, dtype=float).reshape(-1, 4, 2)
+    n = grid_size(level)
+    w = bounds.side / n
+    x0, y0 = bounds.corner
+
+    # elementwise over the four vertices: reductions along a length-4 axis are slow
+    lo = np.minimum(np.minimum(quads[:, 0], quads[:, 1]), np.minimum(quads[:, 2], quads[:, 3]))
+    hi = np.maximum(np.maximum(quads[:, 0], quads[:, 1]), np.maximum(quads[:, 2], quads[:, 3]))
+    ix_lo, ix_hi, vx = _index_ranges(lo[:, 0], hi[:, 0], x0, w, n)
+    iy_lo, iy_hi, vy = _index_ranges(lo[:, 1], hi[:, 1], y0, w, n)
+    idx = np.nonzero(vx & vy)[0]
+    if target is not None and len(idx):
+        # at halving k every box spans at most 2x2 cells, so its four corners find each one
+        k = int(max((ix_hi - ix_lo)[idx].max(), (iy_hi - iy_lo)[idx].max())).bit_length()
+        xl, xh, yl, yh = (i[idx] >> k for i in (ix_lo, ix_hi, iy_lo, iy_hi))
+        occ = target.halved(k)
+        idx = idx[occ[yl, xl] | occ[yl, xh] | occ[yh, xl] | occ[yh, xh]]
+    if len(idx) == 0:
+        rows = cols = aligned_span(0, 0, align)
+        return (rows, cols), np.zeros((align, align), dtype=bool)
+    rows = aligned_span(int(iy_lo[idx].min()), int(iy_hi[idx].max()), align)
+    cols = aligned_span(int(ix_lo[idx].min()), int(ix_hi[idx].max()), align)
+    bits = np.zeros((rows.stop - rows.start, cols.stop - cols.start), dtype=bool)
+
+    def fill(ref, axes, chunk, lo_y, hi_y, bw, bh):
+        """OR quads ``chunk`` into ``bits``: rows lo_y..hi_y, bh at most, of their extents."""
+        ix = ix_lo[chunk, None, None] + np.arange(bw)
+        iy = lo_y[:, None, None] + np.arange(bh)[:, None]
+        keep = (ix <= ix_hi[chunk, None, None]) & (iy <= hi_y[:, None, None])
+        if axes:
+            cx = x0 + ix * w
+            cy = y0 + iy * w
+            shift = quads[chunk, 0] - quads[ref, 0]
+            for axis in axes:
+                # closed overlap of each cell's projection with the quad's
+                base = cx * axis[0] + cy * axis[1]
+                amin = base + w * (min(axis[0], 0.0) + min(axis[1], 0.0))
+                amax = base + w * (max(axis[0], 0.0) + max(axis[1], 0.0))
+                rel = quads[ref] @ axis
+                off = shift @ axis
+                keep &= (amax >= (off + rel.min())[:, None, None]) & \
+                        (amin <= (off + rel.max())[:, None, None])
+        bits.reshape(-1)[((iy - rows.start) * bits.shape[1] + (ix - cols.start))[keep]] = True
+
+    e1 = quads[:, 1] - quads[:, 0]
+    e2 = quads[:, 3] - quads[:, 0]
+    congruent = len(quads) == 1 or all(c.max() - c.min() < 1e-12 for c in (*e1.T, *e2.T))
+    # congruent quads share the first quad's edge directions; others go one at a time
+    for ref, group in [(0, idx)] if congruent else [(i, idx[k:k + 1]) for k, i in enumerate(idx)]:
+        # unit edge directions, leaving out degenerate and grid-parallel ones
+        axes = [e / norm for e in (e1[ref], e2[ref]) if (norm := np.linalg.norm(e)) > 0.0]
+        axes = [a for a in axes if min(abs(a[0]), abs(a[1])) >= 1e-12]
+        bw = int((ix_hi[group] - ix_lo[group]).max()) + 1
+        bh = int((iy_hi[group] - iy_lo[group]).max()) + 1
+        band = min(bh, max(1, DENSE_BLOCK_LIMIT // bw))  # rows per block
+        per = max(1, DENSE_BLOCK_LIMIT // (bw * band))  # quads per block
+        for start in range(0, len(group), per):
+            chunk = group[start:start + per]
+            lo_y, hi_y = iy_lo[chunk], iy_hi[chunk]
+            for r in range(0, bh, band):
+                fill(ref, axes, chunk, lo_y + r, np.minimum(hi_y, lo_y + (r + band - 1)), bw, band)
+    return (rows, cols), bits
 
 
 def padded_frame_span(grid, frame):
@@ -286,13 +400,13 @@ def test_outermost_raster_cell_is_scored(level, alpha, depth, diameter_frac, the
 
 def test_trial_whose_frame_misses_every_occupied_cell_is_not_rasterized(monkeypatch):
     calls = []
-    kernel = boxdim.rasterize_quads_window
+    kernel = boxdim._quad_hits
 
-    def counted(*args):
-        calls.append(args)
-        return kernel(*args)
+    def counted(moved, bounds, level, target):
+        calls.append(len(moved))
+        return kernel(moved, bounds, level, target)
 
-    monkeypatch.setattr(boxdim, "rasterize_quads_window", counted)
+    monkeypatch.setattr(boxdim, "_quad_hits", counted)
     bits = np.zeros((64, 64), dtype=bool)
     bits[48:, 48:] = True  # occupied only in the upper-right quarter
     target = BoxGrid(UNIT, 6, bits)
@@ -304,7 +418,13 @@ def test_trial_whose_frame_misses_every_occupied_cell_is_not_rasterized(monkeypa
     assert calls == []
     hit = Isometry(0.0, False, (0.7, 0.7))
     assert trial_counts(target, copy, 0.3 * SQRT2, hit, schedule)[6] > 0
-    assert len(calls) == 1
+    assert calls == [1]
+    # in a batch, only the trial that can score is moved and gathered
+    quads = scaled_quads(copy, 0.3 * SQRT2)
+    counts = overlap_counts(target, quads, [miss, hit, miss],
+                            [placed_frame(0.3 * SQRT2, iso) for iso in (miss, hit, miss)], schedule)
+    assert counts[0] == counts[2] == dict.fromkeys(range(2, 7), 0) and counts[1][6] > 0
+    assert calls == [1, 1]
 
 
 @SETTINGS
@@ -325,23 +445,26 @@ def test_windowed_raster_of_unequal_quads_matches_full_grid(level, bounds, lo, s
     quads = (quads - center) @ iso.matrix().T + center
     align = 1 << (level - min(lo, level))
     full = rasterize_quads(quads, bounds, level)
-    cells, bits = rasterize_quads_window(quads, bounds, level, align)
+    cells, bits = dense_window(quads, bounds, level, align)
     assert np.array_equal(bits, full.bits[cells])
     assert full.occupied_count == int(bits.sum())
 
 
 def test_window_of_grid_sized_alignment_is_whole_grid():
     quads = placed_quads(0.3, 3, 0.1, 0.4, False, (0.5, 0.5))
-    cells, bits = rasterize_quads_window(quads, Square.unit(), 6, 64)
+    cells, bits = dense_window(quads, Square.unit(), 6, 64)
     assert cells == (slice(0, 64), slice(0, 64))
-    assert bits.shape == (64, 64)
+    assert np.array_equal(bits, rasterize_quads(quads, Square.unit(), 6).bits)
 
 
 def test_window_of_quads_outside_bounds_is_empty():
     quads = placed_quads(0.3, 3, 0.1, 0.4, False, (5.0, 5.0))
-    cells, bits = rasterize_quads_window(quads, Square.unit(), 6, 8)
+    cells, bits = dense_window(quads, Square.unit(), 6, 8)
     assert cells == (slice(0, 8), slice(0, 8))
     assert not bits.any()
+    assert rasterize_quads(quads, Square.unit(), 6).is_empty()
+    full = BoxGrid(Square.unit(), 6, np.ones((64, 64), dtype=bool))
+    assert not any(len(t) for t, _ in geometry._quad_hits(quads[None], UNIT, 6, full))
 
 
 @SETTINGS
@@ -392,10 +515,10 @@ def test_pruned_trial_counts_match_full_raster_on_sparse_targets(
 
     full = rasterize_quads(iso.apply(quads), bounds, level)
     expected = box_counts(grid_intersection(target, full), schedule)
-    assert overlap_counts(target, quads, iso, placed_frame(diameter, iso), schedule) == expected
+    assert overlap_counts(target, quads, [iso], [placed_frame(diameter, iso)], schedule) == [expected]
 
     align = 1 << (level - schedule.levels[0])
-    cells, window = rasterize_quads_window(iso.apply(quads), bounds, level, align, target)
+    cells, window = dense_window(iso.apply(quads), bounds, level, align, target)
     assert all(span.start % align == 0 and span.stop % align == 0 for span in cells)
     met = full.bits & target.bits
     assert np.array_equal(window & target.bits[cells], met[cells])
@@ -403,19 +526,90 @@ def test_pruned_trial_counts_match_full_raster_on_sparse_targets(
     assert not met.any()
 
 
+motions = st.tuples(st.one_of(st.floats(0.0, 2 * math.pi),
+                              st.sampled_from([k * math.pi / 2 for k in range(4)])),
+                    st.booleans(), st.floats(-0.5, 1.5), st.floats(-0.5, 1.5))
+
+
+@SETTINGS
+@given(level=st.integers(3, 8), bounds=bounds_strategy, alpha=st.floats(0.2, 0.45),
+       depth=st.integers(1, 4), diameter_frac=st.floats(0.01, 1.5), lo=st.integers(0, 6),
+       seed=st.integers(0, 2**32 - 1), density=densities,
+       block=st.none() | st.tuples(st.integers(0, 255), st.integers(0, 255), st.integers(1, 8)),
+       shrink=st.sampled_from([None, 0.5, 0.999]), limit=st.sampled_from([None, 1, 5, 300]),
+       batch=st.lists(motions, min_size=1, max_size=6))
+# dyadic data on a dense target: edges on cell boundaries, a quarter turn, a
+# reflected half turn and a miss, in one batch
+@example(level=6, bounds=UNIT, alpha=0.25, depth=3, diameter_frac=0.5 * SQRT2, lo=2, seed=0,
+         density=0.5, block=None, shrink=None, limit=None,
+         batch=[(0.0, False, 0.25, 0.25), (math.pi / 2, False, 0.5, 0.25),
+                (math.pi, True, 0.5, 0.5), (0.0, False, 1.5, 1.5)])
+# rotated copies clipped by the lower, upper and left grid edges on sparse
+# targets, moved and tested five, then one, quads and (quad, cell) pairs at a time
+@example(level=7, bounds=UNIT, alpha=0.4, depth=3, diameter_frac=0.6, lo=3, seed=1,
+         density=0.05, block=None, shrink=None, limit=5,
+         batch=[(0.7, True, 0.3, -0.1), (2.5, False, 0.4, 1.05), (4.0, False, -0.3, 0.5)])
+@example(level=7, bounds=UNIT, alpha=0.4, depth=3, diameter_frac=0.6, lo=3, seed=1,
+         density=0.01, block=None, shrink=None, limit=1,
+         batch=[(0.7, True, 0.3, -0.1), (2.5, False, 0.4, 1.05), (4.0, False, -0.3, 0.5)])
+# one occupied cell, met by one trial of the batch and missed by its mirror image
+@example(level=7, bounds=UNIT, alpha=0.315, depth=3, diameter_frac=0.823, lo=6, seed=0,
+         density=0.0, block=(113, 17, 1), shrink=None, limit=None,
+         batch=[(0.235, True, 0.24, 0.429), (0.235, False, 0.24, 0.429)])
+# a quad set that is not congruent: each leaf takes its own axes, on and off the grid axes
+@example(level=6, bounds=UNIT, alpha=0.3, depth=2, diameter_frac=0.9, lo=2, seed=3,
+         density=0.05, block=None, shrink=0.5, limit=None,
+         batch=[(0.0, False, 0.1, 0.1), (1.1, True, 0.5, 0.2), (math.pi / 2, True, 0.6, 0.1)])
+def test_batched_trial_counts_match_dense_oracle(level, bounds, alpha, depth, diameter_frac, lo,
+                                                 seed, density, block, shrink, limit, batch):
+    # one overlap_counts call scores every motion of the batch; each entry must equal
+    # the dense trial scorer and the full-grid intersection of that motion alone
+    n = 1 << level
+    bits = random_bits(seed, level, density)
+    if block is not None:
+        bx, by, size = block
+        bits[by % n:by % n + size, bx % n:bx % n + size] = True
+    target = BoxGrid(bounds, level, bits)
+    x0, y0 = bounds.corner
+    diameter = diameter_frac * bounds.side
+    quads = scaled_quads(generate_cantor(alpha, depth), diameter)
+    if shrink is not None:  # the first leaf shrinks about its corner, inside the frame
+        quads[0] = quads[0, 0] + shrink * (quads[0] - quads[0, 0])
+    isos = [Isometry(theta, reflect, (x0 + u * bounds.side, y0 + v * bounds.side))
+            for theta, reflect, u, v in batch]
+    schedule = ScaleSchedule.span(min(lo, level - 2), level)
+    with pytest.MonkeyPatch.context() as patch:
+        if limit is not None:
+            patch.setattr(boxdim, "_QUAD_BLOCK_LIMIT", limit)
+            patch.setattr(geometry, "_QUAD_BLOCK_LIMIT", limit)
+        counts = overlap_counts(target, quads, isos, [placed_frame(diameter, iso) for iso in isos],
+                                schedule)
+    assert len(counts) == len(isos)
+    for iso, got in zip(isos, counts):
+        moved = iso.apply(quads)
+        assert got == dense_trial_counts(target, moved, schedule)
+        assert got == box_counts(grid_intersection(target, rasterize_quads(moved, bounds, level)),
+                                 schedule)
+
+
 def test_quad_whose_box_meets_no_occupied_cell_does_not_widen_window():
     quads = squares_to_quads(np.array([[0.05, 0.05], [0.8, 0.8]]), 0.1)
     bits = np.zeros((64, 64), dtype=bool)
     bits[54, 54] = True  # under the upper square only
     target = BoxGrid(UNIT, 6, bits)
-    assert rasterize_quads_window(quads, UNIT, 6, 8)[0] == (slice(0, 64), slice(0, 64))
-    cells, window = rasterize_quads_window(quads, UNIT, 6, 8, target)
-    alone_cells, alone = rasterize_quads_window(quads[1:], UNIT, 6, 8)
+    assert dense_window(quads, UNIT, 6, 8)[0] == (slice(0, 64), slice(0, 64))
+    cells, window = dense_window(quads, UNIT, 6, 8, target)
+    alone_cells, alone = dense_window(quads[1:], UNIT, 6, 8)
     assert cells == alone_cells == (slice(48, 64), slice(48, 64))
     assert np.array_equal(window, alone)
+    # the sparse gather tests only the one occupied cell, in the upper square's box
+    hits = [np.stack(block) for block in geometry._quad_hits(quads[None], UNIT, 6, target)]
+    assert np.concatenate(hits, axis=1).T.tolist() == [[0, 54 * 64 + 54]]
     bits[54, 54] = False
-    cells, window = rasterize_quads_window(quads, UNIT, 6, 8, BoxGrid(UNIT, 6, bits))
+    cells, window = dense_window(quads, UNIT, 6, 8, BoxGrid(UNIT, 6, bits))
     assert cells == (slice(0, 8), slice(0, 8)) and not window.any()
+    assert not any(len(t) for t, _ in geometry._quad_hits(quads[None], UNIT, 6,
+                                                             BoxGrid(UNIT, 6, bits)))
 
 
 @SETTINGS
@@ -492,6 +686,28 @@ def test_halvings_are_built_once_per_grid_under_threads(monkeypatch):
     del other
     gc.collect()
     assert gone() is None
+
+
+def test_occupied_cells_are_listed_once_per_grid_under_threads(monkeypatch):
+    built = []
+
+    def counted(values, dtype):
+        built.append(len(values))
+        time.sleep(0.005)  # a slow build: other threads reach the cache meanwhile
+        return freeze(values, dtype)
+
+    grid = BoxGrid(UNIT, 6, random_bits(1, 6, 0.05))
+    monkeypatch.setattr(geometry, "freeze", counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads switch often, so an unguarded build would repeat
+    try:
+        with futures.ThreadPoolExecutor(max_workers=8) as pool:  # more threads than cores
+            lists = list(pool.map(lambda i: grid.occupied_cells(), range(64), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert built == [grid.occupied_count]
+    assert all(cells is lists[0] for cells in lists) and not lists[0].flags.writeable
+    assert np.array_equal(lists[0], np.flatnonzero(grid.bits))
 
 
 def test_trials_on_one_grid_halve_it_once(monkeypatch):
@@ -710,8 +926,8 @@ def test_unequal_rotated_quads_match_reference(level, bounds, centers, halves, t
        theta=rotations)
 def test_oversized_quads_match_reference_under_lowered_limit(level, bounds, limit, corners, side,
                                                              theta):
-    # a limit below one quad's extent splits it into row bands; below the
-    # group's total it splits congruent quads into blocks
+    # a limit below one quad's box splits its rows into blocks of (quad, cell)
+    # pairs; below the group's total it splits congruent quads' rows
     squares = squares_in(bounds, corners, [side] * len(corners))
     quad = Isometry(theta, False, squares[0].center).apply(
         squares_to_quads(np.array([[-squares[0].side / 2] * 2]), squares[0].side))
@@ -780,8 +996,8 @@ def reference_rasterize_quads_window(quads: np.ndarray, bounds: Square, level: i
         axes = [a for a in axes if min(abs(a[0]), abs(a[1])) >= 1e-12]
         bw = int((ix_hi[group] - ix_lo[group]).max()) + 1
         bh = int((iy_hi[group] - iy_lo[group]).max()) + 1
-        band = min(bh, max(1, _QUAD_BLOCK_LIMIT // bw))  # rows per block
-        per = max(1, _QUAD_BLOCK_LIMIT // (bw * band))  # quads per block
+        band = min(bh, max(1, DENSE_BLOCK_LIMIT // bw))  # rows per block
+        per = max(1, DENSE_BLOCK_LIMIT // (bw * band))  # quads per block
         for start in range(0, len(group), per):
             chunk = group[start:start + per]
             lo_y, hi_y = iy_lo[chunk], iy_hi[chunk]
@@ -810,7 +1026,11 @@ def test_window_raster_matches_previous_expressions(level, bounds, align_level, 
     elif unequal == "taller":  # the first edge stays, the second grows
         quads[0, 2:] += 0.5 * (quads[0, 3] - quads[0, 0])
     align = 1 << min(align_level, level)
-    cells, bits = rasterize_quads_window(quads, bounds, level, align)
+    full = rasterize_quads(quads, bounds, level).bits.copy()
     ref_cells, ref_bits = reference_rasterize_quads_window(quads, bounds, level, align)
+    assert np.array_equal(full[ref_cells], ref_bits)
+    full[ref_cells] = False
+    assert not full.any()
+    cells, bits = dense_window(quads, bounds, level, align)
     assert cells == ref_cells
     assert np.array_equal(bits, ref_bits)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dustlab.errors import FormatError, ParameterError
 from dustlab.formats import BGR_BLOCK_ROWS, dump_bgr, dump_cad, parse_bgr, parse_cad, write_bgr
@@ -313,6 +315,18 @@ class TestIsometry:
     def test_translation(self):
         iso = Isometry(0.0, False, (0.5, -0.25))
         assert np.allclose(iso.apply(np.array([[1.0, 1.0]])), [[1.5, 0.75]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=st.one_of(st.floats(0.0, 2 * math.pi), st.sampled_from([k * math.pi / 4 for k in range(8)])),
+       reflect=st.booleans(), z=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+       count=st.integers(0, 1100), scale=st.floats(1e-6, 1e3), seed=st.integers(0, 2**32 - 1))
+def test_apply_as_one_product_equals_stacked_product(theta, reflect, z, count, scale, seed):
+    # apply multiplies all (N * 4, 2) points at once; the stacked (N, 4, 2) product it
+    # replaced runs one (4, 2) @ (2, 2) product per quad, and every float must agree
+    quads = np.random.default_rng(seed).uniform(-scale, scale, (count, 4, 2))
+    iso = Isometry(theta, reflect, z)
+    assert np.array_equal(iso.apply(quads), quads @ iso.matrix().T + np.asarray(iso.z))
 
 
 class TestQuads:
