@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import _QUAD_BLOCK_LIMIT, BoxGrid, Isometry, _quad_hits, aligned_span, halve
+from .geometry import BoxGrid, Isometry, _quad_hits, aligned_span, halve
 
 LN2 = math.log(2.0)
 #: Level of the coarse grid whose occupied cells find_full_dimension_point scores.
@@ -99,13 +99,17 @@ def window_counts(bits: np.ndarray, level: int, schedule: ScaleSchedule) -> dict
     return dict(sorted(counts.items()))
 
 
+#: Quads ``overlap_counts`` moves and scores per step: a trial's, or more trials' up to this many.
+_MOVE_LIMIT = 1 << 12
+
+
 def overlap_counts(grid: BoxGrid, quads: np.ndarray, isos: Sequence[Isometry],
                    frames: Sequence[np.ndarray], schedule: ScaleSchedule) -> list[dict[int, int]]:
     """Counts per schedule level of the grid ANDed with ``rasterize_quads(isos[j].apply(quads))``.
 
     A motion whose frame (``cantor.placed_frame``) reaches no occupied cell scores zero unmoved.
-    The others are moved ``_QUAD_BLOCK_LIMIT`` quads at a time, and only the occupied cells in
-    their boxes are tested (``_quad_hits``).  A cell met is keyed ``(t, Morton code)``, and
+    The others are moved one trial at a time, or as many trials as ``_MOVE_LIMIT`` quads hold,
+    and only the occupied cells in their boxes are tested (``_quad_hits``).  A cell met is keyed ``(t, Morton code)``, and
     level m counts the distinct ``key >> 2 * (grid.level - m)``.
     """
     _require_resolution(schedule, grid.level)
@@ -114,7 +118,7 @@ def overlap_counts(grid: BoxGrid, quads: np.ndarray, isos: Sequence[Isometry],
     spans = [_box_span(grid, frame.min(axis=0) - w, frame.max(axis=0) + w) for frame in frames]
     live = [j for j, (iy0, iy1, ix0, ix1) in enumerate(spans)
             if ix0 <= ix1 and iy0 <= iy1 and grid.bits[iy0:iy1 + 1, ix0:ix1 + 1].any()]
-    per = max(1, _QUAD_BLOCK_LIMIT // max(len(quads), 1))
+    per = max(1, _MOVE_LIMIT // max(len(quads), 1))
     for block in (live[s:s + per] for s in range(0, len(live), per)):
         hits = _quad_hits(np.stack([isos[j].apply(quads) for j in block]), grid.bounds, grid.level, grid)
         keys = np.sort(np.concatenate([np.zeros(0, dtype=np.int64)] +

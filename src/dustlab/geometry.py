@@ -316,7 +316,7 @@ def quads_disjoint(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return disjoint
 
 
-#: Quads moved at once by ``boxdim.overlap_counts``, and (quad, cell) pairs SAT-tested at once.
+#: (quad, cell) pairs ``_quad_hits`` SAT-tests per block.
 _QUAD_BLOCK_LIMIT = 1 << 12
 
 
@@ -348,9 +348,11 @@ def _quad_hits(moved: np.ndarray, bounds: Square, level: int, target: BoxGrid | 
     trials, count = moved.shape[:2]
     quads = moved.reshape(-1, 4, 2)
     n = grid_size(level)
-    w, (x0, y0) = bounds.side / n, bounds.corner
+    w = bounds.side / n
+    x0, y0 = bounds.corner
     # elementwise over the four vertices: reductions along a length-4 axis are slow
-    lo, hi = (f(f(quads[:, 0], quads[:, 1]), f(quads[:, 2], quads[:, 3])) for f in (np.minimum, np.maximum))
+    lo = np.minimum(np.minimum(quads[:, 0], quads[:, 1]), np.minimum(quads[:, 2], quads[:, 3]))
+    hi = np.maximum(np.maximum(quads[:, 0], quads[:, 1]), np.maximum(quads[:, 2], quads[:, 3]))
     ix_lo, ix_hi, vx = _index_ranges(lo[:, 0], hi[:, 0], x0, w, n)
     iy_lo, iy_hi, vy = _index_ranges(lo[:, 1], hi[:, 1], y0, w, n)
     valid = (vx & vy).reshape(trials, count)
@@ -358,40 +360,55 @@ def _quad_hits(moved: np.ndarray, bounds: Square, level: int, target: BoxGrid | 
     e = np.stack([moved[:, :, v, c] - moved[:, :, 0, c] for v in (1, 3) for c in (0, 1)], axis=1)
     congruent = (count == 1) | (e.max(2, initial=-np.inf) - e.min(2, initial=np.inf) < 1e-12).all(axis=1)
     del lo, hi, e  # freed now: the generator's frame outlives its yields
-    kept, slots = [np.zeros(0, dtype=np.int64)], [np.zeros((0, 2, 6))]
+    kept = [np.zeros(0, dtype=np.int64)]
+    slots = [np.zeros((0, 2, 6))]
     for t in np.nonzero(valid.any(axis=1))[0]:
         idx = np.nonzero(valid[t])[0] + t * count
         if target is not None:  # at halving k every box spans at most 2x2 cells: its corners find each one
             k = int(max((ix_hi - ix_lo)[idx].max(), (iy_hi - iy_lo)[idx].max())).bit_length()
-            occ, (xl, xh, yl, yh) = target.halved(k), (i[idx] >> k for i in (ix_lo, ix_hi, iy_lo, iy_hi))
+            occ = target.halved(k)
+            xl = ix_lo[idx] >> k
+            xh = ix_hi[idx] >> k
+            yl = iy_lo[idx] >> k
+            yh = iy_hi[idx] >> k
             idx = idx[occ[yl, xl] | occ[yl, xh] | occ[yh, xl] | occ[yh, xh]]
         kept.append(idx)
         for ref, members in [(t * count, idx)] if congruent[t] else [(i, [i]) for i in idx]:
             # per member and edge: unit axis, a cell's projection offsets, the member's span
-            slots.append(out := np.tile([0.0, 0.0, 0.0, 0.0, -np.inf, np.inf], (len(members), 2, 1)))
+            out = np.tile([0.0, 0.0, 0.0, 0.0, -np.inf, np.inf], (len(members), 2, 1))
+            slots.append(out)
             for j, edge in enumerate((quads[ref, 1] - quads[ref, 0], quads[ref, 3] - quads[ref, 0])):
-                axis = edge / norm if (norm := np.linalg.norm(edge)) > 0.0 else edge
+                norm = np.linalg.norm(edge)
+                axis = edge / norm if norm > 0.0 else edge
                 if norm > 0.0 and min(abs(axis[0]), abs(axis[1])) >= 1e-12:
-                    rel, off = quads[ref] @ axis, (quads[members, 0] - quads[ref, 0]) @ axis
+                    rel = quads[ref] @ axis
+                    off = (quads[members, 0] - quads[ref, 0]) @ axis
                     out[:, j, :4] = (axis[0], axis[1], w * (min(axis[0], 0.0) + min(axis[1], 0.0)),
                                      w * (max(axis[0], 0.0) + max(axis[1], 0.0)))
-                    out[:, j, 4], out[:, j, 5] = off + rel.min(), off + rel.max()
-    kept, slots = np.concatenate(kept), np.concatenate(slots)
+                    out[:, j, 4] = off + rel.min()
+                    out[:, j, 5] = off + rel.max()
+    kept = np.concatenate(kept)
+    slots = np.concatenate(slots)
 
     quad, row = _ranges(iy_lo[kept], iy_hi[kept] - iy_lo[kept] + 1)
-    first, last = row * n + ix_lo[kept[quad]], row * n + ix_hi[kept[quad]]
+    first = row * n + ix_lo[kept[quad]]
+    last = row * n + ix_hi[kept[quad]]
     if target is not None:
         cells = target.occupied_cells()
-        first, last = np.searchsorted(cells, first), np.searchsorted(cells, last, side="right") - 1
+        first = np.searchsorted(cells, first)
+        last = np.searchsorted(cells, last, side="right") - 1
     size = last - first + 1
     blocks = _QUAD_BLOCK_LIMIT * np.arange(1, size.sum() // _QUAD_BLOCK_LIMIT + 1)
     tests = [slots[:, j].T for j in (0, 1) if slots[:, j, 0].any()]  # the edges that test a cell
     for rows in np.split(np.arange(len(size)), np.searchsorted(np.cumsum(size), blocks)):
         seg, cell = _ranges(first[rows], size[rows])
-        owner, cell = quad[rows][seg], (cell if target is None else cells[cell])
+        owner = quad[rows][seg]
+        if target is not None:
+            cell = cells[cell]
         keep = np.ones(len(cell), dtype=bool)
         if tests:  # closed overlap of each cell's projection with the quad's
-            cx, cy = x0 + (cell & (n - 1)) * w, y0 + (cell >> level) * w
+            cx = x0 + (cell & (n - 1)) * w
+            cy = y0 + (cell >> level) * w
             for ax, ay, cmin, cmax, amin, amax in (slot[:, owner] for slot in tests):
                 base = cx * ax + cy * ay
                 keep &= (base + cmax >= amin) & (base + cmin <= amax)

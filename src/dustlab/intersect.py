@@ -22,7 +22,7 @@ from .cantor import (CantorApproximant, cantor_dimension, placed_frame, scale_an
                      scaled_quads)
 from .errors import ParameterError
 from .geometry import SQRT2, BoxGrid, Isometry, Square, rasterize_quads
-from .parallel import check_jobs, parallel_map
+from .parallel import check_jobs, parallel_map, worker_count
 
 
 @dataclass(frozen=True)
@@ -113,24 +113,22 @@ def intersection_dimension(a: BoxGrid, b: CantorApproximant, iso: Isometry) -> D
     return estimate_dimension(counts, side=a.bounds.side)
 
 
-#: Trials drawn and scored per ``overlap_counts`` call; threads take whole batches.
-TRIAL_BATCH = 64
-
-
 def scored_trials(grid: BoxGrid, quads: np.ndarray, diameter: float, window: Square,
                   schedule: ScaleSchedule, trials: int, seed: int, jobs: int) -> list:
     """``(motion, overlap_counts)`` of trials 0..trials-1 of a copy's unmoved quads, in order.
 
-    Trial i draws its motion over ``window`` from ``default_rng([seed, i])``, so no
-    result depends on ``jobs`` or on how the trials are batched.
+    Trial i draws its motion over ``window`` from ``default_rng([seed, i])``, and each
+    thread scores one run of consecutive trials, so no result depends on ``jobs``.
     """
-    def batch(b: int):
+    size = -(-trials // worker_count(jobs, trials))
+
+    def run(r: int):
         isos = [sample_isometry(np.random.default_rng([seed, i]), window)
-                for i in range(b * TRIAL_BATCH, min(trials, (b + 1) * TRIAL_BATCH))]
+                for i in range(r * size, min(trials, (r + 1) * size))]
         frames = [placed_frame(diameter, iso) for iso in isos]
         return zip(isos, overlap_counts(grid, quads, isos, frames, schedule))
 
-    return [row for rows in parallel_map(batch, -(-trials // TRIAL_BATCH), jobs) for row in rows]
+    return [row for rows in parallel_map(run, -(-trials // size), jobs) for row in rows]
 
 
 def mattila_survey(a: BoxGrid, b: CantorApproximant, trials: int, tolerance: float = 0.15,

@@ -15,12 +15,17 @@ def parallel_map(fn: Callable[[int], object], n: int, jobs: int) -> list:
     Threads are capped at ``os.cpu_count()`` and at ``n``; with one, ``fn``
     runs in the calling thread.  Raises ParameterError when ``jobs < 1``.
     """
-    check_jobs(jobs)
-    workers = min(jobs, n, os.cpu_count() or 1)
+    workers = worker_count(jobs, n)
     if workers <= 1:
         return [fn(i) for i in range(n)]
     with futures.ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(n)))
+
+
+def worker_count(jobs: int, n: int) -> int:
+    """Threads ``parallel_map`` runs ``n`` tasks on: ``jobs``, capped at ``n`` and the CPUs."""
+    check_jobs(jobs)
+    return min(jobs, n, os.cpu_count() or 1)
 
 
 def check_jobs(jobs: int) -> None:

@@ -580,7 +580,7 @@ def test_batched_trial_counts_match_dense_oracle(level, bounds, alpha, depth, di
     schedule = ScaleSchedule.span(min(lo, level - 2), level)
     with pytest.MonkeyPatch.context() as patch:
         if limit is not None:
-            patch.setattr(boxdim, "_QUAD_BLOCK_LIMIT", limit)
+            patch.setattr(boxdim, "_MOVE_LIMIT", limit)
             patch.setattr(geometry, "_QUAD_BLOCK_LIMIT", limit)
         counts = overlap_counts(target, quads, isos, [placed_frame(diameter, iso) for iso in isos],
                                 schedule)

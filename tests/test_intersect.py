@@ -214,19 +214,19 @@ class TestMattilaSurvey:
         s2 = mattila_survey(a, b, trials=40, seed=17)
         assert "\n".join(s1.csv_lines()) == "\n".join(s2.csv_lines())
 
-    def test_jobs_do_not_change_results(self, survey_pair, monkeypatch):
+    def test_jobs_do_not_change_results(self, survey_pair):
         a, b = survey_pair
         serial = mattila_survey(a, b, trials=24, seed=9, jobs=1)
-        # batches of 5 trials, the last one short, taken by four threads
-        monkeypatch.setattr(intersect, "TRIAL_BATCH", 5)
         threaded = mattila_survey(a, b, trials=24, seed=9, jobs=4)
         assert serial.csv_lines() == threaded.csv_lines()
+        # 23 trials split into runs of unequal length on any thread count from 2
+        ragged = mattila_survey(a, b, trials=23, seed=9, jobs=3)
+        assert ragged.rows == serial.rows[:23]
         # scattered cells (0.5%): trial scoring drops most moved leaves, and the
         # threads share the grid's halvings and occupied-cell list
         sparse = BoxGrid(Square.unit(), 9, np.random.default_rng(5).random((512, 512)) < 0.005)
-        threaded = mattila_survey(sparse, b, trials=24, seed=9, s=1.2, jobs=4)
-        monkeypatch.undo()
         serial = mattila_survey(sparse, b, trials=24, seed=9, s=1.2, jobs=1)
+        threaded = mattila_survey(sparse, b, trials=24, seed=9, s=1.2, jobs=4)
         assert serial.csv_lines() == threaded.csv_lines()
 
     def test_reflection_invariance(self, survey_pair):

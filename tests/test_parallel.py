@@ -5,7 +5,7 @@ import time
 import pytest
 
 from dustlab.errors import ParameterError
-from dustlab.parallel import parallel_map
+from dustlab.parallel import parallel_map, worker_count
 
 
 def test_results_in_index_order():
@@ -26,6 +26,16 @@ def test_threads_capped_at_cpu_count():
 
     assert parallel_map(task, 8, 10_000) == list(range(8))
     assert 1 <= len(seen) <= (os.cpu_count() or 1)
+
+
+def test_worker_count_caps_jobs_at_tasks_and_cpus():
+    cpus = os.cpu_count() or 1
+    assert worker_count(10_000, 8) == min(8, cpus)
+    assert worker_count(3, 2) == min(2, cpus)
+    assert worker_count(1, 5) == 1
+    assert worker_count(4, 0) == 0
+    with pytest.raises(ParameterError):
+        worker_count(0, 5)
 
 
 def test_one_job_runs_in_the_calling_thread():
