@@ -104,21 +104,26 @@ _MOVE_LIMIT = 1 << 12
 
 
 def overlap_counts(grid: BoxGrid, quads: np.ndarray, isos: Sequence[Isometry],
-                   frames: Sequence[np.ndarray], schedule: ScaleSchedule) -> list[dict[int, int]]:
+                   schedule: ScaleSchedule) -> list[dict[int, int]]:
     """Counts per schedule level of the grid ANDed with ``rasterize_quads(isos[j].apply(quads))``.
 
-    A motion whose frame (``cantor.placed_frame``) reaches no occupied cell scores zero unmoved.
-    The others are moved one trial at a time, or as many trials as ``_MOVE_LIMIT`` quads hold,
-    and only the occupied cells in their boxes are tested (``_quad_hits``).  A cell met is keyed ``(t, Morton code)``, and
-    level m counts the distinct ``key >> 2 * (grid.level - m)``.
+    A motion's frame is the box of the copy's leaves (all vertices of ``quads``), moved by it;
+    a motion whose frame reaches no occupied cell scores zero unmoved.  The others are moved
+    one trial at a time, or as many trials as ``_MOVE_LIMIT`` quads hold, and only the
+    occupied cells in their boxes are tested (``_quad_hits``).  A cell met is keyed
+    ``(t, Morton code)``, and level m counts the distinct ``key >> 2 * (grid.level - m)``.
     """
     _require_resolution(schedule, grid.level)
     counts = np.zeros((len(isos), len(schedule.levels)), dtype=np.int64)
+    vertices = quads.reshape(-1, 2)
+    (x0, y0), (x1, y1) = vertices.min(axis=0), vertices.max(axis=0)
+    box = np.array([(x0, y0), (x1, y0), (x0, y1), (x1, y1)])
     w = grid.cell_size  # a frame widened by one cell absorbs the rounding of the moved leaves
-    spans = [_box_span(grid, frame.min(axis=0) - w, frame.max(axis=0) + w) for frame in frames]
+    spans = [_box_span(grid, frame.min(axis=0) - w, frame.max(axis=0) + w)
+             for frame in (iso.apply(box) for iso in isos)]
     live = [j for j, (iy0, iy1, ix0, ix1) in enumerate(spans)
             if ix0 <= ix1 and iy0 <= iy1 and grid.bits[iy0:iy1 + 1, ix0:ix1 + 1].any()]
-    per = max(1, _MOVE_LIMIT // max(len(quads), 1))
+    per = max(1, _MOVE_LIMIT // len(quads))
     for block in (live[s:s + per] for s in range(0, len(live), per)):
         hits = _quad_hits(np.stack([isos[j].apply(quads) for j in block]), grid.bounds, grid.level, grid)
         keys = np.sort(np.concatenate([np.zeros(0, dtype=np.int64)] +

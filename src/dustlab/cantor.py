@@ -139,9 +139,3 @@ def scale_and_place(approximant: CantorApproximant, diameter: float, iso: Isomet
     leave the axis-aligned square family).
     """
     return iso.apply(scaled_quads(approximant, diameter))
-
-
-def placed_frame(diameter: float, iso: Isometry) -> np.ndarray:
-    """Image of the copy's scaled unit frame; bounds every placed leaf."""
-    scale = diameter / SQRT2
-    return iso.apply(squares_to_quads(np.zeros((1, 2)), scale))[0]

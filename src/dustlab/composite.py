@@ -314,7 +314,7 @@ def place_cantor_in_annulus(E: BoxGrid, chain: AnnulusChain, index: int, b: floa
     window = Square.centered(chain.center, window_half)
 
     best: tuple[float, Isometry] | None = None
-    for iso, counts in scored_trials(slice_grid, quads, diameter, window, schedule, trials, seed, 1):
+    for iso, counts in scored_trials(slice_grid, quads, window, schedule, trials, seed, 1):
         est = _slice_estimate(counts, schedule, E.bounds.side)
         if not est.empty and (best is None or est.slope > best[0] + 1e-12):
             best = (est.slope, iso)

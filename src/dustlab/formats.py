@@ -9,15 +9,16 @@ line, letters ``A B C D`` standing for the quadrant codes 0 1 2 3
 (SW SE NW NE).
 
 Files are ASCII.  Lines break as ``str.splitlines`` breaks them (LF, CR LF,
-CR, VT, FF, FS, GS, RS), and the last break is optional.  A file laid out
-as the writers lay it out, with one LF after each line, is read without a
-scan for breaks; any other file, or one that fails a check, is read by
-the general scan, which decides every error.
+CR, VT, FF, FS, GS, RS), and the last break is optional.  The header's own
+first break is taken as the break of every line, so the lines after it are
+one strided view of the file.  A file that mixes breaks is first rewritten
+with one LF per break.
 """
 
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -36,7 +37,7 @@ _LETTERS = np.frombuffer(b"ABCD", dtype=np.uint8)
 
 #: Bytes that end a line; CR followed by LF ends one line.
 _BREAKS = np.frombuffer(b"\n\v\f\r\x1c\x1d\x1e", dtype=np.uint8)
-_LF = ord("\n")
+_FIRST_BREAK = re.compile(rb"\r\n|[\n\v\f\r\x1c\x1d\x1e]")
 
 
 def _encode(codes: np.ndarray, letters: np.ndarray):
@@ -50,61 +51,59 @@ def _encode(codes: np.ndarray, letters: np.ndarray):
         yield text
 
 
-def _read(data: bytes | str, magic: str, what: str, types, width=None) -> tuple[list, np.ndarray, np.ndarray]:
-    """Split a file into its header fields and the spans of the lines after the header.
+def _read(data: bytes | str, magic: str, what: str, types, width) -> tuple[list, np.ndarray]:
+    """Header fields of a file and its lines after the header, as an (n, w) uint8 view.
 
-    The header must be ``<magic> 1`` followed by one field per entry of
-    ``types``, which converts it.  Returns ``(fields, buf, spans)``:
-    ``buf`` is a uint8 view of the file, and the k-th line after the
-    header is ``buf[spans[k, 0]:spans[k, 1]]`` without its break.  No line
-    after the header is copied.
-
-    Without ``width``, one scan of the file finds every break.  ``width``,
-    a function of the header fields giving the length of every line, asks
-    for the layout the writers give a file instead: the header ends at the
-    first break, an LF, and each line after it is ``width`` bytes followed
-    by LF, the last LF optional.  Then no byte after the header is
-    scanned: the spans follow from the header and the file length, and
-    one strided read checks the LF after each line.  A file in any other
-    layout raises FormatError.
+    The header is ``<magic> 1`` followed by one field per entry of
+    ``types``, which converts it, and ends at the file's first break.
+    ``width``, a function of the fields, checks them and gives w, the
+    length of every line.  The lines must each be w bytes followed by the
+    header's break, the last break optional; their breaks are checked by
+    a strided compare and no line is copied.  When they are not, the file
+    is read again with one LF per break, which decides.
     """
     raw = data.encode() if isinstance(data, str) else data
     buf = np.frombuffer(raw, dtype=np.uint8)
-    if width is None:
-        spans = _break_spans(buf, what)
-        return _header(buf[:spans[0, 1]], magic, what, types), buf, spans[1:]
-    end = raw.find(b"\n")
-    if end < 0 or np.isin(buf[:end], _BREAKS).any():
-        raise FormatError("the header does not end in its first break, an LF")
+    first = _FIRST_BREAK.search(raw)
+    end, brk = (first.start(), first.group()) if first else (len(raw), b"")
     fields = _header(buf[:end], magic, what, types)
-    return fields, buf, _lf_spans(buf, end + 1, width(*fields))
+    w = width(*fields)
+    lines = _lines(buf, end + len(brk), w, brk)
+    if lines is None:  # not every break is the header's, or a line is not w bytes long
+        lines = _lines(_one_lf_per_break(buf), end + 1, w, b"\n")
+    if lines is None:
+        raise FormatError(f"the {what} lines are not {w} bytes each")
+    return fields, lines
 
 
-def _break_spans(buf: np.ndarray, what: str) -> np.ndarray:
-    """Spans of every line of ``buf``, the header first, from one scan for control bytes."""
+def _lines(buf: np.ndarray, start: int, width: int, brk: bytes) -> np.ndarray | None:
+    """Lines from ``start`` on, each ``width`` bytes and ``brk``, as an (n, width) view; else None."""
+    if start >= len(buf):
+        return np.empty((0, width), dtype=np.uint8)
+    ends = buf[len(buf) - len(brk):].tobytes() == brk
+    if not ends and buf[-1] in _BREAKS:  # the last break is another one
+        return None
+    stride = width + len(brk)
+    stop = len(buf) if ends else len(buf) + len(brk)  # as if the last break were there
+    n, rest = divmod(stop - start, stride)
+    if rest or not all((buf[start + width + j::stride] == b).all() for j, b in enumerate(brk)):
+        return None
+    return as_strided(buf[start:], (n, width), (stride, 1), writeable=False)
+
+
+def _one_lf_per_break(buf: np.ndarray) -> np.ndarray:
+    """Copy of ``buf`` with each line break, CR LF included, one LF."""
     ctrl = np.flatnonzero(buf < 0x20)
-    is_break = np.isin(buf[ctrl], _BREAKS)
-    pos = ctrl[is_break]
-    crlf = np.flatnonzero((buf[pos[:-1]] == ord("\r")) & (buf[pos[1:]] == _LF) & (np.diff(pos) == 1))
-    spans = np.column_stack((np.insert(np.delete(pos + 1, crlf), 0, 0),
-                             np.append(np.delete(pos, crlf + 1), len(buf))))
-    if len(spans) > 1 and spans[-1, 0] == len(buf):  # a break ends the last line
-        spans = spans[:-1]
-    stray = ctrl[~is_break]
-    if len(stray) and stray[-1] > spans[0, 1]:  # other control bytes may sit in the header only
-        raise FormatError(f"control byte {buf[stray[-1]]:#04x} after the {what} file header")
-    return spans
-
-
-def _lf_spans(buf: np.ndarray, start: int, width: int) -> np.ndarray:
-    """Spans of the lines from ``start`` on, each ``width`` bytes and LF, the last LF optional."""
-    stride = width + 1
-    stop = len(buf) if buf[-1] == _LF else len(buf) + 1  # as if the last LF were there
-    if not (0 <= width < len(buf) and (stop - start) % stride == 0
-            and (buf[start + width:stop:stride] == _LF).all()):
-        raise FormatError(f"the lines are not {width} bytes each ended by LF")
-    first = np.arange(start, stop, stride)
-    return np.column_stack((first, first + width))
+    pos = ctrl[np.isin(buf[ctrl], _BREAKS)]
+    cr = pos[:-1][(np.diff(pos) == 1) & (buf[pos[:-1]] == ord("\r")) & (buf[pos[1:]] == ord("\n"))]
+    # drop the CR of each CR LF: copy the runs between them when they are long, as grid rows
+    # are, since a run costs a numpy call; else compress the file, which costs a pass
+    if len(cr) < len(buf) >> 10:
+        out = np.concatenate([buf[a:b] for a, b in zip([0, *(cr + 1)], [*cr, len(buf)])])
+    else:
+        out = np.delete(buf, cr)
+    out[pos - np.searchsorted(cr, pos)] = ord("\n")
+    return out
 
 
 def _header(header: np.ndarray, magic: str, what: str, types) -> list:
@@ -118,44 +117,19 @@ def _header(header: np.ndarray, magic: str, what: str, types) -> list:
         raise FormatError(f"bad {what} header {header.tobytes()!r}") from exc
 
 
-def _written_layout_first(parse, data, width):
-    """``parse(data, width)``, the read of a file in the layout the writers
-    give it, or when that raises FormatError, ``parse(data, None)``, the
-    general read; so every error comes from the general read."""
-    try:
-        return parse(data, width)
-    except FormatError:
-        return parse(data, None)
-
-
-def _decode(buf: np.ndarray, spans: np.ndarray, width: int, letters: np.ndarray, what: str,
+def _decode(lines: np.ndarray, letters: np.ndarray, what: str,
             out: np.ndarray | None = None) -> np.ndarray:
-    """Lines ``spans`` of ``width`` letters as codes, a letter's index in ``letters``.
+    """Lines of letters as codes, a letter's index in ``letters``, BGR_BLOCK_ROWS lines at a time.
 
-    The codes fill the rows of ``out``, or of a new uint8 array, which is
-    allocated only once every line is known to have ``width`` letters.
-    Works BGR_BLOCK_ROWS lines at a time.  Lines lie at least one break
-    byte apart, so a block whose lines are evenly spread lies exactly one
-    apart and is read as a strided view of the file; any other block is
-    read through a mask of its letters.
+    The codes fill the rows of ``out``, or of a new uint8 array.
     """
-    bad = np.flatnonzero(spans[:, 1] - spans[:, 0] != width)
-    if len(bad) == 0:
-        out = np.empty((len(spans), width), dtype=np.uint8) if out is None else out
-        for start in range(0, len(spans), BGR_BLOCK_ROWS):
-            block = spans[start:start + BGR_BLOCK_ROWS]
-            rows = out[start:start + len(block)]
-            seg = buf[block[0, 0]:block[-1, 1]]
-            if block[-1, 0] - block[0, 0] == (len(block) - 1) * (width + 1):
-                lines = as_strided(seg, rows.shape, (width + 1, 1), writeable=False)
-            else:
-                lines = seg[seg >= 0x20].reshape(rows.shape)
-            np.subtract(lines, letters[0], out=rows)
-            if rows.max(initial=0) >= len(letters):  # a byte below the first letter wraps past them
-                bad = start + np.flatnonzero((rows >= len(letters)).any(axis=1))
-                break
-    if len(bad):
-        raise FormatError(f"bad {what} on line {bad[0] + 2}")
+    out = np.empty(lines.shape, dtype=np.uint8) if out is None else out
+    for start in range(0, len(lines), BGR_BLOCK_ROWS):
+        rows = out[start:start + BGR_BLOCK_ROWS]
+        np.subtract(lines[start:start + BGR_BLOCK_ROWS], letters[0], out=rows)
+        if rows.max(initial=0) >= len(letters):  # a byte below the first letter wraps past them
+            bad = start + np.flatnonzero((rows >= len(letters)).any(axis=1))[0]
+            raise FormatError(f"bad {what} on line {bad + 2}")
     return out
 
 
@@ -172,21 +146,21 @@ def dump_bgr(grid: BoxGrid) -> str:
 
 def parse_bgr(data: bytes | str) -> BoxGrid:
     """Read BGR v1 from bytes or text."""
-    # no file has lines of -1 bytes: a level outside 0..63 goes to the general read, which refuses it
-    return _written_layout_first(_parse_bgr, data, lambda m, *_: 1 << m if 0 <= m < 64 else -1)
-
-
-def _parse_bgr(data: bytes | str, width) -> BoxGrid:
-    (m, cx, cy, side), buf, spans = _read(data, "bgr", "grid", (int, float, float, float), width)
-    if m < 0 or not all(map(math.isfinite, (cx, cy, side))) or not side > 0.0:
-        raise FormatError("bad grid header: need level >= 0, a finite corner "
-                          "and a finite positive side")
-    n = len(spans)
+    (m, cx, cy, side), lines = _read(data, "bgr", "grid", (int, float, float, float), _grid_width)
+    n = len(lines)
     if n != 1 << min(m, 64):  # a file holds fewer than 2**64 lines
         raise FormatError(f"expected 2**{m} grid rows, found {n}")
     bits = np.empty((n, n), dtype=bool)
-    _decode(buf, spans, n, _BITS, "grid row", out=bits[::-1].view(np.uint8))
+    _decode(lines, _BITS, "grid row", out=bits[::-1].view(np.uint8))
     return BoxGrid.adopt(Square((cx, cy), side), m, bits)
+
+
+def _grid_width(m: int, cx: float, cy: float, side: float) -> int:
+    """Length of the rows of a grid header, once its values are checked."""
+    if m < 0 or not all(map(math.isfinite, (cx, cy, side))) or not side > 0.0:
+        raise FormatError("bad grid header: need level >= 0, a finite corner "
+                          "and a finite positive side")
+    return 1 << min(m, 62)  # a larger level is refused by its row count
 
 
 def write_bgr(grid: BoxGrid, path) -> None:
@@ -206,14 +180,16 @@ def dump_cad(alpha: Alpha, depth: int, codes) -> str:
 
 def parse_cad(data: bytes | str) -> tuple[Alpha, int, np.ndarray]:
     """Read CAD v1 as ``(alpha, depth, codes)``, codes an (N, depth) uint8 array."""
-    return _written_layout_first(_parse_cad, data, lambda alpha, depth: depth)
+    (alpha, depth), lines = _read(data, "cad", "address", (lambda f: Alpha(float(f)), int),
+                                  _address_width)
+    return alpha, depth, _decode(lines, _LETTERS, "address")
 
 
-def _parse_cad(data: bytes | str, width) -> tuple[Alpha, int, np.ndarray]:
-    (alpha, depth), buf, spans = _read(data, "cad", "address", (lambda f: Alpha(float(f)), int), width)
+def _address_width(alpha: Alpha, depth: int) -> int:
+    """Length of the lines of an address header, once its depth is checked."""
     if not 0 <= depth <= np.iinfo(np.intp).max:
         raise FormatError(f"bad address header: depth {depth} is negative or too large")
-    return alpha, depth, _decode(buf, spans, depth, _LETTERS, "address")
+    return depth
 
 
 def write_cad(alpha: Alpha, depth: int, codes, path) -> None:

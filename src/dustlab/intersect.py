@@ -18,8 +18,7 @@ import numpy as np
 
 from .boxdim import (DimensionEstimate, ScaleSchedule, box_counts, estimate_dimension,
                      overlap_counts)
-from .cantor import (CantorApproximant, cantor_dimension, placed_frame, scale_and_place,
-                     scaled_quads)
+from .cantor import CantorApproximant, cantor_dimension, scale_and_place, scaled_quads
 from .errors import ParameterError
 from .geometry import SQRT2, BoxGrid, Isometry, Square, rasterize_quads
 from .parallel import check_jobs, parallel_map, worker_count
@@ -108,13 +107,12 @@ def intersection_dimension(a: BoxGrid, b: CantorApproximant, iso: Isometry) -> D
     per-trial slopes are comparable with it.  The copy keeps its unit
     frame: diameter sqrt(2) scales it by exactly 1.
     """
-    (counts,) = overlap_counts(a, scaled_quads(b, SQRT2), [iso], [placed_frame(SQRT2, iso)],
-                               ScaleSchedule.default_for(a))
+    (counts,) = overlap_counts(a, scaled_quads(b, SQRT2), [iso], ScaleSchedule.default_for(a))
     return estimate_dimension(counts, side=a.bounds.side)
 
 
-def scored_trials(grid: BoxGrid, quads: np.ndarray, diameter: float, window: Square,
-                  schedule: ScaleSchedule, trials: int, seed: int, jobs: int) -> list:
+def scored_trials(grid: BoxGrid, quads: np.ndarray, window: Square, schedule: ScaleSchedule,
+                  trials: int, seed: int, jobs: int) -> list:
     """``(motion, overlap_counts)`` of trials 0..trials-1 of a copy's unmoved quads, in order.
 
     Trial i draws its motion over ``window`` from ``default_rng([seed, i])``, and each
@@ -125,8 +123,7 @@ def scored_trials(grid: BoxGrid, quads: np.ndarray, diameter: float, window: Squ
     def run(r: int):
         isos = [sample_isometry(np.random.default_rng([seed, i]), window)
                 for i in range(r * size, min(trials, (r + 1) * size))]
-        frames = [placed_frame(diameter, iso) for iso in isos]
-        return zip(isos, overlap_counts(grid, quads, isos, frames, schedule))
+        return zip(isos, overlap_counts(grid, quads, isos, schedule))
 
     return [row for rows in parallel_map(run, -(-trials // size), jobs) for row in rows]
 
@@ -162,7 +159,7 @@ def mattila_survey(a: BoxGrid, b: CantorApproximant, trials: int, tolerance: flo
     threshold = s + t - 2.0
     floor = threshold - tolerance
     rows = []
-    for i, (iso, counts) in enumerate(scored_trials(a, scaled_quads(b, SQRT2), SQRT2, window,
+    for i, (iso, counts) in enumerate(scored_trials(a, scaled_quads(b, SQRT2), window,
                                                     ScaleSchedule.default_for(a), trials, seed, jobs)):
         est = estimate_dimension(counts, side=a.bounds.side)
         hit = (not est.empty) and est.slope >= floor

@@ -9,7 +9,7 @@ from dustlab import cantor
 from dustlab.boxdim import ScaleSchedule, box_counts
 from dustlab.cantor import (address_corners, alpha_for_dimension,
                             cantor_dimension, generate_cantor, interval_starts,
-                            placed_frame, scale_and_place, scaled_quads)
+                            scale_and_place, scaled_quads)
 from dustlab.errors import BudgetError, ParameterError
 from dustlab.geometry import Isometry, Square, rasterize
 
@@ -212,20 +212,6 @@ class TestScaleAndPlace:
         assert np.array_equal(scale_and_place(approx, 0.8, iso), iso.apply(quads))
         with pytest.raises(ParameterError):
             scaled_quads(approx, -1.0)
-
-    def test_placed_frame_bounds_leaves(self):
-        approx = generate_cantor(0.4, 3)
-        iso = Isometry(1.1, True, (0.2, 0.5))
-        quads = scale_and_place(approx, 0.25, iso)
-        frame = placed_frame(0.25, iso)
-        u = frame[1] - frame[0]
-        v = frame[3] - frame[0]
-        rel = quads.reshape(-1, 2) - frame[0]
-        su = rel @ u / (u @ u)
-        sv = rel @ v / (v @ v)
-        assert np.all((su >= -1e-9) & (su <= 1 + 1e-9))
-        assert np.all((sv >= -1e-9) & (sv <= 1 + 1e-9))
-
 
 class TestCountsOnGrids:
     def test_exact_aligned_counts_depth_six(self):

@@ -235,7 +235,7 @@ class TestBgrCodec:
         assert same_grid(parse_bgr(path.read_bytes()), grid)
 
     # The examples keep the length of a file in the written layout (header, then 2**m rows of
-    # 2**m letters, each ended by LF), which the reader tries before its general scan.
+    # 2**m letters, each ended by LF), so that the strided read of its lines must refuse them.
     @settings(max_examples=600, deadline=None)
     @given(grids(max_level=3).flatmap(lambda grid: mutated(dump_bgr(grid).encode())))
     @example(b"bgr 1 2 0 0 1\n0110\n1\n01\n0000\n1111\n")  # a letter became LF
@@ -257,24 +257,36 @@ class TestBgrCodec:
     @example(b"bgr 1 1 0 0 inf\n0\x00\n10\n")  # a bad header value and a control byte
     @example(b"bgr 1 -1 0 0 1\n0\n")
     @example(b"bgr 1 99 0 0 1\n0\n")
+    @example(b"bgr 1 0 0 0 1\r0\r\n")  # CR breaks, but the last one is CR LF
+    @example(b"bgr 1 1 0 0 1\r01\r10\r\n")
     def test_malformed_agrees_with_oracle(self, data):
         assert_agrees(parse_bgr, oracle_parse_bgr, data, same_grid)
 
     def test_written_file_reads_with_little_more_memory_than_its_grid(self, tmp_path):
-        # the rows are read straight from the file into the grid, with no mask or copy of a block
+        # the rows are read straight from the file into the grid, with no mask or copy of a
+        # block, whatever the one kind of line break
         n = 1 << 11
         grid = BoxGrid(Square.unit(), 11, np.random.default_rng(11).random((n, n)) < 0.5)
         write_bgr(grid, tmp_path / "g.bgr")
-        data = (tmp_path / "g.bgr").read_bytes()
-        tracemalloc.start()
-        try:
-            back = parse_bgr(data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert same_grid(back, grid)
-        assert peak < 1.1 * n * n
-        assert same_grid(parse_bgr(data.replace(b"\n", b"\r\n")), grid)
+        written = (tmp_path / "g.bgr").read_bytes()
+        for brk in (b"\n", b"\r\n", b"\r"):
+            data = written.replace(b"\n", brk)
+            tracemalloc.start()
+            try:
+                back = parse_bgr(data)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert same_grid(back, grid)
+            assert peak < 1.1 * n * n, (brk, peak / (n * n))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(-3, 10 ** 15))
+    @example(10 ** 12)
+    def test_header_without_rows_is_refused_at_once(self, level):
+        # no row count is built from the level: 2**level rows would not fit in memory
+        with pytest.raises(FormatError):
+            parse_bgr(f"bgr 1 {level} 0 0 1\n".encode())
 
     @pytest.mark.parametrize("data", [
         b"bgr 1 1 0 0 1\n0\xff\n00\n", b"bgr 1 1 0 0 1\xff\n00\n00\n",
@@ -289,6 +301,30 @@ class TestBgrCodec:
                                       b"bgr 1 1 0 0 1\n01\x0b10\x0c", b"bgr 1 0 0 0 1\n1"])
     def test_line_breaks_of_text_mode_and_splitlines(self, data):
         assert same_grid(parse_bgr(data), oracle_parse_bgr(data.decode()))
+
+
+def every_other_line_crlf(data: bytes) -> bytes:
+    """``data`` with the LF of its first, third, ... line made CR LF."""
+    lines = data.split(b"\n")
+    return b"".join(line + (b"\r\n", b"\n")[k % 2] for k, line in enumerate(lines[:-1])) + lines[-1]
+
+
+_REBREAKS = [pytest.param(lambda data, brk=brk: data.replace(b"\n", brk), id=repr(brk))
+             for brk in (b"\r\n", b"\r", b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")]
+_REBREAKS.append(pytest.param(every_other_line_crlf, id="every other line CR LF"))
+
+
+@pytest.mark.parametrize("rebreak", _REBREAKS)
+def test_copies_with_other_line_breaks_parse_equal(rebreak):
+    # a mixed copy of the level-10 grid has rows long enough to be rewritten row run by row run
+    for level in (6, 10):
+        n = 1 << level
+        bits = np.random.default_rng(level).random((n, n)) < 0.4
+        grid = BoxGrid(Square((0.5, -2.0), 3.0), level, bits)
+        assert same_grid(parse_bgr(rebreak(dump_bgr(grid).encode())), grid)
+    codes = np.random.default_rng(7).integers(0, 4, size=(50, 5), dtype=np.uint8)
+    alpha, depth, back = parse_cad(rebreak(dump_cad(Alpha(0.3), 5, codes).encode()))
+    assert (float(alpha), depth) == (0.3, 5) and np.array_equal(back, codes)
 
 
 class TestCadCodec:
@@ -333,6 +369,8 @@ class TestCadCodec:
     @example(b"cad 1 0.25 2")
     @example(b"cad 1 0.25 -1\n")
     @example(b"cad 1 0.7 2\nA\x00\nCD\n")  # a bad header value and a control byte
+    @example(b"cad 1 0.25 1\rA\r\n")  # CR breaks, but the last one is CR LF
+    @example(b"cad 1 0.25 1\r\nA\r\n\r")  # CR LF breaks and a lone CR after them
     def test_malformed_agrees_with_oracle(self, data):
         assert_agrees(parse_cad, oracle_parse_cad, data, same_cad)
 

@@ -8,13 +8,13 @@
 * ``ball_counts`` counts a ball inside an aligned window; the reference is
   ``box_counts`` of the full-grid ``clip_to_ball``.
 * ``overlap_counts`` scores a batch of motions of one copy (placement or
-  Mattila trials) without a raster.  A motion whose frame reaches no
-  occupied cell scores zero without being moved; for the others, the
-  sparse gather (``geometry._quad_hits``) drops the leaves whose box holds no
-  occupied cell at the target's cached halvings (``BoxGrid.halved``),
-  finds the occupied cells in each kept box in the target's sorted cell
-  list (``BoxGrid.occupied_cells``), and runs the closed SAT test of the
-  raster on those (leaf, cell) pairs alone.  The counts are the distinct
+  Mattila trials) without a raster.  A motion whose frame (the box of the
+  unmoved quads, moved by it) reaches no occupied cell scores zero without
+  being moved; for the others, the sparse gather (``geometry._quad_hits``)
+  drops the leaves whose box holds no occupied cell at the target's cached
+  halvings (``BoxGrid.halved``), finds the occupied cells in each kept box
+  in the target's sorted cell list (``BoxGrid.occupied_cells``), and runs
+  the closed SAT test of the raster on those (leaf, cell) pairs alone.  The counts are the distinct
   prefixes of the hits' sorted (trial, Morton code) keys per level, and do
   not depend on how trials are batched.  The references are the dense
   trial scorer it replaced (``dense_trial_counts``: the windowed raster
@@ -51,7 +51,7 @@ from hypothesis import strategies as st
 from dustlab import boxdim, geometry
 from dustlab.boxdim import (ScaleSchedule, ball_counts, box_counts, clip_to_ball,
                             overlap_counts, window_counts)
-from dustlab.cantor import generate_cantor, placed_frame, scale_and_place, scaled_quads
+from dustlab.cantor import generate_cantor, scale_and_place, scaled_quads
 from dustlab.errors import ParameterError
 from dustlab.geometry import (SQRT2, BoxGrid, Isometry, Square, _index_ranges,
                               aligned_span, freeze, grid_intersection, grid_size, halve, rasterize,
@@ -188,8 +188,7 @@ def test_windowed_trial_counts_match_full_grid(level, data, seed, density, bound
 
 def trial_counts(target, copy, diameter, iso, schedule):
     """The trial scorer as placement and survey trials call it, for one motion."""
-    (counts,) = overlap_counts(target, scaled_quads(copy, diameter), [iso],
-                               [placed_frame(diameter, iso)], schedule)
+    (counts,) = overlap_counts(target, scaled_quads(copy, diameter), [iso], schedule)
     return counts
 
 
@@ -294,8 +293,14 @@ def dense_window(quads: np.ndarray, bounds: Square, level: int, align: int,
     return (rows, cols), bits
 
 
-def padded_frame_span(grid, frame):
-    """Per axis, the inclusive cell span of the frame's box widened by one cell, unclipped."""
+def padded_frame_span(grid, quads, iso):
+    """Per axis, the inclusive cell span of a motion's frame widened by one cell, unclipped.
+
+    The frame is the box of the unmoved quads, moved by the motion, as ``overlap_counts`` builds it.
+    """
+    vertices = quads.reshape(-1, 2)
+    (x0, y0), (x1, y1) = vertices.min(axis=0), vertices.max(axis=0)
+    frame = iso.apply(np.array([(x0, y0), (x1, y0), (x0, y1), (x1, y1)]))
     w = grid.cell_size
     lo, hi = frame.min(axis=0) - w, frame.max(axis=0) + w
     return [(math.floor((lo[k] - o) / w), math.floor((hi[k] - o) / w))
@@ -347,7 +352,7 @@ def test_single_cell_by_padded_frame_span_counts_as_full_grid(
     diameter = diameter_frac * bounds.side
     copy = generate_cantor(alpha, depth)
     n = 1 << level
-    spans = padded_frame_span(BoxGrid.empty(bounds, level), placed_frame(diameter, iso))
+    spans = padded_frame_span(BoxGrid.empty(bounds, level), scaled_quads(copy, diameter), iso)
     lo, hi = spans[axis]
     cell = [0, 0]
     cell[axis] = lo + step if end == 0 else hi - step
@@ -421,8 +426,7 @@ def test_trial_whose_frame_misses_every_occupied_cell_is_not_rasterized(monkeypa
     assert calls == [1]
     # in a batch, only the trial that can score is moved and gathered
     quads = scaled_quads(copy, 0.3 * SQRT2)
-    counts = overlap_counts(target, quads, [miss, hit, miss],
-                            [placed_frame(0.3 * SQRT2, iso) for iso in (miss, hit, miss)], schedule)
+    counts = overlap_counts(target, quads, [miss, hit, miss], schedule)
     assert counts[0] == counts[2] == dict.fromkeys(range(2, 7), 0) and counts[1][6] > 0
     assert calls == [1, 1]
 
@@ -515,7 +519,7 @@ def test_pruned_trial_counts_match_full_raster_on_sparse_targets(
 
     full = rasterize_quads(iso.apply(quads), bounds, level)
     expected = box_counts(grid_intersection(target, full), schedule)
-    assert overlap_counts(target, quads, [iso], [placed_frame(diameter, iso)], schedule) == [expected]
+    assert overlap_counts(target, quads, [iso], schedule) == [expected]
 
     align = 1 << (level - schedule.levels[0])
     cells, window = dense_window(iso.apply(quads), bounds, level, align, target)
@@ -582,8 +586,7 @@ def test_batched_trial_counts_match_dense_oracle(level, bounds, alpha, depth, di
         if limit is not None:
             patch.setattr(boxdim, "_MOVE_LIMIT", limit)
             patch.setattr(geometry, "_QUAD_BLOCK_LIMIT", limit)
-        counts = overlap_counts(target, quads, isos, [placed_frame(diameter, iso) for iso in isos],
-                                schedule)
+        counts = overlap_counts(target, quads, isos, schedule)
     assert len(counts) == len(isos)
     for iso, got in zip(isos, counts):
         moved = iso.apply(quads)
