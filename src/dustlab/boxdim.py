@@ -104,24 +104,18 @@ _MOVE_LIMIT = 1 << 12
 
 
 def overlap_counts(grid: BoxGrid, quads: np.ndarray, isos: Sequence[Isometry],
-                   schedule: ScaleSchedule) -> list[dict[int, int]]:
+                   schedule: ScaleSchedule) -> np.ndarray:
     """Counts per schedule level of the grid ANDed with ``rasterize_quads(isos[j].apply(quads))``.
 
-    A motion's frame is the box of the copy's leaves (all vertices of ``quads``), moved by it;
-    a motion whose frame reaches no occupied cell scores zero unmoved.  The others are moved
-    one trial at a time, or as many trials as ``_MOVE_LIMIT`` quads hold, and only the
+    Returns a (len(isos), len(schedule.levels)) array, row j for motion j.  A motion whose
+    frame (``_frame_spans``) reaches no occupied cell scores zero unmoved.  The others are
+    moved one trial at a time, or as many trials as ``_MOVE_LIMIT`` quads hold, and only the
     occupied cells in their boxes are tested (``_quad_hits``).  A cell met is keyed
     ``(t, Morton code)``, and level m counts the distinct ``key >> 2 * (grid.level - m)``.
     """
     _require_resolution(schedule, grid.level)
     counts = np.zeros((len(isos), len(schedule.levels)), dtype=np.int64)
-    vertices = quads.reshape(-1, 2)
-    (x0, y0), (x1, y1) = vertices.min(axis=0), vertices.max(axis=0)
-    box = np.array([(x0, y0), (x1, y0), (x0, y1), (x1, y1)])
-    w = grid.cell_size  # a frame widened by one cell absorbs the rounding of the moved leaves
-    spans = [_box_span(grid, frame.min(axis=0) - w, frame.max(axis=0) + w)
-             for frame in (iso.apply(box) for iso in isos)]
-    live = [j for j, (iy0, iy1, ix0, ix1) in enumerate(spans)
+    live = [j for j, (iy0, iy1, ix0, ix1) in enumerate(_frame_spans(grid, quads, isos).tolist())
             if ix0 <= ix1 and iy0 <= iy1 and grid.bits[iy0:iy1 + 1, ix0:ix1 + 1].any()]
     per = max(1, _MOVE_LIMIT // len(quads))
     for block in (live[s:s + per] for s in range(0, len(live), per)):
@@ -133,7 +127,25 @@ def overlap_counts(grid: BoxGrid, quads: np.ndarray, isos: Sequence[Isometry],
         step, trial = keys ^ np.concatenate([[-1], keys[:-1]]), keys >> 2 * grid.level
         for c, m in enumerate(schedule.levels):
             counts[block, c] = np.bincount(trial[step >> 2 * (grid.level - m) != 0], minlength=len(block))
-    return [dict(zip(schedule.levels, map(int, row))) for row in counts]
+    return counts
+
+
+def _frame_spans(grid: BoxGrid, quads: np.ndarray, isos: Sequence[Isometry]) -> np.ndarray:
+    """Per motion, the span (iy0, iy1, ix0, ix1) of cells meeting its frame, as in ``_ball_span``.
+
+    A frame is the box of the copy's leaves, moved by the motion and widened by one cell, which
+    absorbs the rounding of the moved leaves.  The stacked product runs, per motion, the product
+    of ``Isometry.apply``, so each moved box equals ``iso.apply(box)``.
+    """
+    vertices = quads.reshape(-1, 2)
+    (x0, y0), (x1, y1) = vertices.min(axis=0), vertices.max(axis=0)
+    box = np.array([(x0, y0), (x1, y0), (x0, y1), (x1, y1)])
+    mats = np.array([iso.matrix() for iso in isos]).reshape(-1, 2, 2)
+    frames = box @ mats.transpose(0, 2, 1) + np.array([iso.z for iso in isos]).reshape(-1, 1, 2)
+    w, n = grid.cell_size, grid.size
+    lo = np.floor((frames.min(axis=1) - w - grid.bounds.corner) / w).clip(0, n)
+    hi = np.floor((frames.max(axis=1) + w - grid.bounds.corner) / w).clip(-1, n - 1)
+    return np.stack([lo[:, 1], hi[:, 1], lo[:, 0], hi[:, 0]], axis=1).astype(np.int64)
 
 
 def _morton(iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
@@ -148,48 +160,56 @@ def _require_resolution(schedule: ScaleSchedule, level: int) -> None:
         raise ParameterError(f"schedule level {schedule.levels[-1]} exceeds grid resolution {level}")
 
 
-def estimate_dimension(counts: Mapping[int, int], window: tuple[int, int] | None = None,
-                       side: float = 1.0) -> DimensionEstimate:
-    """Ordinary least squares of log N against log(1/delta).
+def fit_dimensions(levels: Sequence[int], counts, window: tuple[int, int] | None = None,
+                   side: float = 1.0) -> tuple:
+    """Ordinary least squares of log N against log(1/delta), one fit per row of ``counts``.
 
-    ``window`` restricts the fit to levels in [lo, hi]; None applies the
-    default drop rule when enough levels remain and otherwise uses all of
-    them.  A flat count profile reports slope 0 with r2 fixed at 1, and an
-    all-zero profile is flagged empty.
+    ``counts`` is a (rows, len(levels)) array of counts at the strictly
+    increasing ``levels``.  ``window`` restricts the fits to levels in
+    [lo, hi]; None applies the default drop rule when enough levels remain
+    and otherwise uses all of them.  A flat row reports slope 0 with r2
+    fixed at 1, and an all-zero row is flagged empty; a row with a zero or
+    negative count among positive ones raises.  Returns the arrays slope,
+    intercept, r2 and empty, and the window fitted.
     """
-    levels = sorted(int(m) for m in counts)
+    levels = [int(m) for m in levels]
     if len(levels) < 3:
         raise ParameterError(f"need counts at 3 or more levels, got {len(levels)}")
     if window is None:
-        trimmed = levels[1:-2]
-        used = trimmed if len(trimmed) >= 3 else levels
+        lo, hi = (1, len(levels) - 2) if len(levels) >= 6 else (0, len(levels))
     else:
-        lo, hi = window
-        used = [m for m in levels if lo <= m <= hi]
-        if len(used) < 3:
-            raise ParameterError(f"window {window} keeps {len(used)} levels, need at least 3")
-    win = (used[0], used[-1])
-    values = [int(counts[m]) for m in used]
-
-    if all(v == 0 for v in values):
-        return DimensionEstimate(dict(counts), 0.0, 0.0, 1.0, win, empty=True)
-    if any(v <= 0 for v in values):
+        inside = [k for k, m in enumerate(levels) if window[0] <= m <= window[1]]
+        if len(inside) < 3:
+            raise ParameterError(f"window {window} keeps {len(inside)} levels, need at least 3")
+        lo, hi = inside[0], inside[-1] + 1
+    values = np.asarray(counts, dtype=np.int64).reshape(-1, len(levels))[:, lo:hi]
+    empty = ~values.any(axis=1)
+    if (values[~empty] <= 0).any():
         raise ParameterError("counts inside the window must all be positive or all be zero")
-    if len(set(values)) == 1:
-        intercept = math.log(values[0])
-        return DimensionEstimate(dict(counts), 0.0, intercept, 1.0, win)
-
-    x = np.array([m * LN2 - math.log(side) for m in used])
-    y = np.log(np.array(values, dtype=float))
+    flat = (values == values[:, :1]).all(axis=1)
+    # every row C-ordered, so row-wise log and sums give the floats of a one-row fit
+    x = np.array([m * LN2 - math.log(side) for m in levels[lo:hi]])
+    y = np.log(np.maximum(values, 1).astype(float))
     xm = x.mean()
-    ym = y.mean()
+    ym = y.mean(axis=1)
     sxx = float(((x - xm) ** 2).sum())
-    slope = float(((x - xm) * (y - ym)).sum()) / sxx
+    slope = ((x - xm) * (y - ym[:, None])).sum(axis=1) / sxx
     intercept = ym - slope * xm
-    resid = y - (intercept + slope * x)
-    sstot = float(((y - ym) ** 2).sum())
-    r2 = 1.0 - float((resid ** 2).sum()) / sstot if sstot > 0 else 1.0
-    return DimensionEstimate(dict(counts), slope, intercept, r2, win)
+    resid = y - (intercept[:, None] + slope[:, None] * x)
+    sstot = ((y - ym[:, None]) ** 2).sum(axis=1)
+    r2 = 1.0 - np.divide((resid ** 2).sum(axis=1), sstot, out=np.zeros_like(sstot), where=sstot > 0)
+    slope[flat], r2[flat] = 0.0, 1.0
+    intercept[flat] = [math.log(v) if v else 0.0 for v in values[flat, 0].tolist()]
+    return slope, intercept, r2, empty, (levels[lo], levels[hi - 1])
+
+
+def estimate_dimension(counts: Mapping[int, int], window: tuple[int, int] | None = None,
+                       side: float = 1.0) -> DimensionEstimate:
+    """``fit_dimensions`` of one {level: count} profile."""
+    levels = sorted(int(m) for m in counts)
+    (slope,), (intercept,), (r2,), (empty,), win = fit_dimensions(
+        levels, [[counts[m] for m in levels]], window, side)
+    return DimensionEstimate(dict(counts), float(slope), float(intercept), float(r2), win, bool(empty))
 
 
 def counts_csv_lines(counts: Mapping[int, int], side: float) -> list[str]:
@@ -199,28 +219,20 @@ def counts_csv_lines(counts: Mapping[int, int], side: float) -> list[str]:
     return lines
 
 
-def _box_span(grid: BoxGrid, lo: Sequence[float],
-              hi: Sequence[float]) -> tuple[int, int, int, int]:
-    """Inclusive cell span (iy0, iy1, ix0, ix1) of the closed box from corner lo to corner hi.
+def _ball_span(grid: BoxGrid, p: Sequence[float], radius: float) -> tuple[int, int, int, int]:
+    """Inclusive cell span (iy0, iy1, ix0, ix1) of the closed Chebyshev ball B(p, radius).
 
-    Cells belong when their half-open extent meets the box; the span is
+    Cells belong when their half-open extent meets the ball; the span is
     empty (iy0 > iy1 or ix0 > ix1) when no cell does.
     """
-    w = grid.cell_size
-    x0, y0 = grid.bounds.corner
-    n = grid.size
-
-    def span(a, b, o):
-        return max(int(math.floor((a - o) / w)), 0), min(int(math.floor((b - o) / w)), n - 1)
-
-    return span(lo[1], hi[1], y0) + span(lo[0], hi[0], x0)
-
-
-def _ball_span(grid: BoxGrid, p: Sequence[float], radius: float) -> tuple[int, int, int, int]:
-    """``_box_span`` of the closed Chebyshev ball B(p, radius)."""
     if radius <= 0:
         raise ParameterError(f"radius must be positive, got {radius!r}")
-    return _box_span(grid, (p[0] - radius, p[1] - radius), (p[0] + radius, p[1] + radius))
+    (x0, y0), w, n = grid.bounds.corner, grid.cell_size, grid.size
+
+    def span(c: float, o: float) -> tuple[int, int]:
+        return max(math.floor((c - radius - o) / w), 0), min(math.floor((c + radius - o) / w), n - 1)
+
+    return span(p[1], y0) + span(p[0], x0)
 
 
 def clip_to_ball(grid: BoxGrid, p: Sequence[float], radius: float) -> BoxGrid:
@@ -283,35 +295,44 @@ def find_full_dimension_point(grid: BoxGrid, min_clearance: float = 0.0) -> tupl
     Scans occupied cells of a coarse candidate grid; each candidate is
     represented by its first occupied fine cell (row-major from the bottom
     row) and scored by the minimum local slope over the radii side/8,
-    side/16 and side/32.  Ties keep the earliest candidate in row-major
-    order.  ``min_clearance`` optionally discards candidates closer than
-    that to the bounds edge (falling back to all of them if none survive).
+    side/16 and side/32, as ``local_dimension_profile`` fits them.  Ties
+    keep the earliest candidate in row-major order.  ``min_clearance``
+    optionally discards candidates closer than that to the bounds edge
+    (falling back to all of them if none survive).
     """
     if grid.is_empty():
         raise ParameterError("cannot locate a point in an empty set")
+    xs, ys = _representatives(grid)
+    (x0, y0), (x1, y1) = grid.bounds.corner, grid.bounds.max_corner
+    keep = np.minimum(np.minimum(xs - x0, x1 - xs), np.minimum(ys - y0, y1 - ys)) >= min_clearance
+    keep |= not keep.any()
+    pool = list(zip(xs[keep].tolist(), ys[keep].tolist()))
     side = grid.bounds.side
-    radii = (side / 8.0, side / 16.0, side / 32.0)
-    clevel = min(CANDIDATE_LEVEL, grid.level)
-    coarse = grid.downsampled(clevel)
-    factor = 1 << (grid.level - clevel)
+    scores = np.inf
+    for r in (side / 8.0, side / 16.0, side / 32.0):
+        sched = ScaleSchedule.resolving(grid, r / 2.0, floor=0)  # local_dimension_profile's schedule
+        counts = [list(ball_counts(grid, p, r, sched).values()) for p in pool]
+        slope, _, _, empty, _ = fit_dimensions(sched.levels, counts, side=side)
+        scores = np.minimum(scores, np.where(empty, 0.0, slope))
+    return pool[best_index(scores)]
 
-    def representative(cy: int, cx: int) -> tuple[float, float]:
-        block = grid.bits[cy * factor:(cy + 1) * factor, cx * factor:(cx + 1) * factor]
-        ys, xs = np.nonzero(block)  # row-major: the first is the lowest row's leftmost cell
-        return grid.cell_center(cx * factor + int(xs[0]), cy * factor + int(ys[0]))
 
-    x0, y0 = grid.bounds.corner
-    x1, y1 = grid.bounds.max_corner
-
-    def clearance(p) -> float:
-        return min(p[0] - x0, x1 - p[0], p[1] - y0, y1 - p[1])
-
-    candidates = [representative(int(cy), int(cx)) for cy, cx in zip(*np.nonzero(coarse.bits))]
-    best, best_score = None, -math.inf
-    for p in [p for p in candidates if clearance(p) >= min_clearance] or candidates:
-        score = min(est.slope if not est.empty else 0.0
-                    for est in local_dimension_profile(grid, p, radii))
-        if score > best_score + 1e-12:  # slopes are finite: the first candidate is always taken
-            best_score = score
-            best = p
+def best_index(scores: np.ndarray) -> int:
+    """The best of scores scanned in order, where a later score wins only by more than 1e-12."""
+    best, values = 0, scores.tolist()
+    for j, score in enumerate(values):
+        if score > values[best] + 1e-12:
+            best = j
     return best
+
+
+def _representatives(grid: BoxGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Centers (xs, ys) of the first occupied cell, row-major, of each occupied candidate block, row-major."""
+    level = min(CANDIDATE_LEVEL, grid.level)
+    nc, f = 1 << level, 1 << (grid.level - level)
+    blocks = grid.bits.reshape(nc, f, nc, f).transpose(0, 2, 1, 3).reshape(nc * nc, f * f)
+    first = blocks.argmax(axis=1)
+    k = np.flatnonzero(blocks[np.arange(nc * nc), first])
+    w = grid.cell_size
+    x0, y0 = grid.bounds.corner
+    return x0 + (k % nc * f + first[k] % f + 0.5) * w, y0 + (k // nc * f + first[k] // f + 0.5) * w

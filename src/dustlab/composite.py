@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxdim import (DimensionEstimate, ScaleSchedule, box_counts,
-                     estimate_dimension, find_full_dimension_point)
+from .boxdim import (DimensionEstimate, ScaleSchedule, box_counts, estimate_dimension,
+                     best_index, find_full_dimension_point, fit_dimensions, window_counts)
 from .cantor import alpha_for_dimension, generate_cantor, scale_and_place, scaled_quads
 from .errors import AssemblyError, ConstructionError, ParameterError, PlacementError
-from .geometry import (BoxGrid, Isometry, Square, grid_intersection,
+from .geometry import (BoxGrid, Isometry, Square, aligned_span, grid_intersection,
                        quads_disjoint, rasterize_quads)
 from .intersect import scored_trials
 from .parallel import check_jobs, parallel_map
@@ -162,30 +162,27 @@ class PipelineResult:
 
 
 def _annulus_slice(grid: BoxGrid, center, r_in: float, r_out: float) -> BoxGrid:
-    """The cells of ``grid`` whose centre has Chebyshev distance in [r_in, r_out) to ``center``.
+    """The cells of ``grid`` whose centre has Chebyshev distance in [r_in, r_out) to ``center``."""
+    return BoxGrid.adopt(grid.bounds, grid.level, _annulus_window(grid, center, r_in, r_out, grid.size))
+
+
+def _annulus_window(grid: BoxGrid, center, r_in: float, r_out: float, step: int) -> np.ndarray:
+    """``_annulus_slice(...).bits`` over the block of cells nearer than r_out, widened to multiples of step.
 
     max(dy, dx) < r exactly when dy < r and dx < r, so the slice is a difference of two blocks.
     """
     k = np.arange(grid.size) + 0.5
     offsets = [np.abs(c0 + k * grid.cell_size - c) for c0, c in zip(grid.bounds.corner, center)]
 
-    def block(r: float) -> tuple[slice, ...]:  # offsets grow away from the centre, so each span is contiguous
+    def block(r: float, window=(slice(None), slice(None))) -> tuple[slice, ...]:
+        # offsets grow away from the centre, so the cells nearer than r are one run per axis
         return tuple(slice(np.argmax(near), np.argmax(near) + np.count_nonzero(near))
-                     for near in (offsets[1] < r, offsets[0] < r))  # rows, then columns, nearer than r
-    bits = np.zeros_like(grid.bits)
-    bits[block(r_out)] = grid.bits[block(r_out)]
-    bits[block(r_in)] = False
-    return BoxGrid.adopt(grid.bounds, grid.level, bits)
-
-
-def _slice_estimate(counts: dict[int, int], schedule: ScaleSchedule,
-                    side: float) -> DimensionEstimate:
-    """Slope of a concentrated slice, fitted over all of its resolved levels.
-
-    The default window trim is meant for full-size sets; for thin slices
-    the finest raster levels carry the structure, so the fit keeps them.
-    """
-    return estimate_dimension(counts, window=(schedule.levels[0], schedule.levels[-1]), side=side)
+                     for near in (offsets[1][window[0]] < r, offsets[0][window[1]] < r))  # rows, then columns
+    window = tuple(aligned_span(s.start, max(s.start, s.stop - 1), step) for s in block(r_out))
+    bits = np.zeros_like(grid.bits[window])
+    bits[block(r_out, window)] = grid.bits[window][block(r_out, window)]
+    bits[block(r_in, window)] = False
+    return bits
 
 
 def _union_estimate(grid: BoxGrid, extent: float) -> DimensionEstimate:
@@ -229,10 +226,12 @@ def build_annuli(E: BoxGrid, p, d_seq, min_mass: int) -> AnnulusChain:
         r_out = radii[-1]
         r_in = r_out / 2.0
         while r_in >= cell:
-            slice_grid = _annulus_slice(E, p, r_in, r_out)
-            if slice_grid.occupied_count >= min_mass:
-                schedule = ScaleSchedule.resolving(E, r_out - r_in)
-                est = _slice_estimate(box_counts(slice_grid, schedule), schedule, E.bounds.side)
+            schedule = ScaleSchedule.resolving(E, r_out - r_in)
+            bits = _annulus_window(E, p, r_in, r_out, 1 << (E.level - schedule.levels[0]))
+            if np.count_nonzero(bits) >= min_mass:
+                # every resolved level: in a thin slice the finest levels carry the structure
+                counts = window_counts(bits, E.level, schedule)
+                est = estimate_dimension(counts, window=(schedule.levels[0], E.level), side=E.bounds.side)
                 if est.slope >= d_n - 0.1:
                     break
             r_in /= 2.0
@@ -313,14 +312,14 @@ def place_cantor_in_annulus(E: BoxGrid, chain: AnnulusChain, index: int, b: floa
     window_half = chain.half_widths[index - 1] + 1.5 * diameter
     window = Square.centered(chain.center, window_half)
 
-    best: tuple[float, Isometry] | None = None
-    for iso, counts in scored_trials(slice_grid, quads, window, schedule, trials, seed, 1):
-        est = _slice_estimate(counts, schedule, E.bounds.side)
-        if not est.empty and (best is None or est.slope > best[0] + 1e-12):
-            best = (est.slope, iso)
-    if best is None:
+    isos, counts = scored_trials(slice_grid, quads, window, schedule, trials, seed, 1)
+    # every resolved level, as build_annuli fits its slices
+    slopes, _, _, empty, _ = fit_dimensions(schedule.levels, counts, window=(schedule.levels[0], E.level),
+                                            side=E.bounds.side)
+    best = best_index(np.where(empty, -np.inf, slopes))
+    if empty[best]:
         raise PlacementError(f"annulus {index}: no trial intersected the annulus slice of the set")
-    return PlacementRecord(index, float(alpha), depth, diameter, best[1], best[0])
+    return PlacementRecord(index, float(alpha), depth, diameter, isos[best], float(slopes[best]))
 
 
 def _placements_disjoint(leaves) -> bool:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxdim import (DimensionEstimate, ScaleSchedule, box_counts, estimate_dimension,
-                     overlap_counts)
+                     fit_dimensions, overlap_counts)
 from .cantor import CantorApproximant, cantor_dimension, scale_and_place, scaled_quads
 from .errors import ParameterError
 from .geometry import SQRT2, BoxGrid, Isometry, Square, rasterize_quads
@@ -107,13 +107,14 @@ def intersection_dimension(a: BoxGrid, b: CantorApproximant, iso: Isometry) -> D
     per-trial slopes are comparable with it.  The copy keeps its unit
     frame: diameter sqrt(2) scales it by exactly 1.
     """
-    (counts,) = overlap_counts(a, scaled_quads(b, SQRT2), [iso], ScaleSchedule.default_for(a))
-    return estimate_dimension(counts, side=a.bounds.side)
+    schedule = ScaleSchedule.default_for(a)
+    (counts,) = overlap_counts(a, scaled_quads(b, SQRT2), [iso], schedule).tolist()
+    return estimate_dimension(dict(zip(schedule.levels, counts)), side=a.bounds.side)
 
 
 def scored_trials(grid: BoxGrid, quads: np.ndarray, window: Square, schedule: ScaleSchedule,
-                  trials: int, seed: int, jobs: int) -> list:
-    """``(motion, overlap_counts)`` of trials 0..trials-1 of a copy's unmoved quads, in order.
+                  trials: int, seed: int, jobs: int) -> tuple[list[Isometry], np.ndarray]:
+    """Motions of trials 0..trials-1 of a copy's unmoved quads, in order, and their ``overlap_counts``.
 
     Trial i draws its motion over ``window`` from ``default_rng([seed, i])``, and each
     thread scores one run of consecutive trials, so no result depends on ``jobs``.
@@ -123,9 +124,10 @@ def scored_trials(grid: BoxGrid, quads: np.ndarray, window: Square, schedule: Sc
     def run(r: int):
         isos = [sample_isometry(np.random.default_rng([seed, i]), window)
                 for i in range(r * size, min(trials, (r + 1) * size))]
-        return zip(isos, overlap_counts(grid, quads, isos, schedule))
+        return isos, overlap_counts(grid, quads, isos, schedule)
 
-    return [row for rows in parallel_map(run, -(-trials // size), jobs) for row in rows]
+    runs = parallel_map(run, -(-trials // size), jobs)
+    return [iso for isos, _ in runs for iso in isos], np.concatenate([counts for _, counts in runs])
 
 
 def mattila_survey(a: BoxGrid, b: CantorApproximant, trials: int, tolerance: float = 0.15,
@@ -158,12 +160,11 @@ def mattila_survey(a: BoxGrid, b: CantorApproximant, trials: int, tolerance: flo
     window = default_survey_window(a)
     threshold = s + t - 2.0
     floor = threshold - tolerance
-    rows = []
-    for i, (iso, counts) in enumerate(scored_trials(a, scaled_quads(b, SQRT2), window,
-                                                    ScaleSchedule.default_for(a), trials, seed, jobs)):
-        est = estimate_dimension(counts, side=a.bounds.side)
-        hit = (not est.empty) and est.slope >= floor
-        rows.append(TrialRow(i, iso.theta, iso.reflect, *iso.z, est.slope, est.empty, hit))
+    schedule = ScaleSchedule.default_for(a)
+    isos, counts = scored_trials(a, scaled_quads(b, SQRT2), window, schedule, trials, seed, jobs)
+    slopes, _, _, empty, _ = fit_dimensions(schedule.levels, counts, side=a.bounds.side)
+    rows = [TrialRow(i, iso.theta, iso.reflect, *iso.z, slope, e, not e and slope >= floor)
+            for i, (iso, slope, e) in enumerate(zip(isos, slopes.tolist(), empty.tolist()))]
     hits = sum(r.hit for r in rows)
     return MattilaSurvey(s, t, threshold, tolerance, trials, hits,
                          tuple(rows), seed, window)

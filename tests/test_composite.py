@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dustlab import composite
-from dustlab.boxdim import ScaleSchedule, find_full_dimension_point
-from dustlab.cantor import alpha_for_dimension, generate_cantor, scale_and_place
+from dustlab.boxdim import ScaleSchedule, box_counts, find_full_dimension_point, window_counts
+from dustlab.cantor import alpha_for_dimension, generate_cantor, scale_and_place, scaled_quads
 from dustlab.composite import (AnnulusChain, CompositePlan, PlacementRecord,
                                assemble_composite, build_annuli, check_plan,
                                choose_b_sequence, place_cantor_in_annulus,
@@ -19,7 +19,8 @@ from dustlab.errors import (AssemblyError, ConstructionError, ParameterError,
                             PlacementError)
 from dustlab.geometry import BoxGrid, Isometry, Square, rasterize
 from dustlab.intersect import sample_isometry
-from test_counting import dense_trial_counts
+from test_counting import (per_trial_counts, reference_full_dimension_point,
+                           scalar_estimate_dimension)
 
 
 def dust_grid(alpha, depth, level):
@@ -154,6 +155,73 @@ def test_annulus_slice_matches_the_dense_distance_rule(case):
     got = composite._annulus_slice(grid, center, r_in, r_out)
     assert got.bounds == grid.bounds and got.level == grid.level
     assert np.array_equal(got.bits, grid.bits & ((d >= r_in) & (d < r_out)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(annulus_cases(), st.data())
+@example((full_grid(3), (0.5, 0.5), 0.0625, 0.3125), None)
+@example((full_grid(5), (0.25, 0.75), 0.01, 0.2), None)
+@example((full_grid(3), (0.2, 0.9), 0.3, 5.0), None)
+def test_annulus_window_counts_as_the_full_slice(case, data):
+    # build_annuli counts each candidate slice in a window aligned to its schedule's coarsest level
+    grid, center, r_in, r_out = case
+    lo = max(grid.level - 2, 0) if data is None else data.draw(st.integers(0, grid.level))
+    bits = composite._annulus_window(grid, center, r_in, r_out, 1 << (grid.level - lo))
+    full = composite._annulus_slice(grid, center, r_in, r_out)
+    assert np.count_nonzero(bits) == full.occupied_count
+    if grid.level - lo >= 2:
+        schedule = ScaleSchedule.span(lo, grid.level)
+        assert window_counts(bits, grid.level, schedule) == box_counts(full, schedule)
+
+
+def reference_build_annuli(E, p, d_seq, min_mass):
+    """``build_annuli`` as it stood: each candidate slice cut from the full grid by the dense
+    distance rule, counted over the full grid and fitted by the scalar least squares."""
+    x0, y0 = E.bounds.corner
+    x1, y1 = E.bounds.max_corner
+    clearance = min(p[0] - x0, x1 - p[0], p[1] - y0, y1 - p[1])
+    cell = E.cell_size
+    r = 0.95 * clearance
+    if r < 2.0 * cell:
+        return None
+    d = cheb_distances(E, p)
+    radii = [r]
+    for d_n in d_seq:
+        r_out = radii[-1]
+        r_in = r_out / 2.0
+        while r_in >= cell:
+            slice_grid = BoxGrid(E.bounds, E.level, E.bits & (d >= r_in) & (d < r_out))
+            if slice_grid.occupied_count >= min_mass:
+                schedule = ScaleSchedule.resolving(E, r_out - r_in)
+                est = scalar_estimate_dimension(box_counts(slice_grid, schedule),
+                                                window=(schedule.levels[0], schedule.levels[-1]),
+                                                side=E.bounds.side)
+                if est.slope >= d_n - 0.1:
+                    break
+            r_in /= 2.0
+        else:
+            return None
+        radii.append(r_in)
+    return tuple(radii)
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.floats(0.25, 0.45), depth=st.integers(3, 5), level=st.integers(7, 10),
+       point=st.none() | st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
+       d0=st.floats(0.3, 1.2), steps=st.lists(st.floats(0.01, 0.1), min_size=1, max_size=5),
+       min_mass=st.sampled_from([4, 12, 24]))
+def test_build_annuli_chooses_the_reference_half_widths(alpha, depth, level, point, d0, steps,
+                                                        min_mass):
+    E = dust_grid(alpha, depth, level)
+    p = find_full_dimension_point(E, min_clearance=0.25) if point is None else point
+    d_seq = [min(d0 + sum(steps[:k + 1]), 1.95) for k in range(len(steps))]
+    d_seq = [d for k, d in enumerate(d_seq) if k == 0 or d > d_seq[k - 1]]
+    expected = reference_build_annuli(E, p, d_seq, min_mass)
+    if expected is None:
+        with pytest.raises(ConstructionError):
+            build_annuli(E, p, d_seq, min_mass)
+    else:
+        assert build_annuli(E, p, d_seq, min_mass).half_widths == expected
 
 
 class TestAnnulusChainValues:
@@ -396,16 +464,16 @@ class TestPipeline:
         assert serial.plan.to_json() == threaded.plan.to_json()
 
 
-# Placement search as it stood before each copy's quads were built once and
-# trials whose frame reaches no occupied cell were skipped: every trial
-# places the copy with scale_and_place and scores it with the dense trial
-# scorer, the raster in its aligned window (test_counting's oracle).
+# Placement search as it stood before its trials were scored as arrays: every
+# trial's frame is moved and tested alone, the copy is scored by the dense trial
+# scorer (the raster in its aligned window) and fitted by the scalar least squares,
+# one trial at a time (test_counting's oracles).
 
 def reference_placement(E, chain, index, b, trials, seed, schedule_extent):
     diameter = placement_diameter(chain, index)
     alpha = alpha_for_dimension(b)
     depth = composite._copy_depth(float(alpha), diameter, E.cell_size)
-    copy = generate_cantor(alpha, depth)
+    quads = scaled_quads(generate_cantor(alpha, depth), diameter)
     d, hw = cheb_distances(E, chain.center), chain.half_widths
     slice_grid = BoxGrid(E.bounds, E.level, E.bits & (d >= hw[index]) & (d < hw[index - 1]))
     schedule = ScaleSchedule.resolving(E, schedule_extent)
@@ -413,8 +481,9 @@ def reference_placement(E, chain, index, b, trials, seed, schedule_extent):
     best = None
     for i in range(trials):
         iso = sample_isometry(np.random.default_rng([seed, i]), window)
-        counts = dense_trial_counts(slice_grid, scale_and_place(copy, diameter, iso), schedule)
-        est = composite._slice_estimate(counts, schedule, E.bounds.side)
+        est = scalar_estimate_dimension(per_trial_counts(slice_grid, quads, iso, schedule),
+                                        window=(schedule.levels[0], schedule.levels[-1]),
+                                        side=E.bounds.side)
         if not est.empty and (best is None or est.slope > best[0] + 1e-12):
             best = (est.slope, iso)
     return PlacementRecord(index, float(alpha), depth, diameter, best[1], best[0])
@@ -455,6 +524,22 @@ def test_lone_placement_derives_the_chains_extent(construct_workload, construct_
     for rec in construct_reference:
         i = rec.index
         assert place_cantor_in_annulus(E, chain, i, plan.b_seq[i - 1], 160, 5 + 1000 * i) == rec
+
+
+@pytest.mark.parametrize("seed", [3, 21])
+def test_pipeline_stages_match_per_trial_references_at_other_seeds(seed):
+    # the construct workload's set at seeds other than the benchmark's: the point, the
+    # chain and every placement equal the references' one-candidate, one-trial searches
+    E = dust_grid(0.4, 5, 10)
+    plan = run_pipeline(E, annuli=6, trials=40, seed=seed).plan
+    p = reference_full_dimension_point(E, min_clearance=E.bounds.side / 4.0)
+    assert plan.center == p
+    assert plan.half_widths == reference_build_annuli(E, p, plan.d_seq, 24)
+    chain = AnnulusChain(plan.center, plan.half_widths)
+    even = range(2, chain.count + 1, 2)
+    extent = max(placement_diameter(chain, i) for i in even)
+    assert plan.placements == tuple(
+        reference_placement(E, chain, i, plan.b_seq[i - 1], 40, seed + 1000 * i, extent) for i in even)
 
 
 # check_plan on perturbed copies of the construct plan's records: every

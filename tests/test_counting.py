@@ -23,6 +23,18 @@
   mix misses, reflections, quarter turns, edge-touching and grid-clipped
   copies, single occupied cells, quad sets that are not congruent, and
   sparse and dense targets.
+* ``overlap_counts`` moves the frames of all its motions by one stacked
+  product (``boxdim._frame_spans``); the per-motion frame it replaced is
+  ``padded_frame_span``, and ``per_trial_counts`` scores one motion alone
+  through it and the dense trial scorer.
+* ``fit_dimensions`` fits a batch of count profiles in one pass; the
+  scalar fit it replaced is kept here verbatim
+  (``scalar_estimate_dimension``), and each row must equal it float for
+  float.
+* ``find_full_dimension_point`` takes every block's representative by one
+  ``argmax`` and fits its candidates as one batch per radius; the
+  per-block ``np.nonzero`` scan and the per-candidate scoring are kept
+  here verbatim (``reference_full_dimension_point``).
 * ``ScaleSchedule.resolving`` replaced three per-caller formulas, kept
   here verbatim.
 * ``rasterize`` became a thin entry to ``rasterize_quads``, whose block
@@ -49,8 +61,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dustlab import boxdim, geometry
-from dustlab.boxdim import (ScaleSchedule, ball_counts, box_counts, clip_to_ball,
-                            overlap_counts, window_counts)
+from dustlab.boxdim import (DimensionEstimate, ScaleSchedule, ball_counts, box_counts,
+                            clip_to_ball, estimate_dimension, find_full_dimension_point,
+                            fit_dimensions, overlap_counts, window_counts)
 from dustlab.cantor import generate_cantor, scale_and_place, scaled_quads
 from dustlab.errors import ParameterError
 from dustlab.geometry import (SQRT2, BoxGrid, Isometry, Square, _index_ranges,
@@ -187,9 +200,9 @@ def test_windowed_trial_counts_match_full_grid(level, data, seed, density, bound
 
 
 def trial_counts(target, copy, diameter, iso, schedule):
-    """The trial scorer as placement and survey trials call it, for one motion."""
-    (counts,) = overlap_counts(target, scaled_quads(copy, diameter), [iso], schedule)
-    return counts
+    """The trial scorer as placement and survey trials call it, for one motion, as {level: count}."""
+    (counts,) = overlap_counts(target, scaled_quads(copy, diameter), [iso], schedule).tolist()
+    return dict(zip(schedule.levels, counts))
 
 
 # The dense trial scorer that overlap_counts replaced: geometry's windowed
@@ -305,6 +318,19 @@ def padded_frame_span(grid, quads, iso):
     lo, hi = frame.min(axis=0) - w, frame.max(axis=0) + w
     return [(math.floor((lo[k] - o) / w), math.floor((hi[k] - o) / w))
             for k, o in enumerate(grid.bounds.corner)]
+
+
+def per_trial_counts(grid, quads, iso, schedule):
+    """One motion scored alone, as trials were before their frames were moved in one product.
+
+    Zero when the motion's padded frame span, clipped to the grid, holds no occupied cell;
+    otherwise the dense trial scorer's counts of the moved quads.
+    """
+    n = grid.size
+    (ix0, ix1), (iy0, iy1) = ((max(lo, 0), min(hi, n - 1)) for lo, hi in padded_frame_span(grid, quads, iso))
+    if ix0 > ix1 or iy0 > iy1 or not grid.bits[iy0:iy1 + 1, ix0:ix1 + 1].any():
+        return dict.fromkeys(schedule.levels, 0)
+    return dense_trial_counts(grid, iso.apply(quads), schedule)
 
 
 UNIT = Square.unit()
@@ -426,8 +452,8 @@ def test_trial_whose_frame_misses_every_occupied_cell_is_not_rasterized(monkeypa
     assert calls == [1]
     # in a batch, only the trial that can score is moved and gathered
     quads = scaled_quads(copy, 0.3 * SQRT2)
-    counts = overlap_counts(target, quads, [miss, hit, miss], schedule)
-    assert counts[0] == counts[2] == dict.fromkeys(range(2, 7), 0) and counts[1][6] > 0
+    counts = overlap_counts(target, quads, [miss, hit, miss], schedule).tolist()
+    assert counts[0] == counts[2] == [0] * 5 and counts[1][-1] > 0
     assert calls == [1, 1]
 
 
@@ -519,7 +545,7 @@ def test_pruned_trial_counts_match_full_raster_on_sparse_targets(
 
     full = rasterize_quads(iso.apply(quads), bounds, level)
     expected = box_counts(grid_intersection(target, full), schedule)
-    assert overlap_counts(target, quads, [iso], schedule) == [expected]
+    assert overlap_counts(target, quads, [iso], schedule).tolist() == [list(expected.values())]
 
     align = 1 << (level - schedule.levels[0])
     cells, window = dense_window(iso.apply(quads), bounds, level, align, target)
@@ -587,12 +613,203 @@ def test_batched_trial_counts_match_dense_oracle(level, bounds, alpha, depth, di
             patch.setattr(boxdim, "_MOVE_LIMIT", limit)
             patch.setattr(geometry, "_QUAD_BLOCK_LIMIT", limit)
         counts = overlap_counts(target, quads, isos, schedule)
-    assert len(counts) == len(isos)
-    for iso, got in zip(isos, counts):
+    assert counts.shape == (len(isos), len(schedule.levels))
+    for iso, row in zip(isos, counts.tolist()):
+        got = dict(zip(schedule.levels, row))
         moved = iso.apply(quads)
         assert got == dense_trial_counts(target, moved, schedule)
         assert got == box_counts(grid_intersection(target, rasterize_quads(moved, bounds, level)),
                                  schedule)
+
+
+@SETTINGS
+@given(level=st.integers(3, 8), bounds=bounds_strategy, alpha=st.floats(0.2, 0.45),
+       depth=st.integers(1, 4), diameter_frac=st.floats(0.01, 1.5),
+       batch=st.lists(motions, min_size=1, max_size=8))
+# the edge cases of test_single_cell_by_padded_frame_span_counts_as_full_grid: frames on the
+# grid's lower-left corner, quarter turns and reflections of dyadic data, a frame on the
+# grid's right edge and one just past it, and rotated frames across the lower and upper edges
+@example(level=6, bounds=UNIT, alpha=0.25, depth=3, diameter_frac=0.5 * SQRT2,
+         batch=[(0.0, False, 0.0, 0.0)])
+@example(level=6, bounds=UNIT, alpha=0.25, depth=3, diameter_frac=0.25 * SQRT2,
+         batch=[(math.pi / 2, False, 0.5, 0.25), (math.pi, True, 0.5, 0.5),
+                (3 * math.pi / 2, True, 0.75, 0.5)])
+@example(level=5, bounds=UNIT, alpha=0.3, depth=2, diameter_frac=0.25 * SQRT2,
+         batch=[(0.0, False, 1.0, 0.25), (0.0, False, 1.0 + 2 ** -5, 0.25)])
+@example(level=7, bounds=UNIT, alpha=0.4, depth=3, diameter_frac=0.6,
+         batch=[(0.7, True, 0.3, -0.1), (2.5, False, 0.4, 1.05)])
+def test_stacked_frame_spans_equal_per_trial_spans(level, bounds, alpha, depth, diameter_frac,
+                                                   batch):
+    # one stacked product moves every frame; each span must be the one padded_frame_span
+    # gives for that motion alone, clipped to the grid: starts to [0, n], ends to [-1, n - 1]
+    grid = BoxGrid.empty(bounds, level)
+    x0, y0 = bounds.corner
+    quads = scaled_quads(generate_cantor(alpha, depth), diameter_frac * bounds.side)
+    isos = [Isometry(theta, reflect, (x0 + u * bounds.side, y0 + v * bounds.side))
+            for theta, reflect, u, v in batch]
+    n = 1 << level
+    for iso, got in zip(isos, boxdim._frame_spans(grid, quads, isos).tolist()):
+        (ix0, ix1), (iy0, iy1) = padded_frame_span(grid, quads, iso)
+        assert got == [min(max(iy0, 0), n), max(min(iy1, n - 1), -1),
+                       min(max(ix0, 0), n), max(min(ix1, n - 1), -1)]
+
+
+# The scalar least-squares fit that fit_dimensions replaced, kept verbatim.
+
+def scalar_estimate_dimension(counts, window=None, side=1.0) -> DimensionEstimate:
+    levels = sorted(int(m) for m in counts)
+    if len(levels) < 3:
+        raise ParameterError(f"need counts at 3 or more levels, got {len(levels)}")
+    if window is None:
+        trimmed = levels[1:-2]
+        used = trimmed if len(trimmed) >= 3 else levels
+    else:
+        lo, hi = window
+        used = [m for m in levels if lo <= m <= hi]
+        if len(used) < 3:
+            raise ParameterError(f"window {window} keeps {len(used)} levels, need at least 3")
+    win = (used[0], used[-1])
+    values = [int(counts[m]) for m in used]
+
+    if all(v == 0 for v in values):
+        return DimensionEstimate(dict(counts), 0.0, 0.0, 1.0, win, empty=True)
+    if any(v <= 0 for v in values):
+        raise ParameterError("counts inside the window must all be positive or all be zero")
+    if len(set(values)) == 1:
+        intercept = math.log(values[0])
+        return DimensionEstimate(dict(counts), 0.0, intercept, 1.0, win)
+
+    x = np.array([m * boxdim.LN2 - math.log(side) for m in used])
+    y = np.log(np.array(values, dtype=float))
+    xm = x.mean()
+    ym = y.mean()
+    sxx = float(((x - xm) ** 2).sum())
+    slope = float(((x - xm) * (y - ym)).sum()) / sxx
+    intercept = ym - slope * xm
+    resid = y - (intercept + slope * x)
+    sstot = float(((y - ym) ** 2).sum())
+    r2 = 1.0 - float((resid ** 2).sum()) / sstot if sstot > 0 else 1.0
+    return DimensionEstimate(dict(counts), slope, intercept, r2, win)
+
+
+def fit_fields(est) -> tuple:
+    """An estimate's fitted fields, with each float as its repr, so that -0.0 differs from 0.0."""
+    return tuple(map(repr, map(float, (est.slope, est.intercept, est.r2)))) + (est.window, est.empty)
+
+
+@st.composite
+def count_rows(draw, width: int):
+    """A count profile of ``width`` levels: growing, random, flat, empty, or with one zero."""
+    kind = draw(st.sampled_from(["growing", "random", "flat", "empty", "one zero"]))
+    if kind == "growing":
+        base, ratio = draw(st.integers(1, 50)), draw(st.floats(1.0, 4.0))
+        return [int(base * ratio ** k) + draw(st.integers(0, 3)) for k in range(width)]
+    if kind == "flat":
+        return [draw(st.integers(1, 10 ** 6))] * width
+    if kind == "empty":
+        return [0] * width
+    row = draw(st.lists(st.integers(1, 10 ** 6), min_size=width, max_size=width))
+    if kind == "one zero":  # a row mixing zero and positive counts when the zero is in the window
+        row[draw(st.integers(0, width - 1))] = 0
+    return row
+
+
+@settings(max_examples=400, deadline=None)
+@given(levels=st.lists(st.integers(0, 16), min_size=3, max_size=13, unique=True).map(sorted),
+       side=st.sampled_from([1.0, 0.37, 2.0 ** -3, 5.5, 1e3]), data=st.data())
+@example(levels=[2, 3, 4], side=1.0, data=None)
+def test_batched_fit_equals_scalar_fit(levels, side, data):
+    if data is None:  # one flat, one empty and one growing row, no window
+        rows, window = [[7, 7, 7], [0, 0, 0], [1, 4, 16]], None
+    else:
+        rows = data.draw(st.lists(count_rows(len(levels)), min_size=1, max_size=8))
+        window = data.draw(st.none() | st.tuples(st.integers(-1, 17), st.integers(-1, 17)))
+    profiles = [dict(zip(levels, row)) for row in rows]
+    try:
+        expected = [scalar_estimate_dimension(c, window=window, side=side) for c in profiles]
+    except ParameterError:  # a mixed row, or a window keeping fewer than 3 levels
+        with pytest.raises(ParameterError):
+            fit_dimensions(levels, rows, window=window, side=side)
+        for c in profiles:
+            try:
+                scalar_estimate_dimension(c, window=window, side=side)
+            except ParameterError:
+                with pytest.raises(ParameterError):
+                    estimate_dimension(c, window=window, side=side)
+        return
+    slope, intercept, r2, empty, win = fit_dimensions(levels, rows, window=window, side=side)
+    for j, (ref, counts) in enumerate(zip(expected, profiles)):
+        row = DimensionEstimate(counts, slope[j], intercept[j], r2[j], win, bool(empty[j]))
+        assert fit_fields(row) == fit_fields(ref)
+        assert estimate_dimension(counts, window=window, side=side) == ref
+
+
+# The point search's per-block scan that the one argmax replaced, and its scoring by one
+# local_dimension_profile per candidate with scalar fits, kept verbatim.
+
+def reference_representatives(grid):
+    clevel = min(boxdim.CANDIDATE_LEVEL, grid.level)
+    coarse = grid.downsampled(clevel)
+    factor = 1 << (grid.level - clevel)
+
+    def representative(cy: int, cx: int) -> tuple[float, float]:
+        block = grid.bits[cy * factor:(cy + 1) * factor, cx * factor:(cx + 1) * factor]
+        ys, xs = np.nonzero(block)  # row-major: the first is the lowest row's leftmost cell
+        return grid.cell_center(cx * factor + int(xs[0]), cy * factor + int(ys[0]))
+
+    return [representative(int(cy), int(cx)) for cy, cx in zip(*np.nonzero(coarse.bits))]
+
+
+def reference_full_dimension_point(grid, min_clearance=0.0):
+    side = grid.bounds.side
+    radii = (side / 8.0, side / 16.0, side / 32.0)
+    x0, y0 = grid.bounds.corner
+    x1, y1 = grid.bounds.max_corner
+
+    def clearance(p) -> float:
+        return min(p[0] - x0, x1 - p[0], p[1] - y0, y1 - p[1])
+
+    def profile(p):
+        return [scalar_estimate_dimension(
+            ball_counts(grid, p, r, ScaleSchedule.resolving(grid, r / 2.0, floor=0)), side=side)
+            for r in radii]
+
+    candidates = reference_representatives(grid)
+    best, best_score = None, -math.inf
+    for p in [p for p in candidates if clearance(p) >= min_clearance] or candidates:
+        score = min(est.slope if not est.empty else 0.0 for est in profile(p))
+        if score > best_score + 1e-12:
+            best_score = score
+            best = p
+    return best
+
+
+@SETTINGS
+@given(level=st.integers(0, 9), bounds=bounds_strategy, seed=st.integers(0, 2**32 - 1),
+       density=densities)
+def test_argmax_representatives_match_per_block_scan(level, bounds, seed, density):
+    # below CANDIDATE_LEVEL every block is one cell (factor 1)
+    grid = BoxGrid(bounds, level, random_bits(seed, level, density))
+    xs, ys = boxdim._representatives(grid)
+    assert list(zip(xs.tolist(), ys.tolist())) == reference_representatives(grid)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(level=st.integers(2, 7), bounds=bounds_strategy, seed=st.integers(0, 2**32 - 1),
+       density=st.sampled_from([0.002, 0.05, 0.3, 1.0]), block=st.booleans(),
+       clearance=st.sampled_from([0.0, 0.1, 0.25, 0.45, 0.6]))
+def test_point_search_matches_per_candidate_reference(level, bounds, seed, density, block,
+                                                      clearance):
+    # a clearance of 0.45 or 0.6 of the side keeps no candidate: every one is scored
+    n = 1 << level
+    bits = random_bits(seed, level, density)
+    if block:  # a dense corner beside sparse cells gives candidates unequal scores
+        bits[:n // 2 + 1, :n // 2 + 1] = True
+    grid = BoxGrid(bounds, level, bits)
+    if grid.is_empty():
+        return
+    expected = reference_full_dimension_point(grid, clearance * bounds.side)
+    assert find_full_dimension_point(grid, clearance * bounds.side) == expected
 
 
 def test_quad_whose_box_meets_no_occupied_cell_does_not_widen_window():

@@ -5,14 +5,15 @@ import pytest
 
 from dustlab.boxdim import ScaleSchedule, box_counts, estimate_dimension
 from dustlab.cantor import (alpha_for_dimension, cantor_dimension, generate_cantor,
-                            scale_and_place)
+                            scale_and_place, scaled_quads)
 from dustlab.errors import ParameterError
 from dustlab.geometry import (SQRT2, BoxGrid, Isometry, Square, grid_intersection, rasterize,
                               rasterize_quads, squares_to_quads)
 from dustlab import intersect
-from dustlab.intersect import (apply_isometry, default_survey_window,
+from dustlab.intersect import (TrialRow, apply_isometry, default_survey_window,
                                intersection_dimension, mattila_survey,
                                sample_isometry)
+from test_counting import per_trial_counts, scalar_estimate_dimension
 
 IDENTITY = Isometry(0.0, False, (0.0, 0.0))
 
@@ -252,3 +253,33 @@ class TestMattilaSurvey:
         assert lines[0] == "trial,theta,reflect,zx,zy,slope,hit"
         assert len(lines) == 7
         assert lines[-1].startswith("s,")
+
+
+# The survey as it stood before its trials were scored as arrays: each trial's frame
+# is moved and tested alone, scored by the dense trial scorer and fitted by the
+# scalar least squares (test_counting's oracles).
+
+def reference_survey_rows(a, b, trials, seed, tolerance=0.15):
+    schedule = ScaleSchedule.default_for(a)
+    s = scalar_estimate_dimension(box_counts(a, schedule), side=a.bounds.side).slope
+    floor = s + cantor_dimension(b.alpha) - 2.0 - tolerance
+    quads = scaled_quads(b, SQRT2)
+    window = default_survey_window(a)
+    rows = []
+    for i in range(trials):
+        iso = sample_isometry(np.random.default_rng([seed, i]), window)
+        est = scalar_estimate_dimension(per_trial_counts(a, quads, iso, schedule), side=a.bounds.side)
+        hit = (not est.empty) and est.slope >= floor
+        rows.append(TrialRow(i, iso.theta, iso.reflect, *iso.z, est.slope, est.empty, hit))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("seed", [4, 23])
+def test_survey_rows_match_per_trial_reference(seed):
+    # the benchmark's mattila sets (A: ratio 0.315, depth 6, level 9; B: dimension 1.7,
+    # depth 5) at seeds other than its seed 11
+    a = dust_grid(0.315, 6, 9)
+    b = generate_cantor(alpha_for_dimension(1.7), 5)
+    survey = mattila_survey(a, b, trials=80, seed=seed)
+    assert survey.rows == reference_survey_rows(a, b, 80, seed)
+    assert 0 < survey.hits < 80
