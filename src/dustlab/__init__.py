@@ -21,8 +21,7 @@ from .errors import (AssemblyError, BudgetError, ConstructionError, DustError,
                      RingUndeterminedError)
 from .formats import read_cad, write_bgr, write_cad
 from .geometry import Alpha, BoxGrid, Isometry, Square, grid_intersection, rasterize
-from .intersect import (MattilaSurvey, apply_isometry, intersection_dimension,
-                        mattila_survey, sample_isometry)
+from .intersect import MattilaSurvey, apply_isometry, intersection_dimension, mattila_survey
 from .john import (JohnPath, JohnReport, RingLocation, build_john_path,
                    ring_clearance_bound, ring_of_point, verify_john)
 

@@ -28,6 +28,7 @@ from .geometry import (BoxGrid, Isometry, Square, aligned_span, grid_intersectio
                        quads_disjoint, rasterize_quads)
 from .intersect import scored_trials
 from .parallel import check_jobs, parallel_map
+from .streams import check_seed
 
 #: Copies are generated no deeper than this many subdivision steps.
 MAX_COPY_DEPTH = 8
@@ -484,6 +485,7 @@ def run_pipeline(E: BoxGrid, annuli: int = 6, trials: int = 480, seed: int = 0,
     if min_mass < 1:
         raise ParameterError(f"min mass must be at least 1 cell, got {min_mass}")
     check_jobs(jobs)
+    check_seed(seed)
     dim_e = estimate_dimension(box_counts(E, ScaleSchedule.default_for(E)), side=E.bounds.side)
     if E.occupied_count < min_mass or dim_e.slope < 0.05:
         return _single_point_result(E, dim_e)

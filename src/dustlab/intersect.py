@@ -22,6 +22,7 @@ from .cantor import CantorApproximant, cantor_dimension, scale_and_place, scaled
 from .errors import ParameterError
 from .geometry import SQRT2, BoxGrid, Isometry, Square, rasterize_quads
 from .parallel import check_jobs, parallel_map, worker_count
+from .streams import check_seed, doubles, first_outputs, seed_words
 
 
 @dataclass(frozen=True)
@@ -64,18 +65,29 @@ class MattilaSurvey:
         return lines
 
 
-def sample_isometry(rng: np.random.Generator, translation_window: Square) -> Isometry:
-    """Haar-distributed orthogonal part plus a uniform window translation.
+def trial_motions(window: Square, seed: int, lo: int, hi: int) -> list[Isometry]:
+    """Motions of trials lo..hi-1, trial i drawn from ``default_rng([seed, i])`` over ``window``.
 
-    Draw order is fixed (theta, reflection coin, zx, zy) so a seeded
-    generator reproduces the same motion.
+    The draw order is fixed: theta as ``uniform(0, 2 pi)``, the reflection coin
+    as ``integers(0, 2)`` (Lemire's bounded draw on two values reads bit 31 of
+    the low half of the second output), then zx and zy as ``uniform`` over the
+    window's spans.  Trial indices stay below 2**32, one entropy word each.
     """
-    theta = float(rng.uniform(0.0, 2.0 * math.pi))
-    reflect = bool(rng.integers(0, 2))
-    x0, y0 = translation_window.corner
-    x1, y1 = translation_window.max_corner
-    z = (float(rng.uniform(x0, x1)), float(rng.uniform(y0, y1)))
-    return Isometry(theta, reflect, z)
+    if hi > 2 ** 32:
+        raise ParameterError(f"trial indices must stay below 2**32, got {hi} trials")
+    words = seed_words(seed)
+    entropy = np.empty((hi - lo, len(words) + 1), np.uint32)
+    entropy[:, :-1] = words
+    entropy[:, -1] = np.arange(lo, hi)
+    u = first_outputs(entropy, 4)
+    d = doubles(u)
+    x0, y0 = window.corner
+    x1, y1 = window.max_corner
+    theta = (2.0 * math.pi) * d[0]
+    coin = (u[1] >> 31) & 1
+    zx, zy = x0 + (x1 - x0) * d[2], y0 + (y1 - y0) * d[3]
+    return [Isometry(t, bool(r), (x, y))
+            for t, r, x, y in zip(theta.tolist(), coin.tolist(), zx.tolist(), zy.tolist())]
 
 
 def apply_isometry(b: CantorApproximant, iso: Isometry, out_bounds: Square,
@@ -116,14 +128,13 @@ def scored_trials(grid: BoxGrid, quads: np.ndarray, window: Square, schedule: Sc
                   trials: int, seed: int, jobs: int) -> tuple[list[Isometry], np.ndarray]:
     """Motions of trials 0..trials-1 of a copy's unmoved quads, in order, and their ``overlap_counts``.
 
-    Trial i draws its motion over ``window`` from ``default_rng([seed, i])``, and each
+    Trial i draws its motion over ``window`` as ``trial_motions`` does, and each
     thread scores one run of consecutive trials, so no result depends on ``jobs``.
     """
     size = -(-trials // worker_count(jobs, trials))
 
     def run(r: int):
-        isos = [sample_isometry(np.random.default_rng([seed, i]), window)
-                for i in range(r * size, min(trials, (r + 1) * size))]
+        isos = trial_motions(window, seed, r * size, min(trials, (r + 1) * size))
         return isos, overlap_counts(grid, quads, isos, schedule)
 
     runs = parallel_map(run, -(-trials // size), jobs)
@@ -144,6 +155,7 @@ def mattila_survey(a: BoxGrid, b: CantorApproximant, trials: int, tolerance: flo
     if trials < 1:
         raise ParameterError(f"need at least one trial, got {trials}")
     check_jobs(jobs)
+    check_seed(seed)
     if not math.isfinite(tolerance):
         raise ParameterError(f"tolerance must be finite, got {tolerance!r}")
     if a.is_empty():

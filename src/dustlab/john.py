@@ -30,6 +30,7 @@ from .cantor import address_corners, interval_starts
 from .errors import DustError, ParameterError, RingUndeterminedError
 from .geometry import Alpha, as_alpha
 from .parallel import check_jobs, parallel_map
+from .streams import Stream, check_seed
 
 UNIT_CENTER = (0.5, 0.5)
 #: Point-square pairs distance_to_squares compares at once; bounds its scratch.
@@ -469,14 +470,14 @@ def verify_john(alpha: Alpha | float, depth: int, samples: int, seed: int,
     if samples < 1:
         raise ParameterError(f"need at least one sample, got {samples}")
     check_jobs(jobs)
+    check_seed(seed)
     _check_sampling_depth(depth)
     starts = interval_starts(a, depth)
     side = a ** depth
     step = side / 8.0
     _check_step(step)
 
-    rng = np.random.default_rng(seed)
-    points, gen, words, unresolved = _draw_sources(rng, a, depth, samples)
+    points, gen, words, unresolved = _draw_sources(Stream(seed), a, depth, samples)
     columns = _ascend(points, gen, words, a)
     owner, col = np.nonzero((columns[:, 1:] != columns[:, :-1]).any(axis=2))
     ends = np.stack((columns[owner, col], columns[owner, col + 1]), axis=1)
@@ -524,6 +525,6 @@ def sample_ring_clearances(alpha: Alpha | float, depth: int, samples: int, seed:
     if measure_depth is None:
         measure_depth = depth + 1
     starts = interval_starts(a, measure_depth)
-    points, gen, _, unresolved = _draw_sources(np.random.default_rng(seed), a, depth, samples)
+    points, gen, _, unresolved = _draw_sources(Stream(seed), a, depth, samples)
     rows = np.column_stack((points, gen, distance_to_dust(points, starts, a ** measure_depth)))
     return rows, unresolved

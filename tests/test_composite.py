@@ -18,9 +18,9 @@ from dustlab.composite import (AnnulusChain, CompositePlan, PlacementRecord,
 from dustlab.errors import (AssemblyError, ConstructionError, ParameterError,
                             PlacementError)
 from dustlab.geometry import BoxGrid, Isometry, Square, rasterize
-from dustlab.intersect import sample_isometry
 from test_counting import (per_trial_counts, reference_full_dimension_point,
                            scalar_estimate_dimension)
+from test_streams import sample_isometry
 
 
 def dust_grid(alpha, depth, level):
@@ -414,6 +414,16 @@ class TestPipeline:
         monkeypatch.setattr(composite, "find_full_dimension_point", unreachable)
         with pytest.raises(ParameterError, match="jobs must be at least 1"):
             run_pipeline(dust_grid(0.4, 4, 9), annuli=4, trials=10, seed=1, jobs=jobs)
+
+    @pytest.mark.parametrize("seed", [-1, 2.0, None])
+    def test_bad_seed_rejected_before_any_stage(self, monkeypatch, seed):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(composite, "box_counts", unreachable)
+        monkeypatch.setattr(composite, "find_full_dimension_point", unreachable)
+        with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+            run_pipeline(dust_grid(0.4, 4, 9), annuli=4, trials=10, seed=seed)
 
     def test_dust_pipeline_end_to_end(self):
         E = dust_grid(0.4, 4, 9)

@@ -11,9 +11,9 @@ from dustlab.geometry import (SQRT2, BoxGrid, Isometry, Square, grid_intersectio
                               rasterize_quads, squares_to_quads)
 from dustlab import intersect
 from dustlab.intersect import (TrialRow, apply_isometry, default_survey_window,
-                               intersection_dimension, mattila_survey,
-                               sample_isometry)
+                               intersection_dimension, mattila_survey, trial_motions)
 from test_counting import per_trial_counts, scalar_estimate_dimension
+from test_streams import sample_isometry
 
 IDENTITY = Isometry(0.0, False, (0.0, 0.0))
 
@@ -51,30 +51,26 @@ def survey_pair():
     return a, b
 
 
-class TestSampleIsometry:
+class TestTrialMotions:
+    # trials 0..n-1 of one seed, each drawn from its own stream
     def test_reproducible(self):
         w = Square.unit()
-        a = sample_isometry(np.random.default_rng(42), w)
-        b = sample_isometry(np.random.default_rng(42), w)
-        assert a == b
+        assert trial_motions(w, 42, 0, 5) == trial_motions(w, 42, 0, 5)
 
     def test_reflection_coin_is_fair(self):
-        rng = np.random.default_rng(7)
         w = Square.unit()
-        flips = sum(sample_isometry(rng, w).reflect for _ in range(10_000))
+        flips = sum(iso.reflect for iso in trial_motions(w, 7, 0, 10_000))
         assert 0.47 <= flips / 10_000 <= 0.53
 
     def test_translation_mean_near_window_center(self):
-        rng = np.random.default_rng(8)
         w = Square((2.0, -1.0), 4.0)
-        zs = np.array([sample_isometry(rng, w).z for _ in range(10_000)])
+        zs = np.array([iso.z for iso in trial_motions(w, 8, 0, 10_000)])
         sigma = 4.0 / math.sqrt(12.0) / math.sqrt(10_000)
         assert abs(zs[:, 0].mean() - 4.0) <= 3 * sigma
         assert abs(zs[:, 1].mean() - 1.0) <= 3 * sigma
 
     def test_angle_range(self):
-        rng = np.random.default_rng(9)
-        thetas = [sample_isometry(rng, Square.unit()).theta for _ in range(1000)]
+        thetas = [iso.theta for iso in trial_motions(Square.unit(), 9, 0, 1000)]
         assert all(0.0 <= t < 2 * math.pi for t in thetas)
 
 
@@ -190,9 +186,21 @@ class TestMattilaSurvey:
             raise AssertionError("the survey started")
 
         monkeypatch.setattr(intersect, "box_counts", unreachable)
-        monkeypatch.setattr(intersect, "sample_isometry", unreachable)
+        monkeypatch.setattr(intersect, "trial_motions", unreachable)
         with pytest.raises(ParameterError, match="jobs must be at least 1"):
             mattila_survey(a, b, trials=5, seed=1, jobs=jobs)
+
+    @pytest.mark.parametrize("seed", [-1, 2.0, None])
+    def test_bad_seed_rejected_before_any_work(self, survey_pair, monkeypatch, seed):
+        a, b = survey_pair
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the survey started")
+
+        monkeypatch.setattr(intersect, "box_counts", unreachable)
+        monkeypatch.setattr(intersect, "trial_motions", unreachable)
+        with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+            mattila_survey(a, b, trials=5, seed=seed)
 
     def test_survey_hits_and_upper_bound(self, survey_pair):
         a, b = survey_pair

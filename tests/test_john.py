@@ -238,6 +238,16 @@ class TestVerify:
         with pytest.raises(ParameterError, match="jobs must be at least 1"):
             verify_john(0.25, 3, 10, seed=1, jobs=jobs)
 
+    @pytest.mark.parametrize("seed", [-1, 2.0, None])
+    def test_bad_seed_rejected_before_drawing(self, monkeypatch, seed):
+        def unreachable(*args):
+            raise AssertionError("a source was drawn")
+
+        monkeypatch.setattr(john, "_draw_sources", unreachable)
+        monkeypatch.setattr(john, "interval_starts", unreachable)
+        with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+            verify_john(0.25, 3, 10, seed=seed)
+
     @pytest.mark.parametrize("alpha, depth, seed", [(0.25, 3, 5), (0.45, 2, 1), (0.25, 2, 3)])
     def test_each_draw_is_located_once(self, monkeypatch, alpha, depth, seed):
         # the paths start from the rings found for the draws: samples +
