@@ -110,16 +110,19 @@ def overlap_counts(grid: BoxGrid, quads: np.ndarray, isos: Sequence[Isometry],
     Returns a (len(isos), len(schedule.levels)) array, row j for motion j.  A motion whose
     frame (``_frame_spans``) reaches no occupied cell scores zero unmoved.  The others are
     moved one trial at a time, or as many trials as ``_MOVE_LIMIT`` quads hold, and only the
-    occupied cells in their boxes are tested (``_quad_hits``).  A cell met is keyed
-    ``(t, Morton code)``, and level m counts the distinct ``key >> 2 * (grid.level - m)``.
+    occupied cells in their boxes are tested (``_quad_hits``), from a cell index that each call
+    builds once: the sorted occupied cells and the halvings the prune reaches.  A cell met is
+    keyed ``(t, Morton code)``, and level m counts the distinct ``key >> 2 * (grid.level - m)``.
     """
     _require_resolution(schedule, grid.level)
     counts = np.zeros((len(isos), len(schedule.levels)), dtype=np.int64)
     live = [j for j, (iy0, iy1, ix0, ix1) in enumerate(_frame_spans(grid, quads, isos).tolist())
             if ix0 <= ix1 and iy0 <= iy1 and grid.bits[iy0:iy1 + 1, ix0:ix1 + 1].any()]
     per = max(1, _MOVE_LIMIT // len(quads))
+    cells, halvings = np.flatnonzero(grid.bits), [grid.bits]
     for block in (live[s:s + per] for s in range(0, len(live), per)):
-        hits = _quad_hits(np.stack([isos[j].apply(quads) for j in block]), grid.bounds, grid.level, grid)
+        hits = _quad_hits(np.stack([isos[j].apply(quads) for j in block]), grid.bounds, grid.level,
+                          cells, halvings)
         keys = np.sort(np.concatenate([np.zeros(0, dtype=np.int64)] +
                                       [t << 2 * grid.level | _morton(c >> grid.level, c & (grid.size - 1))
                                        for t, c in hits]))

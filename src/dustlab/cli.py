@@ -16,10 +16,10 @@ import sys
 from . import formats
 from .boxdim import ScaleSchedule, box_counts, counts_csv_lines, estimate_dimension
 from .cantor import CantorApproximant, alpha_for_dimension, cantor_dimension, generate_cantor
-from .composite import run_pipeline
+from .composite import check_pipeline, run_pipeline
 from .errors import DustError, FormatError, ParameterError
 from .geometry import Alpha, BoxGrid, Square, grid_size, rasterize
-from .intersect import mattila_survey
+from .intersect import check_survey, mattila_survey
 from .john import verify_john
 
 USAGE_ERROR = 2
@@ -64,13 +64,13 @@ def _seed(text: str) -> int:
 def _parse_levels(text: str) -> ScaleSchedule:
     try:
         if ":" in text:
-            fields = [int(f) for f in text.split(":")]
-            lo, hi = fields[0], fields[1]
-            step = fields[2] if len(fields) > 2 else 1
-            return ScaleSchedule.span(lo, hi, step)
-        return ScaleSchedule(tuple(int(f) for f in text.split(",")))
-    except (ValueError, IndexError) as exc:
+            lo, hi, *step = (int(f) for f in text.split(":"))
+            levels = range(lo, hi + 1, *step[:1])  # a zero step is a ValueError too
+        else:
+            levels = [int(f) for f in text.split(",")]
+    except ValueError as exc:
         raise ParameterError(f"bad level schedule {text!r}; use lo:hi[:step] or m1,m2,...") from exc
+    return ScaleSchedule(tuple(levels))
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -109,9 +109,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_dim(args) -> int:
-    grid = _load_grid(args.infile)
-    schedule = _parse_levels(args.levels) if args.levels else ScaleSchedule.default_for(grid)
+    schedule = _parse_levels(args.levels) if args.levels else None
     window = _parse_window(args.window) if args.window else None
+    grid = _load_grid(args.infile)
+    schedule = schedule or ScaleSchedule.default_for(grid)
     counts = box_counts(grid, schedule)
     est = estimate_dimension(counts, window=window, side=grid.bounds.side)
     lines = [_config_line(args, resolved_levels=",".join(map(str, schedule.levels)))]
@@ -136,6 +137,7 @@ def cmd_john(args) -> int:
 
 def cmd_mattila(args) -> int:
     b_alpha = _resolve_alpha(args.b_alpha, args.b_dim, "--b-alpha", "--b-dim")
+    check_survey(args.trials, args.tolerance, args.seed, args.jobs)
     a_grid = _load_grid(args.a_in) if args.a_in else _raster_dust(args.a_alpha, args.a_depth, args.level)[1]
     b = generate_cantor(b_alpha, args.b_depth)
     survey = mattila_survey(a_grid, b, trials=args.trials, tolerance=args.tolerance,
@@ -158,6 +160,7 @@ def _raster_dust(alpha: Alpha | float | None, depth: int, level: int) -> tuple[C
 
 
 def cmd_construct(args) -> int:
+    check_pipeline(args.annuli, args.trials, args.min_mass, args.seed, args.jobs)
     if args.infile:
         E = _load_grid(args.infile)
     elif args.gen_alpha is not None:

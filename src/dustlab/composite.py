@@ -465,6 +465,18 @@ def _single_point_result(E: BoxGrid, dim_e: DimensionEstimate) -> PipelineResult
     return PipelineResult(plan, eprime, eprime, report)
 
 
+def check_pipeline(annuli: int, trials: int, min_mass: int, seed: int, jobs: int) -> None:
+    """Refuse the arguments of ``run_pipeline`` that no input set can make valid."""
+    if annuli < 2:
+        raise ParameterError(f"need at least 2 annuli, got {annuli}")
+    if trials < 1:
+        raise ParameterError(f"need at least one trial, got {trials}")
+    if min_mass < 1:
+        raise ParameterError(f"min mass must be at least 1 cell, got {min_mass}")
+    check_jobs(jobs)
+    check_seed(seed)
+
+
 def run_pipeline(E: BoxGrid, annuli: int = 6, trials: int = 480, seed: int = 0,
                  min_mass: int = 24, jobs: int = 1) -> PipelineResult:
     """End-to-end construction of E' = G n E for a rasterized compact set.
@@ -478,14 +490,7 @@ def run_pipeline(E: BoxGrid, annuli: int = 6, trials: int = 480, seed: int = 0,
     """
     if E.is_empty():
         raise ParameterError("input set has no occupied cells")
-    if annuli < 2:
-        raise ParameterError(f"need at least 2 annuli, got {annuli}")
-    if trials < 1:
-        raise ParameterError(f"need at least one trial, got {trials}")
-    if min_mass < 1:
-        raise ParameterError(f"min mass must be at least 1 cell, got {min_mass}")
-    check_jobs(jobs)
-    check_seed(seed)
+    check_pipeline(annuli, trials, min_mass, seed, jobs)
     dim_e = estimate_dimension(box_counts(E, ScaleSchedule.default_for(E)), side=E.bounds.side)
     if E.occupied_count < min_mass or dim_e.slope < 0.05:
         return _single_point_result(E, dim_e)

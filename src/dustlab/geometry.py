@@ -17,7 +17,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,9 +28,6 @@ SQRT2 = math.sqrt(2.0)
 
 #: Grids of more than this many cells are refused before they are allocated.
 CELL_BUDGET = 1 << 28
-
-#: Guards every grid's caches (halvings, occupied cells): trial threads share their target grid.
-_HALVINGS_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -197,26 +193,6 @@ class BoxGrid:
             coarse = halve(coarse)
         return BoxGrid.adopt(self.bounds, level, coarse)
 
-    def halved(self, k: int) -> np.ndarray:
-        """``downsampled(level - k).bits``, cached read-only on the grid.
-
-        Each halving up to ``k`` is built once per grid, under a lock, and
-        kept for later calls; the cache goes with the grid.
-        """
-        with _HALVINGS_LOCK:
-            cache = self.__dict__.setdefault("_halvings", [self.bits])
-            while len(cache) <= k:
-                cache.append(halve(cache[-1]))
-                cache[-1].setflags(write=False)
-            return cache[k]
-
-    def occupied_cells(self) -> np.ndarray:
-        """Sorted row-major indices ``iy * size + ix`` of the occupied cells, cached like ``halved``."""
-        with _HALVINGS_LOCK:
-            if "_occupied" not in self.__dict__:
-                self.__dict__["_occupied"] = freeze(np.flatnonzero(self.bits), np.int64)
-            return self.__dict__["_occupied"]
-
     @staticmethod
     def empty(bounds: Square, level: int) -> "BoxGrid":
         n = grid_size(level)
@@ -334,16 +310,20 @@ def rasterize_quads(quads: np.ndarray, bounds: Square, level: int) -> BoxGrid:
     return BoxGrid.adopt(bounds, level, bits)
 
 
-def _quad_hits(moved: np.ndarray, bounds: Square, level: int, target: BoxGrid | None = None):
+def _quad_hits(moved: np.ndarray, bounds: Square, level: int, cells: np.ndarray | None = None,
+               halvings: list[np.ndarray] | None = None):
     """Yield blocks ``(t, iy * 2**level + ix)`` of the cells met by the quads ``moved[t]``, (T, N, 4, 2).
 
     A quad's cell box is its extent taken half open, as in ``rasterize``, and
     its cells take a closed SAT test on its edge directions (per t, congruent
-    quads share quad 0's).  With a ``target`` over the same bounds and level,
-    only its occupied cells are tested: boxes without one at the finest halving
-    where they span at most 2x2 cells are dropped, and a kept box row's cells
-    come from one ``searchsorted`` pair in ``target.occupied_cells()``.  A block
-    tests about ``_QUAD_BLOCK_LIMIT`` (quad, cell) pairs.
+    quads share quad 0's).  Given a target's index over the same bounds and
+    level, only its occupied cells are tested: ``cells`` lists them sorted as
+    ``iy * 2**level + ix``, and ``halvings`` starts with its bits, each entry
+    the ``halve`` of the one before.  Boxes without an occupied cell at the
+    finest halving where they span at most 2x2 cells are dropped (the list
+    grows to that halving), and a kept box row's cells come from one
+    ``searchsorted`` pair in ``cells``.  A block tests about
+    ``_QUAD_BLOCK_LIMIT`` (quad, cell) pairs.
     """
     trials, count = moved.shape[:2]
     quads = moved.reshape(-1, 4, 2)
@@ -364,9 +344,11 @@ def _quad_hits(moved: np.ndarray, bounds: Square, level: int, target: BoxGrid | 
     slots = [np.zeros((0, 2, 6))]
     for t in np.nonzero(valid.any(axis=1))[0]:
         idx = np.nonzero(valid[t])[0] + t * count
-        if target is not None:  # at halving k every box spans at most 2x2 cells: its corners find each one
+        if cells is not None:  # at halving k every box spans at most 2x2 cells: its corners find each one
             k = int(max((ix_hi - ix_lo)[idx].max(), (iy_hi - iy_lo)[idx].max())).bit_length()
-            occ = target.halved(k)
+            while len(halvings) <= k:
+                halvings.append(halve(halvings[-1]))
+            occ = halvings[k]
             xl = ix_lo[idx] >> k
             xh = ix_hi[idx] >> k
             yl = iy_lo[idx] >> k
@@ -393,8 +375,7 @@ def _quad_hits(moved: np.ndarray, bounds: Square, level: int, target: BoxGrid | 
     quad, row = _ranges(iy_lo[kept], iy_hi[kept] - iy_lo[kept] + 1)
     first = row * n + ix_lo[kept[quad]]
     last = row * n + ix_hi[kept[quad]]
-    if target is not None:
-        cells = target.occupied_cells()
+    if cells is not None:
         first = np.searchsorted(cells, first)
         last = np.searchsorted(cells, last, side="right") - 1
     size = last - first + 1
@@ -403,7 +384,7 @@ def _quad_hits(moved: np.ndarray, bounds: Square, level: int, target: BoxGrid | 
     for rows in np.split(np.arange(len(size)), np.searchsorted(np.cumsum(size), blocks)):
         seg, cell = _ranges(first[rows], size[rows])
         owner = quad[rows][seg]
-        if target is not None:
+        if cells is not None:
             cell = cells[cell]
         keep = np.ones(len(cell), dtype=bool)
         if tests:  # closed overlap of each cell's projection with the quad's

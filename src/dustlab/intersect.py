@@ -141,6 +141,16 @@ def scored_trials(grid: BoxGrid, quads: np.ndarray, window: Square, schedule: Sc
     return [iso for isos, _ in runs for iso in isos], np.concatenate([counts for _, counts in runs])
 
 
+def check_survey(trials: int, tolerance: float, seed: int, jobs: int) -> None:
+    """Refuse the arguments of ``mattila_survey`` that no set A can make valid."""
+    if trials < 1:
+        raise ParameterError(f"need at least one trial, got {trials}")
+    check_jobs(jobs)
+    check_seed(seed)
+    if not math.isfinite(tolerance):
+        raise ParameterError(f"tolerance must be finite, got {tolerance!r}")
+
+
 def mattila_survey(a: BoxGrid, b: CantorApproximant, trials: int, tolerance: float = 0.15,
                    seed: int = 0, s: float | None = None, jobs: int = 1) -> MattilaSurvey:
     """Count sampled motions of the dust B whose intersection slope reaches s + t - 2.
@@ -152,12 +162,7 @@ def mattila_survey(a: BoxGrid, b: CantorApproximant, trials: int, tolerance: flo
     generator streams, so runs are reproducible and job count does not
     affect results.
     """
-    if trials < 1:
-        raise ParameterError(f"need at least one trial, got {trials}")
-    check_jobs(jobs)
-    check_seed(seed)
-    if not math.isfinite(tolerance):
-        raise ParameterError(f"tolerance must be finite, got {tolerance!r}")
+    check_survey(trials, tolerance, seed, jobs)
     if a.is_empty():
         raise ParameterError("set A has no occupied cells")
     if s is None:

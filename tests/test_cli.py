@@ -13,6 +13,10 @@ def run(*args):
     return main(list(args))
 
 
+def unreachable(*args):
+    pytest.fail("the input grid was read or built before the flags were checked")
+
+
 @pytest.fixture()
 def dust_bgr(tmp_path):
     path = tmp_path / "dust.bgr"
@@ -110,6 +114,32 @@ class TestDim:
         err = capsys.readouterr().err
         assert err.startswith("error: bad fit window") and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("levels, message", [
+        ("3,2,1", "levels must be strictly increasing and nonnegative, got (3, 2, 1)"),
+        ("2:3", "schedule needs at least 3 levels, got (2, 3)"),
+        ("6:2", "schedule needs at least 3 levels, got ()"),
+        ("2:8:-1", "schedule needs at least 3 levels, got ()"),
+        ("2,4,-6", "levels must be strictly increasing and nonnegative, got (2, 4, -6)")])
+    def test_invalid_schedule_reports_its_own_reason(self, tmp_path, capsys, monkeypatch, levels,
+                                                     message):
+        monkeypatch.setattr(cli, "_load_grid", unreachable)
+        out = tmp_path / "report.csv"
+        assert run("dim", "--in", "unused.bgr", "--levels", levels, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("levels", ["2:8:0", "2:", "a:b", "1,2,x"])
+    def test_malformed_schedule_is_usage_error(self, tmp_path, capsys, monkeypatch, levels):
+        monkeypatch.setattr(cli, "_load_grid", unreachable)
+        assert run("dim", "--in", "unused.bgr", "--levels", levels) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad level schedule {levels!r}") and "Traceback" not in err
+
+    def test_malformed_window_is_refused_before_the_grid_is_read(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_load_grid", unreachable)
+        assert run("dim", "--in", "unused.bgr", "--window", "a:b") == 2
+        assert capsys.readouterr().err.startswith("error: bad fit window")
 
     def test_config_echo_is_first_line(self, dust_bgr, tmp_path):
         out = tmp_path / "report.csv"
@@ -233,6 +263,22 @@ class TestMattila:
         assert "--seed: expected a non-negative integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", [["--a-in", "unused.bgr"],
+                                        ["--a-alpha", "0.315", "--a-depth", "6", "--level", "13"]])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--jobs", "0", "jobs must be at least 1, got 0"),
+        ("--trials", "0", "need at least one trial, got 0"),
+        ("--tolerance", "nan", "tolerance must be finite, got nan")])
+    def test_bad_flag_is_refused_before_the_grid(self, tmp_path, capsys, monkeypatch, source, flag,
+                                                 value, message):
+        monkeypatch.setattr(cli, "_load_grid", unreachable)
+        monkeypatch.setattr(cli, "_raster_dust", unreachable)
+        out = tmp_path / "survey.csv"
+        assert run("mattila", *source, "--b-dim", "1.7", "--b-depth", "5", "--seed", "11",
+                   flag, value, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_survey_runs_and_is_deterministic(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -307,6 +353,22 @@ class TestConstruct:
         assert run("construct", "--gen-alpha", "0.4", "--gen-depth", "9", "--level", "15",
                    "--seed", "5", "--out-prefix", str(tmp_path / "run")) == 2
         assert "over the budget" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("source", [["--in", "unused.bgr"],
+                                        ["--gen-alpha", "0.4", "--gen-depth", "5", "--level", "13"]])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--jobs", "0", "jobs must be at least 1, got 0"),
+        ("--trials", "0", "need at least one trial, got 0"),
+        ("--annuli", "1", "need at least 2 annuli, got 1"),
+        ("--min-mass", "0", "min mass must be at least 1 cell, got 0")])
+    def test_bad_flag_is_refused_before_the_grid(self, tmp_path, capsys, monkeypatch, source, flag,
+                                                 value, message):
+        monkeypatch.setattr(cli, "_load_grid", unreachable)
+        monkeypatch.setattr(cli, "_raster_dust", unreachable)
+        assert run("construct", *source, "--seed", "5", flag, value,
+                   "--out-prefix", str(tmp_path / "run")) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_subcommand_is_usage_error(self):

@@ -11,9 +11,9 @@
   Mattila trials) without a raster.  A motion whose frame (the box of the
   unmoved quads, moved by it) reaches no occupied cell scores zero without
   being moved; for the others, the sparse gather (``geometry._quad_hits``)
-  drops the leaves whose box holds no occupied cell at the target's cached
-  halvings (``BoxGrid.halved``), finds the occupied cells in each kept box
-  in the target's sorted cell list (``BoxGrid.occupied_cells``), and runs
+  drops the leaves whose box holds no occupied cell at the target's
+  halvings, finds the occupied cells in each kept box in the target's
+  sorted cell list (both built once per ``overlap_counts`` call), and runs
   the closed SAT test of the raster on those (leaf, cell) pairs alone.  The counts are the distinct
   prefixes of the hits' sorted (trial, Morton code) keys per level, and do
   not depend on how trials are batched.  The references are the dense
@@ -48,12 +48,7 @@
   target (``dense_window``), whose block fill the kernel replaced.
 """
 
-import gc
 import math
-import sys
-import time
-import weakref
-from concurrent import futures
 
 import numpy as np
 import pytest
@@ -64,11 +59,12 @@ from dustlab import boxdim, geometry
 from dustlab.boxdim import (DimensionEstimate, ScaleSchedule, ball_counts, box_counts,
                             clip_to_ball, estimate_dimension, find_full_dimension_point,
                             fit_dimensions, overlap_counts, window_counts)
-from dustlab.cantor import generate_cantor, scale_and_place, scaled_quads
+from dustlab.cantor import alpha_for_dimension, generate_cantor, scale_and_place, scaled_quads
 from dustlab.errors import ParameterError
 from dustlab.geometry import (SQRT2, BoxGrid, Isometry, Square, _index_ranges,
-                              aligned_span, freeze, grid_intersection, grid_size, halve, rasterize,
+                              aligned_span, grid_intersection, grid_size, halve, rasterize,
                               rasterize_quads, squares_to_quads)
+from dustlab.intersect import mattila_survey
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -257,7 +253,7 @@ def dense_window(quads: np.ndarray, bounds: Square, level: int, align: int,
         # at halving k every box spans at most 2x2 cells, so its four corners find each one
         k = int(max((ix_hi - ix_lo)[idx].max(), (iy_hi - iy_lo)[idx].max())).bit_length()
         xl, xh, yl, yh = (i[idx] >> k for i in (ix_lo, ix_hi, iy_lo, iy_hi))
-        occ = target.halved(k)
+        occ = target.downsampled(target.level - k).bits
         idx = idx[occ[yl, xl] | occ[yl, xh] | occ[yh, xl] | occ[yh, xh]]
     if len(idx) == 0:
         rows = cols = aligned_span(0, 0, align)
@@ -304,6 +300,12 @@ def dense_window(quads: np.ndarray, bounds: Square, level: int, align: int,
             for r in range(0, bh, band):
                 fill(ref, axes, chunk, lo_y + r, np.minimum(hi_y, lo_y + (r + band - 1)), bw, band)
     return (rows, cols), bits
+
+
+def target_hits(quads, target):
+    """``_quad_hits`` blocks of ``quads`` tested against the occupied cells of ``target``."""
+    return geometry._quad_hits(quads[None], target.bounds, target.level,
+                               np.flatnonzero(target.bits), [target.bits])
 
 
 def padded_frame_span(grid, quads, iso):
@@ -433,9 +435,9 @@ def test_trial_whose_frame_misses_every_occupied_cell_is_not_rasterized(monkeypa
     calls = []
     kernel = boxdim._quad_hits
 
-    def counted(moved, bounds, level, target):
+    def counted(moved, *args):
         calls.append(len(moved))
-        return kernel(moved, bounds, level, target)
+        return kernel(moved, *args)
 
     monkeypatch.setattr(boxdim, "_quad_hits", counted)
     bits = np.zeros((64, 64), dtype=bool)
@@ -494,7 +496,7 @@ def test_window_of_quads_outside_bounds_is_empty():
     assert not bits.any()
     assert rasterize_quads(quads, Square.unit(), 6).is_empty()
     full = BoxGrid(Square.unit(), 6, np.ones((64, 64), dtype=bool))
-    assert not any(len(t) for t, _ in geometry._quad_hits(quads[None], UNIT, 6, full))
+    assert not any(len(t) for t, _ in target_hits(quads, full))
 
 
 @SETTINGS
@@ -823,25 +825,12 @@ def test_quad_whose_box_meets_no_occupied_cell_does_not_widen_window():
     assert cells == alone_cells == (slice(48, 64), slice(48, 64))
     assert np.array_equal(window, alone)
     # the sparse gather tests only the one occupied cell, in the upper square's box
-    hits = [np.stack(block) for block in geometry._quad_hits(quads[None], UNIT, 6, target)]
+    hits = [np.stack(block) for block in target_hits(quads, target)]
     assert np.concatenate(hits, axis=1).T.tolist() == [[0, 54 * 64 + 54]]
     bits[54, 54] = False
     cells, window = dense_window(quads, UNIT, 6, 8, BoxGrid(UNIT, 6, bits))
     assert cells == (slice(0, 8), slice(0, 8)) and not window.any()
-    assert not any(len(t) for t, _ in geometry._quad_hits(quads[None], UNIT, 6,
-                                                             BoxGrid(UNIT, 6, bits)))
-
-
-@SETTINGS
-@given(level=st.integers(0, 8), data=st.data(), seed=st.integers(0, 2**32 - 1),
-       density=densities)
-def test_halvings_equal_downsampled_grids_and_are_read_only(level, data, seed, density):
-    grid = BoxGrid(Square.unit(), level, random_bits(seed, level, density))
-    k = data.draw(st.integers(0, level))
-    for j in (k, *range(k + 1)):  # the deepest first, then the cached ones on its way
-        assert np.array_equal(grid.halved(j), grid.downsampled(level - j).bits)
-        assert not grid.halved(j).flags.writeable
-    assert grid.halved(0) is grid.bits
+    assert not any(len(t) for t, _ in target_hits(quads, BoxGrid(UNIT, 6, bits)))
 
 
 #: Even-shaped bool arrays of each memory layout ``halve`` may be given, cut from random
@@ -878,59 +867,7 @@ def test_halve_matches_two_slice_reference(layout, rows, cols, seed, density):
     assert np.array_equal(bits, before)
 
 
-def test_halvings_are_built_once_per_grid_under_threads(monkeypatch):
-    shapes = []
-
-    def counted(bits):
-        shapes.append(bits.shape)
-        time.sleep(0.005)  # a slow halving: other threads reach the cache meanwhile
-        return halve(bits)
-
-    monkeypatch.setattr(geometry, "halve", counted)
-    grid = BoxGrid(UNIT, 6, random_bits(0, 6, 0.02))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # threads switch often, so an unguarded build would repeat
-    try:
-        with futures.ThreadPoolExecutor(max_workers=8) as pool:  # more threads than cores
-            levels = list(pool.map(lambda i: grid.halved(1 + i % 4), range(64), timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    assert shapes == [(64, 64), (32, 32), (16, 16), (8, 8)]
-    assert all(a is grid.halved(1 + i % 4) for i, a in enumerate(levels))
-    assert len(shapes) == 4
-    # a second grid keeps its own halvings, and they go with it
-    other = BoxGrid(UNIT, 6, grid.bits)
-    other.halved(2)
-    assert len(shapes) == 6
-    gone = weakref.ref(other)
-    del other
-    gc.collect()
-    assert gone() is None
-
-
-def test_occupied_cells_are_listed_once_per_grid_under_threads(monkeypatch):
-    built = []
-
-    def counted(values, dtype):
-        built.append(len(values))
-        time.sleep(0.005)  # a slow build: other threads reach the cache meanwhile
-        return freeze(values, dtype)
-
-    grid = BoxGrid(UNIT, 6, random_bits(1, 6, 0.05))
-    monkeypatch.setattr(geometry, "freeze", counted)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # threads switch often, so an unguarded build would repeat
-    try:
-        with futures.ThreadPoolExecutor(max_workers=8) as pool:  # more threads than cores
-            lists = list(pool.map(lambda i: grid.occupied_cells(), range(64), timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    assert built == [grid.occupied_count]
-    assert all(cells is lists[0] for cells in lists) and not lists[0].flags.writeable
-    assert np.array_equal(lists[0], np.flatnonzero(grid.bits))
-
-
-def test_trials_on_one_grid_halve_it_once(monkeypatch):
+def test_one_overlap_call_halves_each_shape_once(monkeypatch):
     shapes = []
 
     def counted(bits):
@@ -938,13 +875,26 @@ def test_trials_on_one_grid_halve_it_once(monkeypatch):
         return halve(bits)
 
     monkeypatch.setattr(geometry, "halve", counted)
+    monkeypatch.setattr(boxdim, "_MOVE_LIMIT", 1)  # one trial per block: every block reads the halvings
     target = BoxGrid(UNIT, 8, random_bits(3, 8, 0.01))
     copy = generate_cantor(0.3, 3)
     schedule = ScaleSchedule.span(3, 8)
-    for i in range(20):
-        iso = Isometry(0.3 * i, i % 2 == 1, (0.05 * i, 0.5 - 0.02 * i))
-        trial_counts(target, copy, 0.4, iso, schedule)
-    assert shapes and len(shapes) == len(set(shapes))
+    isos = [Isometry(0.3 * i, i % 2 == 1, (0.05 * i, 0.5 - 0.02 * i)) for i in range(20)]
+    counts = overlap_counts(target, scaled_quads(copy, 0.4), isos, schedule).tolist()
+    assert shapes and shapes == [(256 >> j, 256 >> j) for j in range(len(shapes))]
+    assert sum(row[-1] > 0 for row in counts) >= 2  # two blocks or more met the target
+    assert counts == [list(trial_counts(target, copy, 0.4, iso, schedule).values()) for iso in isos]
+
+
+def test_scoring_leaves_the_target_grid_a_plain_value():
+    approx = generate_cantor(0.315, 5)
+    grid = rasterize(approx.leaf_corners(), UNIT, 8, side=approx.side)
+    before = grid.bits.copy()
+    isos = [Isometry(0.3 * i, i % 2 == 1, (0.05 * i, 0.5 - 0.02 * i)) for i in range(20)]
+    assert overlap_counts(grid, scaled_quads(approx, 0.4), isos, ScaleSchedule.span(3, 8)).any()
+    assert mattila_survey(grid, generate_cantor(alpha_for_dimension(1.7), 4), 25, seed=11, jobs=2).hits
+    assert set(vars(grid)) == {"bounds", "level", "bits"}
+    assert np.array_equal(grid.bits, before) and not grid.bits.flags.writeable
 
 
 # The formulas ScaleSchedule.resolving replaced, as they stood in boxdim
