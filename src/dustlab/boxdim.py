@@ -109,53 +109,67 @@ def overlap_counts(grid: BoxGrid, quads: np.ndarray, isos: Sequence[Isometry],
 
     Returns a (len(isos), len(schedule.levels)) array, row j for motion j.  A motion whose
     frame (``_frame_spans``) reaches no occupied cell scores zero unmoved.  The others are
-    moved one trial at a time, or as many trials as ``_MOVE_LIMIT`` quads hold, and only the
-    occupied cells in their boxes are tested (``_quad_hits``), from a cell index that each call
-    builds once: the sorted occupied cells and the halvings the prune reaches.  A cell met is
-    keyed ``(t, Morton code)``, and level m counts the distinct ``key >> 2 * (grid.level - m)``.
+    moved in blocks of as many trials as ``_MOVE_LIMIT`` quads hold (at least one), each block
+    by one stacked product of the motions' matrices with the quads' coordinate rows, which
+    runs, per motion, the product of ``Isometry.apply``.  Only the occupied cells in the moved
+    boxes are tested (``_quad_hits``), from a cell index that each call builds once: the
+    sorted occupied cells and the halvings the prune reaches.  A cell met is keyed
+    ``(t, Morton code)``, and level m counts the distinct ``key >> 2 * (grid.level - m)``.
     """
     _require_resolution(schedule, grid.level)
     counts = np.zeros((len(isos), len(schedule.levels)), dtype=np.int64)
-    live = [j for j, (iy0, iy1, ix0, ix1) in enumerate(_frame_spans(grid, quads, isos).tolist())
+    mats = np.array([iso.matrix() for iso in isos]).reshape(-1, 2, 2)
+    z = np.array([iso.z for iso in isos]).reshape(-1, 2, 1)
+    live = [j for j, (iy0, iy1, ix0, ix1) in enumerate(_frame_spans(grid, quads, mats, z).tolist())
             if ix0 <= ix1 and iy0 <= iy1 and grid.bits[iy0:iy1 + 1, ix0:ix1 + 1].any()]
     per = max(1, _MOVE_LIMIT // len(quads))
+    flat = np.ascontiguousarray(quads.transpose(2, 1, 0)).reshape(2, -1)  # flat[c, v * N + i]
     cells, halvings = np.flatnonzero(grid.bits), [grid.bits]
+    level, spread = grid.level, _spread(np.arange(grid.size))
+    # a key is new at level m when it differs from the one before (the first from -1) above
+    # bit 2 * (level - m): it is new at the r finest levels, r the thresholds its XOR reaches
+    reach = np.array([1 << 2 * (level - m) for m in reversed(schedule.levels)], dtype=np.uint64)
+    width = len(reach) + 1
     for block in (live[s:s + per] for s in range(0, len(live), per)):
-        hits = _quad_hits(np.stack([isos[j].apply(quads) for j in block]), grid.bounds, grid.level,
-                          cells, halvings)
-        keys = np.sort(np.concatenate([np.zeros(0, dtype=np.int64)] +
-                                      [t << 2 * grid.level | _morton(c >> grid.level, c & (grid.size - 1))
-                                       for t, c in hits]))
-        # a key is new at level m when it differs from the one before above bit 2 * (level - m)
-        step, trial = keys ^ np.concatenate([[-1], keys[:-1]]), keys >> 2 * grid.level
-        for c, m in enumerate(schedule.levels):
-            counts[block, c] = np.bincount(trial[step >> 2 * (grid.level - m) != 0], minlength=len(block))
+        xy = mats[block] @ flat
+        xy += z[block]
+        hits = _quad_hits(xy.reshape(len(block), 2, 4, -1), grid.bounds, level, cells, halvings)
+        t, c = np.concatenate([np.zeros((2, 0), dtype=np.int64)] + [np.stack(hit) for hit in hits], axis=1)
+        keys = np.sort(t << 2 * level | spread[c >> level] << 1 | spread[c & (grid.size - 1)])
+        r = reach.searchsorted((keys ^ np.concatenate([[-1], keys[:-1]])).view(np.uint64), "right")
+        tally = np.bincount((keys >> 2 * level) * width + r, minlength=len(block) * width)
+        # schedule level c (coarsest first) counts the keys with r >= len(reach) - c
+        counts[block] = tally.reshape(-1, width)[:, :0:-1].cumsum(axis=1)
     return counts
 
 
-def _frame_spans(grid: BoxGrid, quads: np.ndarray, isos: Sequence[Isometry]) -> np.ndarray:
+def _frame_spans(grid: BoxGrid, quads: np.ndarray, mats: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Per motion, the span (iy0, iy1, ix0, ix1) of cells meeting its frame, as in ``_ball_span``.
 
-    A frame is the box of the copy's leaves, moved by the motion and widened by one cell, which
-    absorbs the rounding of the moved leaves.  The stacked product runs, per motion, the product
-    of ``Isometry.apply``, so each moved box equals ``iso.apply(box)``.
+    The motions are ``x -> mats[j] @ x + z[j]``, (M, 2, 2) and (M, 2, 1), as ``Isometry`` gives
+    them.  A frame is the box of the copy's leaves, moved by the motion and widened by one cell,
+    which absorbs the rounding of the moved leaves.  The stacked product runs, per motion, the
+    product of ``Isometry.apply``, so each moved box equals ``iso.apply(box)``.
     """
     vertices = quads.reshape(-1, 2)
     (x0, y0), (x1, y1) = vertices.min(axis=0), vertices.max(axis=0)
     box = np.array([(x0, y0), (x1, y0), (x0, y1), (x1, y1)])
-    mats = np.array([iso.matrix() for iso in isos]).reshape(-1, 2, 2)
-    frames = box @ mats.transpose(0, 2, 1) + np.array([iso.z for iso in isos]).reshape(-1, 1, 2)
+    frames = box @ mats.transpose(0, 2, 1) + z.transpose(0, 2, 1)
     w, n = grid.cell_size, grid.size
     lo = np.floor((frames.min(axis=1) - w - grid.bounds.corner) / w).clip(0, n)
     hi = np.floor((frames.max(axis=1) + w - grid.bounds.corner) / w).clip(-1, n - 1)
     return np.stack([lo[:, 1], hi[:, 1], lo[:, 0], hi[:, 0]], axis=1).astype(np.int64)
 
 
-def _morton(iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
-    """Bits of ix and iy (below 2**16) interleaved, ix's first: a level coarser is ``>> 2``."""
+def _spread(v: np.ndarray) -> np.ndarray:
+    """Bits of v (below 2**16) moved to the even places.
+
+    ``spread[iy] << 1 | spread[ix]`` is then the Morton code of a cell, ix's bits first, and a
+    level coarser is ``>> 2``.
+    """
     for s, mask in ((8, 0x00FF00FF), (4, 0x0F0F0F0F), (2, 0x33333333), (1, 0x55555555)):
-        iy, ix = (iy | iy << s) & mask, (ix | ix << s) & mask
-    return iy << 1 | ix
+        v = (v | v << s) & mask
+    return v
 
 
 def _require_resolution(schedule: ScaleSchedule, level: int) -> None:

@@ -65,7 +65,9 @@ def _parse_levels(text: str) -> ScaleSchedule:
     try:
         if ":" in text:
             lo, hi, *step = (int(f) for f in text.split(":"))
-            levels = range(lo, hi + 1, *step[:1])  # a zero step is a ValueError too
+            if len(step) > 1:
+                raise ValueError(f"{2 + len(step)} fields")
+            levels = range(lo, hi + 1, *step)  # a zero step is a ValueError too
         else:
             levels = [int(f) for f in text.split(",")]
     except ValueError as exc:
@@ -109,8 +111,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_dim(args) -> int:
-    schedule = _parse_levels(args.levels) if args.levels else None
-    window = _parse_window(args.window) if args.window else None
+    schedule = None if args.levels is None else _parse_levels(args.levels)
+    window = None if args.window is None else _parse_window(args.window)
     grid = _load_grid(args.infile)
     schedule = schedule or ScaleSchedule.default_for(grid)
     counts = box_counts(grid, schedule)

@@ -305,95 +305,117 @@ def rasterize_quads(quads: np.ndarray, bounds: Square, level: int) -> BoxGrid:
     grid-aligned squares therefore reproduce exact occupancy.
     """
     bits = np.zeros((grid_size(level),) * 2, dtype=bool)
-    for _, cell in _quad_hits(np.asarray(quads, dtype=float).reshape(1, -1, 4, 2), bounds, level):
+    xy = np.asarray(quads, dtype=float).reshape(-1, 4, 2).transpose(2, 1, 0)[None]
+    for _, cell in _quad_hits(np.ascontiguousarray(xy), bounds, level):
         bits.reshape(-1)[cell] = True
     return BoxGrid.adopt(bounds, level, bits)
 
 
-def _quad_hits(moved: np.ndarray, bounds: Square, level: int, cells: np.ndarray | None = None,
+def _quad_hits(xy: np.ndarray, bounds: Square, level: int, cells: np.ndarray | None = None,
                halvings: list[np.ndarray] | None = None):
-    """Yield blocks ``(t, iy * 2**level + ix)`` of the cells met by the quads ``moved[t]``, (T, N, 4, 2).
+    """Yield blocks ``(t, iy * 2**level + ix)`` of the cells met by trial t's quads, of ``xy``.
 
-    A quad's cell box is its extent taken half open, as in ``rasterize``, and
-    its cells take a closed SAT test on its edge directions (per t, congruent
-    quads share quad 0's).  Given a target's index over the same bounds and
-    level, only its occupied cells are tested: ``cells`` lists them sorted as
-    ``iy * 2**level + ix``, and ``halvings`` starts with its bits, each entry
-    the ``halve`` of the one before.  Boxes without an occupied cell at the
-    finest halving where they span at most 2x2 cells are dropped (the list
-    grows to that halving), and a kept box row's cells come from one
-    ``searchsorted`` pair in ``cells``.  A block tests about
+    ``xy[t, c, v, i]`` is coordinate c of vertex v of quad i of trial t, (T, 2, 4, N), so that
+    every pass over a block reads whole rows of N.  A quad's cell box is its extent taken half
+    open, as in ``rasterize``, and its cells take a closed SAT test on its edge directions
+    (``_sat_limits``).  Given a target's index over the same bounds and level, only its
+    occupied cells are tested: ``cells`` lists them sorted as ``iy * 2**level + ix``, and
+    ``halvings`` starts with its bits, each entry the ``halve`` of the one before.  Per trial,
+    boxes without an occupied cell at the finest halving k where they all span at most 2x2
+    cells are dropped (the list grows to that halving; one pass per distinct k), and the cells
+    of every kept box row come from one ``searchsorted`` in ``cells``.  A block tests about
     ``_QUAD_BLOCK_LIMIT`` (quad, cell) pairs.
     """
-    trials, count = moved.shape[:2]
-    quads = moved.reshape(-1, 4, 2)
+    trials, _, _, count = xy.shape
     n = grid_size(level)
     w = bounds.side / n
     x0, y0 = bounds.corner
-    # elementwise over the four vertices: reductions along a length-4 axis are slow
-    lo = np.minimum(np.minimum(quads[:, 0], quads[:, 1]), np.minimum(quads[:, 2], quads[:, 3]))
-    hi = np.maximum(np.maximum(quads[:, 0], quads[:, 1]), np.maximum(quads[:, 2], quads[:, 3]))
-    ix_lo, ix_hi, vx = _index_ranges(lo[:, 0], hi[:, 0], x0, w, n)
-    iy_lo, iy_hi, vy = _index_ranges(lo[:, 1], hi[:, 1], y0, w, n)
-    valid = (vx & vy).reshape(trials, count)
-    # edge coordinates as rows, (T, 4, N): each max and min runs along a whole row
-    e = np.stack([moved[:, :, v, c] - moved[:, :, 0, c] for v in (1, 3) for c in (0, 1)], axis=1)
-    congruent = (count == 1) | (e.max(2, initial=-np.inf) - e.min(2, initial=np.inf) < 1e-12).all(axis=1)
-    del lo, hi, e  # freed now: the generator's frame outlives its yields
-    kept = [np.zeros(0, dtype=np.int64)]
-    slots = [np.zeros((0, 2, 6))]
-    for t in np.nonzero(valid.any(axis=1))[0]:
-        idx = np.nonzero(valid[t])[0] + t * count
-        if cells is not None:  # at halving k every box spans at most 2x2 cells: its corners find each one
-            k = int(max((ix_hi - ix_lo)[idx].max(), (iy_hi - iy_lo)[idx].max())).bit_length()
+    lo, hi, valid = _index_ranges(xy.min(axis=2), xy.max(axis=2), np.array([[x0], [y0]]), w, n)
+    valid = valid[:, 0] & valid[:, 1]
+    if cells is not None:  # at halving k every box spans at most 2x2 cells: its corners find each one
+        span = np.where(valid, (hi - lo).max(axis=1), 0).max(axis=1, initial=0)
+        halving = np.frexp(span)[1]  # bit lengths of the trials' widest spans
+        for k in sorted(set(halving.tolist())):
             while len(halvings) <= k:
                 halvings.append(halve(halvings[-1]))
-            occ = halvings[k]
-            xl = ix_lo[idx] >> k
-            xh = ix_hi[idx] >> k
-            yl = iy_lo[idx] >> k
-            yh = iy_hi[idx] >> k
-            idx = idx[occ[yl, xl] | occ[yl, xh] | occ[yh, xl] | occ[yh, xh]]
-        kept.append(idx)
-        for ref, members in [(t * count, idx)] if congruent[t] else [(i, [i]) for i in idx]:
-            # per member and edge: unit axis, a cell's projection offsets, the member's span
-            out = np.tile([0.0, 0.0, 0.0, 0.0, -np.inf, np.inf], (len(members), 2, 1))
-            slots.append(out)
-            for j, edge in enumerate((quads[ref, 1] - quads[ref, 0], quads[ref, 3] - quads[ref, 0])):
-                norm = np.linalg.norm(edge)
-                axis = edge / norm if norm > 0.0 else edge
-                if norm > 0.0 and min(abs(axis[0]), abs(axis[1])) >= 1e-12:
-                    rel = quads[ref] @ axis
-                    off = (quads[members, 0] - quads[ref, 0]) @ axis
-                    out[:, j, :4] = (axis[0], axis[1], w * (min(axis[0], 0.0) + min(axis[1], 0.0)),
-                                     w * (max(axis[0], 0.0) + max(axis[1], 0.0)))
-                    out[:, j, 4] = off + rel.min()
-                    out[:, j, 5] = off + rel.max()
-    kept = np.concatenate(kept)
-    slots = np.concatenate(slots)
-
-    quad, row = _ranges(iy_lo[kept], iy_hi[kept] - iy_lo[kept] + 1)
-    first = row * n + ix_lo[kept[quad]]
-    last = row * n + ix_hi[kept[quad]]
-    if cells is not None:
-        first = np.searchsorted(cells, first)
-        last = np.searchsorted(cells, last, side="right") - 1
-    size = last - first + 1
+            rows = halving == k
+            valid[rows] &= _any_corner(halvings[k], lo[rows] >> k, hi[rows] >> k)
+    kept = np.flatnonzero(valid)
+    if not len(kept):
+        return
+    trial, quad = np.divmod(kept, count)
+    limits = _sat_limits(xy, kept, w)
+    lo, hi = lo[trial, :, quad], hi[trial, :, quad]  # (K, 2): (ix, iy) of each kept box's corners
+    owner, row = _ranges(lo[:, 1], hi[:, 1] - lo[:, 1] + 1)
+    first = row * n + lo[owner, 0]
+    # each row's [first, last + 1), side by side: the search for last + 1 starts from first's
+    ends = np.stack([first, first + (hi[:, 0] - lo[:, 0] + 1)[owner]], axis=1)
+    if cells is not None:  # for integers, side="right" on last is side="left" on last + 1
+        ends = cells.searchsorted(ends)
+    first, size = ends[:, 0], ends[:, 1] - ends[:, 0]
     blocks = _QUAD_BLOCK_LIMIT * np.arange(1, size.sum() // _QUAD_BLOCK_LIMIT + 1)
-    tests = [slots[:, j].T for j in (0, 1) if slots[:, j, 0].any()]  # the edges that test a cell
-    for rows in np.split(np.arange(len(size)), np.searchsorted(np.cumsum(size), blocks)):
-        seg, cell = _ranges(first[rows], size[rows])
-        owner = quad[rows][seg]
+    cuts = [0, *size.cumsum().searchsorted(blocks).tolist(), len(size)]
+    tests = [lim for lim in limits if lim[0].any()]  # the edges that test a cell
+    for a, b in zip(cuts, cuts[1:]):
+        seg, cell = _ranges(first[a:b], size[a:b])
+        seg = owner[a:b][seg]
         if cells is not None:
             cell = cells[cell]
-        keep = np.ones(len(cell), dtype=bool)
         if tests:  # closed overlap of each cell's projection with the quad's
             cx = x0 + (cell & (n - 1)) * w
             cy = y0 + (cell >> level) * w
-            for ax, ay, cmin, cmax, amin, amax in (slot[:, owner] for slot in tests):
+            keep = np.ones(len(cell), dtype=bool)
+            for ax, ay, cmin, cmax, amin, amax in (lim[:, seg] for lim in tests):
                 base = cx * ax + cy * ay
                 keep &= (base + cmax >= amin) & (base + cmin <= amax)
-        yield kept[owner[keep]] // count, cell[keep]
+            seg, cell = seg[keep], cell[keep]
+        yield trial[seg], cell
+
+
+def _any_corner(occ: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per box (T, N), whether ``occ`` is set at one of its corners ``lo`` and ``hi``, (T, 2, N)."""
+    rows = np.stack([lo[:, 1], hi[:, 1]]) * occ.shape[1]
+    return occ.reshape(-1)[rows[:, None] + np.stack([lo[:, 0], hi[:, 0]])].any(axis=(0, 1))
+
+
+def _sat_limits(xy: np.ndarray, kept: np.ndarray, w: float) -> np.ndarray:
+    """SAT constants of the quads ``kept`` (indices t * N + i of ``xy``, sorted), (2, 6, K).
+
+    Row [j, :, p] holds, for edge j (from vertex 0 to vertex 1 or 3) of kept quad p, the unit
+    axis (ax, ay), the offsets w * (min(ax, 0) + min(ay, 0)) and w * (max(ax, 0) + max(ay, 0))
+    of a cell's projection from its corner's, and the quad's span on the axis; an edge of zero
+    length or within 1e-12 of a grid axis tests nothing: (0, 0, 0, 0, -inf, inf).  They are
+    built once per reference quad: quad 0 of a trial whose quads are all congruent (equal edge
+    vectors to within 1e-12), each kept quad of any other trial.  A congruent trial's member
+    spans are its reference's moved by ``(v0 - v0_ref) @ axis``, one (K, 2) @ (2,) product
+    per trial and tested edge.
+    """
+    trials, _, _, count = xy.shape
+    e = xy[:, :, 1::2] - xy[:, :, :1]  # (T, 2, 2, N): each quad's edge vectors
+    congruent = (e.max(axis=3) - e.min(axis=3) < 1e-12).all(axis=(1, 2))
+    trial, quad = np.divmod(kept, count)
+    own = ~congruent[trial]
+    slot = trial.copy()
+    slot[own] = trials + np.arange(np.count_nonzero(own))
+    ref_t, ref_i = np.divmod(np.concatenate([np.arange(trials) * count, kept[own]]), count)
+    quads = np.ascontiguousarray(xy[ref_t, :, :, ref_i].transpose(0, 2, 1))  # (R, 4, 2)
+    edge = quads[:, 1::2] - quads[:, :1]  # (R, 2, 2)
+    # stacked products run the BLAS calls of the per-quad forms: ddot for the norm, gemv for rel
+    norm = np.sqrt(edge[..., None, :] @ edge[..., None])[..., 0]
+    axis = edge / np.where(norm > 0.0, norm, 1.0)
+    rel = (quads[:, None] @ axis[..., None])[..., 0]
+    table = np.concatenate([axis, w * np.minimum(axis, 0.0).sum(axis=2, keepdims=True),
+                            w * np.maximum(axis, 0.0).sum(axis=2, keepdims=True),
+                            rel.min(axis=2, keepdims=True), rel.max(axis=2, keepdims=True)], axis=2)
+    tested = (norm[..., 0] > 0.0) & (abs(axis).min(axis=2) >= 1e-12)
+    table[~tested] = (0.0, 0.0, 0.0, 0.0, -np.inf, np.inf)
+    limits = np.ascontiguousarray(table.transpose(1, 2, 0))[:, :, slot]  # (2, 6, K)
+    d = xy[trial, :, 0, quad] - xy[trial, :, 0, 0]  # (K, 2): vertex 0 from its trial's quad 0
+    start = kept.searchsorted(np.arange(trials + 1) * count).tolist()
+    for t, j in np.argwhere(tested[:trials] & congruent[:, None]).tolist():
+        a, b = start[t], start[t + 1]
+        limits[j, 4:, a:b] += d[a:b] @ axis[t, j]
+    return limits
 
 
 def _ranges(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -136,6 +136,28 @@ class TestDim:
         err = capsys.readouterr().err
         assert err.startswith(f"error: bad level schedule {levels!r}") and "Traceback" not in err
 
+    @pytest.mark.parametrize("levels", ["2:8:2:9", "2:8:1:1", "0:9:3:0:0"])
+    def test_span_of_more_than_three_fields_is_refused(self, tmp_path, capsys, monkeypatch, levels):
+        # no field past the step is dropped: the span is refused before the grid is read
+        monkeypatch.setattr(cli, "_load_grid", unreachable)
+        out = tmp_path / "report.csv"
+        assert run("dim", "--in", "unused.bgr", "--levels", levels, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad level schedule {levels!r}") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, message", [("--levels", "error: bad level schedule ''"),
+                                               ("--window", "error: bad fit window ''")])
+    def test_empty_schedule_or_window_is_refused(self, tmp_path, capsys, monkeypatch, flag,
+                                                 message):
+        # an empty value is a malformed one, not a request for the default
+        monkeypatch.setattr(cli, "_load_grid", unreachable)
+        out = tmp_path / "report.csv"
+        assert run("dim", "--in", "unused.bgr", flag, "", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and "Traceback" not in err
+        assert not out.exists()
+
     def test_malformed_window_is_refused_before_the_grid_is_read(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_load_grid", unreachable)
         assert run("dim", "--in", "unused.bgr", "--window", "a:b") == 2

@@ -27,6 +27,15 @@
   product (``boxdim._frame_spans``); the per-motion frame it replaced is
   ``padded_frame_span``, and ``per_trial_counts`` scores one motion alone
   through it and the dense trial scorer.
+* ``overlap_counts`` moves a block of trials by one stacked product on the
+  copy's coordinate rows, into the coordinate-major layout
+  ``xy[t, c, v, i]`` that ``_quad_hits`` takes (``coordinate_major``
+  converts (T, N, 4, 2) quads to it); each trial must equal
+  ``Isometry.apply`` float for float.  ``geometry._sat_limits`` builds the
+  SAT constants once per reference quad and gathers them per kept quad;
+  the per-trial loop it replaced is kept here verbatim
+  (``reference_sat_slots``), and its stacked norm and projection products
+  are checked against the per-quad ``np.linalg.norm`` and gemv.
 * ``fit_dimensions`` fits a batch of count profiles in one pass; the
   scalar fit it replaced is kept here verbatim
   (``scalar_estimate_dimension``), and each row must equal it float for
@@ -303,9 +312,14 @@ def dense_window(quads: np.ndarray, bounds: Square, level: int, align: int,
 
 
 def target_hits(quads, target):
-    """``_quad_hits`` blocks of ``quads`` tested against the occupied cells of ``target``."""
-    return geometry._quad_hits(quads[None], target.bounds, target.level,
+    """``_quad_hits`` blocks of ``quads``, one trial, tested against the occupied cells of ``target``."""
+    return geometry._quad_hits(coordinate_major(quads[None]), target.bounds, target.level,
                                np.flatnonzero(target.bits), [target.bits])
+
+
+def coordinate_major(moved):
+    """Quads of trials, (T, N, 4, 2), in ``_quad_hits``'s layout ``xy[t, c, v, i]``, C-ordered."""
+    return np.ascontiguousarray(np.asarray(moved, dtype=float).transpose(0, 3, 2, 1))
 
 
 def padded_frame_span(grid, quads, iso):
@@ -650,7 +664,9 @@ def test_stacked_frame_spans_equal_per_trial_spans(level, bounds, alpha, depth, 
     isos = [Isometry(theta, reflect, (x0 + u * bounds.side, y0 + v * bounds.side))
             for theta, reflect, u, v in batch]
     n = 1 << level
-    for iso, got in zip(isos, boxdim._frame_spans(grid, quads, isos).tolist()):
+    mats = np.array([iso.matrix() for iso in isos])
+    z = np.array([iso.z for iso in isos])[:, :, None]
+    for iso, got in zip(isos, boxdim._frame_spans(grid, quads, mats, z).tolist()):
         (ix0, ix1), (iy0, iy1) = padded_frame_span(grid, quads, iso)
         assert got == [min(max(iy0, 0), n), max(min(iy1, n - 1), -1),
                        min(max(ix0, 0), n), max(min(ix1, n - 1), -1)]
@@ -1204,3 +1220,142 @@ def test_window_raster_matches_previous_expressions(level, bounds, align_level, 
     cells, bits = dense_window(quads, bounds, level, align)
     assert cells == ref_cells
     assert np.array_equal(bits, ref_bits)
+
+
+# The per-trial SAT-constant loop that ``geometry._sat_limits`` replaced, its body kept verbatim
+# (the kept quads now come in as an argument): each trial's kept quads share quad 0's constants,
+# moved by their own offsets, when its quads are congruent; otherwise each takes its own.
+
+
+def reference_sat_slots(moved, kept, w):
+    """(K, 2, 6) SAT constants of the quads ``kept`` (t * N + i, sorted) of ``moved``, (T, N, 4, 2)."""
+    trials, count = moved.shape[:2]
+    quads = moved.reshape(-1, 4, 2)
+    e = np.stack([moved[:, :, v, c] - moved[:, :, 0, c] for v in (1, 3) for c in (0, 1)], axis=1)
+    congruent = (count == 1) | (e.max(2, initial=-np.inf) - e.min(2, initial=np.inf) < 1e-12).all(axis=1)
+    slots = [np.zeros((0, 2, 6))]
+    for t in range(trials):
+        idx = kept[kept // count == t]
+        for ref, members in [(t * count, idx)] if congruent[t] else [(i, [i]) for i in idx]:
+            # per member and edge: unit axis, a cell's projection offsets, the member's span
+            out = np.tile([0.0, 0.0, 0.0, 0.0, -np.inf, np.inf], (len(members), 2, 1))
+            slots.append(out)
+            for j, edge in enumerate((quads[ref, 1] - quads[ref, 0], quads[ref, 3] - quads[ref, 0])):
+                norm = np.linalg.norm(edge)
+                axis = edge / norm if norm > 0.0 else edge
+                if norm > 0.0 and min(abs(axis[0]), abs(axis[1])) >= 1e-12:
+                    rel = quads[ref] @ axis
+                    off = (quads[members, 0] - quads[ref, 0]) @ axis
+                    out[:, j, :4] = (axis[0], axis[1], w * (min(axis[0], 0.0) + min(axis[1], 0.0)),
+                                     w * (max(axis[0], 0.0) + max(axis[1], 0.0)))
+                    out[:, j, 4] = off + rel.min()
+                    out[:, j, 5] = off + rel.max()
+    return np.concatenate(slots)
+
+
+#: Turns of a trial: any angle, quarter turns (whose edges lie within 1e-12 of an axis
+#: without snapping), exact axis turns, and turns of less than 1e-12 off a quarter turn.
+turns = st.one_of(st.floats(0.0, 2 * math.pi), st.sampled_from([k * math.pi / 2 for k in range(4)]),
+                  st.just(0.0), st.builds(lambda k, d: k * math.pi / 2 + d, st.integers(0, 3),
+                                          st.sampled_from([-9e-13, -1e-13, 3e-13, 1e-12, 2e-12])))
+#: Quads of a trial: congruent squares; the same moved by up to 3e-14 to 3e-12 per vertex,
+#: which puts the edge spread on both sides of the 1e-12 congruence threshold; squares of
+#: unequal sides; and squares with some edges or whole quads collapsed to a point.
+quad_kinds = st.sampled_from(["congruent", "jittered", "unequal", "collapsed"])
+
+
+def trial_quads(rng, count, turn, reflect, scale, kind, snap=False):
+    """``count`` quads of one trial, (count, 4, 2): squares turned and placed at random.
+
+    ``snap`` turns them by ``Isometry``'s snapped matrix; otherwise the rotation is unsnapped,
+    and its quarter turns leave edges within 1e-12 of an axis.
+    """
+    c, s = math.cos(turn), math.sin(turn)
+    g = np.array([[c, -s], [s, c]]) @ np.diag([1.0, -1.0 if reflect else 1.0])
+    if snap:
+        g = Isometry(turn, reflect, (0.0, 0.0)).matrix()
+    sides = scale * (rng.uniform(0.2, 1.0, count) if kind == "unequal" else np.ones(count))
+    quads = squares_to_quads(np.zeros((count, 2)), 1.0) * sides[:, None, None]
+    quads = quads @ g.T + rng.uniform(-10 * scale, 10 * scale, (count, 1, 2))
+    if kind == "jittered":
+        quads += rng.uniform(-1.0, 1.0, quads.shape) * 10.0 ** rng.uniform(-13.5, -11.5)
+    elif kind == "collapsed":  # a zero-length first edge, then a quad of four equal vertices
+        quads[0, 1] = quads[0, 0]
+        quads[count // 2] = quads[count // 2, 0]
+    return quads
+
+
+@SETTINGS
+@given(trials=st.lists(st.tuples(turns, st.booleans(), st.floats(1e-4, 10.0), quad_kinds,
+                                 st.booleans()), min_size=1, max_size=4),
+       count=st.integers(1, 12), w=st.floats(1e-3, 1.0), seed=st.integers(0, 2**32 - 1),
+       density=st.sampled_from([0.2, 0.7, 1.0]))
+# an axis-aligned trial, one turned less than 1e-12 off a quarter turn and a snapped quarter
+# turn; then a congruent trial beside collapsed, unequal and jittered ones
+@example(trials=[(0.0, False, 1.0, "congruent", False),
+                 (math.pi / 2 + 3e-13, True, 0.5, "congruent", False),
+                 (math.pi / 2, True, 0.5, "congruent", True)],
+         count=5, w=0.125, seed=0, density=1.0)
+@example(trials=[(0.3, False, 1e-4, "congruent", False), (2.0, True, 10.0, "collapsed", False),
+                 (1.0, False, 0.1, "unequal", True), (4.0, True, 1.0, "jittered", False)],
+         count=9, w=0.01, seed=1, density=0.7)
+def test_sat_limits_equal_per_trial_loop(trials, count, w, seed, density):
+    # one table row per reference quad, gathered per kept quad, must give every float of
+    # the per-trial loop: the stacked norm and rel products and the per-trial offset gemv
+    rng = np.random.default_rng(seed)
+    moved = np.stack([trial_quads(rng, count, *trial) for trial in trials])
+    kept = np.flatnonzero(rng.random(len(trials) * count) < density)
+    limits = geometry._sat_limits(coordinate_major(moved), kept, w)
+    assert limits.shape == (2, 6, len(kept))
+    assert np.array_equal(limits.transpose(2, 0, 1), reference_sat_slots(moved, kept, w))
+
+
+@settings(max_examples=300, deadline=None)
+@given(count=st.integers(1, 40), turn=turns, reflect=st.booleans(), scale=st.floats(1e-4, 10.0),
+       kind=quad_kinds, snap=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_stacked_norm_and_projection_equal_per_quad_products(count, turn, reflect, scale, kind,
+                                                             snap, seed):
+    # _sat_limits' forms over (R, 4, 2) reference quads: the edge norms as one stacked
+    # (1, 2) @ (2, 1) product (a ddot each, as np.linalg.norm takes it) and the vertex
+    # projections as one stacked (4, 2) @ (2, 1) product (a gemv each); every float must
+    # equal the per-quad call, where the elementwise forms differ in the last place
+    quads = np.ascontiguousarray(trial_quads(np.random.default_rng(seed), count, turn, reflect,
+                                             scale, kind, snap))
+    edge = quads[:, 1::2] - quads[:, :1]
+    norm = np.sqrt(edge[..., None, :] @ edge[..., None])[..., 0]
+    assert np.array_equal(norm[..., 0], [[np.linalg.norm(e) for e in pair] for pair in edge])
+    axis = edge / np.where(norm > 0.0, norm, 1.0)
+    rel = (quads[:, None] @ axis[..., None])[..., 0]
+    for r in range(count):
+        for j in (0, 1):
+            assert np.array_equal(rel[r, j], quads[r] @ axis[r, j])
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=st.lists(st.tuples(st.one_of(st.floats(0.0, 2 * math.pi),
+                                          st.sampled_from([k * math.pi / 2 for k in range(4)])),
+                                st.booleans(), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+                      min_size=1, max_size=6),
+       count=st.integers(1, 300), scale=st.floats(1e-4, 10.0), seed=st.integers(0, 2**32 - 1),
+       limit=st.sampled_from([None, 1, 700]))
+def test_block_move_equals_apply_per_trial(batch, count, scale, seed, limit):
+    # overlap_counts moves a block of trials by one stacked (2, 2) @ (2, 4N) product on the
+    # coordinate rows; each trial must equal Isometry.apply of the quads, float for float
+    quads = np.random.default_rng(seed).uniform(-scale, scale, (count, 4, 2))
+    isos = [Isometry(theta, reflect, (u, v)) for theta, reflect, u, v in batch]
+    grid = BoxGrid(Square((-50.0, -50.0), 100.0), 2, np.ones((4, 4), dtype=bool))  # every trial live
+    kernel, moved = boxdim._quad_hits, []
+
+    def captured(xy, *args):
+        moved.append(xy.copy())
+        return kernel(xy, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(boxdim, "_quad_hits", captured)
+        if limit is not None:
+            patch.setattr(boxdim, "_MOVE_LIMIT", limit)
+        overlap_counts(grid, quads, isos, ScaleSchedule.span(0, 2))
+    xy = np.concatenate(moved)
+    assert xy.shape == (len(isos), 2, 4, count)
+    for iso, got in zip(isos, xy):
+        assert np.array_equal(got, coordinate_major(iso.apply(quads)[None])[0])
