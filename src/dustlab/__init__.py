@@ -8,8 +8,7 @@ subset of a given rasterized compact set.
 """
 
 from .boxdim import (DimensionEstimate, ScaleSchedule, box_counts,
-                     estimate_dimension, find_full_dimension_point,
-                     local_dimension_profile)
+                     estimate_dimension, find_full_dimension_point)
 from .cantor import (CantorApproximant, address_corners, alpha_for_dimension,
                      cantor_dimension, generate_cantor, scale_and_place)
 from .composite import (AnnulusChain, CompositePlan, ConstructionReport,

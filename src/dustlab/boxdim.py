@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import BoxGrid, Isometry, _quad_hits, aligned_span, halve
+from .geometry import BoxGrid, Isometry, _aligned_window, _closed_span, _matrices, _quad_hits, halve
 
 LN2 = math.log(2.0)
 #: Level of the coarse grid whose occupied cells find_full_dimension_point scores.
@@ -118,7 +118,7 @@ def overlap_counts(grid: BoxGrid, quads: np.ndarray, isos: Sequence[Isometry],
     """
     _require_resolution(schedule, grid.level)
     counts = np.zeros((len(isos), len(schedule.levels)), dtype=np.int64)
-    mats = np.array([iso.matrix() for iso in isos]).reshape(-1, 2, 2)
+    mats = _matrices([iso.theta for iso in isos], [iso.reflect for iso in isos])
     z = np.array([iso.z for iso in isos]).reshape(-1, 2, 1)
     live = [j for j, (iy0, iy1, ix0, ix1) in enumerate(_frame_spans(grid, quads, mats, z).tolist())
             if ix0 <= ix1 and iy0 <= iy1 and grid.bits[iy0:iy1 + 1, ix0:ix1 + 1].any()]
@@ -144,7 +144,7 @@ def overlap_counts(grid: BoxGrid, quads: np.ndarray, isos: Sequence[Isometry],
 
 
 def _frame_spans(grid: BoxGrid, quads: np.ndarray, mats: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Per motion, the span (iy0, iy1, ix0, ix1) of cells meeting its frame, as in ``_ball_span``.
+    """Per motion, the closed span (iy0, iy1, ix0, ix1) of cells meeting its frame (``_closed_span``).
 
     The motions are ``x -> mats[j] @ x + z[j]``, (M, 2, 2) and (M, 2, 1), as ``Isometry`` gives
     them.  A frame is the box of the copy's leaves, moved by the motion and widened by one cell,
@@ -155,10 +155,9 @@ def _frame_spans(grid: BoxGrid, quads: np.ndarray, mats: np.ndarray, z: np.ndarr
     (x0, y0), (x1, y1) = vertices.min(axis=0), vertices.max(axis=0)
     box = np.array([(x0, y0), (x1, y0), (x0, y1), (x1, y1)])
     frames = box @ mats.transpose(0, 2, 1) + z.transpose(0, 2, 1)
-    w, n = grid.cell_size, grid.size
-    lo = np.floor((frames.min(axis=1) - w - grid.bounds.corner) / w).clip(0, n)
-    hi = np.floor((frames.max(axis=1) + w - grid.bounds.corner) / w).clip(-1, n - 1)
-    return np.stack([lo[:, 1], hi[:, 1], lo[:, 0], hi[:, 0]], axis=1).astype(np.int64)
+    w = grid.cell_size
+    lo, hi = _closed_span(frames.min(axis=1) - w, frames.max(axis=1) + w, grid.bounds.corner, w, grid.size)
+    return np.stack([lo[:, 1], hi[:, 1], lo[:, 0], hi[:, 0]], axis=1)
 
 
 def _spread(v: np.ndarray) -> np.ndarray:
@@ -236,20 +235,15 @@ def counts_csv_lines(counts: Mapping[int, int], side: float) -> list[str]:
     return lines
 
 
-def _ball_span(grid: BoxGrid, p: Sequence[float], radius: float) -> tuple[int, int, int, int]:
-    """Inclusive cell span (iy0, iy1, ix0, ix1) of the closed Chebyshev ball B(p, radius).
-
-    Cells belong when their half-open extent meets the ball; the span is
-    empty (iy0 > iy1 or ix0 > ix1) when no cell does.
-    """
-    if radius <= 0:
-        raise ParameterError(f"radius must be positive, got {radius!r}")
-    (x0, y0), w, n = grid.bounds.corner, grid.cell_size, grid.size
-
-    def span(c: float, o: float) -> tuple[int, int]:
-        return max(math.floor((c - radius - o) / w), 0), min(math.floor((c + radius - o) / w), n - 1)
-
-    return span(p[1], y0) + span(p[0], x0)
+def _ball_windows(grid: BoxGrid, centers, radius: float, step: int) -> Iterator[np.ndarray]:
+    """Per center, the cells of ``grid`` in the closed Chebyshev ball B(center, radius)
+    (``_closed_span``), cut by ``_aligned_window`` one at a time, after the inputs are checked."""
+    c = np.asarray(centers, dtype=float).reshape(-1, 2)
+    if not (0.0 < radius < math.inf and np.isfinite(c).all()):
+        raise ParameterError(f"need finite centers and a positive, finite radius, got radius {radius!r}")
+    lo, hi = _closed_span(c - radius, c + radius, grid.bounds.corner, grid.cell_size, grid.size)
+    return (_aligned_window(grid.bits, slice(y0, y1 + 1), slice(x0, x1 + 1), step)[0]
+            for (x0, y0), (x1, y1) in zip(lo.tolist(), hi.tolist()))
 
 
 def clip_to_ball(grid: BoxGrid, p: Sequence[float], radius: float) -> BoxGrid:
@@ -258,11 +252,7 @@ def clip_to_ball(grid: BoxGrid, p: Sequence[float], radius: float) -> BoxGrid:
     Cells survive when their half-open extent meets the closed ball, which
     keeps the clipped set a union of whole cells of the original raster.
     """
-    iy0, iy1, ix0, ix1 = _ball_span(grid, p, radius)
-    bits = np.zeros_like(grid.bits)
-    if ix0 <= ix1 and iy0 <= iy1:
-        bits[iy0:iy1 + 1, ix0:ix1 + 1] = grid.bits[iy0:iy1 + 1, ix0:ix1 + 1]
-    return BoxGrid.adopt(grid.bounds, grid.level, bits)
+    return BoxGrid.adopt(grid.bounds, grid.level, next(_ball_windows(grid, [p], radius, grid.size)))
 
 
 def ball_counts(grid: BoxGrid, p: Sequence[float], radius: float,
@@ -273,37 +263,8 @@ def ball_counts(grid: BoxGrid, p: Sequence[float], radius: float,
     2**(grid.level - schedule.levels[0]) cells, and counted there.
     """
     _require_resolution(schedule, grid.level)
-    iy0, iy1, ix0, ix1 = _ball_span(grid, p, radius)
-    if ix0 > ix1 or iy0 > iy1:
-        return {m: 0 for m in schedule.levels}
-    step = 1 << (grid.level - schedule.levels[0])
-    rows = aligned_span(iy0, iy1, step)
-    cols = aligned_span(ix0, ix1, step)
-    window = np.zeros((rows.stop - rows.start, cols.stop - cols.start), dtype=bool)
-    window[iy0 - rows.start:iy1 + 1 - rows.start, ix0 - cols.start:ix1 + 1 - cols.start] = \
-        grid.bits[iy0:iy1 + 1, ix0:ix1 + 1]
+    window = next(_ball_windows(grid, [p], radius, 1 << (grid.level - schedule.levels[0])))
     return window_counts(window, grid.level, schedule)
-
-
-def local_dimension_profile(grid: BoxGrid, p: Sequence[float],
-                            radii: Sequence[float]) -> list[DimensionEstimate]:
-    """Dimension estimates of the set clipped to shrinking balls around p.
-
-    Radii must decrease.  The schedule per radius spans the levels that
-    resolve the ball up to the raster resolution.  An empty clip yields an
-    estimate flagged empty.
-    """
-    if not grid.bounds.contains_point(p):
-        raise ParameterError(f"point {tuple(p)} lies outside the grid bounds")
-    radii = [float(r) for r in radii]
-    if any(b >= a for a, b in zip(radii, radii[1:])):
-        raise ParameterError(f"radii must be strictly decreasing, got {radii}")
-    out = []
-    for r in radii:
-        # finest scales of the raster, starting where cells resolve the ball
-        sched = ScaleSchedule.resolving(grid, r / 2.0, floor=0)
-        out.append(estimate_dimension(ball_counts(grid, p, r, sched), side=grid.bounds.side))
-    return out
 
 
 def find_full_dimension_point(grid: BoxGrid, min_clearance: float = 0.0) -> tuple[float, float]:
@@ -312,8 +273,9 @@ def find_full_dimension_point(grid: BoxGrid, min_clearance: float = 0.0) -> tupl
     Scans occupied cells of a coarse candidate grid; each candidate is
     represented by its first occupied fine cell (row-major from the bottom
     row) and scored by the minimum local slope over the radii side/8,
-    side/16 and side/32, as ``local_dimension_profile`` fits them.  Ties
-    keep the earliest candidate in row-major order.  ``min_clearance``
+    side/16 and side/32: each ball's ``ball_counts`` fitted over the levels
+    from where cells resolve its radius to the raster's.  Ties keep the
+    earliest candidate in row-major order.  ``min_clearance``
     optionally discards candidates closer than that to the bounds edge
     (falling back to all of them if none survive).
     """
@@ -327,8 +289,9 @@ def find_full_dimension_point(grid: BoxGrid, min_clearance: float = 0.0) -> tupl
     side = grid.bounds.side
     scores = np.inf
     for r in (side / 8.0, side / 16.0, side / 32.0):
-        sched = ScaleSchedule.resolving(grid, r / 2.0, floor=0)  # local_dimension_profile's schedule
-        counts = [list(ball_counts(grid, p, r, sched).values()) for p in pool]
+        sched = ScaleSchedule.resolving(grid, r / 2.0, floor=0)
+        windows = _ball_windows(grid, pool, r, 1 << (grid.level - sched.levels[0]))
+        counts = [list(window_counts(bits, grid.level, sched).values()) for bits in windows]
         slope, _, _, empty, _ = fit_dimensions(sched.levels, counts, side=side)
         scores = np.minimum(scores, np.where(empty, 0.0, slope))
     return pool[best_index(scores)]

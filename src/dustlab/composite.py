@@ -24,7 +24,7 @@ from .boxdim import (DimensionEstimate, ScaleSchedule, box_counts, estimate_dime
                      best_index, find_full_dimension_point, fit_dimensions, window_counts)
 from .cantor import alpha_for_dimension, generate_cantor, scale_and_place, scaled_quads
 from .errors import AssemblyError, ConstructionError, ParameterError, PlacementError
-from .geometry import (BoxGrid, Isometry, Square, aligned_span, grid_intersection,
+from .geometry import (BoxGrid, Isometry, Square, _aligned_window, grid_intersection,
                        quads_disjoint, rasterize_quads)
 from .intersect import scored_trials
 from .parallel import check_jobs, parallel_map
@@ -71,7 +71,8 @@ class AnnulusChain:
         return self.half_widths[n - 1] - self.half_widths[n]
 
     def annulus_slice(self, grid: BoxGrid, n: int) -> BoxGrid:
-        return _annulus_slice(grid, self.center, self.half_widths[n], self.half_widths[n - 1])
+        bits = _annulus_window(grid, self.center, self.half_widths[n], self.half_widths[n - 1], grid.size)
+        return BoxGrid.adopt(grid.bounds, grid.level, bits)
 
 
 @dataclass(frozen=True)
@@ -162,15 +163,12 @@ class PipelineResult:
     report: ConstructionReport
 
 
-def _annulus_slice(grid: BoxGrid, center, r_in: float, r_out: float) -> BoxGrid:
-    """The cells of ``grid`` whose centre has Chebyshev distance in [r_in, r_out) to ``center``."""
-    return BoxGrid.adopt(grid.bounds, grid.level, _annulus_window(grid, center, r_in, r_out, grid.size))
-
-
 def _annulus_window(grid: BoxGrid, center, r_in: float, r_out: float, step: int) -> np.ndarray:
-    """``_annulus_slice(...).bits`` over the block of cells nearer than r_out, widened to multiples of step.
+    """The cells of ``grid`` whose centre has Chebyshev distance in [r_in, r_out) to ``center``.
 
-    max(dy, dx) < r exactly when dy < r and dx < r, so the slice is a difference of two blocks.
+    They are cut by ``_aligned_window`` over the block of cells nearer than r_out; a step of
+    ``grid.size`` gives the whole grid.  max(dy, dx) < r exactly when dy < r and dx < r, so
+    the slice is a difference of two blocks.
     """
     k = np.arange(grid.size) + 0.5
     offsets = [np.abs(c0 + k * grid.cell_size - c) for c0, c in zip(grid.bounds.corner, center)]
@@ -179,9 +177,7 @@ def _annulus_window(grid: BoxGrid, center, r_in: float, r_out: float, step: int)
         # offsets grow away from the centre, so the cells nearer than r are one run per axis
         return tuple(slice(np.argmax(near), np.argmax(near) + np.count_nonzero(near))
                      for near in (offsets[1][window[0]] < r, offsets[0][window[1]] < r))  # rows, then columns
-    window = tuple(aligned_span(s.start, max(s.start, s.stop - 1), step) for s in block(r_out))
-    bits = np.zeros_like(grid.bits[window])
-    bits[block(r_out, window)] = grid.bits[window][block(r_out, window)]
+    bits, window = _aligned_window(grid.bits, *block(r_out), step)
     bits[block(r_in, window)] = False
     return bits
 

@@ -8,10 +8,13 @@ Conventions used throughout the package:
 * Cells are half open: a cell owns its lower/left edge and excludes its
   upper/right edge, except the last row/column which is closed.  Every
   point of the bounding square therefore maps to exactly one cell.
-* Rasterization of axis-aligned squares applies the same half-open rule
-  to the square itself, so a square whose edge lands exactly on a cell
-  boundary occupies cells on one side only.  This makes occupancy counts
-  of exactly tiled inputs (sides equal to a cell multiple) exact.
+* Three cell rules, one helper each.  Squares and quads take their
+  extent half open (``_index_ranges``): an edge on a cell boundary
+  meets cells on one side only, so exactly tiled inputs count exactly.
+  Balls and frames take the closed span of the cells whose extent meets
+  them (``_closed_span``), and annuli the cells whose centre they hold
+  (``composite._annulus_window``).  Balls and annuli are cut into zero
+  windows aligned to a step of cells (``_aligned_window``).
 """
 
 from __future__ import annotations
@@ -171,11 +174,8 @@ class BoxGrid:
         """Cell (ix, iy) owning p under the half-open convention."""
         if not self.bounds.contains_point(p):
             raise ParameterError(f"point {tuple(p)} lies outside the grid bounds")
-        w = self.cell_size
-        x0, y0 = self.bounds.corner
-        ix = min(int((p[0] - x0) / w), self.size - 1)
-        iy = min(int((p[1] - y0) / w), self.size - 1)
-        return ix, iy
+        xy = np.asarray(p, dtype=float)
+        return tuple(_closed_span(xy, xy, self.bounds.corner, self.cell_size, self.size)[1].tolist())
 
     def cell_center(self, ix: int, iy: int) -> tuple[float, float]:
         w = self.cell_size
@@ -211,6 +211,29 @@ def _index_ranges(lo: np.ndarray, hi: np.ndarray, origin: float, cell: float, n:
     return np.clip(f_lo, 0, n - 1), np.clip(f_hi, 0, n - 1), valid
 
 
+def _closed_span(lo: np.ndarray, hi: np.ndarray, origin, cell: float, n: int):
+    """Cells [i_lo, i_hi] whose half-open extent meets the closed intervals [lo, hi], lo <= hi.
+
+    Clipped to the grid, an empty span is (0, -1) or (n, n - 1).
+    """
+    first = np.floor((lo - origin) / cell).clip(0, n)
+    last = np.floor((hi - origin) / cell).clip(-1, n - 1)
+    return first.astype(np.int64), last.astype(np.int64)
+
+
+def _aligned_window(bits: np.ndarray, rows: slice, cols: slice, step: int):
+    """``bits[rows, cols]`` in a zero window widened outward to multiples of step; also its slices.
+
+    ``rows`` and ``cols`` are half-open spans, start <= stop, in [0, len(bits)]; an empty one
+    is widened from its start.
+    """
+    rs, cs = (aligned_span(s.start, max(s.start, s.stop - 1), step) for s in (rows, cols))
+    window = np.zeros((rs.stop - rs.start, cs.stop - cs.start), dtype=bits.dtype)
+    window[rows.start - rs.start:rows.stop - rs.start,
+           cols.start - cs.start:cols.stop - cs.start] = bits[rows, cols]
+    return window, (rs, cs)
+
+
 def rasterize(corners: np.ndarray, bounds: Square, level: int, side: float) -> BoxGrid:
     """Mark every cell met by at least one of the equal squares.
 
@@ -232,11 +255,18 @@ def grid_intersection(a: BoxGrid, b: BoxGrid) -> BoxGrid:
 # Isometries and rotated-square (quad) helpers
 
 
-def _snap(x: float) -> float:
+def _matrices(theta, reflect) -> np.ndarray:
+    """(M, 2, 2) matrices g of the isometries with angles ``theta`` and flags ``reflect``, (M,) each.
+
+    Entries within 1e-12 of -1, 0 or 1 snap exactly; a reflected g is then g @ diag(1, -1).
+    """
+    cs = np.stack([np.cos(theta), np.sin(theta)]).reshape(2, -1)
     for target in (-1.0, 0.0, 1.0):
-        if abs(x - target) < 1e-12:
-            return target
-    return x
+        cs = np.where(abs(cs - target) < 1e-12, target, cs)
+    (c, s), reflect = cs, np.asarray(reflect, dtype=bool).reshape(-1)
+    g = np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2)
+    g[reflect] = g[reflect] @ np.array([[1.0, 0.0], [0.0, -1.0]])
+    return g
 
 
 @dataclass(frozen=True)
@@ -256,12 +286,7 @@ class Isometry:
         object.__setattr__(self, "z", (float(self.z[0]), float(self.z[1])))
 
     def matrix(self) -> np.ndarray:
-        c = _snap(math.cos(self.theta))
-        s = _snap(math.sin(self.theta))
-        g = np.array([[c, -s], [s, c]])
-        if self.reflect:
-            g = g @ np.array([[1.0, 0.0], [0.0, -1.0]])
-        return g
+        return _matrices(self.theta, self.reflect)[0]
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)

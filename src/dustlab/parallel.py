@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from concurrent import futures
 from typing import Callable
 
 from .errors import ParameterError
@@ -18,6 +17,7 @@ def parallel_map(fn: Callable[[int], object], n: int, jobs: int) -> list:
     workers = worker_count(jobs, n)
     if workers <= 1:
         return [fn(i) for i in range(n)]
+    from concurrent import futures  # it loads logging; a one-thread run needs neither
     with futures.ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(n)))
 

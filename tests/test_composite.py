@@ -152,9 +152,13 @@ def annulus_cases(draw):
 def test_annulus_slice_matches_the_dense_distance_rule(case):
     grid, center, r_in, r_out = case
     d = cheb_distances(grid, center)
-    got = composite._annulus_slice(grid, center, r_in, r_out)
-    assert got.bounds == grid.bounds and got.level == grid.level
-    assert np.array_equal(got.bits, grid.bits & ((d >= r_in) & (d < r_out)))
+    # a step of the grid size cuts the whole grid
+    got = composite._annulus_window(grid, center, r_in, r_out, grid.size)
+    assert np.array_equal(got, grid.bits & ((d >= r_in) & (d < r_out)))
+    if 0.0 < r_in < r_out:  # the slice of a chain's one annulus is that cut
+        chain_slice = AnnulusChain(center, (r_out, r_in)).annulus_slice(grid, 1)
+        assert chain_slice.bounds == grid.bounds and chain_slice.level == grid.level
+        assert np.array_equal(chain_slice.bits, got)
 
 
 @settings(max_examples=150, deadline=None)
@@ -167,7 +171,7 @@ def test_annulus_window_counts_as_the_full_slice(case, data):
     grid, center, r_in, r_out = case
     lo = max(grid.level - 2, 0) if data is None else data.draw(st.integers(0, grid.level))
     bits = composite._annulus_window(grid, center, r_in, r_out, 1 << (grid.level - lo))
-    full = composite._annulus_slice(grid, center, r_in, r_out)
+    full = BoxGrid(grid.bounds, grid.level, composite._annulus_window(grid, center, r_in, r_out, grid.size))
     assert np.count_nonzero(bits) == full.occupied_count
     if grid.level - lo >= 2:
         schedule = ScaleSchedule.span(lo, grid.level)

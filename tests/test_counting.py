@@ -7,6 +7,14 @@
   verbatim as the reference.
 * ``ball_counts`` counts a ball inside an aligned window; the reference is
   ``box_counts`` of the full-grid ``clip_to_ball``.
+* ``geometry._closed_span`` gives the closed cell span of balls and
+  frames; the scalar ball span it replaced (``reference_ball_span``) and
+  the frame lines it replaced (``reference_frame_spans``) are kept here
+  verbatim.
+* ``geometry._matrices`` builds the matrices of a batch of motions as
+  arrays, and ``Isometry.matrix`` is a one-row call of it; the scalar
+  snap and matrix body it replaced are kept here verbatim
+  (``reference_matrix``).
 * ``overlap_counts`` scores a batch of motions of one copy (placement or
   Mattila trials) without a raster.  A motion whose frame (the box of the
   unmoved quads, moved by it) reaches no occupied cell scores zero without
@@ -161,6 +169,19 @@ def test_ball_counts_rejects_nonpositive_radius():
     with pytest.raises(ParameterError):
         ball_counts(BoxGrid(Square.unit(), 4, np.ones((16, 16), dtype=bool)), (0.5, 0.5), 0.0,
                     ScaleSchedule.span(0, 4))
+
+
+@pytest.mark.parametrize("p,radius", [((0.5, 0.5), math.nan), ((0.5, 0.5), math.inf),
+                                      ((0.5, 0.5), -math.inf), ((math.nan, 0.5), 0.25),
+                                      ((0.5, math.nan), 0.25), ((math.inf, 0.5), 0.25),
+                                      ((0.5, -math.inf), 0.25)])
+def test_ball_refuses_non_finite_center_or_radius(p, radius):
+    # NaN cast to an integer cell index gives INT64_MIN, and the ball would count as empty
+    grid = BoxGrid(Square.unit(), 4, np.ones((16, 16), dtype=bool))
+    with pytest.raises(ParameterError, match="finite"):
+        ball_counts(grid, p, radius, ScaleSchedule.span(0, 4))
+    with pytest.raises(ParameterError, match="finite"):
+        clip_to_ball(grid, p, radius)
 
 
 def placed_quads(alpha, depth, diameter, theta, reflect, z):
@@ -670,6 +691,127 @@ def test_stacked_frame_spans_equal_per_trial_spans(level, bounds, alpha, depth, 
         (ix0, ix1), (iy0, iy1) = padded_frame_span(grid, quads, iso)
         assert got == [min(max(iy0, 0), n), max(min(iy1, n - 1), -1),
                        min(max(ix0, 0), n), max(min(ix1, n - 1), -1)]
+
+
+# The scalar ball span and the floor and clip lines of the frame spans that geometry._closed_span
+# replaced, kept verbatim.
+
+def reference_ball_span(grid, p, radius):
+    """Inclusive cell span (iy0, iy1, ix0, ix1) of the closed Chebyshev ball B(p, radius).
+
+    Cells belong when their half-open extent meets the ball; the span is
+    empty (iy0 > iy1 or ix0 > ix1) when no cell does.
+    """
+    if radius <= 0:
+        raise ParameterError(f"radius must be positive, got {radius!r}")
+    (x0, y0), w, n = grid.bounds.corner, grid.cell_size, grid.size
+
+    def span(c: float, o: float) -> tuple[int, int]:
+        return max(math.floor((c - radius - o) / w), 0), min(math.floor((c + radius - o) / w), n - 1)
+
+    return span(p[1], y0) + span(p[0], x0)
+
+
+def reference_frame_spans(grid, quads, mats, z):
+    vertices = quads.reshape(-1, 2)
+    (x0, y0), (x1, y1) = vertices.min(axis=0), vertices.max(axis=0)
+    box = np.array([(x0, y0), (x1, y0), (x0, y1), (x1, y1)])
+    frames = box @ mats.transpose(0, 2, 1) + z.transpose(0, 2, 1)
+    w, n = grid.cell_size, grid.size
+    lo = np.floor((frames.min(axis=1) - w - grid.bounds.corner) / w).clip(0, n)
+    hi = np.floor((frames.max(axis=1) + w - grid.bounds.corner) / w).clip(-1, n - 1)
+    return np.stack([lo[:, 1], hi[:, 1], lo[:, 0], hi[:, 0]], axis=1).astype(np.int64)
+
+
+def ball_coordinate(n: int):
+    """A centre coordinate in units of the side: anywhere near the grid, or on a cell boundary."""
+    return st.floats(-1.5, 2.5) | st.integers(-3, n + 3).map(lambda k: k / n)
+
+
+@SETTINGS
+@given(level=st.integers(0, 8), bounds=bounds_strategy, data=st.data())
+# a centre on a cell corner with a radius of whole cells: both ends of the span on boundaries
+@example(level=3, bounds=UNIT, data=(0.5, 0.25, 0.125))
+# balls off the left, right, bottom and top of the grid: empty spans
+@example(level=3, bounds=UNIT, data=(-0.5, 0.5, 0.25))
+@example(level=3, bounds=UNIT, data=(1.5, 0.5, 0.25))
+@example(level=3, bounds=UNIT, data=(0.5, -0.5, 0.25))
+@example(level=3, bounds=UNIT, data=(0.5, 1.5, 0.25))
+# a ball past every edge of an offset, scaled grid
+@example(level=4, bounds=Square((-2.5, 1.25), 3.0), data=(0.5, 0.5, 4.0))
+def test_closed_span_equals_scalar_ball_span(level, bounds, data):
+    # the scalar span clips starts only below and ends only above; the two differ in a
+    # clipped value only where both spans are empty
+    n = 1 << level
+    if isinstance(data, tuple):
+        u, v, r = data
+    else:
+        u, v = data.draw(ball_coordinate(n)), data.draw(ball_coordinate(n))
+        r = data.draw(st.floats(1e-6, 3.0) | st.integers(1, 2 * n).map(lambda k: k / n))
+    grid = BoxGrid.empty(bounds, level)
+    p = (bounds.corner[0] + u * bounds.side, bounds.corner[1] + v * bounds.side)
+    radius = r * bounds.side
+    iy0, iy1, ix0, ix1 = reference_ball_span(grid, p, radius)
+    c = np.array(p)
+    lo, hi = geometry._closed_span(c - radius, c + radius, bounds.corner, grid.cell_size, n)
+    assert [lo[1], hi[1], lo[0], hi[0]] == [min(iy0, n), max(iy1, -1), min(ix0, n), max(ix1, -1)]
+    assert (lo <= hi).all() == (ix0 <= ix1 and iy0 <= iy1)
+
+
+@SETTINGS
+@given(level=st.integers(0, 8), bounds=bounds_strategy, alpha=st.floats(0.2, 0.45),
+       depth=st.integers(1, 3), diameter_frac=st.floats(0.01, 1.5),
+       batch=st.lists(motions, min_size=0, max_size=8))
+@example(level=3, bounds=UNIT, alpha=0.25, depth=2, diameter_frac=0.25 * SQRT2,
+         batch=[(0.0, False, 0.25, 0.5), (0.0, False, -1.0, 0.5), (0.0, False, 2.0, 0.5),
+                (math.pi, True, 0.5, -1.0), (math.pi / 2, False, 0.5, 2.0)])
+def test_frame_spans_equal_floor_and_clip_lines(level, bounds, alpha, depth, diameter_frac, batch):
+    # frames on cell boundaries, and frames off each side of the grid: empty spans
+    grid = BoxGrid.empty(bounds, level)
+    x0, y0 = bounds.corner
+    quads = scaled_quads(generate_cantor(alpha, depth), diameter_frac * bounds.side)
+    isos = [Isometry(theta, reflect, (x0 + u * bounds.side, y0 + v * bounds.side))
+            for theta, reflect, u, v in batch]
+    mats = np.array([iso.matrix() for iso in isos]).reshape(-1, 2, 2)
+    z = np.array([iso.z for iso in isos]).reshape(-1, 2, 1)
+    got = boxdim._frame_spans(grid, quads, mats, z)
+    assert got.dtype == np.int64
+    assert got.tolist() == reference_frame_spans(grid, quads, mats, z).tolist()
+
+
+# The scalar snap and matrix body of Isometry.matrix that geometry._matrices replaced, kept verbatim.
+
+def reference_snap(x: float) -> float:
+    for target in (-1.0, 0.0, 1.0):
+        if abs(x - target) < 1e-12:
+            return target
+    return x
+
+
+def reference_matrix(theta: float, reflect: bool) -> np.ndarray:
+    c = reference_snap(math.cos(theta))
+    s = reference_snap(math.sin(theta))
+    g = np.array([[c, -s], [s, c]])
+    if reflect:
+        g = g @ np.array([[1.0, 0.0], [0.0, -1.0]])
+    return g
+
+
+quarter_turns = st.builds(lambda k, d: k * math.pi / 2 + d, st.integers(-8, 8),
+                          st.sampled_from([-1e-13, 0.0, 1e-13]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=st.lists(st.tuples(st.floats(-100.0, 100.0) | quarter_turns, st.booleans()), max_size=12))
+@example(batch=[(0.0, False), (-0.0, True), (math.pi / 2, True), (math.pi, True),
+                (3 * math.pi / 2, True), (3 * math.pi / 2, False), (-math.pi / 2 + 1e-13, True)])
+def test_stacked_matrices_equal_scalar_matrix(batch):
+    # bytes compare every entry float for float, signed zeros included
+    theta, reflect = [t for t, _ in batch], [r for _, r in batch]
+    expected = np.array([reference_matrix(t, r) for t, r in batch]).reshape(-1, 2, 2)
+    assert geometry._matrices(theta, reflect).tobytes() == expected.tobytes()
+    for (t, r), g in zip(batch, expected):
+        assert Isometry(t, r, (0.0, 0.0)).matrix().tobytes() == g.tobytes()
 
 
 # The scalar least-squares fit that fit_dimensions replaced, kept verbatim.

@@ -146,7 +146,8 @@ import numpy
 eager = "numpy.random" in sys.modules
 from dustlab import cli
 code = cli.main(json.loads(sys.argv[1]))
-print(json.dumps({"code": code, "eager": eager, "loaded": "numpy.random" in sys.modules}))
+print(json.dumps({"code": code, "eager": eager, "loaded": "numpy.random" in sys.modules,
+                  "futures": "concurrent.futures" in sys.modules}))
 """
 
 
@@ -172,3 +173,5 @@ def test_no_subcommand_imports_numpy_random(tmp_path, argv):
     assert result["code"] == 0, proc.stderr
     # numpy before 2.0 loads numpy.random with numpy itself; then nothing is left to check
     assert result["loaded"] == result["eager"]
+    # a one-thread run starts no pool, so the thread pool module (and logging) stays unloaded
+    assert not result["futures"]
