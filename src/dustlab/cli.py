@@ -83,14 +83,6 @@ def _parse_window(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _load_grid(path) -> BoxGrid:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data.startswith(b"cad "):
-        raise FormatError("expected a bgr grid file; rasterize addresses with gen --grid-out first")
-    return formats.parse_bgr(data)
-
-
 def cmd_gen(args) -> int:
     if not args.out and not args.grid_out:
         raise ParameterError("nothing to do: give --out and/or --grid-out")
@@ -113,7 +105,7 @@ def cmd_gen(args) -> int:
 def cmd_dim(args) -> int:
     schedule = None if args.levels is None else _parse_levels(args.levels)
     window = None if args.window is None else _parse_window(args.window)
-    grid = _load_grid(args.infile)
+    grid = formats.read_bgr(args.infile)
     schedule = schedule or ScaleSchedule.default_for(grid)
     counts = box_counts(grid, schedule)
     est = estimate_dimension(counts, window=window, side=grid.bounds.side)
@@ -140,7 +132,10 @@ def cmd_john(args) -> int:
 def cmd_mattila(args) -> int:
     b_alpha = _resolve_alpha(args.b_alpha, args.b_dim, "--b-alpha", "--b-dim")
     check_survey(args.trials, args.tolerance, args.seed, args.jobs)
-    a_grid = _load_grid(args.a_in) if args.a_in else _raster_dust(args.a_alpha, args.a_depth, args.level)[1]
+    if args.a_in:
+        a_grid = formats.read_bgr(args.a_in)
+    else:
+        a_grid = _raster_dust(args.a_alpha, args.a_depth, args.level)[1]
     b = generate_cantor(b_alpha, args.b_depth)
     survey = mattila_survey(a_grid, b, trials=args.trials, tolerance=args.tolerance,
                             seed=args.seed, jobs=args.jobs)
@@ -164,7 +159,7 @@ def _raster_dust(alpha: Alpha | float | None, depth: int, level: int) -> tuple[C
 def cmd_construct(args) -> int:
     check_pipeline(args.annuli, args.trials, args.min_mass, args.seed, args.jobs)
     if args.infile:
-        E = _load_grid(args.infile)
+        E = formats.read_bgr(args.infile)
     elif args.gen_alpha is not None:
         E = _raster_dust(args.gen_alpha, args.gen_depth, args.level)[1]
     else:
@@ -184,13 +179,7 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dustlab",
-        description="Cantor dust experiments: generation, dimension, paths, intersections")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate a dust approximant")
+def _gen_parser(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float)
     p.add_argument("--dim", type=float, help="dust dimension; resolves alpha")
     p.add_argument("--depth", type=int, required=True)
@@ -199,14 +188,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, default=8)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("dim", help="box-count a grid and fit its dimension")
+
+def _dim_parser(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--levels", help="schedule, lo:hi[:step] or comma list")
     p.add_argument("--window", help="fit window lo:hi")
     p.add_argument("--out")
     p.set_defaults(func=cmd_dim)
 
-    p = sub.add_parser("john", help="verify the center-bound path condition")
+
+def _john_parser(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--samples", type=int, default=500)
@@ -215,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_john)
 
-    p = sub.add_parser("mattila", help="survey intersection dimensions over random motions")
+
+def _mattila_parser(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a-in", dest="a_in", help="BGR grid for the fixed set A")
     p.add_argument("--a-alpha", dest="a_alpha", type=float)
     p.add_argument("--a-depth", dest="a_depth", type=int, default=6)
@@ -230,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_mattila)
 
-    p = sub.add_parser("construct", help="build the high-dimension subset pipeline")
+
+def _construct_parser(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile")
     p.add_argument("--gen-alpha", dest="gen_alpha", type=float)
     p.add_argument("--gen-depth", dest="gen_depth", type=int, default=5)
@@ -242,11 +235,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out-prefix", dest="out_prefix", required=True)
     p.set_defaults(func=cmd_construct)
+
+
+#: Subcommand name -> (help line, function adding its flags and command to its parser).
+_SUBCOMMANDS = {
+    "gen": ("generate a dust approximant", _gen_parser),
+    "dim": ("box-count a grid and fit its dimension", _dim_parser),
+    "john": ("verify the center-bound path condition", _john_parser),
+    "mattila": ("survey intersection dimensions over random motions", _mattila_parser),
+    "construct": ("build the high-dimension subset pipeline", _construct_parser),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser: every subcommand is listed, but only ``command``'s flags are
+    added, or every subcommand's when ``command`` is None."""
+    parser = argparse.ArgumentParser(
+        prog="dustlab",
+        description="Cantor dust experiments: generation, dimension, paths, intersections")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, fill) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if command in (None, name):
+            fill(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a run builds only its subcommand's parser; none, -h or an unknown name gets them all
+    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

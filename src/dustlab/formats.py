@@ -18,6 +18,7 @@ with one LF per break.
 from __future__ import annotations
 
 import math
+import mmap
 import re
 
 import numpy as np
@@ -145,7 +146,10 @@ def dump_bgr(grid: BoxGrid) -> str:
 
 
 def parse_bgr(data: bytes | str) -> BoxGrid:
-    """Read BGR v1 from bytes or text."""
+    """Read BGR v1 from text or a bytes-like object, such as a map of a file.
+
+    The grid owns its bits: it holds no view of ``data``.
+    """
     (m, cx, cy, side), lines = _read(data, "bgr", "grid", (int, float, float, float), _grid_width)
     n = len(lines)
     if n != 1 << min(m, 64):  # a file holds fewer than 2**64 lines
@@ -161,6 +165,27 @@ def _grid_width(m: int, cx: float, cy: float, side: float) -> int:
         raise FormatError("bad grid header: need level >= 0, a finite corner "
                           "and a finite positive side")
     return 1 << min(m, 62)  # a larger level is refused by its row count
+
+
+def read_bgr(path) -> BoxGrid:
+    """Read a BGR v1 file through a read-only map of it, so the file is not copied.
+
+    A file that cannot be mapped, such as an empty file or a FIFO, is read
+    whole.  A CAD file is refused by name.
+    """
+    with open(path, "rb") as fh:
+        try:
+            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except (OSError, ValueError):  # ValueError: an empty file
+            data = fh.read()
+    if data[:4] == b"cad ":
+        raise FormatError("expected a bgr grid file; rasterize addresses with gen --grid-out first")
+    grid = parse_bgr(data)
+    # closed on success only: an error's traceback holds views of the map, which then
+    # closes with the last of them, and closing it under the error raises BufferError
+    if isinstance(data, mmap.mmap):
+        data.close()
+    return grid
 
 
 def write_bgr(grid: BoxGrid, path) -> None:

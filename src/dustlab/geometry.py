@@ -107,15 +107,30 @@ def freeze(values, dtype) -> np.ndarray:
     return arr
 
 
+#: Cells of the row-pair scratch ``halve`` ORs a band of rows into; bounds its temporary.
+_HALVE_BAND = 1 << 20
+
+
 def halve(bits: np.ndarray) -> np.ndarray:
     """One pairwise OR step: each 2x2 block of cells becomes one cell.
 
     Both dimensions of ``bits`` must be even.  Returns a new array.  The
-    pairs of rows are ORed into a C-ordered array, where each pair of
-    cells is one uint16 word, nonzero when either cell is set.
+    pairs of rows are ORed a band at a time into one reused C-ordered
+    scratch of at most ``_HALVE_BAND`` cells (one row pair when a row is
+    longer), where each pair of cells is one uint16 word, nonzero when
+    either cell is set; each band's words are compared straight into the
+    result.
     """
-    rows = np.bitwise_or(bits[0::2], bits[1::2], order="C")
-    return rows.view(np.uint16) != 0
+    n, width = bits.shape[0] // 2, bits.shape[1]
+    out = np.empty((n, width // 2), dtype=bool)
+    band = max(1, min(n, _HALVE_BAND // max(width, 1)))
+    scratch = np.empty((band, width), dtype=bool)
+    for start in range(0, n, band):
+        stop = min(start + band, n)
+        rows = scratch[:stop - start]
+        np.bitwise_or(bits[2 * start:2 * stop:2], bits[2 * start + 1:2 * stop:2], out=rows)
+        np.not_equal(rows.view(np.uint16), 0, out=out[start:stop])
+    return out
 
 
 def aligned_span(lo: int, hi: int, step: int) -> slice:

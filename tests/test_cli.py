@@ -1,7 +1,11 @@
+import mmap
+import os
+import threading
+
 import numpy as np
 import pytest
 
-from dustlab import cli
+from dustlab import cli, formats
 from dustlab.cli import main
 from dustlab.errors import (AssemblyError, BudgetError, ConstructionError, DustError, FormatError,
                             ParameterError, PlacementError, RingUndeterminedError)
@@ -123,7 +127,7 @@ class TestDim:
         ("2,4,-6", "levels must be strictly increasing and nonnegative, got (2, 4, -6)")])
     def test_invalid_schedule_reports_its_own_reason(self, tmp_path, capsys, monkeypatch, levels,
                                                      message):
-        monkeypatch.setattr(cli, "_load_grid", unreachable)
+        monkeypatch.setattr(formats, "read_bgr", unreachable)
         out = tmp_path / "report.csv"
         assert run("dim", "--in", "unused.bgr", "--levels", levels, "--out", str(out)) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -131,7 +135,7 @@ class TestDim:
 
     @pytest.mark.parametrize("levels", ["2:8:0", "2:", "a:b", "1,2,x"])
     def test_malformed_schedule_is_usage_error(self, tmp_path, capsys, monkeypatch, levels):
-        monkeypatch.setattr(cli, "_load_grid", unreachable)
+        monkeypatch.setattr(formats, "read_bgr", unreachable)
         assert run("dim", "--in", "unused.bgr", "--levels", levels) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: bad level schedule {levels!r}") and "Traceback" not in err
@@ -139,7 +143,7 @@ class TestDim:
     @pytest.mark.parametrize("levels", ["2:8:2:9", "2:8:1:1", "0:9:3:0:0"])
     def test_span_of_more_than_three_fields_is_refused(self, tmp_path, capsys, monkeypatch, levels):
         # no field past the step is dropped: the span is refused before the grid is read
-        monkeypatch.setattr(cli, "_load_grid", unreachable)
+        monkeypatch.setattr(formats, "read_bgr", unreachable)
         out = tmp_path / "report.csv"
         assert run("dim", "--in", "unused.bgr", "--levels", levels, "--out", str(out)) == 2
         err = capsys.readouterr().err
@@ -151,7 +155,7 @@ class TestDim:
     def test_empty_schedule_or_window_is_refused(self, tmp_path, capsys, monkeypatch, flag,
                                                  message):
         # an empty value is a malformed one, not a request for the default
-        monkeypatch.setattr(cli, "_load_grid", unreachable)
+        monkeypatch.setattr(formats, "read_bgr", unreachable)
         out = tmp_path / "report.csv"
         assert run("dim", "--in", "unused.bgr", flag, "", "--out", str(out)) == 2
         err = capsys.readouterr().err
@@ -159,7 +163,7 @@ class TestDim:
         assert not out.exists()
 
     def test_malformed_window_is_refused_before_the_grid_is_read(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_load_grid", unreachable)
+        monkeypatch.setattr(formats, "read_bgr", unreachable)
         assert run("dim", "--in", "unused.bgr", "--window", "a:b") == 2
         assert capsys.readouterr().err.startswith("error: bad fit window")
 
@@ -293,7 +297,7 @@ class TestMattila:
         ("--tolerance", "nan", "tolerance must be finite, got nan")])
     def test_bad_flag_is_refused_before_the_grid(self, tmp_path, capsys, monkeypatch, source, flag,
                                                  value, message):
-        monkeypatch.setattr(cli, "_load_grid", unreachable)
+        monkeypatch.setattr(formats, "read_bgr", unreachable)
         monkeypatch.setattr(cli, "_raster_dust", unreachable)
         out = tmp_path / "survey.csv"
         assert run("mattila", *source, "--b-dim", "1.7", "--b-depth", "5", "--seed", "11",
@@ -386,7 +390,7 @@ class TestConstruct:
         ("--min-mass", "0", "min mass must be at least 1 cell, got 0")])
     def test_bad_flag_is_refused_before_the_grid(self, tmp_path, capsys, monkeypatch, source, flag,
                                                  value, message):
-        monkeypatch.setattr(cli, "_load_grid", unreachable)
+        monkeypatch.setattr(formats, "read_bgr", unreachable)
         monkeypatch.setattr(cli, "_raster_dust", unreachable)
         assert run("construct", *source, "--seed", "5", flag, value,
                    "--out-prefix", str(tmp_path / "run")) == 2
@@ -410,8 +414,108 @@ def test_non_utf8_grid_is_io_error(tmp_path, capsys, command, data):
     args = [a.format(grid=grid_path, prefix=tmp_path / "run") for a in command]
     assert run(*args) == 4
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and "Traceback" not in err and "BufferError" not in err
     assert list(tmp_path.iterdir()) == [grid_path]
+
+
+def loaded(monkeypatch):
+    """List that gets each grid ``read_bgr`` returns and the type of data ``parse_bgr`` reads."""
+    seen = []
+    load, parse = formats.read_bgr, formats.parse_bgr
+    monkeypatch.setattr(formats, "read_bgr", lambda path: seen.append(load(path)) or seen[-1])
+    monkeypatch.setattr(formats, "parse_bgr", lambda data: seen.append(type(data)) or parse(data))
+    return seen
+
+
+#: A written grid's text -> the same grid with each break rewritten: LF, CR LF, CR, mixed.
+BREAKS = {
+    "LF": lambda text: text,
+    "CR LF": lambda text: text.replace(b"\n", b"\r\n"),
+    "CR": lambda text: text.replace(b"\n", b"\r"),
+    "mixed": lambda text: b"".join(line + (b"\r\n" if k % 2 else b"\n")
+                                   for k, line in enumerate(text.splitlines())),
+}
+
+
+class TestMappedGrid:
+    @pytest.mark.parametrize("breaks", BREAKS)
+    def test_breaks_load_as_parsed(self, tmp_path, monkeypatch, breaks):
+        path = tmp_path / "g.bgr"
+        write_bgr(BoxGrid(Square((0.5, -2.0), 3.0), 6,
+                          np.random.default_rng(5).random((64, 64)) < 0.3), path)
+        path.write_bytes(BREAKS[breaks](path.read_bytes()))
+        seen = loaded(monkeypatch)
+        assert run("dim", "--in", str(path)) == 0
+        assert seen[0] is mmap.mmap
+        expected = parse_bgr(path.read_bytes())
+        grid = seen[1]
+        assert (grid.bounds, grid.level) == (expected.bounds, expected.level)
+        assert np.array_equal(grid.bits, expected.bits)
+
+    def test_grid_outlives_its_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "g.bgr"
+        bits = np.random.default_rng(6).random((32, 32)) < 0.5
+        write_bgr(BoxGrid(Square.unit(), 5, bits), path)
+        seen = loaded(monkeypatch)
+        assert run("dim", "--in", str(path)) == 0
+        with open(path, "r+b") as fh:  # in place, so a view of the file's map would change
+            fh.write(formats.dump_bgr(BoxGrid(Square.unit(), 5, ~bits)).encode())
+        assert np.array_equal(seen[1].bits, bits)
+
+    @pytest.mark.parametrize("data, message", [
+        (b"", "error: bad grid header b''\n"),
+        (b"cad 1 0.25 1\nA\nB\nC\nD\n",
+         "error: expected a bgr grid file; rasterize addresses with gen --grid-out first\n")])
+    def test_empty_and_cad_files_are_io_errors(self, tmp_path, capsys, data, message):
+        path = tmp_path / "g.bgr"
+        path.write_bytes(data)
+        assert run("dim", "--in", str(path)) == 4
+        assert capsys.readouterr().err == message
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_fifo_is_read(self, tmp_path, monkeypatch, capsys, dust_bgr):
+        capsys.readouterr()
+        assert run("dim", "--in", str(dust_bgr), "--levels", "2:8:2") == 0
+        table = capsys.readouterr().out.splitlines()[1:]  # line 1 echoes the input path
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        feeder = threading.Thread(target=fifo.write_bytes, args=(dust_bgr.read_bytes(),),
+                                  daemon=True)  # blocks until a reader opens the pipe
+        feeder.start()
+        seen = loaded(monkeypatch)
+        try:
+            assert run("dim", "--in", str(fifo), "--levels", "2:8:2") == 0
+        finally:
+            feeder.join(timeout=10)
+        assert not feeder.is_alive()
+        assert seen[0] is bytes
+        assert capsys.readouterr().out.splitlines()[1:] == table
+
+
+#: One complete argv per subcommand.
+ARGVS = {
+    "gen": ["gen", "--dim", "1.5", "--depth", "3", "--out", "c.cad", "--grid-out", "c.bgr"],
+    "dim": ["dim", "--in", "c.bgr", "--levels", "2:8:2", "--window", "2:6", "--out", "d.csv"],
+    "john": ["john", "--alpha", "0.25", "--depth", "4", "--samples", "150", "--seed", "7",
+             "--jobs", "1", "--out", "j.csv"],
+    "mattila": ["mattila", "--a-alpha", "0.3", "--b-dim", "1.7", "--trials", "20", "--seed", "3"],
+    "construct": ["construct", "--gen-alpha", "0.25", "--annuli", "4", "--min-mass", "8",
+                  "--seed", "5", "--out-prefix", "run"],
+}
+
+
+@pytest.mark.parametrize("name", ARGVS)
+def test_subcommand_parser_alone_parses_as_full_parser(name, capsys):
+    assert set(ARGVS) == set(cli._SUBCOMMANDS)
+    assert cli.build_parser(name).parse_args(ARGVS[name]) == cli.build_parser().parse_args(ARGVS[name])
+    # a missing flag and --help go through the subcommand's parser, an unknown flag
+    # through the top-level one
+    for argv in ([name], [name, "--help"], [*ARGVS[name], "--bogus"]):
+        assert run(*argv) == (0 if "--help" in argv else 2)
+        alone = capsys.readouterr()
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(argv)
+        assert capsys.readouterr() == alone
 
 
 @pytest.mark.parametrize("error, code", [

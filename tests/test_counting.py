@@ -2,9 +2,10 @@
 
 * ``BoxGrid.downsampled`` halves pairwise; the reference is the one-shot
   ``reshape(n, f, n, f).any(axis=(1, 3))`` block reduction.
-* ``halve`` ORs pairs of rows into a C-ordered array and reads each pair
-  of cells as one uint16 word; the two-slice OR it replaced is kept here
-  verbatim as the reference.
+* ``halve`` ORs pairs of rows into a C-ordered array, a band of row pairs
+  at a time when the input is large, and reads each pair of cells as one
+  uint16 word; the two-slice OR it replaced is kept here verbatim as the
+  reference.
 * ``ball_counts`` counts a ball inside an aligned window; the reference is
   ``box_counts`` of the full-grid ``clip_to_ball``.
 * ``geometry._closed_span`` gives the closed cell span of balls and
@@ -66,6 +67,7 @@
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1008,21 +1010,49 @@ def read_only(bits: np.ndarray) -> np.ndarray:
     return bits
 
 
-@pytest.mark.parametrize("layout", HALVE_LAYOUTS)
-@settings(max_examples=60, deadline=None)
-@given(rows=st.integers(0, 12), cols=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
-       density=densities)
-def test_halve_matches_two_slice_reference(layout, rows, cols, seed, density):
+def check_halve(layout, band, rows, cols, seed, density):
+    """``halve`` with ``_HALVE_BAND`` set to ``band`` against the two-slice reference."""
     r, c = 2 * rows, 2 * cols
     side = 2 * (r + c) + 4
     source = np.random.default_rng(seed).random((side, side)) < density
     bits = HALVE_LAYOUTS[layout](r, c, source)
     before = bits.copy()
     assert bits.shape == (r, c)
-    half = halve(bits)
+    with mock.patch.object(geometry, "_HALVE_BAND", band):
+        half = halve(bits)
     assert half.dtype == bool and half.shape == (rows, cols)
     assert np.array_equal(half, reference_halve(bits))
     assert np.array_equal(bits, before)
+
+
+@pytest.mark.parametrize("layout", HALVE_LAYOUTS)
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(0, 12), cols=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
+       density=densities)
+def test_halve_matches_two_slice_reference(layout, rows, cols, seed, density):
+    check_halve(layout, geometry._HALVE_BAND, rows, cols, seed, density)
+
+
+@pytest.mark.parametrize("band", [5, 40])
+@pytest.mark.parametrize("layout", HALVE_LAYOUTS)
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(0, 12), cols=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
+       density=densities)
+def test_halve_over_several_bands_matches_two_slice_reference(layout, band, rows, cols, seed,
+                                                              density):
+    # a low band splits the row pairs into several bands, the last often short, or gives
+    # each row pair its own band when a row is longer than the band
+    check_halve(layout, band, rows, cols, seed, density)
+
+
+@pytest.mark.parametrize("density", [0.001, 0.3])
+def test_box_counts_past_one_halve_band_match_block_reduction(density):
+    level = 11
+    assert (1 << 2 * level - 1) > geometry._HALVE_BAND  # its row pairs span more than one band
+    bits = random_bits(7, level, density)
+    counts = box_counts(BoxGrid(Square.unit(), level, bits), ScaleSchedule.span(0, level))
+    assert counts == {m: int(np.count_nonzero(reference_downsample(bits, level, m)))
+                      for m in range(level + 1)}
 
 
 def test_one_overlap_call_halves_each_shape_once(monkeypatch):
