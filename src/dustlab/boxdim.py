@@ -16,7 +16,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import BoxGrid, Isometry, _aligned_window, _closed_span, _matrices, _quad_hits, halve
+from .geometry import BoxGrid, _aligned_window, _closed_span, _matrices, _quad_hits, halve
 
 LN2 = math.log(2.0)
 #: Level of the coarse grid whose occupied cells find_full_dimension_point scores.
@@ -103,23 +103,26 @@ def window_counts(bits: np.ndarray, level: int, schedule: ScaleSchedule) -> dict
 _MOVE_LIMIT = 1 << 12
 
 
-def overlap_counts(grid: BoxGrid, quads: np.ndarray, isos: Sequence[Isometry],
+def overlap_counts(grid: BoxGrid, quads: np.ndarray, motions: tuple,
                    schedule: ScaleSchedule) -> np.ndarray:
-    """Counts per schedule level of the grid ANDed with ``rasterize_quads(isos[j].apply(quads))``.
+    """Counts per schedule level of the grid ANDed with ``rasterize_quads`` of each moved ``quads``.
 
-    Returns a (len(isos), len(schedule.levels)) array, row j for motion j.  A motion whose
-    frame (``_frame_spans``) reaches no occupied cell scores zero unmoved.  The others are
-    moved in blocks of as many trials as ``_MOVE_LIMIT`` quads hold (at least one), each block
-    by one stacked product of the motions' matrices with the quads' coordinate rows, which
-    runs, per motion, the product of ``Isometry.apply``.  Only the occupied cells in the moved
-    boxes are tested (``_quad_hits``), from a cell index that each call builds once: the
-    sorted occupied cells and the halvings the prune reaches.  A cell met is keyed
-    ``(t, Morton code)``, and level m counts the distinct ``key >> 2 * (grid.level - m)``.
+    ``motions`` holds the arrays (theta, reflect, z) of ``intersect.trial_motions``, shaped (T,),
+    (T,) bool and (T, 2); row j of the (T, len(schedule.levels)) result is for the motion
+    ``Isometry(theta[j], reflect[j], z[j])``.  A motion whose frame (``_frame_spans``) reaches no
+    occupied cell scores zero unmoved.  The others are moved in blocks of as many trials as
+    ``_MOVE_LIMIT`` quads hold (at least one), each block by one stacked product of the motions'
+    matrices with the quads' coordinate rows, which runs, per motion, the product of
+    ``Isometry.apply``.  Only the occupied cells in the moved boxes are tested (``_quad_hits``),
+    from a cell index that each call builds once: the sorted occupied cells and the halvings the
+    prune reaches.  A cell met is keyed ``(t, Morton code)``, and level m counts the distinct
+    ``key >> 2 * (grid.level - m)``.
     """
     _require_resolution(schedule, grid.level)
-    counts = np.zeros((len(isos), len(schedule.levels)), dtype=np.int64)
-    mats = _matrices([iso.theta for iso in isos], [iso.reflect for iso in isos])
-    z = np.array([iso.z for iso in isos]).reshape(-1, 2, 1)
+    theta, reflect, z = motions
+    counts = np.zeros((len(theta), len(schedule.levels)), dtype=np.int64)
+    mats = _matrices(theta, reflect)
+    z = z.reshape(-1, 2, 1)
     live = [j for j, (iy0, iy1, ix0, ix1) in enumerate(_frame_spans(grid, quads, mats, z).tolist())
             if ix0 <= ix1 and iy0 <= iy1 and grid.bits[iy0:iy1 + 1, ix0:ix1 + 1].any()]
     per = max(1, _MOVE_LIMIT // len(quads))

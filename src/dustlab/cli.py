@@ -132,10 +132,7 @@ def cmd_john(args) -> int:
 def cmd_mattila(args) -> int:
     b_alpha = _resolve_alpha(args.b_alpha, args.b_dim, "--b-alpha", "--b-dim")
     check_survey(args.trials, args.tolerance, args.seed, args.jobs)
-    if args.a_in:
-        a_grid = formats.read_bgr(args.a_in)
-    else:
-        a_grid = _raster_dust(args.a_alpha, args.a_depth, args.level)[1]
+    a_grid = _input_grid(args.a_in, "--a-in", args.a_alpha, "--a-alpha", args.a_depth, args.level)
     b = generate_cantor(b_alpha, args.b_depth)
     survey = mattila_survey(a_grid, b, trials=args.trials, tolerance=args.tolerance,
                             seed=args.seed, jobs=args.jobs)
@@ -148,9 +145,19 @@ def cmd_mattila(args) -> int:
     return 0
 
 
-def _raster_dust(alpha: Alpha | float | None, depth: int, level: int) -> tuple[CantorApproximant, BoxGrid]:
+def _input_grid(path: str | None, path_flag: str, alpha: float | None, alpha_flag: str, depth: int,
+                level: int) -> BoxGrid:
+    """The grid read from ``path`` or rastered from a dust of ratio ``alpha``: exactly one is given."""
+    if path and alpha is not None:
+        raise ParameterError(f"{path_flag} and {alpha_flag} are mutually exclusive")
+    if path:
+        return formats.read_bgr(path)
     if alpha is None:
-        raise ParameterError("give --a-in or --a-alpha")
+        raise ParameterError(f"give an input grid with {path_flag} or {alpha_flag}")
+    return _raster_dust(alpha, depth, level)[1]
+
+
+def _raster_dust(alpha: Alpha | float, depth: int, level: int) -> tuple[CantorApproximant, BoxGrid]:
     grid_size(level)
     approx = generate_cantor(alpha, depth)
     return approx, rasterize(approx.leaf_corners(), Square.unit(), level, side=approx.side)
@@ -158,12 +165,7 @@ def _raster_dust(alpha: Alpha | float | None, depth: int, level: int) -> tuple[C
 
 def cmd_construct(args) -> int:
     check_pipeline(args.annuli, args.trials, args.min_mass, args.seed, args.jobs)
-    if args.infile:
-        E = formats.read_bgr(args.infile)
-    elif args.gen_alpha is not None:
-        E = _raster_dust(args.gen_alpha, args.gen_depth, args.level)[1]
-    else:
-        raise ParameterError("give an input grid with --in or --gen-alpha/--gen-depth")
+    E = _input_grid(args.infile, "--in", args.gen_alpha, "--gen-alpha", args.gen_depth, args.level)
     result = run_pipeline(E, annuli=args.annuli, trials=args.trials, seed=args.seed,
                           min_mass=args.min_mass, jobs=args.jobs)
     prefix = args.out_prefix

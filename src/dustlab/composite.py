@@ -309,14 +309,16 @@ def place_cantor_in_annulus(E: BoxGrid, chain: AnnulusChain, index: int, b: floa
     window_half = chain.half_widths[index - 1] + 1.5 * diameter
     window = Square.centered(chain.center, window_half)
 
-    isos, counts = scored_trials(slice_grid, quads, window, schedule, trials, seed, 1)
+    (theta, reflect, z), counts = scored_trials(slice_grid, quads, window, schedule, trials, seed, 1)
     # every resolved level, as build_annuli fits its slices
     slopes, _, _, empty, _ = fit_dimensions(schedule.levels, counts, window=(schedule.levels[0], E.level),
                                             side=E.bounds.side)
     best = best_index(np.where(empty, -np.inf, slopes))
     if empty[best]:
         raise PlacementError(f"annulus {index}: no trial intersected the annulus slice of the set")
-    return PlacementRecord(index, float(alpha), depth, diameter, isos[best], float(slopes[best]))
+    # Python scalars: the plan's json.dumps refuses np.bool_
+    iso = Isometry(theta[best].item(), bool(reflect[best]), tuple(z[best].tolist()))
+    return PlacementRecord(index, float(alpha), depth, diameter, iso, float(slopes[best]))
 
 
 def _placements_disjoint(leaves) -> bool:

@@ -25,21 +25,9 @@ from .parallel import check_jobs, parallel_map, worker_count
 from .streams import check_seed, doubles, first_outputs, seed_words
 
 
-@dataclass(frozen=True)
-class TrialRow:
-    trial: int
-    theta: float
-    reflect: bool
-    zx: float
-    zy: float
-    slope: float
-    empty: bool
-    hit: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MattilaSurvey:
-    """Outcome of a randomized intersection survey at threshold s + t - 2."""
+    """Outcome of a randomized intersection survey at threshold s + t - 2; arrays hold one entry per trial."""
 
     s: float
     t: float
@@ -47,7 +35,12 @@ class MattilaSurvey:
     tolerance: float
     trials: int
     hits: int
-    rows: tuple[TrialRow, ...]
+    theta: np.ndarray
+    reflect: np.ndarray
+    z: np.ndarray
+    slope: np.ndarray
+    empty: np.ndarray
+    hit: np.ndarray
     seed: int
     window: Square
 
@@ -57,37 +50,37 @@ class MattilaSurvey:
 
     def csv_lines(self) -> list[str]:
         lines = ["trial,theta,reflect,zx,zy,slope,hit"]
-        for r in self.rows:
-            lines.append(f"{r.trial},{r.theta:.12g},{int(r.reflect)},{r.zx:.12g},"
-                         f"{r.zy:.12g},{r.slope:.12g},{int(r.hit)}")
+        rows = zip(self.theta.tolist(), self.reflect.tolist(), self.z.tolist(), self.slope.tolist(),
+                   self.hit.tolist())
+        for i, (theta, reflect, (zx, zy), slope, hit) in enumerate(rows):
+            lines.append(f"{i},{theta:.12g},{int(reflect)},{zx:.12g},{zy:.12g},{slope:.12g},{int(hit)}")
         lines.append(f"s,{self.s:.12g},t,{self.t:.12g},threshold,{self.threshold:.12g},"
                      f"hit_fraction,{self.hit_fraction:.12g}")
         return lines
 
 
-def trial_motions(window: Square, seed: int, lo: int, hi: int) -> list[Isometry]:
-    """Motions of trials lo..hi-1, trial i drawn from ``default_rng([seed, i])`` over ``window``.
+def trial_motions(window: Square, seed: int, trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Motions of trials 0..trials-1, trial i drawn from ``default_rng([seed, i])`` over ``window``.
 
-    The draw order is fixed: theta as ``uniform(0, 2 pi)``, the reflection coin
-    as ``integers(0, 2)`` (Lemire's bounded draw on two values reads bit 31 of
-    the low half of the second output), then zx and zy as ``uniform`` over the
-    window's spans.  Trial indices stay below 2**32, one entropy word each.
+    Returns the arrays theta (T,), reflect (T,) bool and z (T, 2); the first m motions of any
+    draw are the m-trial draw.  The draw order is fixed: theta as ``uniform(0, 2 pi)``, the
+    reflection coin as ``integers(0, 2)`` (Lemire's bounded draw on two values reads bit 31 of
+    the low half of the second output), then zx and zy as ``uniform`` over the window's spans.
+    Trial indices stay below 2**32, one entropy word each; more trials are refused first.
     """
-    if hi > 2 ** 32:
-        raise ParameterError(f"trial indices must stay below 2**32, got {hi} trials")
+    if trials > 2 ** 32:
+        raise ParameterError(f"trial indices must stay below 2**32, got {trials} trials")
     words = seed_words(seed)
-    entropy = np.empty((hi - lo, len(words) + 1), np.uint32)
+    entropy = np.empty((trials, len(words) + 1), np.uint32)
     entropy[:, :-1] = words
-    entropy[:, -1] = np.arange(lo, hi)
+    entropy[:, -1] = np.arange(trials)
     u = first_outputs(entropy, 4)
     d = doubles(u)
     x0, y0 = window.corner
     x1, y1 = window.max_corner
     theta = (2.0 * math.pi) * d[0]
-    coin = (u[1] >> 31) & 1
-    zx, zy = x0 + (x1 - x0) * d[2], y0 + (y1 - y0) * d[3]
-    return [Isometry(t, bool(r), (x, y))
-            for t, r, x, y in zip(theta.tolist(), coin.tolist(), zx.tolist(), zy.tolist())]
+    reflect = ((u[1] >> 31) & 1).astype(bool)
+    return theta, reflect, np.stack([x0 + (x1 - x0) * d[2], y0 + (y1 - y0) * d[3]], axis=1)
 
 
 def apply_isometry(b: CantorApproximant, iso: Isometry, out_bounds: Square,
@@ -120,25 +113,23 @@ def intersection_dimension(a: BoxGrid, b: CantorApproximant, iso: Isometry) -> D
     frame: diameter sqrt(2) scales it by exactly 1.
     """
     schedule = ScaleSchedule.default_for(a)
-    (counts,) = overlap_counts(a, scaled_quads(b, SQRT2), [iso], schedule).tolist()
+    motion = (np.array([iso.theta]), np.array([iso.reflect]), np.array([iso.z]))
+    (counts,) = overlap_counts(a, scaled_quads(b, SQRT2), motion, schedule).tolist()
     return estimate_dimension(dict(zip(schedule.levels, counts)), side=a.bounds.side)
 
 
 def scored_trials(grid: BoxGrid, quads: np.ndarray, window: Square, schedule: ScaleSchedule,
-                  trials: int, seed: int, jobs: int) -> tuple[list[Isometry], np.ndarray]:
-    """Motions of trials 0..trials-1 of a copy's unmoved quads, in order, and their ``overlap_counts``.
+                  trials: int, seed: int, jobs: int) -> tuple[tuple, np.ndarray]:
+    """Motions of trials 0..trials-1 of a copy's unmoved quads, and their ``overlap_counts``.
 
-    Trial i draws its motion over ``window`` as ``trial_motions`` does, and each
-    thread scores one run of consecutive trials, so no result depends on ``jobs``.
+    The motions are drawn once over ``window`` (``trial_motions``); each thread scores a slice
+    of consecutive trials, and the counts are joined in trial order, so none depends on ``jobs``.
     """
+    motions = trial_motions(window, seed, trials)
     size = -(-trials // worker_count(jobs, trials))
-
-    def run(r: int):
-        isos = trial_motions(window, seed, r * size, min(trials, (r + 1) * size))
-        return isos, overlap_counts(grid, quads, isos, schedule)
-
-    runs = parallel_map(run, -(-trials // size), jobs)
-    return [iso for isos, _ in runs for iso in isos], np.concatenate([counts for _, counts in runs])
+    runs = [tuple(m[lo:lo + size] for m in motions) for lo in range(0, trials, size)]
+    counts = parallel_map(lambda r: overlap_counts(grid, quads, runs[r], schedule), len(runs), jobs)
+    return motions, np.concatenate(counts)
 
 
 def check_survey(trials: int, tolerance: float, seed: int, jobs: int) -> None:
@@ -178,10 +169,8 @@ def mattila_survey(a: BoxGrid, b: CantorApproximant, trials: int, tolerance: flo
     threshold = s + t - 2.0
     floor = threshold - tolerance
     schedule = ScaleSchedule.default_for(a)
-    isos, counts = scored_trials(a, scaled_quads(b, SQRT2), window, schedule, trials, seed, jobs)
-    slopes, _, _, empty, _ = fit_dimensions(schedule.levels, counts, side=a.bounds.side)
-    rows = [TrialRow(i, iso.theta, iso.reflect, *iso.z, slope, e, not e and slope >= floor)
-            for i, (iso, slope, e) in enumerate(zip(isos, slopes.tolist(), empty.tolist()))]
-    hits = sum(r.hit for r in rows)
-    return MattilaSurvey(s, t, threshold, tolerance, trials, hits,
-                         tuple(rows), seed, window)
+    motions, counts = scored_trials(a, scaled_quads(b, SQRT2), window, schedule, trials, seed, jobs)
+    slope, _, _, empty, _ = fit_dimensions(schedule.levels, counts, side=a.bounds.side)
+    hit = ~empty & (slope >= floor)
+    return MattilaSurvey(s, t, threshold, tolerance, trials, int(hit.sum()), *motions, slope, empty, hit,
+                         seed, window)

@@ -103,7 +103,7 @@ class JohnReport:
 
     def csv_lines(self) -> list[str]:
         lines = ["sample_x,sample_y,worst_ratio"]
-        for (x, y), r in zip(self.points, self.worst_ratios):
+        for (x, y), r in zip(self.points.tolist(), self.worst_ratios.tolist()):
             lines.append(f"{x:.12g},{y:.12g},{r:.12g}")
         lines.append(f"epsilon,{self.epsilon:.12g},samples,{self.samples},"
                      f"length_constant,{self.length_constant:.12g}")

@@ -153,7 +153,7 @@ def test_criterion_5_intersection_survey():
     if survey.hit_fraction < 0.02:  # calibrated floor; pilot gave 0.265
         failures.append(f"hit fraction {survey.hit_fraction:.3f} below the calibrated floor")
     cap = min(survey.s, survey.t) + 0.1
-    bad = [r.trial for r in survey.rows if not r.empty and r.slope > cap]
+    bad = np.flatnonzero(~survey.empty & (survey.slope > cap)).tolist()
     if bad:
         failures.append(f"trials {bad} exceed the min(s,t)+0.1 slope bound")
 

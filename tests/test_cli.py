@@ -305,6 +305,20 @@ class TestMattila:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("source, message", [
+        (["--a-in", "unused.bgr", "--a-alpha", "0.315"], "--a-in and --a-alpha are mutually exclusive"),
+        ([], "give an input grid with --a-in or --a-alpha")])
+    def test_grid_source_other_than_one_is_refused_before_the_grid(self, tmp_path, capsys, monkeypatch,
+                                                                  source, message):
+        # neither source may silently win, nor the configuration line echo a flag that was ignored
+        monkeypatch.setattr(formats, "read_bgr", unreachable)
+        monkeypatch.setattr(cli, "_raster_dust", unreachable)
+        out = tmp_path / "survey.csv"
+        assert run("mattila", *source, "--b-dim", "1.7", "--b-depth", "5", "--seed", "11",
+                   "--out", str(out)) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_survey_runs_and_is_deterministic(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -395,6 +409,17 @@ class TestConstruct:
         assert run("construct", *source, "--seed", "5", flag, value,
                    "--out-prefix", str(tmp_path / "run")) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("source, message", [
+        (["--in", "unused.bgr", "--gen-alpha", "0.4"], "--in and --gen-alpha are mutually exclusive"),
+        ([], "give an input grid with --in or --gen-alpha")])
+    def test_grid_source_other_than_one_is_refused_before_the_grid(self, tmp_path, capsys, monkeypatch,
+                                                                  source, message):
+        monkeypatch.setattr(formats, "read_bgr", unreachable)
+        monkeypatch.setattr(cli, "_raster_dust", unreachable)
+        assert run("construct", *source, "--seed", "5", "--out-prefix", str(tmp_path / "run")) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_subcommand_is_usage_error(self):

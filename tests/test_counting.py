@@ -229,8 +229,15 @@ def test_windowed_trial_counts_match_full_grid(level, data, seed, density, bound
 
 def trial_counts(target, copy, diameter, iso, schedule):
     """The trial scorer as placement and survey trials call it, for one motion, as {level: count}."""
-    (counts,) = overlap_counts(target, scaled_quads(copy, diameter), [iso], schedule).tolist()
+    (counts,) = overlap_counts(target, scaled_quads(copy, diameter), motions_of([iso]), schedule).tolist()
     return dict(zip(schedule.levels, counts))
+
+
+def motions_of(isos):
+    """The motion arrays (theta, reflect, z) that ``overlap_counts`` takes, of a list of isometries."""
+    return (np.array([iso.theta for iso in isos], dtype=float),
+            np.array([iso.reflect for iso in isos], dtype=bool),
+            np.array([iso.z for iso in isos], dtype=float).reshape(-1, 2))
 
 
 # The dense trial scorer that overlap_counts replaced: geometry's windowed
@@ -491,7 +498,7 @@ def test_trial_whose_frame_misses_every_occupied_cell_is_not_rasterized(monkeypa
     assert calls == [1]
     # in a batch, only the trial that can score is moved and gathered
     quads = scaled_quads(copy, 0.3 * SQRT2)
-    counts = overlap_counts(target, quads, [miss, hit, miss], schedule).tolist()
+    counts = overlap_counts(target, quads, motions_of([miss, hit, miss]), schedule).tolist()
     assert counts[0] == counts[2] == [0] * 5 and counts[1][-1] > 0
     assert calls == [1, 1]
 
@@ -584,7 +591,7 @@ def test_pruned_trial_counts_match_full_raster_on_sparse_targets(
 
     full = rasterize_quads(iso.apply(quads), bounds, level)
     expected = box_counts(grid_intersection(target, full), schedule)
-    assert overlap_counts(target, quads, [iso], schedule).tolist() == [list(expected.values())]
+    assert overlap_counts(target, quads, motions_of([iso]), schedule).tolist() == [list(expected.values())]
 
     align = 1 << (level - schedule.levels[0])
     cells, window = dense_window(iso.apply(quads), bounds, level, align, target)
@@ -651,7 +658,7 @@ def test_batched_trial_counts_match_dense_oracle(level, bounds, alpha, depth, di
         if limit is not None:
             patch.setattr(boxdim, "_MOVE_LIMIT", limit)
             patch.setattr(geometry, "_QUAD_BLOCK_LIMIT", limit)
-        counts = overlap_counts(target, quads, isos, schedule)
+        counts = overlap_counts(target, quads, motions_of(isos), schedule)
     assert counts.shape == (len(isos), len(schedule.levels))
     for iso, row in zip(isos, counts.tolist()):
         got = dict(zip(schedule.levels, row))
@@ -1068,7 +1075,7 @@ def test_one_overlap_call_halves_each_shape_once(monkeypatch):
     copy = generate_cantor(0.3, 3)
     schedule = ScaleSchedule.span(3, 8)
     isos = [Isometry(0.3 * i, i % 2 == 1, (0.05 * i, 0.5 - 0.02 * i)) for i in range(20)]
-    counts = overlap_counts(target, scaled_quads(copy, 0.4), isos, schedule).tolist()
+    counts = overlap_counts(target, scaled_quads(copy, 0.4), motions_of(isos), schedule).tolist()
     assert shapes and shapes == [(256 >> j, 256 >> j) for j in range(len(shapes))]
     assert sum(row[-1] > 0 for row in counts) >= 2  # two blocks or more met the target
     assert counts == [list(trial_counts(target, copy, 0.4, iso, schedule).values()) for iso in isos]
@@ -1079,7 +1086,7 @@ def test_scoring_leaves_the_target_grid_a_plain_value():
     grid = rasterize(approx.leaf_corners(), UNIT, 8, side=approx.side)
     before = grid.bits.copy()
     isos = [Isometry(0.3 * i, i % 2 == 1, (0.05 * i, 0.5 - 0.02 * i)) for i in range(20)]
-    assert overlap_counts(grid, scaled_quads(approx, 0.4), isos, ScaleSchedule.span(3, 8)).any()
+    assert overlap_counts(grid, scaled_quads(approx, 0.4), motions_of(isos), ScaleSchedule.span(3, 8)).any()
     assert mattila_survey(grid, generate_cantor(alpha_for_dimension(1.7), 4), 25, seed=11, jobs=2).hits
     assert set(vars(grid)) == {"bounds", "level", "bits"}
     assert np.array_equal(grid.bits, before) and not grid.bits.flags.writeable
@@ -1526,7 +1533,7 @@ def test_block_move_equals_apply_per_trial(batch, count, scale, seed, limit):
         patch.setattr(boxdim, "_quad_hits", captured)
         if limit is not None:
             patch.setattr(boxdim, "_MOVE_LIMIT", limit)
-        overlap_counts(grid, quads, isos, ScaleSchedule.span(0, 2))
+        overlap_counts(grid, quads, motions_of(isos), ScaleSchedule.span(0, 2))
     xy = np.concatenate(moved)
     assert xy.shape == (len(isos), 2, 4, count)
     for iso, got in zip(isos, xy):

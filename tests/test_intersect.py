@@ -10,8 +10,8 @@ from dustlab.errors import ParameterError
 from dustlab.geometry import (SQRT2, BoxGrid, Isometry, Square, grid_intersection, rasterize,
                               rasterize_quads, squares_to_quads)
 from dustlab import intersect
-from dustlab.intersect import (TrialRow, apply_isometry, default_survey_window,
-                               intersection_dimension, mattila_survey, trial_motions)
+from dustlab.intersect import (apply_isometry, default_survey_window, intersection_dimension,
+                               mattila_survey, trial_motions)
 from test_counting import per_trial_counts, scalar_estimate_dimension
 from test_streams import sample_isometry
 
@@ -55,23 +55,22 @@ class TestTrialMotions:
     # trials 0..n-1 of one seed, each drawn from its own stream
     def test_reproducible(self):
         w = Square.unit()
-        assert trial_motions(w, 42, 0, 5) == trial_motions(w, 42, 0, 5)
+        for first, again in zip(trial_motions(w, 42, 5), trial_motions(w, 42, 5)):
+            assert np.array_equal(first, again)
 
     def test_reflection_coin_is_fair(self):
-        w = Square.unit()
-        flips = sum(iso.reflect for iso in trial_motions(w, 7, 0, 10_000))
-        assert 0.47 <= flips / 10_000 <= 0.53
+        _, reflect, _ = trial_motions(Square.unit(), 7, 10_000)
+        assert 0.47 <= reflect.sum() / 10_000 <= 0.53
 
     def test_translation_mean_near_window_center(self):
-        w = Square((2.0, -1.0), 4.0)
-        zs = np.array([iso.z for iso in trial_motions(w, 8, 0, 10_000)])
+        _, _, zs = trial_motions(Square((2.0, -1.0), 4.0), 8, 10_000)
         sigma = 4.0 / math.sqrt(12.0) / math.sqrt(10_000)
         assert abs(zs[:, 0].mean() - 4.0) <= 3 * sigma
         assert abs(zs[:, 1].mean() - 1.0) <= 3 * sigma
 
     def test_angle_range(self):
-        thetas = [iso.theta for iso in trial_motions(Square.unit(), 9, 0, 1000)]
-        assert all(0.0 <= t < 2 * math.pi for t in thetas)
+        theta, _, _ = trial_motions(Square.unit(), 9, 1000)
+        assert ((0.0 <= theta) & (theta < 2 * math.pi)).all()
 
 
 class TestApplyIsometry:
@@ -209,7 +208,7 @@ class TestMattilaSurvey:
         assert survey.threshold == pytest.approx(survey.s + survey.t - 2.0)
         assert survey.hit_fraction > 0
         cap = min(survey.s, survey.t) + 0.1
-        assert all(r.slope <= cap for r in survey.rows if not r.empty)
+        assert (survey.slope[~survey.empty] <= cap).all()
 
     def test_far_window_scores_nothing(self, survey_pair):
         a, b = survey_pair
@@ -228,9 +227,10 @@ class TestMattilaSurvey:
         serial = mattila_survey(a, b, trials=24, seed=9, jobs=1)
         threaded = mattila_survey(a, b, trials=24, seed=9, jobs=4)
         assert serial.csv_lines() == threaded.csv_lines()
-        # 23 trials split into runs of unequal length on any thread count from 2
+        assert trial_columns(serial) == trial_columns(threaded)
+        # 23 trials split into slices of unequal length on any thread count from 2
         ragged = mattila_survey(a, b, trials=23, seed=9, jobs=3)
-        assert ragged.rows == serial.rows[:23]
+        assert trial_columns(ragged) == {name: column[:23] for name, column in trial_columns(serial).items()}
         # scattered cells (0.5%): trial scoring drops most moved leaves, and the
         # threads share the grid's halvings and occupied-cell list
         sparse = BoxGrid(Square.unit(), 9, np.random.default_rng(5).random((512, 512)) < 0.005)
@@ -263,23 +263,34 @@ class TestMattilaSurvey:
         assert lines[-1].startswith("s,")
 
 
+#: The names of the survey's per-trial arrays.
+TRIAL_FIELDS = ("theta", "reflect", "z", "slope", "empty", "hit")
+
+
+def trial_columns(survey):
+    """The per-trial arrays of a survey as lists of Python scalars, by field name."""
+    return {name: getattr(survey, name).tolist() for name in TRIAL_FIELDS}
+
+
 # The survey as it stood before its trials were scored as arrays: each trial's frame
 # is moved and tested alone, scored by the dense trial scorer and fitted by the
 # scalar least squares (test_counting's oracles).
 
 def reference_survey_rows(a, b, trials, seed, tolerance=0.15):
+    """The per-trial fields of the survey, as ``trial_columns`` lists them."""
     schedule = ScaleSchedule.default_for(a)
     s = scalar_estimate_dimension(box_counts(a, schedule), side=a.bounds.side).slope
     floor = s + cantor_dimension(b.alpha) - 2.0 - tolerance
     quads = scaled_quads(b, SQRT2)
     window = default_survey_window(a)
-    rows = []
+    rows = {name: [] for name in TRIAL_FIELDS}
     for i in range(trials):
         iso = sample_isometry(np.random.default_rng([seed, i]), window)
         est = scalar_estimate_dimension(per_trial_counts(a, quads, iso, schedule), side=a.bounds.side)
         hit = (not est.empty) and est.slope >= floor
-        rows.append(TrialRow(i, iso.theta, iso.reflect, *iso.z, est.slope, est.empty, hit))
-    return tuple(rows)
+        for name, value in zip(rows, (iso.theta, iso.reflect, list(iso.z), est.slope, est.empty, hit)):
+            rows[name].append(value)
+    return rows
 
 
 @pytest.mark.parametrize("seed", [4, 23])
@@ -289,5 +300,6 @@ def test_survey_rows_match_per_trial_reference(seed):
     a = dust_grid(0.315, 6, 9)
     b = generate_cantor(alpha_for_dimension(1.7), 5)
     survey = mattila_survey(a, b, trials=80, seed=seed)
-    assert survey.rows == reference_survey_rows(a, b, 80, seed)
+    assert trial_columns(survey) == reference_survey_rows(a, b, 80, seed)
+    assert survey.hits == sum(survey.hit.tolist())
     assert 0 < survey.hits < 80

@@ -59,6 +59,7 @@ seeds = st.integers(0, 2 ** 128)
 @example([2 ** 64 + 3], 4)
 @example([10 ** 30], 4)
 @example([10 ** 30, 2 ** 32 - 1], 4)  # five words: one past the pool
+@example([2 ** 32, 2 ** 32 - 1], 4)  # the entropy of the last trial index trial_motions takes
 def test_raw_outputs_equal_pcg64(values, count):
     ours = first_outputs(entropy_row(values), count)
     assert ours.shape == (count, 1)
@@ -103,29 +104,41 @@ windows = st.builds(lambda x, y, side: Square((x, y), side),
                     st.floats(-1e12, 1e12), st.floats(-1e12, 1e12), st.floats(1e-9, 1e12))
 
 
+def as_lists(motions):
+    """The motion arrays (theta, reflect, z) as lists of Python scalars, dtypes and shapes checked."""
+    theta, reflect, z = motions
+    assert theta.dtype == np.float64 and reflect.dtype == np.bool_ and z.dtype == np.float64
+    assert theta.shape == reflect.shape == z.shape[:1] and z.shape[1:] == (2,)
+    return theta.tolist(), reflect.tolist(), [tuple(p) for p in z.tolist()]
+
+
 @settings(max_examples=60, deadline=None)
-@given(seeds, st.integers(0, 2 ** 32 - 40), st.integers(1, 40), windows)
-@example(11, 0, 40, Square((-1.4142135623730951, -1.4142135623730951), 1.0 + 2.0 * math.sqrt(2.0)))
-@example(5, 160, 3, Square((-3.5, 2.25), 0.75))
-@example(2 ** 32 - 1, 4000, 7, Square((-1e15, 3e14), 2e15))
-@example(2 ** 32, 2 ** 32 - 2, 2, Square((1e300, -1e300), 1e300))
-@example(10 ** 30, 17, 5, Square((0.0, 0.0), 1.0))
-def test_trial_motions_equal_per_trial_generators(seed, lo, count, window):
-    # a run [lo, lo + count) of trials, as the threads of a --jobs run cut them
-    ref = [sample_isometry(default_rng([seed, i]), window) for i in range(lo, lo + count)]
-    assert trial_motions(window, seed, lo, lo + count) == ref
+@given(seeds, st.integers(1, 40), windows)
+@example(11, 40, Square((-1.4142135623730951, -1.4142135623730951), 1.0 + 2.0 * math.sqrt(2.0)))
+@example(5, 3, Square((-3.5, 2.25), 0.75))
+@example(2 ** 32 - 1, 7, Square((-1e15, 3e14), 2e15))
+@example(2 ** 32, 2, Square((1e300, -1e300), 1e300))
+@example(10 ** 30, 5, Square((0.0, 0.0), 1.0))
+def test_trial_motions_equal_per_trial_generators(seed, count, window):
+    ref = [sample_isometry(default_rng([seed, i]), window) for i in range(count)]
+    theta, reflect, z = as_lists(trial_motions(window, seed, count))
+    assert [Isometry(*m) for m in zip(theta, reflect, z)] == ref
 
 
-def test_trial_runs_join_into_the_whole_range():
-    w = Square((-2.0, 5.0), 3.0)
-    whole = trial_motions(w, 9, 0, 23)
-    assert trial_motions(w, 9, 0, 12) + trial_motions(w, 9, 12, 23) == whole
-    assert trial_motions(w, 9, 5, 5) == []
+@settings(max_examples=60, deadline=None)
+@given(seeds, st.integers(0, 40), st.integers(0, 40), windows)
+@example(9, 12, 23, Square((-2.0, 5.0), 3.0))
+@example(9, 0, 5, Square((-2.0, 5.0), 3.0))
+def test_trial_motions_prefix_is_the_shorter_draw(seed, m, n, window):
+    # the threads of a --jobs run score slices of one draw; any prefix is the draw of that many trials
+    m, n = min(m, n), max(m, n)
+    whole = as_lists(trial_motions(window, seed, n))
+    assert as_lists(trial_motions(window, seed, m)) == tuple(column[:m] for column in whole)
 
 
 def test_trial_indices_past_one_word_refused():
     with pytest.raises(ParameterError, match="below 2\\*\\*32"):
-        trial_motions(Square.unit(), 1, 2 ** 32 - 1, 2 ** 32 + 1)
+        trial_motions(Square.unit(), 1, 2 ** 32 + 1)
 
 
 @pytest.mark.parametrize("seed", [-1, -2 ** 40, 1.0, 2.5, "3", None, np.bool_(True), np.float64(2.0)])
