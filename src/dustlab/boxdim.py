@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import BoxGrid, _aligned_window, _closed_span, _matrices, _quad_hits, halve
+from .parallel import parallel_map
 
 LN2 = math.log(2.0)
 #: Level of the coarse grid whose occupied cells find_full_dimension_point scores.
@@ -104,7 +105,7 @@ _MOVE_LIMIT = 1 << 12
 
 
 def overlap_counts(grid: BoxGrid, quads: np.ndarray, motions: tuple,
-                   schedule: ScaleSchedule) -> np.ndarray:
+                   schedule: ScaleSchedule, jobs: int = 1) -> np.ndarray:
     """Counts per schedule level of the grid ANDed with ``rasterize_quads`` of each moved ``quads``.
 
     ``motions`` holds the arrays (theta, reflect, z) of ``intersect.trial_motions``, shaped (T,),
@@ -114,9 +115,11 @@ def overlap_counts(grid: BoxGrid, quads: np.ndarray, motions: tuple,
     ``_MOVE_LIMIT`` quads hold (at least one), each block by one stacked product of the motions'
     matrices with the quads' coordinate rows, which runs, per motion, the product of
     ``Isometry.apply``.  Only the occupied cells in the moved boxes are tested (``_quad_hits``),
-    from a cell index that each call builds once: the sorted occupied cells and the halvings the
-    prune reaches.  A cell met is keyed ``(t, Morton code)``, and level m counts the distinct
-    ``key >> 2 * (grid.level - m)``.
+    from a cell index built once per call, whole, before any block is scored: the sorted occupied
+    cells and the grid's halving pyramid down to 1x1.  A cell met is keyed ``(t, Morton code)``,
+    and level m counts the distinct ``key >> 2 * (grid.level - m)``.  The blocks are mapped over
+    ``jobs`` threads (``parallel_map``), which read the index and write no shared state, so the
+    counts do not depend on ``jobs``.
     """
     _require_resolution(schedule, grid.level)
     theta, reflect, z = motions
@@ -126,14 +129,18 @@ def overlap_counts(grid: BoxGrid, quads: np.ndarray, motions: tuple,
     live = [j for j, (iy0, iy1, ix0, ix1) in enumerate(_frame_spans(grid, quads, mats, z).tolist())
             if ix0 <= ix1 and iy0 <= iy1 and grid.bits[iy0:iy1 + 1, ix0:ix1 + 1].any()]
     per = max(1, _MOVE_LIMIT // len(quads))
+    blocks = [live[s:s + per] for s in range(0, len(live), per)]
     flat = np.ascontiguousarray(quads.transpose(2, 1, 0)).reshape(2, -1)  # flat[c, v * N + i]
-    cells, halvings = np.flatnonzero(grid.bits), [grid.bits]
     level, spread = grid.level, _spread(np.arange(grid.size))
+    cells, halvings = np.flatnonzero(grid.bits), [grid.bits]
+    while live and len(halvings) <= level:
+        halvings.append(halve(halvings[-1]))
     # a key is new at level m when it differs from the one before (the first from -1) above
     # bit 2 * (level - m): it is new at the r finest levels, r the thresholds its XOR reaches
     reach = np.array([1 << 2 * (level - m) for m in reversed(schedule.levels)], dtype=np.uint64)
     width = len(reach) + 1
-    for block in (live[s:s + per] for s in range(0, len(live), per)):
+
+    def score(block: list[int]) -> np.ndarray:
         xy = mats[block] @ flat
         xy += z[block]
         hits = _quad_hits(xy.reshape(len(block), 2, 4, -1), grid.bounds, level, cells, halvings)
@@ -142,7 +149,10 @@ def overlap_counts(grid: BoxGrid, quads: np.ndarray, motions: tuple,
         r = reach.searchsorted((keys ^ np.concatenate([[-1], keys[:-1]])).view(np.uint64), "right")
         tally = np.bincount((keys >> 2 * level) * width + r, minlength=len(block) * width)
         # schedule level c (coarsest first) counts the keys with r >= len(reach) - c
-        counts[block] = tally.reshape(-1, width)[:, :0:-1].cumsum(axis=1)
+        return tally.reshape(-1, width)[:, :0:-1].cumsum(axis=1)
+
+    for block, rows in zip(blocks, parallel_map(lambda i: score(blocks[i]), len(blocks), jobs)):
+        counts[block] = rows
     return counts
 
 

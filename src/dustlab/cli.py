@@ -32,8 +32,8 @@ IO_ERROR = 4
 _NON_CONFIG_KEYS = {"func", "out", "grid_out", "out_prefix"}
 
 
-def _config_line(args: argparse.Namespace, **resolved) -> str:
-    items = {k: v for k, v in vars(args).items() if k not in _NON_CONFIG_KEYS}
+def _config_line(args: argparse.Namespace, omit=(), **resolved) -> str:
+    items = {k: v for k, v in vars(args).items() if k not in _NON_CONFIG_KEYS and k not in omit}
     items.update(resolved)
     body = " ".join(f"{k}={v}" for k, v in sorted(items.items()))
     return f"# config: {body}"
@@ -136,7 +136,8 @@ def cmd_mattila(args) -> int:
     b = generate_cantor(b_alpha, args.b_depth)
     survey = mattila_survey(a_grid, b, trials=args.trials, tolerance=args.tolerance,
                             seed=args.seed, jobs=args.jobs)
-    lines = [_config_line(args, s=f"{survey.s:.12g}", t=f"{survey.t:.12g}")]
+    lines = [_config_line(args, s=f"{survey.s:.12g}", t=f"{survey.t:.12g}",
+                          **_read_grid_keys(args.a_in, a_grid, "a_alpha", "a_depth"))]
     lines += survey.csv_lines()
     if args.out:
         _write_lines(args.out, lines)
@@ -157,6 +158,12 @@ def _input_grid(path: str | None, path_flag: str, alpha: float | None, alpha_fla
     return _raster_dust(alpha, depth, level)[1]
 
 
+def _read_grid_keys(path: str | None, grid: BoxGrid, *generator_keys: str) -> dict:
+    """``_config_line`` arguments for an input grid: a grid read from ``path`` echoes its own
+    level and none of the flags that only shape a generated grid."""
+    return {"omit": generator_keys, "level": grid.level} if path else {}
+
+
 def _raster_dust(alpha: Alpha | float, depth: int, level: int) -> tuple[CantorApproximant, BoxGrid]:
     grid_size(level)
     approx = generate_cantor(alpha, depth)
@@ -173,7 +180,8 @@ def cmd_construct(args) -> int:
         fh.write(result.plan.to_json())
     formats.write_bgr(result.g_grid, f"{prefix}.g.bgr")
     formats.write_bgr(result.eprime, f"{prefix}.eprime.bgr")
-    lines = [_config_line(args, point=f"{result.plan.center[0]:.12g}:{result.plan.center[1]:.12g}")]
+    lines = [_config_line(args, point=f"{result.plan.center[0]:.12g}:{result.plan.center[1]:.12g}",
+                          **_read_grid_keys(args.infile, E, "gen_alpha", "gen_depth"))]
     lines += result.report.csv_lines()
     _write_lines(f"{prefix}.report.csv", lines)
     print(lines[0])

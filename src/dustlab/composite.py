@@ -21,13 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxdim import (DimensionEstimate, ScaleSchedule, box_counts, estimate_dimension,
-                     best_index, find_full_dimension_point, fit_dimensions, window_counts)
+                     best_index, find_full_dimension_point, fit_dimensions, overlap_counts,
+                     window_counts)
 from .cantor import alpha_for_dimension, generate_cantor, scale_and_place, scaled_quads
 from .errors import AssemblyError, ConstructionError, ParameterError, PlacementError
 from .geometry import (BoxGrid, Isometry, Square, _aligned_window, grid_intersection,
                        quads_disjoint, rasterize_quads)
-from .intersect import scored_trials
-from .parallel import check_jobs, parallel_map
+from .intersect import trial_motions
+from .parallel import check_jobs
 from .streams import check_seed
 
 #: Copies are generated no deeper than this many subdivision steps.
@@ -280,7 +281,7 @@ def placement_diameter(chain: AnnulusChain, index: int) -> float:
 
 
 def place_cantor_in_annulus(E: BoxGrid, chain: AnnulusChain, index: int, b: float,
-                            trials: int, seed: int) -> PlacementRecord:
+                            trials: int, seed: int, jobs: int = 1) -> PlacementRecord:
     """Randomized isometry search for one dust copy inside an even annulus.
 
     The copy gets the largest admissible diameter (just under half the
@@ -288,8 +289,11 @@ def place_cantor_in_annulus(E: BoxGrid, chain: AnnulusChain, index: int, b: floa
     whose copy meets the annulus slice of E with the best measured slope.
     The slope fit spans the scales that resolve the largest copy diameter
     of any even annulus of the chain, so slopes of copies in different
-    annuli stay comparable.  Raises ParameterError when ``trials`` is
-    below 1 and PlacementError when every trial misses.
+    annuli stay comparable.  The motions are drawn at once over a window
+    around the annulus (``trial_motions``) and scored by one
+    ``overlap_counts`` call, whose trial blocks ``jobs`` threads take.
+    Raises ParameterError when ``trials`` or ``jobs`` is below 1 and
+    PlacementError when every trial misses.
     """
     if trials < 1:
         raise ParameterError(f"need at least one trial, got {trials}")
@@ -309,7 +313,8 @@ def place_cantor_in_annulus(E: BoxGrid, chain: AnnulusChain, index: int, b: floa
     window_half = chain.half_widths[index - 1] + 1.5 * diameter
     window = Square.centered(chain.center, window_half)
 
-    (theta, reflect, z), counts = scored_trials(slice_grid, quads, window, schedule, trials, seed, 1)
+    theta, reflect, z = motions = trial_motions(window, seed, trials)
+    counts = overlap_counts(slice_grid, quads, motions, schedule, jobs)
     # every resolved level, as build_annuli fits its slices
     slopes, _, _, empty, _ = fit_dimensions(schedule.levels, counts, window=(schedule.levels[0], E.level),
                                             side=E.bounds.side)
@@ -483,8 +488,8 @@ def run_pipeline(E: BoxGrid, annuli: int = 6, trials: int = 480, seed: int = 0,
     annulus chain around a clearance-filtered full-dimension point, places
     copies in the even annuli, and assembles the result.  Sets that are
     essentially a point short-circuit to the single-cell answer.
-    Per-annulus searches are independent; ``jobs`` runs them in parallel
-    without changing the outcome.
+    The even annuli are placed in order; ``jobs`` threads take the trial
+    blocks of each placement search without changing the outcome.
     """
     if E.is_empty():
         raise ParameterError("input set has no occupied cells")
@@ -499,14 +504,8 @@ def run_pipeline(E: BoxGrid, annuli: int = 6, trials: int = 480, seed: int = 0,
     chain = build_annuli(E, p, d_seq, min_mass)
     b_seq = choose_b_sequence(d_seq)
 
-    even_indices = range(2, chain.count + 1, 2)
-
-    def place(k: int) -> PlacementRecord:
-        index = even_indices[k]
-        return place_cantor_in_annulus(E, chain, index, b_seq[index - 1], trials, seed + 1000 * index)
-
-    placements = parallel_map(place, len(even_indices), jobs)
-
+    placements = [place_cantor_in_annulus(E, chain, i, b_seq[i - 1], trials, seed + 1000 * i, jobs)
+                  for i in range(2, chain.count + 1, 2)]
     g_grid, eprime, report = assemble_composite(E, chain, placements)
     plan = CompositePlan(chain.center, chain.half_widths, d_seq, b_seq, tuple(placements))
     return PipelineResult(plan, g_grid, eprime, report)

@@ -360,11 +360,11 @@ def _quad_hits(xy: np.ndarray, bounds: Square, level: int, cells: np.ndarray | N
     open, as in ``rasterize``, and its cells take a closed SAT test on its edge directions
     (``_sat_limits``).  Given a target's index over the same bounds and level, only its
     occupied cells are tested: ``cells`` lists them sorted as ``iy * 2**level + ix``, and
-    ``halvings`` starts with its bits, each entry the ``halve`` of the one before.  Per trial,
-    boxes without an occupied cell at the finest halving k where they all span at most 2x2
-    cells are dropped (the list grows to that halving; one pass per distinct k), and the cells
-    of every kept box row come from one ``searchsorted`` in ``cells``.  A block tests about
-    ``_QUAD_BLOCK_LIMIT`` (quad, cell) pairs.
+    ``halvings`` is its pyramid, its bits and then each entry the ``halve`` of the one before,
+    down to 1x1; it is only read.  Per trial, boxes without an occupied cell at the finest
+    halving k where they all span at most 2x2 cells are dropped (one pass per distinct k), and
+    the cells of every kept box row come from one ``searchsorted`` in ``cells``.  A block tests
+    about ``_QUAD_BLOCK_LIMIT`` (quad, cell) pairs.
     """
     trials, _, _, count = xy.shape
     n = grid_size(level)
@@ -376,8 +376,6 @@ def _quad_hits(xy: np.ndarray, bounds: Square, level: int, cells: np.ndarray | N
         span = np.where(valid, (hi - lo).max(axis=1), 0).max(axis=1, initial=0)
         halving = np.frexp(span)[1]  # bit lengths of the trials' widest spans
         for k in sorted(set(halving.tolist())):
-            while len(halvings) <= k:
-                halvings.append(halve(halvings[-1]))
             rows = halving == k
             valid[rows] &= _any_corner(halvings[k], lo[rows] >> k, hi[rows] >> k)
     kept = np.flatnonzero(valid)

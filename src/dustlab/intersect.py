@@ -21,7 +21,7 @@ from .boxdim import (DimensionEstimate, ScaleSchedule, box_counts, estimate_dime
 from .cantor import CantorApproximant, cantor_dimension, scale_and_place, scaled_quads
 from .errors import ParameterError
 from .geometry import SQRT2, BoxGrid, Isometry, Square, rasterize_quads
-from .parallel import check_jobs, parallel_map, worker_count
+from .parallel import check_jobs
 from .streams import check_seed, doubles, first_outputs, seed_words
 
 
@@ -118,20 +118,6 @@ def intersection_dimension(a: BoxGrid, b: CantorApproximant, iso: Isometry) -> D
     return estimate_dimension(dict(zip(schedule.levels, counts)), side=a.bounds.side)
 
 
-def scored_trials(grid: BoxGrid, quads: np.ndarray, window: Square, schedule: ScaleSchedule,
-                  trials: int, seed: int, jobs: int) -> tuple[tuple, np.ndarray]:
-    """Motions of trials 0..trials-1 of a copy's unmoved quads, and their ``overlap_counts``.
-
-    The motions are drawn once over ``window`` (``trial_motions``); each thread scores a slice
-    of consecutive trials, and the counts are joined in trial order, so none depends on ``jobs``.
-    """
-    motions = trial_motions(window, seed, trials)
-    size = -(-trials // worker_count(jobs, trials))
-    runs = [tuple(m[lo:lo + size] for m in motions) for lo in range(0, trials, size)]
-    counts = parallel_map(lambda r: overlap_counts(grid, quads, runs[r], schedule), len(runs), jobs)
-    return motions, np.concatenate(counts)
-
-
 def check_survey(trials: int, tolerance: float, seed: int, jobs: int) -> None:
     """Refuse the arguments of ``mattila_survey`` that no set A can make valid."""
     if trials < 1:
@@ -149,9 +135,10 @@ def mattila_survey(a: BoxGrid, b: CantorApproximant, trials: int, tolerance: flo
     s defaults to the box-count slope of A, and t is the exact dimension
     of the dust.  The hypotheses s + t > 2 and t > 3/2 are enforced
     before any trial runs.  Motions are drawn from
-    ``default_survey_window(a)``.  Trials draw independent per-index
-    generator streams, so runs are reproducible and job count does not
-    affect results.
+    ``default_survey_window(a)``, all at once (``trial_motions``), and
+    scored by one ``overlap_counts`` call whose trial blocks ``jobs``
+    threads take.  Trials draw independent per-index generator streams,
+    so runs are reproducible and job count does not affect results.
     """
     check_survey(trials, tolerance, seed, jobs)
     if a.is_empty():
@@ -169,7 +156,8 @@ def mattila_survey(a: BoxGrid, b: CantorApproximant, trials: int, tolerance: flo
     threshold = s + t - 2.0
     floor = threshold - tolerance
     schedule = ScaleSchedule.default_for(a)
-    motions, counts = scored_trials(a, scaled_quads(b, SQRT2), window, schedule, trials, seed, jobs)
+    motions = trial_motions(window, seed, trials)
+    counts = overlap_counts(a, scaled_quads(b, SQRT2), motions, schedule, jobs)
     slope, _, _, empty, _ = fit_dimensions(schedule.levels, counts, side=a.bounds.side)
     hit = ~empty & (slope >= floor)
     return MattilaSurvey(s, t, threshold, tolerance, trials, int(hit.sum()), *motions, slope, empty, hit,

@@ -14,18 +14,13 @@ def parallel_map(fn: Callable[[int], object], n: int, jobs: int) -> list:
     Threads are capped at ``os.cpu_count()`` and at ``n``; with one, ``fn``
     runs in the calling thread.  Raises ParameterError when ``jobs < 1``.
     """
-    workers = worker_count(jobs, n)
+    check_jobs(jobs)
+    workers = min(jobs, n, os.cpu_count() or 1)
     if workers <= 1:
         return [fn(i) for i in range(n)]
     from concurrent import futures  # it loads logging; a one-thread run needs neither
     with futures.ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(n)))
-
-
-def worker_count(jobs: int, n: int) -> int:
-    """Threads ``parallel_map`` runs ``n`` tasks on: ``jobs``, capped at ``n`` and the CPUs."""
-    check_jobs(jobs)
-    return min(jobs, n, os.cpu_count() or 1)
 
 
 def check_jobs(jobs: int) -> None:

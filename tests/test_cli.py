@@ -319,6 +319,22 @@ class TestMattila:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
+    def test_config_line_echoes_the_level_of_a_read_grid_and_no_generator_flag(self, tmp_path):
+        survey = ["--b-dim", "1.7", "--b-depth", "4", "--trials", "20", "--seed", "11"]
+        generated, read, grid = tmp_path / "generated.csv", tmp_path / "read.csv", tmp_path / "a8.bgr"
+        assert run("mattila", "--a-alpha", "0.315", "--a-depth", "6", "--level", "8", *survey,
+                   "--out", str(generated)) == 0
+        assert run("gen", "--alpha", "0.315", "--depth", "6", "--level", "8", "--grid-out", str(grid)) == 0
+        assert run("mattila", "--a-in", str(grid), *survey, "--out", str(read)) == 0
+        generated, read = generated.read_text().splitlines(), read.read_text().splitlines()
+        assert generated[0] == (
+            "# config: a_alpha=0.315 a_depth=6 a_in=None b_alpha=None b_depth=4 b_dim=1.7 command=mattila "
+            "jobs=1 level=8 s=1.33561438102 seed=11 t=1.7 tolerance=0.15 trials=20")
+        assert read[0] == (
+            f"# config: a_in={grid} b_alpha=None b_depth=4 b_dim=1.7 command=mattila "
+            "jobs=1 level=8 s=1.33561438102 seed=11 t=1.7 tolerance=0.15 trials=20")
+        assert read[1:] == generated[1:]
+
     def test_survey_runs_and_is_deterministic(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -394,6 +410,23 @@ class TestConstruct:
                    "--seed", "5", "--out-prefix", str(tmp_path / "run")) == 2
         assert "over the budget" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_config_line_echoes_the_level_of_a_read_grid_and_no_generator_flag(self, tmp_path):
+        search = ["--annuli", "4", "--trials", "40", "--seed", "5"]
+        grid = tmp_path / "e9.bgr"
+        assert run("construct", "--gen-alpha", "0.4", "--gen-depth", "4", "--level", "9", *search,
+                   "--out-prefix", str(tmp_path / "generated")) == 0
+        assert run("gen", "--alpha", "0.4", "--depth", "4", "--level", "9", "--grid-out", str(grid)) == 0
+        assert run("construct", "--in", str(grid), *search, "--out-prefix", str(tmp_path / "read")) == 0
+        generated = (tmp_path / "generated.report.csv").read_text().splitlines()
+        read = (tmp_path / "read.report.csv").read_text().splitlines()
+        assert generated[0] == ("# config: annuli=4 command=construct gen_alpha=0.4 gen_depth=4 infile=None "
+                                "jobs=1 level=9 min_mass=24 point=0.3759765625:0.3759765625 seed=5 trials=40")
+        assert read[0] == (f"# config: annuli=4 command=construct infile={grid} "
+                           "jobs=1 level=9 min_mass=24 point=0.3759765625:0.3759765625 seed=5 trials=40")
+        assert read[1:] == generated[1:]
+        for suffix in ("plan.json", "g.bgr", "eprime.bgr"):
+            assert (tmp_path / f"read.{suffix}").read_bytes() == (tmp_path / f"generated.{suffix}").read_bytes()
 
     @pytest.mark.parametrize("source", [["--in", "unused.bgr"],
                                         ["--gen-alpha", "0.4", "--gen-depth", "5", "--level", "13"]])

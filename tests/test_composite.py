@@ -471,7 +471,7 @@ class TestPipeline:
         threaded = run_pipeline(E, annuli=4, trials=30, seed=3, jobs=3)
         assert serial.plan.to_json() == threaded.plan.to_json()
         # a sparse set (3.5% of cells): trial scoring drops most moved leaves
-        # before the raster, and the threads share each slice's halvings
+        # before the raster, and the threads read each slice's one halving pyramid
         sparse = dust_grid(0.33, 5, 9)
         serial = run_pipeline(sparse, annuli=4, trials=30, seed=3, min_mass=8, jobs=1)
         threaded = run_pipeline(sparse, annuli=4, trials=30, seed=3, min_mass=8, jobs=3)

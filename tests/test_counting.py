@@ -22,10 +22,13 @@
   being moved; for the others, the sparse gather (``geometry._quad_hits``)
   drops the leaves whose box holds no occupied cell at the target's
   halvings, finds the occupied cells in each kept box in the target's
-  sorted cell list (both built once per ``overlap_counts`` call), and runs
-  the closed SAT test of the raster on those (leaf, cell) pairs alone.  The counts are the distinct
+  sorted cell list, and runs the closed SAT test of the raster on those
+  (leaf, cell) pairs alone.  The list and the whole halving pyramid, down
+  to 1x1, are built once per ``overlap_counts`` call before any block is
+  scored; ``_quad_hits`` only reads them.  The counts are the distinct
   prefixes of the hits' sorted (trial, Morton code) keys per level, and do
-  not depend on how trials are batched.  The references are the dense
+  not depend on how trials are batched, nor on how many threads take the
+  blocks (``jobs``).  The references are the dense
   trial scorer it replaced (``dense_trial_counts``: the windowed raster
   with its target, the AND and ``window_counts``, kept here verbatim) and
   the full-grid ``box_counts(grid_intersection(...))``, on batches that
@@ -83,7 +86,7 @@ from dustlab.errors import ParameterError
 from dustlab.geometry import (SQRT2, BoxGrid, Isometry, Square, _index_ranges,
                               aligned_span, grid_intersection, grid_size, halve, rasterize,
                               rasterize_quads, squares_to_quads)
-from dustlab.intersect import mattila_survey
+from dustlab.intersect import mattila_survey, trial_motions
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -344,7 +347,15 @@ def dense_window(quads: np.ndarray, bounds: Square, level: int, align: int,
 def target_hits(quads, target):
     """``_quad_hits`` blocks of ``quads``, one trial, tested against the occupied cells of ``target``."""
     return geometry._quad_hits(coordinate_major(quads[None]), target.bounds, target.level,
-                               np.flatnonzero(target.bits), [target.bits])
+                               np.flatnonzero(target.bits), pyramid(target.bits))
+
+
+def pyramid(bits):
+    """``bits`` and each ``halve`` of the one before, down to 1x1: the index ``overlap_counts`` builds."""
+    halvings = [bits]
+    while halvings[-1].shape[0] > 1:
+        halvings.append(halve(halvings[-1]))
+    return halvings
 
 
 def coordinate_major(moved):
@@ -1063,22 +1074,71 @@ def test_box_counts_past_one_halve_band_match_block_reduction(density):
 
 
 def test_one_overlap_call_halves_each_shape_once(monkeypatch):
+    target = BoxGrid(UNIT, 8, random_bits(3, 8, 0.01))
+    copy = generate_cantor(0.3, 3)
+    schedule = ScaleSchedule.span(3, 8)
+    isos = [Isometry(0.3 * i, i % 2 == 1, (0.05 * i, 0.5 - 0.02 * i)) for i in range(20)]
+    expected = [list(trial_counts(target, copy, 0.4, iso, schedule).values()) for iso in isos]
     shapes = []
 
     def counted(bits):
         shapes.append(bits.shape)
         return halve(bits)
 
+    # boxdim builds the pyramid; a halving anywhere in geometry would be counted too
+    monkeypatch.setattr(boxdim, "halve", counted)
     monkeypatch.setattr(geometry, "halve", counted)
-    monkeypatch.setattr(boxdim, "_MOVE_LIMIT", 1)  # one trial per block: every block reads the halvings
-    target = BoxGrid(UNIT, 8, random_bits(3, 8, 0.01))
-    copy = generate_cantor(0.3, 3)
-    schedule = ScaleSchedule.span(3, 8)
-    isos = [Isometry(0.3 * i, i % 2 == 1, (0.05 * i, 0.5 - 0.02 * i)) for i in range(20)]
-    counts = overlap_counts(target, scaled_quads(copy, 0.4), motions_of(isos), schedule).tolist()
-    assert shapes and shapes == [(256 >> j, 256 >> j) for j in range(len(shapes))]
-    assert sum(row[-1] > 0 for row in counts) >= 2  # two blocks or more met the target
-    assert counts == [list(trial_counts(target, copy, 0.4, iso, schedule).values()) for iso in isos]
+    monkeypatch.setattr(boxdim, "_MOVE_LIMIT", 1)  # one trial per block: every block reads the pyramid
+    for jobs in (1, 4):
+        shapes.clear()
+        counts = overlap_counts(target, scaled_quads(copy, 0.4), motions_of(isos), schedule, jobs).tolist()
+        assert shapes == [(256 >> j, 256 >> j) for j in range(8)]  # down to 1x1, once each
+        assert sum(row[-1] > 0 for row in counts) >= 2  # two blocks or more met the target
+        assert counts == expected
+
+
+@pytest.mark.parametrize("level, depth, diameter, trials", [(2, 1, 8.0, 29), (6, 1, 8.0, 23), (6, 3, 0.9, 23)])
+def test_trial_blocks_on_threads_give_the_one_thread_counts(monkeypatch, level, depth, diameter, trials):
+    # a copy of diameter 8 is wider than the unit grid: its leaves' boxes span the whole grid,
+    # so their trials prune at the pyramid's 1x1 top (level 2: no schedule fits a level-1 grid)
+    target = BoxGrid(UNIT, level, random_bits(level, level, 0.4))
+    quads = scaled_quads(generate_cantor(0.3, depth), diameter)
+    motions = trial_motions(Square((-0.5, -0.5), 2.0), 7, trials)
+    schedule = ScaleSchedule.span(level - 2, level)
+    kernel, blocks = boxdim._quad_hits, []
+
+    def recorded(xy, bounds, level, cells, halvings):
+        assert len(halvings) == level + 1 and halvings[-1].shape == (1, 1)
+        blocks.append(len(xy))
+        return kernel(xy, bounds, level, cells, halvings)
+
+    monkeypatch.setattr(boxdim, "_quad_hits", recorded)
+    monkeypatch.setattr(boxdim, "_MOVE_LIMIT", 3 * len(quads))  # three trials a block
+    serial = overlap_counts(target, quads, motions, schedule, 1)
+    # an odd number of blocks, the last one short of three trials
+    assert len(blocks) % 2 == 1 and len(blocks) >= 3 and blocks[-1] < 3 and serial.any()
+    isos = [Isometry(*m) for m in zip(motions[0].tolist(), motions[1].tolist(), motions[2].tolist())]
+    assert serial.tolist() == [list(per_trial_counts(target, quads, iso, schedule).values()) for iso in isos]
+    for jobs in (2, 3, 4):
+        assert np.array_equal(overlap_counts(target, quads, motions, schedule, jobs), serial)
+
+
+@pytest.mark.parametrize("level", [1, 6])
+def test_quad_hits_reads_the_pyramid_it_is_given(level):
+    target = BoxGrid(UNIT, level, random_bits(5, level, 0.5))
+    halvings = pyramid(target.bits)
+    given, values = list(halvings), [h.copy() for h in halvings]
+    quads = scaled_quads(generate_cantor(0.3, 2), 3.0)  # wider than the grid
+    moved = np.stack([Isometry(0.4 * i, i % 2 == 1, (0.1 * i - 1.0, -0.6)).apply(quads) for i in range(5)])
+    hits = geometry._quad_hits(coordinate_major(moved), UNIT, level, np.flatnonzero(target.bits), halvings)
+    t, c = np.concatenate([np.stack(block) for block in hits], axis=1)
+    assert len(halvings) == len(given) == level + 1
+    assert all(a is b and np.array_equal(a, v) for a, b, v in zip(halvings, given, values))
+    # the cells met are the raster's occupied cells, trial by trial
+    for i, trial in enumerate(moved):
+        raster = rasterize_quads(trial, UNIT, level).bits & target.bits
+        assert sorted(set(c[t == i].tolist())) == np.flatnonzero(raster).tolist()
+    assert len(t)
 
 
 def test_scoring_leaves_the_target_grid_a_plain_value():

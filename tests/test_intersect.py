@@ -228,11 +228,11 @@ class TestMattilaSurvey:
         threaded = mattila_survey(a, b, trials=24, seed=9, jobs=4)
         assert serial.csv_lines() == threaded.csv_lines()
         assert trial_columns(serial) == trial_columns(threaded)
-        # 23 trials split into slices of unequal length on any thread count from 2
+        # 23 trials, scored in blocks of four (the copy has 1024 leaves) that 3 threads take
         ragged = mattila_survey(a, b, trials=23, seed=9, jobs=3)
         assert trial_columns(ragged) == {name: column[:23] for name, column in trial_columns(serial).items()}
         # scattered cells (0.5%): trial scoring drops most moved leaves, and the
-        # threads share the grid's halvings and occupied-cell list
+        # threads read the grid's one halving pyramid and occupied-cell list
         sparse = BoxGrid(Square.unit(), 9, np.random.default_rng(5).random((512, 512)) < 0.005)
         serial = mattila_survey(sparse, b, trials=24, seed=9, s=1.2, jobs=1)
         threaded = mattila_survey(sparse, b, trials=24, seed=9, s=1.2, jobs=4)

@@ -1,11 +1,12 @@
 import os
 import threading
 import time
+from concurrent import futures
 
 import pytest
 
 from dustlab.errors import ParameterError
-from dustlab.parallel import parallel_map, worker_count
+from dustlab.parallel import parallel_map
 
 
 def test_results_in_index_order():
@@ -28,14 +29,26 @@ def test_threads_capped_at_cpu_count():
     assert 1 <= len(seen) <= (os.cpu_count() or 1)
 
 
-def test_worker_count_caps_jobs_at_tasks_and_cpus():
-    cpus = os.cpu_count() or 1
-    assert worker_count(10_000, 8) == min(8, cpus)
-    assert worker_count(3, 2) == min(2, cpus)
-    assert worker_count(1, 5) == 1
-    assert worker_count(4, 0) == 0
-    with pytest.raises(ParameterError):
-        worker_count(0, 5)
+def test_parallel_map_caps_threads_at_tasks_and_cpus(monkeypatch):
+    pools = []
+
+    class Recorded(futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", Recorded)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert parallel_map(lambda i: i, 8, 10_000) == list(range(8))  # capped at the CPUs
+    assert parallel_map(lambda i: i, 2, 3) == [0, 1]  # capped at the tasks
+    assert parallel_map(lambda i: i, 5, 1) == list(range(5))  # one thread: no pool
+    assert parallel_map(lambda i: i, 0, 4) == []
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one CPU
+    assert parallel_map(lambda i: i, 8, 4) == list(range(8))
+    assert pools == [4, 2]
+    for n in (5, 0):  # refused before any task is looked at
+        with pytest.raises(ParameterError):
+            parallel_map(lambda i: i, n, 0)
 
 
 def test_one_job_runs_in_the_calling_thread():
