@@ -84,7 +84,9 @@ def box_counts(grid: BoxGrid, schedule: ScaleSchedule) -> dict[int, int]:
 def window_counts(bits: np.ndarray, level: int, schedule: ScaleSchedule) -> dict[int, int]:
     """Occupied-cell counts per schedule level of a window of a level-``level`` raster.
 
-    Counts are taken from fine to coarse by pairwise halving.  The window's
+    Counts are taken from fine to coarse, each schedule level straight from
+    the one after it by ``halve`` over up to 3 levels a pass, so a level
+    the schedule does not ask for is never built.  The window's
     start and size must be multiples of 2**(level - schedule.levels[0]), so
     that it splits into whole cells at every schedule level; its counts
     then equal those of the full grid with every cell outside the window
@@ -93,9 +95,10 @@ def window_counts(bits: np.ndarray, level: int, schedule: ScaleSchedule) -> dict
     _require_resolution(schedule, level)
     counts: dict[int, int] = {}
     for m in reversed(schedule.levels):
-        for _ in range(level - m):
-            bits = halve(bits)
-        level = m
+        while level > m:
+            k = min(3, level - m)
+            bits = halve(bits, k)
+            level -= k
         counts[m] = int(np.count_nonzero(bits))
     return dict(sorted(counts.items()))
 

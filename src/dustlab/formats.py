@@ -52,16 +52,20 @@ def _encode(codes: np.ndarray, letters: np.ndarray):
         yield text
 
 
-def _read(data: bytes | str, magic: str, what: str, types, width) -> tuple[list, np.ndarray]:
-    """Header fields of a file and its lines after the header, as an (n, w) uint8 view.
+def _read(data: bytes | str, magic: str, what: str, types,
+          width) -> tuple[list, np.ndarray, int | None]:
+    """Header fields of a file, its lines after the header as an (n, w) uint8 view, and their offset.
 
     The header is ``<magic> 1`` followed by one field per entry of
     ``types``, which converts it, and ends at the file's first break.
     ``width``, a function of the fields, checks them and gives w, the
     length of every line.  The lines must each be w bytes followed by the
     header's break, the last break optional; their breaks are checked by
-    a strided compare and no line is copied.  When they are not, the file
-    is read again with one LF per break, which decides.
+    a strided compare and no line is copied, and the offset is the byte of
+    ``data`` where line 0 starts.  When they are not, the file is read
+    again with one LF per break, which decides; the lines are then a view
+    of that copy, the offset is None, and a map ``data`` is released whole
+    (``_release``), since nothing reads it again.
     """
     raw = data.encode() if isinstance(data, str) else data
     buf = np.frombuffer(raw, dtype=np.uint8)
@@ -69,12 +73,32 @@ def _read(data: bytes | str, magic: str, what: str, types, width) -> tuple[list,
     end, brk = (first.start(), first.group()) if first else (len(raw), b"")
     fields = _header(buf[:end], magic, what, types)
     w = width(*fields)
-    lines = _lines(buf, end + len(brk), w, brk)
+    offset = end + len(brk)
+    lines = _lines(buf, offset, w, brk)
     if lines is None:  # not every break is the header's, or a line is not w bytes long
-        lines = _lines(_one_lf_per_break(buf), end + 1, w, b"\n")
+        offset, copy = None, _one_lf_per_break(buf)
+        _release(data, len(raw))
+        lines = _lines(copy, end + 1, w, b"\n")
     if lines is None:
         raise FormatError(f"the {what} lines are not {w} bytes each")
-    return fields, lines
+    return fields, lines, offset
+
+
+def _release(data, stop: int, start: int = 0) -> int:
+    """Drop the pages of a file map ``data`` that lie wholly in bytes [start, stop); the new start.
+
+    A page that ends past ``stop`` is kept, unless ``stop`` is the end of the
+    map.  A dropped page that is read again is read from the file again, so
+    no byte changes.  Anything but a map, or a platform without
+    ``madvise`` or ``MADV_DONTNEED``, drops nothing.
+    """
+    if not (isinstance(data, mmap.mmap) and hasattr(data, "madvise")
+            and hasattr(mmap, "MADV_DONTNEED")):
+        return start
+    stop = len(data) if stop >= len(data) else stop - stop % mmap.PAGESIZE
+    if stop > start:
+        data.madvise(mmap.MADV_DONTNEED, start, stop - start)
+    return max(start, stop)
 
 
 def _lines(buf: np.ndarray, start: int, width: int, brk: bytes) -> np.ndarray | None:
@@ -118,19 +142,26 @@ def _header(header: np.ndarray, magic: str, what: str, types) -> list:
         raise FormatError(f"bad {what} header {header.tobytes()!r}") from exc
 
 
-def _decode(lines: np.ndarray, letters: np.ndarray, what: str,
-            out: np.ndarray | None = None) -> np.ndarray:
+def _decode(lines: np.ndarray, letters: np.ndarray, what: str, out: np.ndarray | None = None,
+            data=None, offset: int | None = None) -> np.ndarray:
     """Lines of letters as codes, a letter's index in ``letters``, BGR_BLOCK_ROWS lines at a time.
 
-    The codes fill the rows of ``out``, or of a new uint8 array.
+    The codes fill the rows of ``out``, or of a new uint8 array.  When the
+    lines are a strided view of ``data`` from byte ``offset`` on (``_read``)
+    and ``data`` is a file map, the pages of each decoded block are
+    released (``_release``) before the next block is read, so a read
+    holds about one grid plus one block, not the file as well.
     """
     out = np.empty(lines.shape, dtype=np.uint8) if out is None else out
+    released = 0  # bytes of data before this are released
     for start in range(0, len(lines), BGR_BLOCK_ROWS):
         rows = out[start:start + BGR_BLOCK_ROWS]
         np.subtract(lines[start:start + BGR_BLOCK_ROWS], letters[0], out=rows)
         if rows.max(initial=0) >= len(letters):  # a byte below the first letter wraps past them
             bad = start + np.flatnonzero((rows >= len(letters)).any(axis=1))[0]
             raise FormatError(f"bad {what} on line {bad + 2}")
+        if offset is not None:  # the next line starts the first byte not yet decoded
+            released = _release(data, offset + (start + len(rows)) * lines.strides[0], released)
     return out
 
 
@@ -148,14 +179,18 @@ def dump_bgr(grid: BoxGrid) -> str:
 def parse_bgr(data: bytes | str) -> BoxGrid:
     """Read BGR v1 from text or a bytes-like object, such as a map of a file.
 
-    The grid owns its bits: it holds no view of ``data``.
+    The grid owns its bits: it holds no view of ``data``.  From a map, the
+    pages of the rows already decoded are released as decoding goes
+    (``_decode``), so the read peaks at about one grid plus one block of
+    rows; the map stays open and readable.
     """
-    (m, cx, cy, side), lines = _read(data, "bgr", "grid", (int, float, float, float), _grid_width)
+    (m, cx, cy, side), lines, offset = _read(data, "bgr", "grid", (int, float, float, float),
+                                             _grid_width)
     n = len(lines)
     if n != 1 << min(m, 64):  # a file holds fewer than 2**64 lines
         raise FormatError(f"expected 2**{m} grid rows, found {n}")
     bits = np.empty((n, n), dtype=bool)
-    _decode(lines, _BITS, "grid row", out=bits[::-1].view(np.uint8))
+    _decode(lines, _BITS, "grid row", bits[::-1].view(np.uint8), data, offset)
     return BoxGrid.adopt(Square((cx, cy), side), m, bits)
 
 
@@ -170,8 +205,10 @@ def _grid_width(m: int, cx: float, cy: float, side: float) -> int:
 def read_bgr(path) -> BoxGrid:
     """Read a BGR v1 file through a read-only map of it, so the file is not copied.
 
-    A file that cannot be mapped, such as an empty file or a FIFO, is read
-    whole.  A CAD file is refused by name.
+    The map's pages are released block by block as the rows are decoded
+    (``parse_bgr``), so the read holds about one grid plus one block of
+    rows, not the file as well.  A file that cannot be mapped, such as an
+    empty file or a FIFO, is read whole.  A CAD file is refused by name.
     """
     with open(path, "rb") as fh:
         try:
@@ -205,8 +242,8 @@ def dump_cad(alpha: Alpha, depth: int, codes) -> str:
 
 def parse_cad(data: bytes | str) -> tuple[Alpha, int, np.ndarray]:
     """Read CAD v1 as ``(alpha, depth, codes)``, codes an (N, depth) uint8 array."""
-    (alpha, depth), lines = _read(data, "cad", "address", (lambda f: Alpha(float(f)), int),
-                                  _address_width)
+    (alpha, depth), lines, _ = _read(data, "cad", "address", (lambda f: Alpha(float(f)), int),
+                                     _address_width)
     return alpha, depth, _decode(lines, _LETTERS, "address")
 
 

@@ -111,25 +111,30 @@ def freeze(values, dtype) -> np.ndarray:
 _HALVE_BAND = 1 << 20
 
 
-def halve(bits: np.ndarray) -> np.ndarray:
-    """One pairwise OR step: each 2x2 block of cells becomes one cell.
+def halve(bits: np.ndarray, k: int = 1) -> np.ndarray:
+    """k pairwise OR steps in one pass: each 2^k x 2^k block of cells becomes one cell.
 
-    Both dimensions of ``bits`` must be even.  Returns a new array.  The
-    pairs of rows are ORed a band at a time into one reused C-ordered
-    scratch of at most ``_HALVE_BAND`` cells (one row pair when a row is
-    longer), where each pair of cells is one uint16 word, nonzero when
-    either cell is set; each band's words are compared straight into the
-    result.
+    k is 1, 2 or 3, and both dimensions of ``bits`` must be multiples of
+    2^k.  Returns a new array.  The 2^k rows of each block are ORed a band
+    at a time into one reused C-ordered scratch of at most ``_HALVE_BAND``
+    cells (one block row when a row is longer), where each run of 2^k
+    cells is one uint16, uint32 or uint64 word, nonzero when any cell is
+    set; each band's words are compared straight into the result.  So a
+    count that skips levels never builds the levels between.
     """
-    n, width = bits.shape[0] // 2, bits.shape[1]
-    out = np.empty((n, width // 2), dtype=bool)
+    f = 1 << k
+    n, width = bits.shape[0] >> k, bits.shape[1]
+    out = np.empty((n, width >> k), dtype=bool)
     band = max(1, min(n, _HALVE_BAND // max(width, 1)))
     scratch = np.empty((band, width), dtype=bool)
+    word = (np.uint16, np.uint32, np.uint64)[k - 1]
     for start in range(0, n, band):
         stop = min(start + band, n)
         rows = scratch[:stop - start]
-        np.bitwise_or(bits[2 * start:2 * stop:2], bits[2 * start + 1:2 * stop:2], out=rows)
-        np.not_equal(rows.view(np.uint16), 0, out=out[start:stop])
+        np.bitwise_or(bits[f * start:f * stop:f], bits[f * start + 1:f * stop:f], out=rows)
+        for j in range(2, f):
+            np.bitwise_or(rows, bits[f * start + j:f * stop:f], out=rows)
+        np.not_equal(rows.view(word), 0, out=out[start:stop])
     return out
 
 

@@ -1,6 +1,9 @@
 import mmap
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -548,6 +551,115 @@ class TestMappedGrid:
         assert not feeder.is_alive()
         assert seen[0] is bytes
         assert capsys.readouterr().out.splitlines()[1:] == table
+
+
+def same_grid(a: BoxGrid, b: BoxGrid) -> bool:
+    return (a.bounds, a.level) == (b.bounds, b.level) and np.array_equal(a.bits, b.bits)
+
+
+def written_grid(path, level: int, seed: int, breaks: str = "LF") -> BoxGrid:
+    """A random grid written to ``path`` as BGR with the ``BREAKS`` entry ``breaks``."""
+    n = 1 << level
+    grid = BoxGrid(Square((0.5, -2.0), 3.0), level, np.random.default_rng(seed).random((n, n)) < 0.3)
+    write_bgr(grid, path)
+    path.write_bytes(BREAKS[breaks](path.read_bytes()))
+    return grid
+
+
+class TestReleasedPages:
+    """A mapped grid file is released block by block as it is decoded; the read is unchanged."""
+
+    @pytest.mark.parametrize("block", [formats.BGR_BLOCK_ROWS, 7])
+    @pytest.mark.parametrize("breaks", BREAKS)
+    def test_read_gives_the_grid_of_the_bytes(self, tmp_path, monkeypatch, breaks, block):
+        # level 10: four default blocks of rows, a 1 MB file; 7-row blocks end inside pages
+        path = tmp_path / "g.bgr"
+        grid = written_grid(path, 10, 3, breaks)
+        monkeypatch.setattr(formats, "BGR_BLOCK_ROWS", block)
+        read = formats.read_bgr(path)
+        assert same_grid(read, parse_bgr(path.read_bytes())) and same_grid(read, grid)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_fifo_gives_the_grid_of_the_bytes(self, tmp_path):
+        path, fifo = tmp_path / "g.bgr", tmp_path / "pipe"
+        written_grid(path, 10, 4)
+        os.mkfifo(fifo)
+        feeder = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),),
+                                  daemon=True)  # blocks until a reader opens the pipe
+        feeder.start()
+        try:
+            grid = formats.read_bgr(fifo)
+        finally:
+            feeder.join(timeout=10)
+        assert not feeder.is_alive()
+        assert same_grid(grid, parse_bgr(path.read_bytes()))
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or not hasattr(mmap, "MADV_DONTNEED"),
+                        reason="needs Linux MADV_DONTNEED, which rereads a private map's pages")
+    @pytest.mark.parametrize("block", [formats.BGR_BLOCK_ROWS, 7])
+    @pytest.mark.parametrize("breaks", BREAKS)
+    def test_no_page_is_released_before_its_rows_are_decoded(self, tmp_path, monkeypatch, breaks,
+                                                             block):
+        # a private map holds the inverted grid in pages of its own; a page released reads
+        # the file again, so a row decoded from a page released too early would come out of
+        # the file, and every page released leaves the map equal to the file
+        path = tmp_path / "g.bgr"
+        grid = written_grid(path, 8, 5, breaks)
+        inverted = BREAKS[breaks](formats.dump_bgr(BoxGrid(grid.bounds, 8, ~grid.bits)).encode())
+        monkeypatch.setattr(formats, "BGR_BLOCK_ROWS", block)
+        with open(path, "rb") as fh:
+            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+        try:
+            data[:] = inverted
+            assert same_grid(parse_bgr(data), BoxGrid(grid.bounds, 8, ~grid.bits))
+            assert data[:] == path.read_bytes()
+        finally:
+            data.close()
+
+    @pytest.mark.parametrize("breaks", ["LF", "CR LF"])
+    def test_bad_row_after_a_released_block_is_a_format_error(self, tmp_path, capsys, breaks):
+        path = tmp_path / "g.bgr"
+        written_grid(path, 10, 6, breaks)
+        text = bytearray(path.read_bytes())
+        stride = 1024 + len(BREAKS[breaks](b"\n"))
+        text[text.index(b"\n") + 1 + 700 * stride + 5] = ord("2")  # row 700, the third block
+        path.write_bytes(bytes(text))
+        assert run("dim", "--in", str(path)) == 4
+        assert capsys.readouterr() == ("", "error: bad grid row on line 702\n")
+
+
+#: Run in a fresh interpreter: VmHWM growth over a level-12 read and count, and the top count.
+PEAK_OF_DIM = """
+import sys
+from dustlab.boxdim import ScaleSchedule, box_counts
+from dustlab.formats import read_bgr
+
+def high_water():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) << 10
+
+before = high_water()
+counts = box_counts(read_bgr(sys.argv[1]), ScaleSchedule.span(2, 12, 2))
+print(high_water() - before, counts[12])
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status") or not hasattr(mmap, "MADV_DONTNEED"),
+                    reason="needs /proc/self/status and MADV_DONTNEED")
+def test_level_12_dim_holds_one_grid(tmp_path):
+    # the file's pages go as the rows are decoded, and the count halves 12 -> 10 in one pass,
+    # so the peak grows by the grid and a few MB, not by the file and a level-11 grid as well
+    n = 1 << 12
+    bits = np.zeros((n, n), dtype=bool)
+    bits[::3, ::5] = True
+    write_bgr(BoxGrid(Square.unit(), 12, bits), tmp_path / "g.bgr")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", PEAK_OF_DIM, str(tmp_path / "g.bgr")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    grown, top = map(int, proc.stdout.split())
+    assert top == np.count_nonzero(bits)
+    assert grown < n * n + (6 << 20), grown / 2**20
 
 
 #: One complete argv per subcommand.

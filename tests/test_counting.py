@@ -93,9 +93,9 @@ SETTINGS = settings(max_examples=150, deadline=None,
 
 
 def reference_downsample(bits: np.ndarray, level: int, target: int) -> np.ndarray:
+    """Each 2^(level - target) square block of ``bits`` ORed into one cell."""
     f = 1 << (level - target)
-    n = 1 << target
-    return bits.reshape(n, f, n, f).any(axis=(1, 3))
+    return bits.reshape(bits.shape[0] // f, f, bits.shape[1] // f, f).any(axis=(1, 3))
 
 
 def reference_halve(bits: np.ndarray) -> np.ndarray:
@@ -1028,18 +1028,23 @@ def read_only(bits: np.ndarray) -> np.ndarray:
     return bits
 
 
-def check_halve(layout, band, rows, cols, seed, density):
-    """``halve`` with ``_HALVE_BAND`` set to ``band`` against the two-slice reference."""
-    r, c = 2 * rows, 2 * cols
+def check_halve(layout, band, rows, cols, seed, density, k=1):
+    """``halve(bits, k)`` with ``_HALVE_BAND`` set to ``band`` against k two-slice halvings
+    and against the block reduction."""
+    r, c = rows << k, cols << k
     side = 2 * (r + c) + 4
     source = np.random.default_rng(seed).random((side, side)) < density
     bits = HALVE_LAYOUTS[layout](r, c, source)
     before = bits.copy()
     assert bits.shape == (r, c)
     with mock.patch.object(geometry, "_HALVE_BAND", band):
-        half = halve(bits)
+        half = halve(bits, k)
+    expected = bits
+    for _ in range(k):
+        expected = reference_halve(expected)
     assert half.dtype == bool and half.shape == (rows, cols)
-    assert np.array_equal(half, reference_halve(bits))
+    assert np.array_equal(half, expected)
+    assert np.array_equal(half, reference_downsample(bits, k, 0))
     assert np.array_equal(bits, before)
 
 
@@ -1063,6 +1068,54 @@ def test_halve_over_several_bands_matches_two_slice_reference(layout, band, rows
     check_halve(layout, band, rows, cols, seed, density)
 
 
+@pytest.mark.parametrize("band", [geometry._HALVE_BAND, 5, 40])
+@pytest.mark.parametrize("layout", HALVE_LAYOUTS)
+@pytest.mark.parametrize("k", [1, 2, 3])
+@settings(max_examples=30, deadline=None)
+@given(rows=st.integers(0, 9), cols=st.integers(0, 9), seed=st.integers(0, 2**32 - 1),
+       density=densities)
+def test_halve_of_several_levels_matches_block_reduction(k, layout, band, rows, cols, seed,
+                                                          density):
+    # 2^k rows go into one band row and are read as one 2^k-cell word per block; a low band
+    # splits them into several bands or gives each block row its own
+    check_halve(layout, band, rows, cols, seed, density, k)
+
+
+def step_schedules(level: int):
+    """Schedules ``span(lo, hi, step)`` of at least three levels, hi at or below ``level``."""
+    return st.integers(1, level // 2).flatmap(
+        lambda step: st.integers(0, level - 2 * step).flatmap(
+            lambda lo: st.integers(lo + 2 * step, level).map(
+                lambda hi: ScaleSchedule.span(lo, hi, step))))
+
+
+def one_level_counts(bits: np.ndarray, level: int, schedule: ScaleSchedule) -> dict[int, int]:
+    """Counts per schedule level of ``bits`` halved one level at a time by ``reference_halve``."""
+    halvings = [bits]
+    while len(halvings) <= level:
+        halvings.append(reference_halve(halvings[-1]))
+    return {m: int(np.count_nonzero(halvings[level - m])) for m in schedule.levels}
+
+
+@SETTINGS
+@given(level=st.integers(2, 10), data=st.data(), seed=st.integers(0, 2**32 - 1),
+       density=densities)
+def test_window_counts_that_skip_levels_match_one_level_halving(level, data, seed, density):
+    # window_counts halves by up to 3 levels a pass, straight to the next schedule level
+    schedule = data.draw(st.one_of(step_schedules(level), schedules(level)))
+    bits = random_bits(seed, level, density)
+    assert window_counts(bits, level, schedule) == one_level_counts(bits, level, schedule)
+    # a window of whole cells at the coarsest schedule level counts as the grid with the
+    # rest cleared
+    f = 1 << (level - schedule.levels[0])
+    y0, y1 = sorted(data.draw(st.integers(0, len(bits) // f), label="rows") for _ in range(2))
+    x0, x1 = sorted(data.draw(st.integers(0, len(bits) // f), label="cols") for _ in range(2))
+    cleared = np.zeros_like(bits)
+    cleared[y0 * f:y1 * f, x0 * f:x1 * f] = bits[y0 * f:y1 * f, x0 * f:x1 * f]
+    assert (window_counts(bits[y0 * f:y1 * f, x0 * f:x1 * f], level, schedule)
+            == one_level_counts(cleared, level, schedule))
+
+
 @pytest.mark.parametrize("density", [0.001, 0.3])
 def test_box_counts_past_one_halve_band_match_block_reduction(density):
     level = 11
@@ -1081,9 +1134,9 @@ def test_one_overlap_call_halves_each_shape_once(monkeypatch):
     expected = [list(trial_counts(target, copy, 0.4, iso, schedule).values()) for iso in isos]
     shapes = []
 
-    def counted(bits):
+    def counted(bits, k=1):
         shapes.append(bits.shape)
-        return halve(bits)
+        return halve(bits, k)
 
     # boxdim builds the pyramid; a halving anywhere in geometry would be counted too
     monkeypatch.setattr(boxdim, "halve", counted)
