@@ -43,9 +43,9 @@ class ScaleSchedule:
         return ScaleSchedule(tuple(range(lo, hi + 1, step)))
 
     @staticmethod
-    def default_for(grid: BoxGrid) -> "ScaleSchedule":
-        lo = 2 if grid.level >= 4 else 0
-        return ScaleSchedule.span(lo, grid.level)
+    def default_for(level: int) -> "ScaleSchedule":
+        """Levels 2 to ``level`` (0 to ``level`` below level 4) for a level-``level`` grid."""
+        return ScaleSchedule.span(2 if level >= 4 else 0, level)
 
     @staticmethod
     def resolving(grid: BoxGrid, extent: float, floor: int = 2, finer: int = 0) -> "ScaleSchedule":

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 
 from . import formats
-from .boxdim import ScaleSchedule, box_counts, counts_csv_lines, estimate_dimension
+from .boxdim import ScaleSchedule, counts_csv_lines, estimate_dimension, window_counts
 from .cantor import CantorApproximant, alpha_for_dimension, cantor_dimension, generate_cantor
 from .composite import check_pipeline, run_pipeline
 from .errors import DustError, FormatError, ParameterError
@@ -103,19 +104,46 @@ def cmd_gen(args) -> int:
 
 
 def cmd_dim(args) -> int:
-    schedule = None if args.levels is None else _parse_levels(args.levels)
+    """Box-count a grid file a band of rows at a time, never holding the whole grid.
+
+    The bands' counts add up to the grid's (``_band_rows``), so the table
+    is the whole grid's.  A malformed file is reported before a schedule
+    that does not fit its level.
+    """
+    levels = None if args.levels is None else _parse_levels(args.levels)
     window = None if args.window is None else _parse_window(args.window)
-    grid = formats.read_bgr(args.infile)
-    schedule = schedule or ScaleSchedule.default_for(grid)
-    counts = box_counts(grid, schedule)
-    est = estimate_dimension(counts, window=window, side=grid.bounds.side)
+    reader = formats.read_bgr_bands(args.infile, lambda level: _band_rows(levels, level))
+    bounds, level = next(reader)
+    counts = Counter()
+    for band in reader:
+        # resolved once a band's rows are checked: when no schedule fits, that band is the grid
+        schedule = levels or ScaleSchedule.default_for(level)
+        counts.update(window_counts(band, level, schedule))
+    est = estimate_dimension(counts, window=window, side=bounds.side)
     lines = [_config_line(args, resolved_levels=",".join(map(str, schedule.levels)))]
-    lines += counts_csv_lines(counts, side=grid.bounds.side)
+    lines += counts_csv_lines(counts, side=bounds.side)
     lines.append(est.summary_line() + (",empty" if est.empty else ""))
     if args.out:
         _write_lines(args.out, lines)
     print("\n".join(lines))
     return 0
+
+
+def _band_rows(levels: ScaleSchedule | None, level: int) -> int:
+    """Rows of ``cmd_dim``'s bands of a level-``level`` grid, for ``levels`` or the default schedule.
+
+    A band is 2**(level - lo) rows, lo the schedule's coarsest level, so
+    that it splits into whole cells at every schedule level and the bands'
+    counts add up to the grid's (``window_counts``).  When the schedule
+    does not fit the grid, the band is the whole grid: its rows are all
+    checked before the schedule is refused, so a malformed file is
+    reported first.
+    """
+    try:
+        lo, *_, hi = (levels or ScaleSchedule.default_for(level)).levels
+    except ParameterError:
+        return 1 << level
+    return 1 << (level - lo if hi <= level else level)
 
 
 def cmd_john(args) -> int:

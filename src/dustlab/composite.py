@@ -371,7 +371,7 @@ def assemble_composite(E: BoxGrid, chain: AnnulusChain, placements):
     g_grid = BoxGrid.adopt(E.bounds, E.level, bits)
     eprime = grid_intersection(g_grid, E)
 
-    dim_e = estimate_dimension(box_counts(E, ScaleSchedule.default_for(E)), side=E.bounds.side)
+    dim_e = estimate_dimension(box_counts(E, ScaleSchedule.default_for(E.level)), side=E.bounds.side)
     dim_eprime = _union_estimate(eprime, max(p.diameter for p in placements))
     containment = bool(np.all(~eprime.bits | E.bits))
     report = ConstructionReport(
@@ -461,7 +461,7 @@ def _single_point_result(E: BoxGrid, dim_e: DimensionEstimate) -> PipelineResult
     bits[iy, ix] = True
     eprime = BoxGrid.adopt(E.bounds, E.level, bits)
     point = E.cell_center(int(ix), int(iy))
-    counts = box_counts(eprime, ScaleSchedule.default_for(E))
+    counts = box_counts(eprime, ScaleSchedule.default_for(E.level))
     dim_ep = estimate_dimension(counts, side=E.bounds.side)
     plan = CompositePlan(point, (E.bounds.side / 2.0,), (), (), ())  # no annuli
     report = ConstructionReport(dim_e, dim_ep, {}, True, True)
@@ -494,7 +494,7 @@ def run_pipeline(E: BoxGrid, annuli: int = 6, trials: int = 480, seed: int = 0,
     if E.is_empty():
         raise ParameterError("input set has no occupied cells")
     check_pipeline(annuli, trials, min_mass, seed, jobs)
-    dim_e = estimate_dimension(box_counts(E, ScaleSchedule.default_for(E)), side=E.bounds.side)
+    dim_e = estimate_dimension(box_counts(E, ScaleSchedule.default_for(E.level)), side=E.bounds.side)
     if E.occupied_count < min_mass or dim_e.slope < 0.05:
         return _single_point_result(E, dim_e)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import mmap
 import re
+from typing import Callable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -61,11 +62,14 @@ def _read(data: bytes | str, magic: str, what: str, types,
     ``width``, a function of the fields, checks them and gives w, the
     length of every line.  The lines must each be w bytes followed by the
     header's break, the last break optional; their breaks are checked by
-    a strided compare and no line is copied, and the offset is the byte of
-    ``data`` where line 0 starts.  When they are not, the file is read
-    again with one LF per break, which decides; the lines are then a view
-    of that copy, the offset is None, and a map ``data`` is released whole
-    (``_release``), since nothing reads it again.
+    a strided compare, a block of lines at a time, and no line is copied
+    (``_lines``); the offset is the byte of ``data`` where line 0 starts.
+    A read-only map ``data`` holds about one block of lines through the
+    check, since each checked block's pages are released.  When the lines
+    are not so, the file is read again with one LF per break, which
+    decides; the lines are then a view of that copy, the offset is None,
+    and a map ``data`` is released whole (``_release``), since nothing
+    reads it again.
     """
     raw = data.encode() if isinstance(data, str) else data
     buf = np.frombuffer(raw, dtype=np.uint8)
@@ -74,7 +78,7 @@ def _read(data: bytes | str, magic: str, what: str, types,
     fields = _header(buf[:end], magic, what, types)
     w = width(*fields)
     offset = end + len(brk)
-    lines = _lines(buf, offset, w, brk)
+    lines = _lines(buf, offset, w, brk, data)
     if lines is None:  # not every break is the header's, or a line is not w bytes long
         offset, copy = None, _one_lf_per_break(buf)
         _release(data, len(raw))
@@ -101,8 +105,17 @@ def _release(data, stop: int, start: int = 0) -> int:
     return max(start, stop)
 
 
-def _lines(buf: np.ndarray, start: int, width: int, brk: bytes) -> np.ndarray | None:
-    """Lines from ``start`` on, each ``width`` bytes and ``brk``, as an (n, width) view; else None."""
+def _lines(buf: np.ndarray, start: int, width: int, brk: bytes, data=None) -> np.ndarray | None:
+    """Lines from ``start`` on, each ``width`` bytes and ``brk``, as an (n, width) view; else None.
+
+    The breaks are compared BGR_BLOCK_ROWS lines at a time.  A compare
+    touches one byte a line, about one page, so when ``buf`` is a
+    read-only view of a file map ``data`` the pages of each checked block
+    are released (``_release``) before the next block is compared: they
+    read the file again, so the rows decoded later are the same bytes.
+    A writable map may hold bytes written to it alone, which a released
+    page would lose, so it keeps its pages until they are decoded.
+    """
     if start >= len(buf):
         return np.empty((0, width), dtype=np.uint8)
     ends = buf[len(buf) - len(brk):].tobytes() == brk
@@ -111,8 +124,15 @@ def _lines(buf: np.ndarray, start: int, width: int, brk: bytes) -> np.ndarray | 
     stride = width + len(brk)
     stop = len(buf) if ends else len(buf) + len(brk)  # as if the last break were there
     n, rest = divmod(stop - start, stride)
-    if rest or not all((buf[start + width + j::stride] == b).all() for j, b in enumerate(brk)):
+    if rest:
         return None
+    released = 0  # bytes of data before this are released
+    for first in range(0, n, BGR_BLOCK_ROWS):
+        block = buf[start + first * stride:start + (first + BGR_BLOCK_ROWS) * stride]
+        if not all((block[width + j::stride] == b).all() for j, b in enumerate(brk)):
+            return None
+        if not buf.flags.writeable:
+            released = _release(data, start + (first + BGR_BLOCK_ROWS) * stride, released)
     return as_strided(buf[start:], (n, width), (stride, 1), writeable=False)
 
 
@@ -143,20 +163,24 @@ def _header(header: np.ndarray, magic: str, what: str, types) -> list:
 
 
 def _decode(lines: np.ndarray, letters: np.ndarray, what: str, out: np.ndarray | None = None,
-            data=None, offset: int | None = None) -> np.ndarray:
-    """Lines of letters as codes, a letter's index in ``letters``, BGR_BLOCK_ROWS lines at a time.
+            first: int = 0, data=None, offset: int | None = None) -> np.ndarray:
+    """Lines of letters from line ``first`` on as codes, a letter's index in ``letters``.
 
-    The codes fill the rows of ``out``, or of a new uint8 array.  When the
-    lines are a strided view of ``data`` from byte ``offset`` on (``_read``)
-    and ``data`` is a file map, the pages of each decoded block are
-    released (``_release``) before the next block is read, so a read
-    holds about one grid plus one block, not the file as well.
+    The codes fill the rows of ``out``, as many lines as it has rows, or
+    of a new uint8 array for every line, BGR_BLOCK_ROWS lines at a time.
+    When the lines are a strided view of ``data`` from byte ``offset`` on
+    (``_read``) and ``data`` is a file map, the pages of each decoded
+    block are released (``_release``) before the next block is read, so a
+    read holds about its output plus one block, not the file as well.
     """
     out = np.empty(lines.shape, dtype=np.uint8) if out is None else out
-    released = 0  # bytes of data before this are released
-    for start in range(0, len(lines), BGR_BLOCK_ROWS):
-        rows = out[start:start + BGR_BLOCK_ROWS]
-        np.subtract(lines[start:start + BGR_BLOCK_ROWS], letters[0], out=rows)
+    released = 0  # bytes of data before this are released or read already
+    if offset is not None:  # from the page that holds line ``first``'s first byte
+        released = offset + first * lines.strides[0]
+        released -= released % mmap.PAGESIZE
+    for start in range(first, first + len(out), BGR_BLOCK_ROWS):
+        rows = out[start - first:start - first + BGR_BLOCK_ROWS]
+        np.subtract(lines[start:start + len(rows)], letters[0], out=rows)
         if rows.max(initial=0) >= len(letters):  # a byte below the first letter wraps past them
             bad = start + np.flatnonzero((rows >= len(letters)).any(axis=1))[0]
             raise FormatError(f"bad {what} on line {bad + 2}")
@@ -176,22 +200,49 @@ def dump_bgr(grid: BoxGrid) -> str:
     return b"".join(_bgr_chunks(grid)).decode("ascii")
 
 
-def parse_bgr(data: bytes | str) -> BoxGrid:
-    """Read BGR v1 from text or a bytes-like object, such as a map of a file.
+def _bands(data: bytes | str, rows: Callable[[int], int] | None = None) -> Iterator:
+    """The header of BGR v1 ``data`` as ``(bounds, level)``, then its rows decoded a band at a time.
 
-    The grid owns its bits: it holds no view of ``data``.  From a map, the
-    pages of the rows already decoded are released as decoding goes
-    (``_decode``), so the read peaks at about one grid plus one block of
-    rows; the map stays open and readable.
+    ``data`` is text or a bytes-like object, such as a map of a file.  A
+    band is h = ``rows(level)`` rows (the last one fewer when h does not
+    divide the n rows), or every row when ``rows`` is None, and is yielded
+    as a bool array in grid order: the k-th band holds the grid's rows
+    ``[n - (k + 1) * h, n - k * h)``, top band first, as the file holds
+    them.  Every band is decoded into the same array, which is
+    overwritten when the next band is read.  The whole file is checked
+    before the header is yielded, but for the row letters, which each
+    band checks as it is decoded (``_decode``); from a map, the pages of
+    the rows already decoded are released as decoding goes.
     """
     (m, cx, cy, side), lines, offset = _read(data, "bgr", "grid", (int, float, float, float),
                                              _grid_width)
     n = len(lines)
     if n != 1 << min(m, 64):  # a file holds fewer than 2**64 lines
         raise FormatError(f"expected 2**{m} grid rows, found {n}")
-    bits = np.empty((n, n), dtype=bool)
-    _decode(lines, _BITS, "grid row", bits[::-1].view(np.uint8), data, offset)
-    return BoxGrid.adopt(Square((cx, cy), side), m, bits)
+    yield Square((cx, cy), side), m
+    band = np.empty((n if rows is None else min(rows(m), n), n), dtype=bool)
+    for start in range(0, n, len(band)):  # file order runs from the top row down
+        part = band[:n - start]
+        _decode(lines, _BITS, "grid row", part[::-1].view(np.uint8), start, data, offset)
+        yield part
+
+
+def _grid(reader: Iterator) -> BoxGrid:
+    """The grid of a ``_bands`` reader that reads every row in one band."""
+    bounds, level = next(reader)
+    (bits,) = reader
+    return BoxGrid.adopt(bounds, level, bits)
+
+
+def parse_bgr(data: bytes | str) -> BoxGrid:
+    """Read BGR v1 from text or a bytes-like object, such as a map of a file.
+
+    The grid owns its bits: it holds no view of ``data``.  It is the one
+    band of ``_bands``: from a map, the pages of the rows already decoded
+    are released as decoding goes, so the read peaks at about one grid
+    plus one block of rows; the map stays open and readable.
+    """
+    return _grid(_bands(data))
 
 
 def _grid_width(m: int, cx: float, cy: float, side: float) -> int:
@@ -202,13 +253,15 @@ def _grid_width(m: int, cx: float, cy: float, side: float) -> int:
     return 1 << min(m, 62)  # a larger level is refused by its row count
 
 
-def read_bgr(path) -> BoxGrid:
-    """Read a BGR v1 file through a read-only map of it, so the file is not copied.
+def read_bgr_bands(path, rows: Callable[[int], int] | None = None) -> Iterator:
+    """Read a BGR v1 file a band of rows at a time: ``(bounds, level)``, then the bands (``_bands``).
 
-    The map's pages are released block by block as the rows are decoded
-    (``parse_bgr``), so the read holds about one grid plus one block of
-    rows, not the file as well.  A file that cannot be mapped, such as an
-    empty file or a FIFO, is read whole.  A CAD file is refused by name.
+    ``rows`` gives the rows of a band from the grid's level, or None reads
+    every row in one band.  The file is read through a read-only map of
+    it, so it is not copied, and its pages are released as they are
+    checked and decoded: the read holds about one band and one block of
+    rows.  A file that cannot be mapped, such as an empty file or a FIFO,
+    is read whole.  A CAD file is refused by name.
     """
     with open(path, "rb") as fh:
         try:
@@ -217,12 +270,18 @@ def read_bgr(path) -> BoxGrid:
             data = fh.read()
     if data[:4] == b"cad ":
         raise FormatError("expected a bgr grid file; rasterize addresses with gen --grid-out first")
-    grid = parse_bgr(data)
-    # closed on success only: an error's traceback holds views of the map, which then
-    # closes with the last of them, and closing it under the error raises BufferError
+    yield from _bands(data, rows)
+    # closed once every band is read, and on success only: an error's traceback holds views
+    # of the map, which then closes with the last of them, and closing it under the error
+    # raises BufferError
     if isinstance(data, mmap.mmap):
         data.close()
-    return grid
+
+
+def read_bgr(path) -> BoxGrid:
+    """Read a BGR v1 file as one band of ``read_bgr_bands``: the read holds about one grid plus
+    one block of rows, not the file as well."""
+    return _grid(read_bgr_bands(path))
 
 
 def write_bgr(grid: BoxGrid, path) -> None:

@@ -112,7 +112,7 @@ def intersection_dimension(a: BoxGrid, b: CantorApproximant, iso: Isometry) -> D
     per-trial slopes are comparable with it.  The copy keeps its unit
     frame: diameter sqrt(2) scales it by exactly 1.
     """
-    schedule = ScaleSchedule.default_for(a)
+    schedule = ScaleSchedule.default_for(a.level)
     motion = (np.array([iso.theta]), np.array([iso.reflect]), np.array([iso.z]))
     (counts,) = overlap_counts(a, scaled_quads(b, SQRT2), motion, schedule).tolist()
     return estimate_dimension(dict(zip(schedule.levels, counts)), side=a.bounds.side)
@@ -144,7 +144,7 @@ def mattila_survey(a: BoxGrid, b: CantorApproximant, trials: int, tolerance: flo
     if a.is_empty():
         raise ParameterError("set A has no occupied cells")
     if s is None:
-        s = estimate_dimension(box_counts(a, ScaleSchedule.default_for(a)), side=a.bounds.side).slope
+        s = estimate_dimension(box_counts(a, ScaleSchedule.default_for(a.level)), side=a.bounds.side).slope
     t = cantor_dimension(b.alpha)  # in (0, 2) for every valid ratio
     if not 0.0 < s < 2.0:
         raise ParameterError(f"hypothesis 0 < s < 2 violated: s={s:.6g}")
@@ -155,7 +155,7 @@ def mattila_survey(a: BoxGrid, b: CantorApproximant, trials: int, tolerance: flo
     window = default_survey_window(a)
     threshold = s + t - 2.0
     floor = threshold - tolerance
-    schedule = ScaleSchedule.default_for(a)
+    schedule = ScaleSchedule.default_for(a.level)
     motions = trial_motions(window, seed, trials)
     counts = overlap_counts(a, scaled_quads(b, SQRT2), motions, schedule, jobs)
     slope, _, _, empty, _ = fit_dimensions(schedule.levels, counts, side=a.bounds.side)

@@ -3,12 +3,17 @@ import os
 import subprocess
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dustlab import cli, formats
+from dustlab.boxdim import (ScaleSchedule, box_counts, counts_csv_lines, estimate_dimension,
+                            window_counts)
 from dustlab.cli import main
 from dustlab.errors import (AssemblyError, BudgetError, ConstructionError, DustError, FormatError,
                             ParameterError, PlacementError, RingUndeterminedError)
@@ -130,7 +135,7 @@ class TestDim:
         ("2,4,-6", "levels must be strictly increasing and nonnegative, got (2, 4, -6)")])
     def test_invalid_schedule_reports_its_own_reason(self, tmp_path, capsys, monkeypatch, levels,
                                                      message):
-        monkeypatch.setattr(formats, "read_bgr", unreachable)
+        monkeypatch.setattr(formats, "read_bgr_bands", unreachable)
         out = tmp_path / "report.csv"
         assert run("dim", "--in", "unused.bgr", "--levels", levels, "--out", str(out)) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -138,7 +143,7 @@ class TestDim:
 
     @pytest.mark.parametrize("levels", ["2:8:0", "2:", "a:b", "1,2,x"])
     def test_malformed_schedule_is_usage_error(self, tmp_path, capsys, monkeypatch, levels):
-        monkeypatch.setattr(formats, "read_bgr", unreachable)
+        monkeypatch.setattr(formats, "read_bgr_bands", unreachable)
         assert run("dim", "--in", "unused.bgr", "--levels", levels) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: bad level schedule {levels!r}") and "Traceback" not in err
@@ -146,7 +151,7 @@ class TestDim:
     @pytest.mark.parametrize("levels", ["2:8:2:9", "2:8:1:1", "0:9:3:0:0"])
     def test_span_of_more_than_three_fields_is_refused(self, tmp_path, capsys, monkeypatch, levels):
         # no field past the step is dropped: the span is refused before the grid is read
-        monkeypatch.setattr(formats, "read_bgr", unreachable)
+        monkeypatch.setattr(formats, "read_bgr_bands", unreachable)
         out = tmp_path / "report.csv"
         assert run("dim", "--in", "unused.bgr", "--levels", levels, "--out", str(out)) == 2
         err = capsys.readouterr().err
@@ -158,7 +163,7 @@ class TestDim:
     def test_empty_schedule_or_window_is_refused(self, tmp_path, capsys, monkeypatch, flag,
                                                  message):
         # an empty value is a malformed one, not a request for the default
-        monkeypatch.setattr(formats, "read_bgr", unreachable)
+        monkeypatch.setattr(formats, "read_bgr_bands", unreachable)
         out = tmp_path / "report.csv"
         assert run("dim", "--in", "unused.bgr", flag, "", "--out", str(out)) == 2
         err = capsys.readouterr().err
@@ -166,7 +171,7 @@ class TestDim:
         assert not out.exists()
 
     def test_malformed_window_is_refused_before_the_grid_is_read(self, capsys, monkeypatch):
-        monkeypatch.setattr(formats, "read_bgr", unreachable)
+        monkeypatch.setattr(formats, "read_bgr_bands", unreachable)
         assert run("dim", "--in", "unused.bgr", "--window", "a:b") == 2
         assert capsys.readouterr().err.startswith("error: bad fit window")
 
@@ -480,12 +485,23 @@ def test_non_utf8_grid_is_io_error(tmp_path, capsys, command, data):
 
 
 def loaded(monkeypatch):
-    """List that gets each grid ``read_bgr`` returns and the type of data ``parse_bgr`` reads."""
+    """List that gets the type of data each grid file read decodes (``formats._bands``) and each
+    grid ``read_bgr`` returns."""
     seen = []
-    load, parse = formats.read_bgr, formats.parse_bgr
+    load, bands = formats.read_bgr, formats._bands
     monkeypatch.setattr(formats, "read_bgr", lambda path: seen.append(load(path)) or seen[-1])
-    monkeypatch.setattr(formats, "parse_bgr", lambda data: seen.append(type(data)) or parse(data))
+    monkeypatch.setattr(formats, "_bands",
+                        lambda data, rows=None: seen.append(type(data)) or bands(data, rows))
     return seen
+
+
+def parsed_table(data: bytes, levels: str | None = None) -> list[str]:
+    """The lines after its config echo that ``dim`` prints for the grid ``parse_bgr(data)``."""
+    grid = parse_bgr(data)
+    schedule = cli._parse_levels(levels) if levels else ScaleSchedule.default_for(grid.level)
+    counts = box_counts(grid, schedule)
+    est = estimate_dimension(counts, side=grid.bounds.side)
+    return counts_csv_lines(counts, grid.bounds.side) + [est.summary_line() + (",empty" if est.empty else "")]
 
 
 #: A written grid's text -> the same grid with each break rewritten: LF, CR LF, CR, mixed.
@@ -497,31 +513,56 @@ BREAKS = {
                                    for k, line in enumerate(text.splitlines())),
 }
 
+#: Commands that read a whole grid file, ``{grid}`` its path and ``{prefix}`` an output prefix; a
+#: random grid may leave ``construct`` an annulus it cannot fill (exit 3), after the read.
+WHOLE_GRID_READERS = {
+    "mattila": (["mattila", "--a-in", "{grid}", "--b-dim", "1.7", "--b-depth", "3", "--trials", "2",
+                 "--seed", "1"], (0,)),
+    "construct": (["construct", "--in", "{grid}", "--annuli", "2", "--trials", "8", "--min-mass", "1",
+                   "--seed", "1", "--out-prefix", "{prefix}"], (0, 3)),
+}
+
+
+def read_whole(seen: list, path, prefix) -> list:
+    """Per ``WHOLE_GRID_READERS`` command run on ``path``, what ``loaded``'s list ``seen`` got."""
+    got = []
+    for argv, codes in WHOLE_GRID_READERS.values():
+        seen.clear()
+        assert run(*[a.format(grid=path, prefix=prefix) for a in argv]) in codes
+        got.append(list(seen))
+    return got
+
 
 class TestMappedGrid:
     @pytest.mark.parametrize("breaks", BREAKS)
-    def test_breaks_load_as_parsed(self, tmp_path, monkeypatch, breaks):
+    def test_breaks_load_as_parsed(self, tmp_path, monkeypatch, capsys, breaks):
         path = tmp_path / "g.bgr"
         write_bgr(BoxGrid(Square((0.5, -2.0), 3.0), 6,
                           np.random.default_rng(5).random((64, 64)) < 0.3), path)
         path.write_bytes(BREAKS[breaks](path.read_bytes()))
-        seen = loaded(monkeypatch)
-        assert run("dim", "--in", str(path)) == 0
-        assert seen[0] is mmap.mmap
         expected = parse_bgr(path.read_bytes())
-        grid = seen[1]
-        assert (grid.bounds, grid.level) == (expected.bounds, expected.level)
-        assert np.array_equal(grid.bits, expected.bits)
+        seen = loaded(monkeypatch)
+        for got in read_whole(seen, path, tmp_path / "run"):
+            assert got[0] is mmap.mmap
+            grid = got[1]
+            assert (grid.bounds, grid.level) == (expected.bounds, expected.level)
+            assert np.array_equal(grid.bits, expected.bits)
+        # dim reads the file in bands, through the same map, and counts the parsed grid's counts
+        seen.clear()
+        capsys.readouterr()
+        assert run("dim", "--in", str(path)) == 0
+        assert seen == [mmap.mmap]
+        assert capsys.readouterr().out.splitlines()[1:] == parsed_table(path.read_bytes())
 
     def test_grid_outlives_its_file(self, tmp_path, monkeypatch):
         path = tmp_path / "g.bgr"
         bits = np.random.default_rng(6).random((32, 32)) < 0.5
         write_bgr(BoxGrid(Square.unit(), 5, bits), path)
         seen = loaded(monkeypatch)
-        assert run("dim", "--in", str(path)) == 0
+        grids = [got[1] for got in read_whole(seen, path, tmp_path / "run")]
         with open(path, "r+b") as fh:  # in place, so a view of the file's map would change
             fh.write(formats.dump_bgr(BoxGrid(Square.unit(), 5, ~bits)).encode())
-        assert np.array_equal(seen[1].bits, bits)
+        assert all(np.array_equal(grid.bits, bits) for grid in grids)
 
     @pytest.mark.parametrize("data, message", [
         (b"", "error: bad grid header b''\n"),
@@ -538,6 +579,7 @@ class TestMappedGrid:
         capsys.readouterr()
         assert run("dim", "--in", str(dust_bgr), "--levels", "2:8:2") == 0
         table = capsys.readouterr().out.splitlines()[1:]  # line 1 echoes the input path
+        assert table == parsed_table(dust_bgr.read_bytes(), "2:8:2")
         fifo = tmp_path / "pipe"
         os.mkfifo(fifo)
         feeder = threading.Thread(target=fifo.write_bytes, args=(dust_bgr.read_bytes(),),
@@ -628,6 +670,112 @@ class TestReleasedPages:
         assert capsys.readouterr() == ("", "error: bad grid row on line 702\n")
 
 
+@st.composite
+def banded_grids(draw):
+    """(grid, schedule levels or None, rows per band): a schedule's bands are 2**(level - lo) rows."""
+    level = draw(st.integers(0, 9))
+    n = 1 << level
+    density = draw(st.sampled_from([0.0, 0.3, 1.0]))  # empty, random, full
+    grid = BoxGrid(Square((0.5, -2.0), 3.0), level,
+                   np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).random((n, n)) < density)
+    if level < 2:  # no schedule fits: bands of any height
+        return grid, None, 1 << draw(st.integers(0, level))
+    levels = tuple(sorted(draw(st.sets(st.integers(0, level), min_size=3))))
+    if draw(st.booleans()):  # a regular schedule
+        lo = draw(st.integers(0, level - 2))
+        levels = tuple(range(lo, level + 1, draw(st.integers(1, (level - lo) // 2))))
+    return grid, levels, 1 << level - levels[0]
+
+
+def irregular_grid(level: int) -> BoxGrid:
+    n = 1 << level
+    return BoxGrid(Square.unit(), level, np.random.default_rng(level).random((n, n)) < 0.1)
+
+
+class TestBands:
+    """``read_bgr_bands`` splits a grid file into bands whose counts add up to the grid's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(banded_grids())
+    @example((irregular_grid(9), (3, 7, 9), 1 << 6))
+    @example((irregular_grid(9), tuple(range(10)), 1 << 9))  # lo = 0: a single band
+    @example((BoxGrid.empty(Square.unit(), 5), (1, 3, 5), 1 << 4))
+    @example((BoxGrid(Square.unit(), 4, np.ones((16, 16), dtype=bool)), (2, 3, 4), 1 << 2))
+    @example((irregular_grid(3), None, 3))  # bands of 3, 3 and 2 rows
+    def test_file_order_bands_add_up_to_box_counts(self, tmp_path_factory, case):
+        grid, levels, rows = case
+        path = tmp_path_factory.mktemp("bands") / "g.bgr"
+        write_bgr(grid, path)
+        reader = formats.read_bgr_bands(path, lambda level: rows)
+        assert next(reader) == (grid.bounds, grid.level)
+        bands = [band.copy() for band in reader]  # each band is read into the same array
+        assert [len(band) for band in bands] == [min(rows, grid.size - s) for s in range(0, grid.size, rows)]
+        assert np.array_equal(np.concatenate(bands[::-1]), grid.bits)  # top band first
+        if levels is not None:
+            schedule, counts = ScaleSchedule(levels), Counter()
+            for band in bands:
+                counts.update(window_counts(band, grid.level, schedule))
+            assert dict(counts) == box_counts(grid, schedule)
+
+    @pytest.mark.parametrize("breaks", ["LF", "CR"])
+    def test_bad_row_in_the_third_band_is_a_format_error(self, tmp_path, capsys, breaks):
+        # 2:10:2 reads 256-row bands; row 600 is in the third, after two have been counted
+        path, out = tmp_path / "g.bgr", tmp_path / "dim.csv"
+        written_grid(path, 10, 7, breaks)
+        text = bytearray(path.read_bytes())
+        text[text.index(BREAKS[breaks](b"\n")) + 1 + 600 * (1024 + 1) + 9] = ord("x")
+        path.write_bytes(bytes(text))
+        assert run("dim", "--in", str(path), "--levels", "2:10:2", "--out", str(out)) == 4
+        out_text, err = capsys.readouterr()
+        assert (out_text, err) == ("", "error: bad grid row on line 602\n")
+        assert "Traceback" not in err and "BufferError" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("levels", ["2:12:2", "11,12,13"])
+    @pytest.mark.parametrize("fault, message", [
+        ("header", "error: bad grid header b'bgr 1 10 0.5 -2.0 three'\n"),
+        ("row", "error: bad grid row on line 702\n")])
+    def test_malformed_file_is_reported_before_a_too_fine_schedule(self, tmp_path, capsys, levels,
+                                                                   fault, message):
+        path, out = tmp_path / "g.bgr", tmp_path / "dim.csv"
+        written_grid(path, 10, 8)
+        text = bytearray(path.read_bytes())
+        if fault == "header":
+            text[:text.index(b"\n")] = b"bgr 1 10 0.5 -2.0 three"
+        else:
+            text[text.index(b"\n") + 1 + 700 * 1025] = ord("2")
+        path.write_bytes(bytes(text))
+        assert run("dim", "--in", str(path), "--levels", levels, "--out", str(out)) == 4
+        assert capsys.readouterr() == ("", message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("levels, top", [("2:12:2", 12), ("11,12,13", 13), ("0:11", 11)])
+    def test_too_fine_schedule_of_a_valid_file_is_a_usage_error(self, tmp_path, capsys, levels, top):
+        path, out = tmp_path / "g.bgr", tmp_path / "dim.csv"
+        written_grid(path, 10, 9)
+        assert run("dim", "--in", str(path), "--levels", levels, "--out", str(out)) == 2
+        assert capsys.readouterr() == ("", f"error: schedule level {top} exceeds grid resolution 10\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("block", [formats.BGR_BLOCK_ROWS, 7])
+    def test_mixed_break_past_the_first_released_block_reads_the_one_lf_copy(
+            self, tmp_path, capsys, monkeypatch, block):
+        # every break is LF but row 600's, CR LF: blocks before it are checked and released
+        # before the mismatch sends the file to the one-LF copy
+        lf, mixed = tmp_path / "lf.bgr", tmp_path / "mixed.bgr"
+        written_grid(lf, 10, 10)
+        lines = lf.read_bytes().split(b"\n")
+        lines[601] += b"\r"
+        mixed.write_bytes(b"\n".join(lines))
+        monkeypatch.setattr(formats, "BGR_BLOCK_ROWS", block)
+        tables = []
+        for path in (lf, mixed):
+            assert run("dim", "--in", str(path), "--levels", "2:10:2") == 0
+            tables.append(capsys.readouterr().out.splitlines()[1:])
+        assert tables[0] == tables[1] == parsed_table(lf.read_bytes(), "2:10:2")
+        assert same_grid(formats.read_bgr(mixed), formats.read_bgr(lf))
+
+
 #: Run in a fresh interpreter: VmHWM growth over a level-12 read and count, and the top count.
 PEAK_OF_DIM = """
 import sys
@@ -660,6 +808,44 @@ def test_level_12_dim_holds_one_grid(tmp_path):
     grown, top = map(int, proc.stdout.split())
     assert top == np.count_nonzero(bits)
     assert grown < n * n + (6 << 20), grown / 2**20
+
+
+#: Run in a fresh interpreter: VmHWM growth over a level-12 ``dim --levels 2:12:2`` after its imports.
+PEAK_OF_BANDED_DIM = """
+import sys
+from dustlab.cli import main
+
+def high_water():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) << 10
+
+before = high_water()
+code = main(["dim", "--in", sys.argv[1], "--levels", "2:12:2", "--out", sys.argv[2]])
+print(high_water() - before, code)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or not os.path.exists("/proc/self/status")
+                    or not hasattr(mmap, "MADV_DONTNEED"),
+                    reason="needs Linux /proc/self/status and MADV_DONTNEED")
+def test_level_12_dim_holds_one_band(tmp_path):
+    # dim holds one 1024-row band (4 MB) and about a block of the file's pages at a time; the
+    # whole grid, or the file's pages faulted in by the break check, would be 16 MB more
+    n = 1 << 12
+    bits = np.zeros((n, n), dtype=bool)
+    bits[::3, ::5] = True
+    write_bgr(BoxGrid(Square.unit(), 12, bits), tmp_path / "g.bgr")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", PEAK_OF_BANDED_DIM, str(tmp_path / "g.bgr"),
+                           str(tmp_path / "dim.csv")], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    grown, code = map(int, proc.stdout.splitlines()[-1].split())
+    assert code == 0
+    counts = dict(line.split(",")[::2] for line in (tmp_path / "dim.csv").read_text().splitlines()
+                  if line[:1].isdigit() and line.count(",") == 2)
+    assert int(counts["12"]) == np.count_nonzero(bits)
+    assert grown < 8 << 20, grown / 2**20
 
 
 #: One complete argv per subcommand.

@@ -35,7 +35,7 @@ def unit_square():
 
 def survey_hits(a, b, isos, tolerance=0.15):
     """How many of ``isos`` ``mattila_survey`` would score as hits on A and B."""
-    s = estimate_dimension(box_counts(a, ScaleSchedule.default_for(a)), side=a.bounds.side).slope
+    s = estimate_dimension(box_counts(a, ScaleSchedule.default_for(a.level)), side=a.bounds.side).slope
     floor = s + cantor_dimension(b.alpha) - 2.0 - tolerance
     hits = 0
     for iso in isos:
@@ -117,7 +117,7 @@ class TestIntersectionDimension:
     def test_self_intersection_matches_own_slope(self):
         a = dust_grid(0.25, 4, 8)
         est = intersection_dimension(a, generate_cantor(0.25, 4), IDENTITY)
-        own = estimate_dimension(box_counts(a, ScaleSchedule.default_for(a)))
+        own = estimate_dimension(box_counts(a, ScaleSchedule.default_for(a.level)))
         assert est.slope == pytest.approx(own.slope, abs=1e-12)
 
 
@@ -126,7 +126,7 @@ def reference_intersection_dimension(a, b, iso):
     moved = rasterize_quads(iso.apply(squares_to_quads(b.leaf_corners(), b.side)),
                             a.bounds, a.level)
     inter = grid_intersection(a, moved)
-    return estimate_dimension(box_counts(inter, ScaleSchedule.default_for(a)), side=a.bounds.side)
+    return estimate_dimension(box_counts(inter, ScaleSchedule.default_for(a.level)), side=a.bounds.side)
 
 
 def test_intersection_dimension_matches_full_grid_composition(survey_pair):
@@ -278,7 +278,7 @@ def trial_columns(survey):
 
 def reference_survey_rows(a, b, trials, seed, tolerance=0.15):
     """The per-trial fields of the survey, as ``trial_columns`` lists them."""
-    schedule = ScaleSchedule.default_for(a)
+    schedule = ScaleSchedule.default_for(a.level)
     s = scalar_estimate_dimension(box_counts(a, schedule), side=a.bounds.side).slope
     floor = s + cantor_dimension(b.alpha) - 2.0 - tolerance
     quads = scaled_quads(b, SQRT2)
