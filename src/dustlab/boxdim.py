@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import BoxGrid, _aligned_window, _closed_span, _matrices, _quad_hits, halve
-from .parallel import parallel_map
 
 LN2 = math.log(2.0)
 #: Level of the coarse grid whose occupied cells find_full_dimension_point scores.
@@ -108,7 +107,7 @@ _MOVE_LIMIT = 1 << 12
 
 
 def overlap_counts(grid: BoxGrid, quads: np.ndarray, motions: tuple,
-                   schedule: ScaleSchedule, jobs: int = 1) -> np.ndarray:
+                   schedule: ScaleSchedule) -> np.ndarray:
     """Counts per schedule level of the grid ANDed with ``rasterize_quads`` of each moved ``quads``.
 
     ``motions`` holds the arrays (theta, reflect, z) of ``intersect.trial_motions``, shaped (T,),
@@ -120,9 +119,7 @@ def overlap_counts(grid: BoxGrid, quads: np.ndarray, motions: tuple,
     ``Isometry.apply``.  Only the occupied cells in the moved boxes are tested (``_quad_hits``),
     from a cell index built once per call, whole, before any block is scored: the sorted occupied
     cells and the grid's halving pyramid down to 1x1.  A cell met is keyed ``(t, Morton code)``,
-    and level m counts the distinct ``key >> 2 * (grid.level - m)``.  The blocks are mapped over
-    ``jobs`` threads (``parallel_map``), which read the index and write no shared state, so the
-    counts do not depend on ``jobs``.
+    and level m counts the distinct ``key >> 2 * (grid.level - m)``.
     """
     _require_resolution(schedule, grid.level)
     theta, reflect, z = motions
@@ -143,7 +140,7 @@ def overlap_counts(grid: BoxGrid, quads: np.ndarray, motions: tuple,
     reach = np.array([1 << 2 * (level - m) for m in reversed(schedule.levels)], dtype=np.uint64)
     width = len(reach) + 1
 
-    def score(block: list[int]) -> np.ndarray:
+    for block in blocks:
         xy = mats[block] @ flat
         xy += z[block]
         hits = _quad_hits(xy.reshape(len(block), 2, 4, -1), grid.bounds, level, cells, halvings)
@@ -152,10 +149,7 @@ def overlap_counts(grid: BoxGrid, quads: np.ndarray, motions: tuple,
         r = reach.searchsorted((keys ^ np.concatenate([[-1], keys[:-1]])).view(np.uint64), "right")
         tally = np.bincount((keys >> 2 * level) * width + r, minlength=len(block) * width)
         # schedule level c (coarsest first) counts the keys with r >= len(reach) - c
-        return tally.reshape(-1, width)[:, :0:-1].cumsum(axis=1)
-
-    for block, rows in zip(blocks, parallel_map(lambda i: score(blocks[i]), len(blocks), jobs)):
-        counts[block] = rows
+        counts[block] = tally.reshape(-1, width)[:, :0:-1].cumsum(axis=1)
     return counts
 
 
@@ -271,29 +265,18 @@ def clip_to_ball(grid: BoxGrid, p: Sequence[float], radius: float) -> BoxGrid:
     return BoxGrid.adopt(grid.bounds, grid.level, next(_ball_windows(grid, [p], radius, grid.size)))
 
 
-def ball_counts(grid: BoxGrid, p: Sequence[float], radius: float,
-                schedule: ScaleSchedule) -> dict[int, int]:
-    """``box_counts(clip_to_ball(grid, p, radius), schedule)`` without the full-grid copy.
-
-    Only the ball's cells are copied, into a window widened to multiples of
-    2**(grid.level - schedule.levels[0]) cells, and counted there.
-    """
-    _require_resolution(schedule, grid.level)
-    window = next(_ball_windows(grid, [p], radius, 1 << (grid.level - schedule.levels[0])))
-    return window_counts(window, grid.level, schedule)
-
-
 def find_full_dimension_point(grid: BoxGrid, min_clearance: float = 0.0) -> tuple[float, float]:
     """Occupied-cell center whose neighborhood keeps the most dimension.
 
     Scans occupied cells of a coarse candidate grid; each candidate is
     represented by its first occupied fine cell (row-major from the bottom
     row) and scored by the minimum local slope over the radii side/8,
-    side/16 and side/32: each ball's ``ball_counts`` fitted over the levels
-    from where cells resolve its radius to the raster's.  Ties keep the
-    earliest candidate in row-major order.  ``min_clearance``
-    optionally discards candidates closer than that to the bounds edge
-    (falling back to all of them if none survive).
+    side/16 and side/32: each ball's ``window_counts`` (of its
+    ``_ball_windows`` window) fitted over the levels from where cells
+    resolve its radius to the raster's.  Ties keep the earliest candidate
+    in row-major order.  ``min_clearance`` optionally discards candidates
+    closer than that to the bounds edge (falling back to all of them if
+    none survive).
     """
     if grid.is_empty():
         raise ParameterError("cannot locate a point in an empty set")

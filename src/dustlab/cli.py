@@ -147,8 +147,7 @@ def _band_rows(levels: ScaleSchedule | None, level: int) -> int:
 
 
 def cmd_john(args) -> int:
-    report = verify_john(Alpha(args.alpha), args.depth, args.samples, args.seed,
-                         jobs=args.jobs)
+    report = verify_john(Alpha(args.alpha), args.depth, args.samples, args.seed)
     lines = [_config_line(args)] + report.csv_lines()
     if args.out:
         _write_lines(args.out, lines)
@@ -159,11 +158,10 @@ def cmd_john(args) -> int:
 
 def cmd_mattila(args) -> int:
     b_alpha = _resolve_alpha(args.b_alpha, args.b_dim, "--b-alpha", "--b-dim")
-    check_survey(args.trials, args.tolerance, args.seed, args.jobs)
+    check_survey(args.trials, args.tolerance, args.seed)
     a_grid = _input_grid(args.a_in, "--a-in", args.a_alpha, "--a-alpha", args.a_depth, args.level)
     b = generate_cantor(b_alpha, args.b_depth)
-    survey = mattila_survey(a_grid, b, trials=args.trials, tolerance=args.tolerance,
-                            seed=args.seed, jobs=args.jobs)
+    survey = mattila_survey(a_grid, b, trials=args.trials, tolerance=args.tolerance, seed=args.seed)
     lines = [_config_line(args, s=f"{survey.s:.12g}", t=f"{survey.t:.12g}",
                           **_read_grid_keys(args.a_in, a_grid, "a_alpha", "a_depth"))]
     lines += survey.csv_lines()
@@ -199,10 +197,9 @@ def _raster_dust(alpha: Alpha | float, depth: int, level: int) -> tuple[CantorAp
 
 
 def cmd_construct(args) -> int:
-    check_pipeline(args.annuli, args.trials, args.min_mass, args.seed, args.jobs)
+    check_pipeline(args.annuli, args.trials, args.min_mass, args.seed)
     E = _input_grid(args.infile, "--in", args.gen_alpha, "--gen-alpha", args.gen_depth, args.level)
-    result = run_pipeline(E, annuli=args.annuli, trials=args.trials, seed=args.seed,
-                          min_mass=args.min_mass, jobs=args.jobs)
+    result = run_pipeline(E, annuli=args.annuli, trials=args.trials, seed=args.seed, min_mass=args.min_mass)
     prefix = args.out_prefix
     with open(f"{prefix}.plan.json", "w", newline="\n") as fh:
         fh.write(result.plan.to_json())
@@ -240,7 +237,7 @@ def _john_parser(p: argparse.ArgumentParser) -> None:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="checked and echoed; runs use one thread")
     p.add_argument("--out")
     p.set_defaults(func=cmd_john)
 
@@ -256,7 +253,7 @@ def _mattila_parser(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--tolerance", type=float, default=0.15)
     p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="checked and echoed; runs use one thread")
     p.add_argument("--out")
     p.set_defaults(func=cmd_mattila)
 
@@ -270,7 +267,7 @@ def _construct_parser(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=int, default=480)
     p.add_argument("--min-mass", dest="min_mass", type=int, default=24)
     p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="checked and echoed; runs use one thread")
     p.add_argument("--out-prefix", dest="out_prefix", required=True)
     p.set_defaults(func=cmd_construct)
 
@@ -308,6 +305,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
+        # --jobs changes nothing: runs use one thread, and the flag is only checked and echoed
+        if getattr(args, "jobs", 1) < 1:
+            raise ParameterError(f"jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,7 +28,6 @@ from .errors import AssemblyError, ConstructionError, ParameterError, PlacementE
 from .geometry import (BoxGrid, Isometry, Square, _aligned_window, grid_intersection,
                        quads_disjoint, rasterize_quads)
 from .intersect import trial_motions
-from .parallel import check_jobs
 from .streams import check_seed
 
 #: Copies are generated no deeper than this many subdivision steps.
@@ -281,7 +280,7 @@ def placement_diameter(chain: AnnulusChain, index: int) -> float:
 
 
 def place_cantor_in_annulus(E: BoxGrid, chain: AnnulusChain, index: int, b: float,
-                            trials: int, seed: int, jobs: int = 1) -> PlacementRecord:
+                            trials: int, seed: int) -> PlacementRecord:
     """Randomized isometry search for one dust copy inside an even annulus.
 
     The copy gets the largest admissible diameter (just under half the
@@ -291,9 +290,8 @@ def place_cantor_in_annulus(E: BoxGrid, chain: AnnulusChain, index: int, b: floa
     of any even annulus of the chain, so slopes of copies in different
     annuli stay comparable.  The motions are drawn at once over a window
     around the annulus (``trial_motions``) and scored by one
-    ``overlap_counts`` call, whose trial blocks ``jobs`` threads take.
-    Raises ParameterError when ``trials`` or ``jobs`` is below 1 and
-    PlacementError when every trial misses.
+    ``overlap_counts`` call.  Raises ParameterError when ``trials`` is
+    below 1 and PlacementError when every trial misses.
     """
     if trials < 1:
         raise ParameterError(f"need at least one trial, got {trials}")
@@ -314,7 +312,7 @@ def place_cantor_in_annulus(E: BoxGrid, chain: AnnulusChain, index: int, b: floa
     window = Square.centered(chain.center, window_half)
 
     theta, reflect, z = motions = trial_motions(window, seed, trials)
-    counts = overlap_counts(slice_grid, quads, motions, schedule, jobs)
+    counts = overlap_counts(slice_grid, quads, motions, schedule)
     # every resolved level, as build_annuli fits its slices
     slopes, _, _, empty, _ = fit_dimensions(schedule.levels, counts, window=(schedule.levels[0], E.level),
                                             side=E.bounds.side)
@@ -349,12 +347,13 @@ def _placements_disjoint(leaves) -> bool:
     return not any(meet(a, b, 0, root, root) for a, b in itertools.combinations(leaves, 2))
 
 
-def assemble_composite(E: BoxGrid, chain: AnnulusChain, placements):
+def assemble_composite(E: BoxGrid, chain: AnnulusChain, placements, dim_e: DimensionEstimate):
     """Union the placed copies (plus the center cell) and intersect with E.
 
-    Returns (G, E', report).  Raises AssemblyError when the exact
-    geometric disjointness check fails, which indicates a diameter
-    constraint was violated upstream.
+    ``dim_e`` is the estimate of E that the report carries, fitted by
+    ``run_pipeline`` over E's default schedule.  Returns (G, E', report).
+    Raises AssemblyError when the exact geometric disjointness check
+    fails, which indicates a diameter constraint was violated upstream.
     """
     placements = list(placements)
     if not placements:
@@ -371,7 +370,6 @@ def assemble_composite(E: BoxGrid, chain: AnnulusChain, placements):
     g_grid = BoxGrid.adopt(E.bounds, E.level, bits)
     eprime = grid_intersection(g_grid, E)
 
-    dim_e = estimate_dimension(box_counts(E, ScaleSchedule.default_for(E.level)), side=E.bounds.side)
     dim_eprime = _union_estimate(eprime, max(p.diameter for p in placements))
     containment = bool(np.all(~eprime.bits | E.bits))
     report = ConstructionReport(
@@ -468,7 +466,7 @@ def _single_point_result(E: BoxGrid, dim_e: DimensionEstimate) -> PipelineResult
     return PipelineResult(plan, eprime, eprime, report)
 
 
-def check_pipeline(annuli: int, trials: int, min_mass: int, seed: int, jobs: int) -> None:
+def check_pipeline(annuli: int, trials: int, min_mass: int, seed: int) -> None:
     """Refuse the arguments of ``run_pipeline`` that no input set can make valid."""
     if annuli < 2:
         raise ParameterError(f"need at least 2 annuli, got {annuli}")
@@ -476,24 +474,22 @@ def check_pipeline(annuli: int, trials: int, min_mass: int, seed: int, jobs: int
         raise ParameterError(f"need at least one trial, got {trials}")
     if min_mass < 1:
         raise ParameterError(f"min mass must be at least 1 cell, got {min_mass}")
-    check_jobs(jobs)
     check_seed(seed)
 
 
 def run_pipeline(E: BoxGrid, annuli: int = 6, trials: int = 480, seed: int = 0,
-                 min_mass: int = 24, jobs: int = 1) -> PipelineResult:
+                 min_mass: int = 24) -> PipelineResult:
     """End-to-end construction of E' = G n E for a rasterized compact set.
 
     Estimates dim E, targets a d sequence rising toward it, builds the
     annulus chain around a clearance-filtered full-dimension point, places
     copies in the even annuli, and assembles the result.  Sets that are
     essentially a point short-circuit to the single-cell answer.
-    The even annuli are placed in order; ``jobs`` threads take the trial
-    blocks of each placement search without changing the outcome.
+    The even annuli are placed in order.
     """
     if E.is_empty():
         raise ParameterError("input set has no occupied cells")
-    check_pipeline(annuli, trials, min_mass, seed, jobs)
+    check_pipeline(annuli, trials, min_mass, seed)
     dim_e = estimate_dimension(box_counts(E, ScaleSchedule.default_for(E.level)), side=E.bounds.side)
     if E.occupied_count < min_mass or dim_e.slope < 0.05:
         return _single_point_result(E, dim_e)
@@ -504,8 +500,8 @@ def run_pipeline(E: BoxGrid, annuli: int = 6, trials: int = 480, seed: int = 0,
     chain = build_annuli(E, p, d_seq, min_mass)
     b_seq = choose_b_sequence(d_seq)
 
-    placements = [place_cantor_in_annulus(E, chain, i, b_seq[i - 1], trials, seed + 1000 * i, jobs)
+    placements = [place_cantor_in_annulus(E, chain, i, b_seq[i - 1], trials, seed + 1000 * i)
                   for i in range(2, chain.count + 1, 2)]
-    g_grid, eprime, report = assemble_composite(E, chain, placements)
+    g_grid, eprime, report = assemble_composite(E, chain, placements, dim_e)
     plan = CompositePlan(chain.center, chain.half_widths, d_seq, b_seq, tuple(placements))
     return PipelineResult(plan, g_grid, eprime, report)

@@ -21,7 +21,6 @@ from .boxdim import (DimensionEstimate, ScaleSchedule, box_counts, estimate_dime
 from .cantor import CantorApproximant, cantor_dimension, scale_and_place, scaled_quads
 from .errors import ParameterError
 from .geometry import SQRT2, BoxGrid, Isometry, Square, rasterize_quads
-from .parallel import check_jobs
 from .streams import check_seed, doubles, first_outputs, seed_words
 
 
@@ -118,29 +117,27 @@ def intersection_dimension(a: BoxGrid, b: CantorApproximant, iso: Isometry) -> D
     return estimate_dimension(dict(zip(schedule.levels, counts)), side=a.bounds.side)
 
 
-def check_survey(trials: int, tolerance: float, seed: int, jobs: int) -> None:
+def check_survey(trials: int, tolerance: float, seed: int) -> None:
     """Refuse the arguments of ``mattila_survey`` that no set A can make valid."""
     if trials < 1:
         raise ParameterError(f"need at least one trial, got {trials}")
-    check_jobs(jobs)
     check_seed(seed)
     if not math.isfinite(tolerance):
         raise ParameterError(f"tolerance must be finite, got {tolerance!r}")
 
 
 def mattila_survey(a: BoxGrid, b: CantorApproximant, trials: int, tolerance: float = 0.15,
-                   seed: int = 0, s: float | None = None, jobs: int = 1) -> MattilaSurvey:
+                   seed: int = 0, s: float | None = None) -> MattilaSurvey:
     """Count sampled motions of the dust B whose intersection slope reaches s + t - 2.
 
     s defaults to the box-count slope of A, and t is the exact dimension
     of the dust.  The hypotheses s + t > 2 and t > 3/2 are enforced
     before any trial runs.  Motions are drawn from
     ``default_survey_window(a)``, all at once (``trial_motions``), and
-    scored by one ``overlap_counts`` call whose trial blocks ``jobs``
-    threads take.  Trials draw independent per-index generator streams,
-    so runs are reproducible and job count does not affect results.
+    scored by one ``overlap_counts`` call.  Trials draw independent
+    per-index generator streams, so runs are reproducible.
     """
-    check_survey(trials, tolerance, seed, jobs)
+    check_survey(trials, tolerance, seed)
     if a.is_empty():
         raise ParameterError("set A has no occupied cells")
     if s is None:
@@ -157,7 +154,7 @@ def mattila_survey(a: BoxGrid, b: CantorApproximant, trials: int, tolerance: flo
     floor = threshold - tolerance
     schedule = ScaleSchedule.default_for(a.level)
     motions = trial_motions(window, seed, trials)
-    counts = overlap_counts(a, scaled_quads(b, SQRT2), motions, schedule, jobs)
+    counts = overlap_counts(a, scaled_quads(b, SQRT2), motions, schedule)
     slope, _, _, empty, _ = fit_dimensions(schedule.levels, counts, side=a.bounds.side)
     hit = ~empty & (slope >= floor)
     return MattilaSurvey(s, t, threshold, tolerance, trials, int(hit.sum()), *motions, slope, empty, hit,

@@ -29,7 +29,6 @@ import numpy as np
 from .cantor import address_corners, interval_starts
 from .errors import DustError, ParameterError, RingUndeterminedError
 from .geometry import Alpha, as_alpha
-from .parallel import check_jobs, parallel_map
 from .streams import Stream, check_seed
 
 UNIT_CENTER = (0.5, 0.5)
@@ -447,8 +446,7 @@ def _path_lengths(owner: np.ndarray, lengths: np.ndarray, paths: int) -> np.ndar
     return total
 
 
-def verify_john(alpha: Alpha | float, depth: int, samples: int, seed: int,
-                jobs: int = 1) -> JohnReport:
+def verify_john(alpha: Alpha | float, depth: int, samples: int, seed: int) -> JohnReport:
     """Sample source points, build their paths, and report the worst ratio.
 
     For every path point q the ratio d(q, approximant) / d(q, source) is
@@ -462,14 +460,12 @@ def verify_john(alpha: Alpha | float, depth: int, samples: int, seed: int,
     for float, and the cost grows with the pieces a path crosses, about x2
     per depth.  A step whose grid indices float64 cannot count exactly is
     refused before any draw.  Sources are drawn up front from one seeded
-    stream and their paths built together; blocks of segments of about
-    ``CANDIDATE_BLOCK`` candidates are then mapped over ``jobs`` threads, so
-    the result is the same for any job count.
+    stream and their paths built together, and their segments are
+    evaluated in blocks of about ``CANDIDATE_BLOCK`` candidates.
     """
     a = float(as_alpha(alpha))
     if samples < 1:
         raise ParameterError(f"need at least one sample, got {samples}")
-    check_jobs(jobs)
     check_seed(seed)
     _check_sampling_depth(depth)
     starts = interval_starts(a, depth)
@@ -487,8 +483,7 @@ def verify_john(alpha: Alpha | float, depth: int, samples: int, seed: int,
     # four candidates beside each breakpoint a segment crosses, a few more per segment
     block = np.cumsum(4 * crossed.sum(axis=1) + 24) // CANDIDATE_BLOCK
     spans = np.split(np.arange(len(owner)), np.flatnonzero(np.diff(block)) + 1)
-    results = parallel_map(lambda i: _worst_ratios(points, owner[spans[i]], ends[spans[i]],
-                                                   starts, side, step), len(spans), jobs)
+    results = [_worst_ratios(points, owner[span], ends[span], starts, side, step) for span in spans]
     worst = np.full(samples, np.inf)
     np.minimum.at(worst, owner, np.concatenate(results))
 

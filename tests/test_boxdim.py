@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from dustlab.boxdim import (ScaleSchedule, ball_counts, box_counts, clip_to_ball,
-                            estimate_dimension, find_full_dimension_point)
+from dustlab.boxdim import (ScaleSchedule, box_counts, clip_to_ball, estimate_dimension,
+                            find_full_dimension_point)
 from dustlab.cantor import generate_cantor
 from dustlab.errors import ParameterError
 from dustlab.geometry import (BoxGrid, Isometry, Square, grid_intersection,
                               rasterize)
 from dustlab.intersect import apply_isometry
+from test_counting import ball_window_counts
 
 
 def dust_grid(alpha, depth, level):
@@ -121,9 +122,10 @@ class TestEstimateDimension:
 
 def local_profile(grid, p, radii):
     """Dimension estimates of the set in balls around p, each fitted as the point search fits it:
-    ``ball_counts`` over the levels from where cells resolve the radius to the raster's."""
-    return [estimate_dimension(ball_counts(grid, p, r, ScaleSchedule.resolving(grid, r / 2.0, floor=0)),
-                               side=grid.bounds.side) for r in radii]
+    ``ball_window_counts`` over the levels from where cells resolve the radius to the raster's."""
+    schedules = [ScaleSchedule.resolving(grid, r / 2.0, floor=0) for r in radii]
+    return [estimate_dimension(ball_window_counts(grid, p, r, schedule), side=grid.bounds.side)
+            for r, schedule in zip(radii, schedules)]
 
 
 class TestLocalProfile:

@@ -467,6 +467,29 @@ class TestConstruct:
         assert run("frobnicate") == 2
 
 
+@pytest.mark.parametrize("argv, reports, others", [
+    pytest.param(["john", "--alpha", "0.25", "--depth", "4", "--samples", "60", "--seed", "7",
+                  "--out", "{d}/j.csv"], ["j.csv"], [], id="john"),
+    pytest.param(["mattila", "--a-alpha", "0.315", "--a-depth", "5", "--level", "8", "--b-dim", "1.7",
+                  "--b-depth", "4", "--trials", "23", "--seed", "11", "--out", "{d}/survey.csv"],
+                 ["survey.csv"], [], id="mattila"),
+    pytest.param(["construct", "--gen-alpha", "0.4", "--gen-depth", "4", "--level", "9", "--annuli", "4",
+                  "--trials", "40", "--seed", "5", "--out-prefix", "{d}/run"],
+                 ["run.report.csv"], ["run.plan.json", "run.g.bgr", "run.eprime.bgr"], id="construct")])
+def test_jobs_changes_only_its_echo(tmp_path, capsys, argv, reports, others):
+    for jobs in ("1", "3"):
+        (tmp_path / jobs).mkdir()
+        assert run(*(a.format(d=tmp_path / jobs) for a in argv), "--jobs", jobs) == 0
+    capsys.readouterr()
+    for name in reports:
+        one, three = ((tmp_path / jobs / name).read_text().splitlines() for jobs in ("1", "3"))
+        # line 1 echoes the configuration, jobs included; every row after it must match
+        assert " jobs=1 " in one[0] and one[0].replace(" jobs=1 ", " jobs=3 ") == three[0]
+        assert one[1:] == three[1:]
+    for name in others:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "3" / name).read_bytes()
+
+
 @pytest.mark.parametrize("data", [b"bgr 1 1 0.0 0.0 1.0\n0\xff\n00\n",
                                   b"bgr 1 1 0.0 0.0 1.0\xff\n00\n00\n"])
 @pytest.mark.parametrize("command", [

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dustlab import composite
-from dustlab.boxdim import ScaleSchedule, box_counts, find_full_dimension_point, window_counts
+from dustlab.boxdim import (ScaleSchedule, box_counts, estimate_dimension, find_full_dimension_point,
+                            window_counts)
 from dustlab.cantor import alpha_for_dimension, generate_cantor, scale_and_place, scaled_quads
 from dustlab.composite import (AnnulusChain, CompositePlan, PlacementRecord,
                                assemble_composite, build_annuli, check_plan,
@@ -26,6 +27,11 @@ from test_streams import sample_isometry
 def dust_grid(alpha, depth, level):
     approx = generate_cantor(alpha, depth)
     return rasterize(approx.leaf_corners(), Square.unit(), level, side=approx.side)
+
+
+def default_estimate(E):
+    """E's dimension estimate over its default schedule, as ``run_pipeline`` passes it to assembly."""
+    return estimate_dimension(box_counts(E, ScaleSchedule.default_for(E.level)), side=E.bounds.side)
 
 
 def full_grid(level):
@@ -296,7 +302,9 @@ class TestAssemble:
     def test_single_annulus_union_tracks_placement(self, full_chain):
         E, chain = full_chain
         rec = place_cantor_in_annulus(E, chain, 2, 1.8, trials=60, seed=3)
-        g, eprime, report = assemble_composite(E, chain, [rec])
+        dim_e = default_estimate(E)
+        g, eprime, report = assemble_composite(E, chain, [rec], dim_e)
+        assert report.dim_e == dim_e
         assert report.containment
         assert report.disjoint
         assert report.dim_eprime.slope == pytest.approx(rec.slope, abs=0.1)
@@ -304,14 +312,14 @@ class TestAssemble:
     def test_subset_is_exact(self, full_chain):
         E, chain = full_chain
         rec = place_cantor_in_annulus(E, chain, 2, 1.8, trials=30, seed=5)
-        g, eprime, report = assemble_composite(E, chain, [rec])
+        g, eprime, report = assemble_composite(E, chain, [rec], default_estimate(E))
         assert np.all(E.bits[eprime.bits])
         assert np.all(g.bits[eprime.bits])
 
     def test_center_cell_belongs_to_g(self, full_chain):
         E, chain = full_chain
         rec = place_cantor_in_annulus(E, chain, 2, 1.8, trials=30, seed=5)
-        g, _, _ = assemble_composite(E, chain, [rec])
+        g, _, _ = assemble_composite(E, chain, [rec], default_estimate(E))
         ix, iy = E.point_cell(chain.center)
         assert g.bits[iy, ix]
 
@@ -320,7 +328,7 @@ class TestAssemble:
         rec = place_cantor_in_annulus(E, chain, 2, 1.8, trials=30, seed=5)
         clone = PlacementRecord(4, rec.alpha, rec.depth, rec.diameter, rec.iso, rec.slope)
         with pytest.raises(AssemblyError):
-            assemble_composite(E, chain, [rec, clone])
+            assemble_composite(E, chain, [rec, clone], default_estimate(E))
 
 
 class TestPlan:
@@ -409,16 +417,6 @@ class TestPipeline:
         with pytest.raises(ParameterError, match="at least one trial"):
             run_pipeline(BoxGrid(Square.unit(), 8, bits), trials=trials, seed=1)
 
-    @pytest.mark.parametrize("jobs", [0, -2])
-    def test_jobs_below_one_rejected_before_any_stage(self, monkeypatch, jobs):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("a stage ran")
-
-        monkeypatch.setattr(composite, "box_counts", unreachable)
-        monkeypatch.setattr(composite, "find_full_dimension_point", unreachable)
-        with pytest.raises(ParameterError, match="jobs must be at least 1"):
-            run_pipeline(dust_grid(0.4, 4, 9), annuli=4, trials=10, seed=1, jobs=jobs)
-
     @pytest.mark.parametrize("seed", [-1, 2.0, None])
     def test_bad_seed_rejected_before_any_stage(self, monkeypatch, seed):
         def unreachable(*args, **kwargs):
@@ -464,18 +462,6 @@ class TestPipeline:
         r2 = run_pipeline(E, annuli=4, trials=40, seed=9)
         assert r1.plan.to_json() == r2.plan.to_json()
         assert np.array_equal(r1.eprime.bits, r2.eprime.bits)
-
-    def test_jobs_do_not_change_results(self):
-        E = dust_grid(0.4, 4, 9)
-        serial = run_pipeline(E, annuli=4, trials=30, seed=3, jobs=1)
-        threaded = run_pipeline(E, annuli=4, trials=30, seed=3, jobs=3)
-        assert serial.plan.to_json() == threaded.plan.to_json()
-        # a sparse set (3.5% of cells): trial scoring drops most moved leaves
-        # before the raster, and the threads read each slice's one halving pyramid
-        sparse = dust_grid(0.33, 5, 9)
-        serial = run_pipeline(sparse, annuli=4, trials=30, seed=3, min_mass=8, jobs=1)
-        threaded = run_pipeline(sparse, annuli=4, trials=30, seed=3, min_mass=8, jobs=3)
-        assert serial.plan.to_json() == threaded.plan.to_json()
 
 
 # Placement search as it stood before its trials were scored as arrays: every

@@ -6,8 +6,9 @@
   at a time when the input is large, and reads each pair of cells as one
   uint16 word; the two-slice OR it replaced is kept here verbatim as the
   reference.
-* ``ball_counts`` counts a ball inside an aligned window; the reference is
-  ``box_counts`` of the full-grid ``clip_to_ball``.
+* ``ball_window_counts`` counts a ball as the point search does, by
+  ``window_counts`` of its aligned ``_ball_windows`` window; the reference
+  is ``box_counts`` of the full-grid ``clip_to_ball``.
 * ``geometry._closed_span`` gives the closed cell span of balls and
   frames; the scalar ball span it replaced (``reference_ball_span``) and
   the frame lines it replaced (``reference_frame_spans``) are kept here
@@ -27,8 +28,7 @@
   to 1x1, are built once per ``overlap_counts`` call before any block is
   scored; ``_quad_hits`` only reads them.  The counts are the distinct
   prefixes of the hits' sorted (trial, Morton code) keys per level, and do
-  not depend on how trials are batched, nor on how many threads take the
-  blocks (``jobs``).  The references are the dense
+  not depend on how trials are batched.  The references are the dense
   trial scorer it replaced (``dense_trial_counts``: the windowed raster
   with its target, the AND and ``window_counts``, kept here verbatim) and
   the full-grid ``box_counts(grid_intersection(...))``, on batches that
@@ -78,7 +78,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dustlab import boxdim, geometry
-from dustlab.boxdim import (DimensionEstimate, ScaleSchedule, ball_counts, box_counts,
+from dustlab.boxdim import (DimensionEstimate, ScaleSchedule, box_counts,
                             clip_to_ball, estimate_dimension, find_full_dimension_point,
                             fit_dimensions, overlap_counts, window_counts)
 from dustlab.cantor import alpha_for_dimension, generate_cantor, scale_and_place, scaled_quads
@@ -127,6 +127,13 @@ def test_halving_matches_block_reduction(level, data, seed, density):
     assert not coarse.bits.flags.writeable
 
 
+def ball_window_counts(grid, p, radius, schedule):
+    """Counts of ``grid`` in the ball B(p, radius) as ``find_full_dimension_point`` takes them:
+    ``window_counts`` of the ball's window, widened to whole cells at the schedule's coarsest level."""
+    window = next(boxdim._ball_windows(grid, [p], radius, 1 << (grid.level - schedule.levels[0])))
+    return window_counts(window, grid.level, schedule)
+
+
 def schedules(level: int):
     """Strictly increasing level tuples of length >= 3 ending at or below ``level``."""
     return (st.lists(st.integers(0, level), min_size=3, unique=True)
@@ -147,8 +154,8 @@ def test_window_counts_reject_levels_beyond_resolution():
     with pytest.raises(ParameterError):
         window_counts(np.zeros((4, 4), dtype=bool), 2, ScaleSchedule((1, 2, 3)))
     with pytest.raises(ParameterError):
-        ball_counts(BoxGrid(Square.unit(), 2, np.ones((4, 4), dtype=bool)), (0.5, 0.5), 0.25,
-                    ScaleSchedule((1, 2, 3)))
+        ball_window_counts(BoxGrid(Square.unit(), 2, np.ones((4, 4), dtype=bool)), (0.5, 0.5), 0.25,
+                           ScaleSchedule((1, 2, 3)))
 
 
 @SETTINGS
@@ -166,14 +173,14 @@ def test_ball_counts_match_full_clip(level, data, seed, density, bounds, u, v, r
     radius = radius_frac * bounds.side
     schedule = data.draw(st.one_of(st.just(ScaleSchedule.resolving(grid, radius / 2.0, floor=0)),
                                    schedules(level)))
-    assert ball_counts(grid, p, radius, schedule) == box_counts(clip_to_ball(grid, p, radius),
-                                                                schedule)
+    assert ball_window_counts(grid, p, radius, schedule) == box_counts(clip_to_ball(grid, p, radius),
+                                                                       schedule)
 
 
 def test_ball_counts_rejects_nonpositive_radius():
     with pytest.raises(ParameterError):
-        ball_counts(BoxGrid(Square.unit(), 4, np.ones((16, 16), dtype=bool)), (0.5, 0.5), 0.0,
-                    ScaleSchedule.span(0, 4))
+        ball_window_counts(BoxGrid(Square.unit(), 4, np.ones((16, 16), dtype=bool)), (0.5, 0.5), 0.0,
+                           ScaleSchedule.span(0, 4))
 
 
 @pytest.mark.parametrize("p,radius", [((0.5, 0.5), math.nan), ((0.5, 0.5), math.inf),
@@ -184,7 +191,7 @@ def test_ball_refuses_non_finite_center_or_radius(p, radius):
     # NaN cast to an integer cell index gives INT64_MIN, and the ball would count as empty
     grid = BoxGrid(Square.unit(), 4, np.ones((16, 16), dtype=bool))
     with pytest.raises(ParameterError, match="finite"):
-        ball_counts(grid, p, radius, ScaleSchedule.span(0, 4))
+        ball_window_counts(grid, p, radius, ScaleSchedule.span(0, 4))
     with pytest.raises(ParameterError, match="finite"):
         clip_to_ball(grid, p, radius)
 
@@ -951,7 +958,7 @@ def reference_full_dimension_point(grid, min_clearance=0.0):
 
     def profile(p):
         return [scalar_estimate_dimension(
-            ball_counts(grid, p, r, ScaleSchedule.resolving(grid, r / 2.0, floor=0)), side=side)
+            ball_window_counts(grid, p, r, ScaleSchedule.resolving(grid, r / 2.0, floor=0)), side=side)
             for r in radii]
 
     candidates = reference_representatives(grid)
@@ -1142,16 +1149,14 @@ def test_one_overlap_call_halves_each_shape_once(monkeypatch):
     monkeypatch.setattr(boxdim, "halve", counted)
     monkeypatch.setattr(geometry, "halve", counted)
     monkeypatch.setattr(boxdim, "_MOVE_LIMIT", 1)  # one trial per block: every block reads the pyramid
-    for jobs in (1, 4):
-        shapes.clear()
-        counts = overlap_counts(target, scaled_quads(copy, 0.4), motions_of(isos), schedule, jobs).tolist()
-        assert shapes == [(256 >> j, 256 >> j) for j in range(8)]  # down to 1x1, once each
-        assert sum(row[-1] > 0 for row in counts) >= 2  # two blocks or more met the target
-        assert counts == expected
+    counts = overlap_counts(target, scaled_quads(copy, 0.4), motions_of(isos), schedule).tolist()
+    assert shapes == [(256 >> j, 256 >> j) for j in range(8)]  # down to 1x1, once each
+    assert sum(row[-1] > 0 for row in counts) >= 2  # two blocks or more met the target
+    assert counts == expected
 
 
 @pytest.mark.parametrize("level, depth, diameter, trials", [(2, 1, 8.0, 29), (6, 1, 8.0, 23), (6, 3, 0.9, 23)])
-def test_trial_blocks_on_threads_give_the_one_thread_counts(monkeypatch, level, depth, diameter, trials):
+def test_ragged_trial_blocks_give_the_per_trial_counts(monkeypatch, level, depth, diameter, trials):
     # a copy of diameter 8 is wider than the unit grid: its leaves' boxes span the whole grid,
     # so their trials prune at the pyramid's 1x1 top (level 2: no schedule fits a level-1 grid)
     target = BoxGrid(UNIT, level, random_bits(level, level, 0.4))
@@ -1167,13 +1172,11 @@ def test_trial_blocks_on_threads_give_the_one_thread_counts(monkeypatch, level, 
 
     monkeypatch.setattr(boxdim, "_quad_hits", recorded)
     monkeypatch.setattr(boxdim, "_MOVE_LIMIT", 3 * len(quads))  # three trials a block
-    serial = overlap_counts(target, quads, motions, schedule, 1)
+    counts = overlap_counts(target, quads, motions, schedule)
     # an odd number of blocks, the last one short of three trials
-    assert len(blocks) % 2 == 1 and len(blocks) >= 3 and blocks[-1] < 3 and serial.any()
+    assert len(blocks) % 2 == 1 and len(blocks) >= 3 and blocks[-1] < 3 and counts.any()
     isos = [Isometry(*m) for m in zip(motions[0].tolist(), motions[1].tolist(), motions[2].tolist())]
-    assert serial.tolist() == [list(per_trial_counts(target, quads, iso, schedule).values()) for iso in isos]
-    for jobs in (2, 3, 4):
-        assert np.array_equal(overlap_counts(target, quads, motions, schedule, jobs), serial)
+    assert counts.tolist() == [list(per_trial_counts(target, quads, iso, schedule).values()) for iso in isos]
 
 
 @pytest.mark.parametrize("level", [1, 6])
@@ -1200,7 +1203,7 @@ def test_scoring_leaves_the_target_grid_a_plain_value():
     before = grid.bits.copy()
     isos = [Isometry(0.3 * i, i % 2 == 1, (0.05 * i, 0.5 - 0.02 * i)) for i in range(20)]
     assert overlap_counts(grid, scaled_quads(approx, 0.4), motions_of(isos), ScaleSchedule.span(3, 8)).any()
-    assert mattila_survey(grid, generate_cantor(alpha_for_dimension(1.7), 4), 25, seed=11, jobs=2).hits
+    assert mattila_survey(grid, generate_cantor(alpha_for_dimension(1.7), 4), 25, seed=11).hits
     assert set(vars(grid)) == {"bounds", "level", "bits"}
     assert np.array_equal(grid.bits, before) and not grid.bits.flags.writeable
 

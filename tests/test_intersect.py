@@ -177,18 +177,6 @@ class TestMattilaSurvey:
         with pytest.raises(ParameterError, match="tolerance"):
             mattila_survey(a, b, trials=5, tolerance=tolerance, seed=1)
 
-    @pytest.mark.parametrize("jobs", [0, -2])
-    def test_jobs_below_one_rejected_before_any_work(self, survey_pair, monkeypatch, jobs):
-        a, b = survey_pair
-
-        def unreachable(*args, **kwargs):
-            raise AssertionError("the survey started")
-
-        monkeypatch.setattr(intersect, "box_counts", unreachable)
-        monkeypatch.setattr(intersect, "trial_motions", unreachable)
-        with pytest.raises(ParameterError, match="jobs must be at least 1"):
-            mattila_survey(a, b, trials=5, seed=1, jobs=jobs)
-
     @pytest.mark.parametrize("seed", [-1, 2.0, None])
     def test_bad_seed_rejected_before_any_work(self, survey_pair, monkeypatch, seed):
         a, b = survey_pair
@@ -221,22 +209,6 @@ class TestMattilaSurvey:
         s1 = mattila_survey(a, b, trials=40, seed=17)
         s2 = mattila_survey(a, b, trials=40, seed=17)
         assert "\n".join(s1.csv_lines()) == "\n".join(s2.csv_lines())
-
-    def test_jobs_do_not_change_results(self, survey_pair):
-        a, b = survey_pair
-        serial = mattila_survey(a, b, trials=24, seed=9, jobs=1)
-        threaded = mattila_survey(a, b, trials=24, seed=9, jobs=4)
-        assert serial.csv_lines() == threaded.csv_lines()
-        assert trial_columns(serial) == trial_columns(threaded)
-        # 23 trials, scored in blocks of four (the copy has 1024 leaves) that 3 threads take
-        ragged = mattila_survey(a, b, trials=23, seed=9, jobs=3)
-        assert trial_columns(ragged) == {name: column[:23] for name, column in trial_columns(serial).items()}
-        # scattered cells (0.5%): trial scoring drops most moved leaves, and the
-        # threads read the grid's one halving pyramid and occupied-cell list
-        sparse = BoxGrid(Square.unit(), 9, np.random.default_rng(5).random((512, 512)) < 0.005)
-        serial = mattila_survey(sparse, b, trials=24, seed=9, s=1.2, jobs=1)
-        threaded = mattila_survey(sparse, b, trials=24, seed=9, s=1.2, jobs=4)
-        assert serial.csv_lines() == threaded.csv_lines()
 
     def test_reflection_invariance(self, survey_pair):
         a, b = survey_pair

@@ -229,15 +229,6 @@ class TestVerify:
         with pytest.raises(ParameterError):
             verify_john(0.25, 3, 0, seed=1)
 
-    @pytest.mark.parametrize("jobs", [0, -2])
-    def test_jobs_below_one_rejected_before_drawing(self, monkeypatch, jobs):
-        def unreachable(*args):
-            raise AssertionError("a source was drawn")
-
-        monkeypatch.setattr(john, "_draw_sources", unreachable)
-        with pytest.raises(ParameterError, match="jobs must be at least 1"):
-            verify_john(0.25, 3, 10, seed=1, jobs=jobs)
-
     @pytest.mark.parametrize("seed", [-1, 2.0, None])
     def test_bad_seed_rejected_before_drawing(self, monkeypatch, seed):
         def unreachable(*args):
@@ -308,11 +299,6 @@ class TestVerify:
         assert lines[0] == "sample_x,sample_y,worst_ratio"
         assert len(lines) == 12
         assert lines[-1].startswith("epsilon,")
-
-    def test_jobs_do_not_change_results(self):
-        serial = verify_john(0.3, 2, 40, seed=11, jobs=1)
-        threaded = verify_john(0.3, 2, 40, seed=11, jobs=4)
-        assert serial.csv_lines() == threaded.csv_lines()
 
 
 @settings(max_examples=300, deadline=None)
@@ -891,9 +877,9 @@ def reference_verify_john(alpha, depth, samples, seed):
                          [(0.25, 3, 60, 7), (0.49, 9, 40, 1), (0.12, 3, 30, 2), (0.49, 2, 20, 5)])
 def test_report_matches_dense_reference(monkeypatch, block, alpha, depth, samples, seed):
     # at alpha 0.49, depth 9, 8 paths have 8 to 10 segments, whose lengths
-    # numpy sums pairwise; small blocks split paths across threads
+    # numpy sums pairwise; small blocks split paths across blocks
     monkeypatch.setattr(john, "CANDIDATE_BLOCK", block)
-    report = verify_john(alpha, depth, samples, seed, jobs=3)
+    report = verify_john(alpha, depth, samples, seed)
     points, worst, length_constant, unresolved = reference_verify_john(alpha, depth, samples, seed)
     assert np.array_equal(report.points, points)
     assert np.array_equal(report.worst_ratios, worst)

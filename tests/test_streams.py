@@ -130,7 +130,7 @@ def test_trial_motions_equal_per_trial_generators(seed, count, window):
 @example(9, 12, 23, Square((-2.0, 5.0), 3.0))
 @example(9, 0, 5, Square((-2.0, 5.0), 3.0))
 def test_trial_motions_prefix_is_the_shorter_draw(seed, m, n, window):
-    # the threads of a --jobs run score slices of one draw; any prefix is the draw of that many trials
+    # trials are scored in blocks that slice one draw; any prefix is the draw of that many trials
     m, n = min(m, n), max(m, n)
     whole = as_lists(trial_motions(window, seed, n))
     assert as_lists(trial_motions(window, seed, m)) == tuple(column[:m] for column in whole)
@@ -186,5 +186,5 @@ def test_no_subcommand_imports_numpy_random(tmp_path, argv):
     assert result["code"] == 0, proc.stderr
     # numpy before 2.0 loads numpy.random with numpy itself; then nothing is left to check
     assert result["loaded"] == result["eager"]
-    # a one-thread run starts no pool, so the thread pool module (and logging) stays unloaded
+    # no module starts a thread pool, so the pool module (and logging) stays unloaded
     assert not result["futures"]
