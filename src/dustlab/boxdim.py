@@ -16,7 +16,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .geometry import BoxGrid, _aligned_window, _closed_span, _matrices, _quad_hits, halve
+from .geometry import BoxGrid, _aligned_window, _closed_span, _matrices, _quad_hits, coarsened
 
 LN2 = math.log(2.0)
 #: Level of the coarse grid whose occupied cells find_full_dimension_point scores.
@@ -83,21 +83,16 @@ def box_counts(grid: BoxGrid, schedule: ScaleSchedule) -> dict[int, int]:
 def window_counts(bits: np.ndarray, level: int, schedule: ScaleSchedule) -> dict[int, int]:
     """Occupied-cell counts per schedule level of a window of a level-``level`` raster.
 
-    Counts are taken from fine to coarse, each schedule level straight from
-    the one after it by ``halve`` over up to 3 levels a pass, so a level
-    the schedule does not ask for is never built.  The window's
-    start and size must be multiples of 2**(level - schedule.levels[0]), so
-    that it splits into whole cells at every schedule level; its counts
-    then equal those of the full grid with every cell outside the window
-    cleared.  A whole grid is such a window.
+    Counts are taken from fine to coarse, each schedule level ``coarsened`` straight from the
+    one after it, so a level the schedule does not ask for is never built.  The window's start
+    and size must be multiples of 2**(level - schedule.levels[0]), so that it splits into whole
+    cells at every schedule level; its counts then equal those of the full grid with every cell
+    outside the window cleared.  A whole grid is such a window.
     """
     _require_resolution(schedule, level)
     counts: dict[int, int] = {}
     for m in reversed(schedule.levels):
-        while level > m:
-            k = min(3, level - m)
-            bits = halve(bits, k)
-            level -= k
+        bits, level = coarsened(bits, level - m), m
         counts[m] = int(np.count_nonzero(bits))
     return dict(sorted(counts.items()))
 
@@ -118,8 +113,10 @@ def overlap_counts(grid: BoxGrid, quads: np.ndarray, motions: tuple,
     matrices with the quads' coordinate rows, which runs, per motion, the product of
     ``Isometry.apply``.  Only the occupied cells in the moved boxes are tested (``_quad_hits``),
     from a cell index built once per call, whole, before any block is scored: the sorted occupied
-    cells and the grid's halving pyramid down to 1x1.  A cell met is keyed ``(t, Morton code)``,
-    and level m counts the distinct ``key >> 2 * (grid.level - m)``.
+    cells and the grid ``coarsened`` k times, k the bit length of ceil(D / w) + 1 (at most the
+    level), D the largest diagonal of a leaf's box and w the cell side: a moved leaf's box spans
+    at most ceil(D / w) cells a side, + 1 for the rounding of its moved coordinates.  A cell met
+    is keyed ``(t, Morton code)``, and level m counts the distinct ``key >> 2 * (grid.level - m)``.
     """
     _require_resolution(schedule, grid.level)
     theta, reflect, z = motions
@@ -132,9 +129,9 @@ def overlap_counts(grid: BoxGrid, quads: np.ndarray, motions: tuple,
     blocks = [live[s:s + per] for s in range(0, len(live), per)]
     flat = np.ascontiguousarray(quads.transpose(2, 1, 0)).reshape(2, -1)  # flat[c, v * N + i]
     level, spread = grid.level, _spread(np.arange(grid.size))
-    cells, halvings = np.flatnonzero(grid.bits), [grid.bits]
-    while live and len(halvings) <= level:
-        halvings.append(halve(halvings[-1]))
+    extent = quads.max(axis=1) - quads.min(axis=1)  # each leaf's box
+    k = min(level, (math.ceil(np.hypot(*extent.T).max() / grid.cell_size) + 1).bit_length())
+    cells, occ = np.flatnonzero(grid.bits), coarsened(grid.bits, k) if live else None
     # a key is new at level m when it differs from the one before (the first from -1) above
     # bit 2 * (level - m): it is new at the r finest levels, r the thresholds its XOR reaches
     reach = np.array([1 << 2 * (level - m) for m in reversed(schedule.levels)], dtype=np.uint64)
@@ -143,7 +140,7 @@ def overlap_counts(grid: BoxGrid, quads: np.ndarray, motions: tuple,
     for block in blocks:
         xy = mats[block] @ flat
         xy += z[block]
-        hits = _quad_hits(xy.reshape(len(block), 2, 4, -1), grid.bounds, level, cells, halvings)
+        hits = _quad_hits(xy.reshape(len(block), 2, 4, -1), grid.bounds, level, cells, occ)
         t, c = np.concatenate([np.zeros((2, 0), dtype=np.int64)] + [np.stack(hit) for hit in hits], axis=1)
         keys = np.sort(t << 2 * level | spread[c >> level] << 1 | spread[c & (grid.size - 1)])
         r = reach.searchsorted((keys ^ np.concatenate([[-1], keys[:-1]])).view(np.uint64), "right")

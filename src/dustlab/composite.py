@@ -189,9 +189,9 @@ def _union_estimate(grid: BoxGrid, extent: float) -> DimensionEstimate:
     a cell or two (the placement layout, not the copies' structure), so
     the fit starts one level finer and runs to the raster resolution.
     """
-    lo = ScaleSchedule.resolving(grid, extent, finer=1).levels[0]
-    counts = box_counts(grid, ScaleSchedule.span(2, grid.level))
-    return estimate_dimension(counts, window=(lo, grid.level), side=grid.bounds.side)
+    sched = ScaleSchedule.resolving(grid, extent, finer=1)
+    return estimate_dimension(box_counts(grid, sched), window=(sched.levels[0], grid.level),
+                              side=grid.bounds.side)
 
 
 def build_annuli(E: BoxGrid, p, d_seq, min_mass: int) -> AnnulusChain:

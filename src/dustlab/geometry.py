@@ -119,8 +119,7 @@ def halve(bits: np.ndarray, k: int = 1) -> np.ndarray:
     at a time into one reused C-ordered scratch of at most ``_HALVE_BAND``
     cells (one block row when a row is longer), where each run of 2^k
     cells is one uint16, uint32 or uint64 word, nonzero when any cell is
-    set; each band's words are compared straight into the result.  So a
-    count that skips levels never builds the levels between.
+    set; each band's words are compared straight into the result.
     """
     f = 1 << k
     n, width = bits.shape[0] >> k, bits.shape[1]
@@ -136,6 +135,13 @@ def halve(bits: np.ndarray, k: int = 1) -> np.ndarray:
             np.bitwise_or(rows, bits[f * start + j:f * stop:f], out=rows)
         np.not_equal(rows.view(word), 0, out=out[start:stop])
     return out
+
+
+def coarsened(bits: np.ndarray, k: int) -> np.ndarray:
+    """``bits`` halved k times by ``halve``, up to 3 levels a pass; k = 0 gives ``bits`` itself."""
+    while k > 0:
+        bits, k = halve(bits, min(3, k)), k - 3
+    return bits
 
 
 def aligned_span(lo: int, hi: int, step: int) -> slice:
@@ -208,10 +214,7 @@ class BoxGrid:
             return self
         if level > self.level:
             raise ParameterError(f"cannot downsample level {self.level} grid to finer level {level}")
-        coarse = self.bits
-        for _ in range(self.level - level):
-            coarse = halve(coarse)
-        return BoxGrid.adopt(self.bounds, level, coarse)
+        return BoxGrid.adopt(self.bounds, level, coarsened(self.bits, self.level - level))
 
     @staticmethod
     def empty(bounds: Square, level: int) -> "BoxGrid":
@@ -357,7 +360,7 @@ def rasterize_quads(quads: np.ndarray, bounds: Square, level: int) -> BoxGrid:
 
 
 def _quad_hits(xy: np.ndarray, bounds: Square, level: int, cells: np.ndarray | None = None,
-               halvings: list[np.ndarray] | None = None):
+               occ: np.ndarray | None = None):
     """Yield blocks ``(t, iy * 2**level + ix)`` of the cells met by trial t's quads, of ``xy``.
 
     ``xy[t, c, v, i]`` is coordinate c of vertex v of quad i of trial t, (T, 2, 4, N), so that
@@ -365,11 +368,11 @@ def _quad_hits(xy: np.ndarray, bounds: Square, level: int, cells: np.ndarray | N
     open, as in ``rasterize``, and its cells take a closed SAT test on its edge directions
     (``_sat_limits``).  Given a target's index over the same bounds and level, only its
     occupied cells are tested: ``cells`` lists them sorted as ``iy * 2**level + ix``, and
-    ``halvings`` is its pyramid, its bits and then each entry the ``halve`` of the one before,
-    down to 1x1; it is only read.  Per trial, boxes without an occupied cell at the finest
-    halving k where they all span at most 2x2 cells are dropped (one pass per distinct k), and
-    the cells of every kept box row come from one ``searchsorted`` in ``cells``.  A block tests
-    about ``_QUAD_BLOCK_LIMIT`` (quad, cell) pairs.
+    ``occ`` is its bits ``coarsened`` k times, where every box spans fewer than 2**k cells a
+    side; both are only read.  So each box spans at most 2x2 cells of ``occ``, and boxes with
+    none of them set are dropped by one ``_any_corner`` call; the cells of every kept box row
+    come from one ``searchsorted`` in ``cells``.  A block tests about ``_QUAD_BLOCK_LIMIT``
+    (quad, cell) pairs.
     """
     trials, _, _, count = xy.shape
     n = grid_size(level)
@@ -378,11 +381,8 @@ def _quad_hits(xy: np.ndarray, bounds: Square, level: int, cells: np.ndarray | N
     lo, hi, valid = _index_ranges(xy.min(axis=2), xy.max(axis=2), np.array([[x0], [y0]]), w, n)
     valid = valid[:, 0] & valid[:, 1]
     if cells is not None:  # at halving k every box spans at most 2x2 cells: its corners find each one
-        span = np.where(valid, (hi - lo).max(axis=1), 0).max(axis=1, initial=0)
-        halving = np.frexp(span)[1]  # bit lengths of the trials' widest spans
-        for k in sorted(set(halving.tolist())):
-            rows = halving == k
-            valid[rows] &= _any_corner(halvings[k], lo[rows] >> k, hi[rows] >> k)
+        k = level - (len(occ) - 1).bit_length()
+        valid &= _any_corner(occ, lo >> k, hi >> k)
     kept = np.flatnonzero(valid)
     if not len(kept):
         return

@@ -1,6 +1,7 @@
 """Fast counting kernels checked against the slow references they replaced.
 
-* ``BoxGrid.downsampled`` halves pairwise; the reference is the one-shot
+* ``BoxGrid.downsampled`` goes through ``coarsened``, the one loop over
+  ``halve``; the reference is the one-shot
   ``reshape(n, f, n, f).any(axis=(1, 3))`` block reduction.
 * ``halve`` ORs pairs of rows into a C-ordered array, a band of row pairs
   at a time when the input is large, and reads each pair of cells as one
@@ -22,11 +23,13 @@
   unmoved quads, moved by it) reaches no occupied cell scores zero without
   being moved; for the others, the sparse gather (``geometry._quad_hits``)
   drops the leaves whose box holds no occupied cell at the target's
-  halvings, finds the occupied cells in each kept box in the target's
-  sorted cell list, and runs the closed SAT test of the raster on those
-  (leaf, cell) pairs alone.  The list and the whole halving pyramid, down
-  to 1x1, are built once per ``overlap_counts`` call before any block is
-  scored; ``_quad_hits`` only reads them.  The counts are the distinct
+  prune halving K, finds the occupied cells in each kept box in the
+  target's sorted cell list, and runs the closed SAT test of the raster on
+  those (leaf, cell) pairs alone.  K comes from the copy alone: every
+  moved leaf box spans fewer than 2**K cells (``prune_halving`` states the
+  rule).  The list and the target coarsened K times (``coarsened``) are
+  built once per ``overlap_counts`` call before any block is scored;
+  ``_quad_hits`` only reads them.  The counts are the distinct
   prefixes of the hits' sorted (trial, Morton code) keys per level, and do
   not depend on how trials are batched.  The references are the dense
   trial scorer it replaced (``dense_trial_counts``: the windowed raster
@@ -70,6 +73,7 @@
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -84,7 +88,7 @@ from dustlab.boxdim import (DimensionEstimate, ScaleSchedule, box_counts,
 from dustlab.cantor import alpha_for_dimension, generate_cantor, scale_and_place, scaled_quads
 from dustlab.errors import ParameterError
 from dustlab.geometry import (SQRT2, BoxGrid, Isometry, Square, _index_ranges,
-                              aligned_span, grid_intersection, grid_size, halve, rasterize,
+                              aligned_span, coarsened, grid_intersection, grid_size, halve, rasterize,
                               rasterize_quads, squares_to_quads)
 from dustlab.intersect import mattila_survey, trial_motions
 
@@ -352,17 +356,22 @@ def dense_window(quads: np.ndarray, bounds: Square, level: int, align: int,
 
 
 def target_hits(quads, target):
-    """``_quad_hits`` blocks of ``quads``, one trial, tested against the occupied cells of ``target``."""
+    """``_quad_hits`` blocks of ``quads``, one trial, tested against the occupied cells of ``target``
+    and its bits coarsened to the prune halving of ``quads``: the index ``overlap_counts`` builds."""
+    occ = coarsened(target.bits, prune_halving(quads, target))
     return geometry._quad_hits(coordinate_major(quads[None]), target.bounds, target.level,
-                               np.flatnonzero(target.bits), pyramid(target.bits))
+                               np.flatnonzero(target.bits), occ)
 
 
-def pyramid(bits):
-    """``bits`` and each ``halve`` of the one before, down to 1x1: the index ``overlap_counts`` builds."""
-    halvings = [bits]
-    while halvings[-1].shape[0] > 1:
-        halvings.append(halve(halvings[-1]))
-    return halvings
+def prune_halving(quads, grid):
+    """The halving K that ``overlap_counts`` prunes leaves ``quads`` at on ``grid``.
+
+    K is the bit length of ceil(D / w) + 1, at most the grid's level, where D is the largest
+    diagonal of a leaf's axis-aligned box and w the cell side.
+    """
+    extent = quads.max(axis=1) - quads.min(axis=1)
+    diagonal = float(np.hypot(extent[:, 0], extent[:, 1]).max())
+    return min(grid.level, (math.ceil(diagonal / grid.cell_size) + 1).bit_length())
 
 
 def coordinate_major(moved):
@@ -1035,9 +1044,9 @@ def read_only(bits: np.ndarray) -> np.ndarray:
     return bits
 
 
-def check_halve(layout, band, rows, cols, seed, density, k=1):
-    """``halve(bits, k)`` with ``_HALVE_BAND`` set to ``band`` against k two-slice halvings
-    and against the block reduction."""
+def check_halve(layout, band, rows, cols, seed, density, k=1, reduce=halve):
+    """``reduce(bits, k)``, ``halve`` or ``coarsened``, with ``_HALVE_BAND`` set to ``band``
+    against k two-slice halvings and against the block reduction."""
     r, c = rows << k, cols << k
     side = 2 * (r + c) + 4
     source = np.random.default_rng(seed).random((side, side)) < density
@@ -1045,7 +1054,7 @@ def check_halve(layout, band, rows, cols, seed, density, k=1):
     before = bits.copy()
     assert bits.shape == (r, c)
     with mock.patch.object(geometry, "_HALVE_BAND", band):
-        half = halve(bits, k)
+        half = reduce(bits, k)
     expected = bits
     for _ in range(k):
         expected = reference_halve(expected)
@@ -1086,6 +1095,18 @@ def test_halve_of_several_levels_matches_block_reduction(k, layout, band, rows, 
     # 2^k rows go into one band row and are read as one 2^k-cell word per block; a low band
     # splits them into several bands or gives each block row its own
     check_halve(layout, band, rows, cols, seed, density, k)
+
+
+@pytest.mark.parametrize("layout", ["C", "transposed", "read-only", "odd window"])
+@pytest.mark.parametrize("k", range(10))
+@settings(max_examples=8, deadline=None)
+@given(rows=st.integers(0, 3), cols=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+       density=densities)
+def test_coarsened_matches_single_level_halvings(k, layout, rows, cols, seed, density):
+    # square and non-square arrays of up to 3 << k cells a side, no side past 512 cells
+    cap = max(1, 128 >> k)
+    check_halve(layout, geometry._HALVE_BAND, min(rows, cap), min(cols, cap), seed, density, k,
+                coarsened)
 
 
 def step_schedules(level: int):
@@ -1138,37 +1159,64 @@ def test_one_overlap_call_halves_each_shape_once(monkeypatch):
     copy = generate_cantor(0.3, 3)
     schedule = ScaleSchedule.span(3, 8)
     isos = [Isometry(0.3 * i, i % 2 == 1, (0.05 * i, 0.5 - 0.02 * i)) for i in range(20)]
-    expected = [list(trial_counts(target, copy, 0.4, iso, schedule).values()) for iso in isos]
     shapes = []
 
     def counted(bits, k=1):
-        shapes.append(bits.shape)
+        shapes.append((bits.shape, k))
         return halve(bits, k)
 
-    # boxdim builds the pyramid; a halving anywhere in geometry would be counted too
-    monkeypatch.setattr(boxdim, "halve", counted)
+    # coarsened is the one loop over halve; a halving anywhere in geometry is counted
     monkeypatch.setattr(geometry, "halve", counted)
-    monkeypatch.setattr(boxdim, "_MOVE_LIMIT", 1)  # one trial per block: every block reads the pyramid
-    counts = overlap_counts(target, scaled_quads(copy, 0.4), motions_of(isos), schedule).tolist()
-    assert shapes == [(256 >> j, 256 >> j) for j in range(8)]  # down to 1x1, once each
-    assert sum(row[-1] > 0 for row in counts) >= 2  # two blocks or more met the target
-    assert counts == expected
+    monkeypatch.setattr(boxdim, "_MOVE_LIMIT", 1)  # one trial per block: every block reads occ
+    # the copy of diameter 3 prunes at halving 5: two passes, of 3 levels and then 2
+    for diameter, chain in ((0.4, [((256, 256), 3)]), (3.0, [((256, 256), 3), ((32, 32), 2)])):
+        expected = [list(trial_counts(target, copy, diameter, iso, schedule).values()) for iso in isos]
+        shapes.clear()
+        quads = scaled_quads(copy, diameter)
+        counts = overlap_counts(target, quads, motions_of(isos), schedule).tolist()
+        # one chain of passes of up to 3 levels a pass, to the prune halving K, once
+        assert shapes == chain and sum(k for _, k in chain) == prune_halving(quads, target)
+        assert sum(row[-1] > 0 for row in counts) >= 2  # two blocks or more met the target
+        assert counts == expected
+
+
+def test_one_overlap_call_holds_one_coarse_raster_not_a_pyramid():
+    # a sparse level-11 target (4 MiB of bits) and a copy whose leaves prune at halving 3: the
+    # call holds the 64 KiB raster at halving 3 and halve's scratch, not the 1.4 MB pyramid
+    level = 11
+    target = BoxGrid(UNIT, level, random_bits(11, level, 0.001))
+    quads = scaled_quads(generate_cantor(0.3, 3), 0.05)
+    assert prune_halving(quads, target) == 3
+    motions = trial_motions(Square((0.1, 0.1), 0.8), 5, 40)
+    schedule = ScaleSchedule.span(2, level)
+    pyramid_bytes = sum((target.size >> j) ** 2 for j in range(1, level + 1))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        counts = overlap_counts(target, quads, motions, schedule)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert counts[:, -1].any()  # some trials were live, so the raster was built
+    assert peak < pyramid_bytes, (peak, pyramid_bytes)
 
 
 @pytest.mark.parametrize("level, depth, diameter, trials", [(2, 1, 8.0, 29), (6, 1, 8.0, 23), (6, 3, 0.9, 23)])
 def test_ragged_trial_blocks_give_the_per_trial_counts(monkeypatch, level, depth, diameter, trials):
     # a copy of diameter 8 is wider than the unit grid: its leaves' boxes span the whole grid,
-    # so their trials prune at the pyramid's 1x1 top (level 2: no schedule fits a level-1 grid)
+    # so their trials prune at the 1x1 halving (level 2: no schedule fits a level-1 grid)
     target = BoxGrid(UNIT, level, random_bits(level, level, 0.4))
     quads = scaled_quads(generate_cantor(0.3, depth), diameter)
     motions = trial_motions(Square((-0.5, -0.5), 2.0), 7, trials)
     schedule = ScaleSchedule.span(level - 2, level)
     kernel, blocks = boxdim._quad_hits, []
 
-    def recorded(xy, bounds, level, cells, halvings):
-        assert len(halvings) == level + 1 and halvings[-1].shape == (1, 1)
+    def recorded(xy, bounds, level, cells, occ):
+        assert occ.shape == (1 << level - prune_halving(quads, target),) * 2
+        assert diameter != 8.0 or occ.shape == (1, 1)
         blocks.append(len(xy))
-        return kernel(xy, bounds, level, cells, halvings)
+        return kernel(xy, bounds, level, cells, occ)
 
     monkeypatch.setattr(boxdim, "_quad_hits", recorded)
     monkeypatch.setattr(boxdim, "_MOVE_LIMIT", 3 * len(quads))  # three trials a block
@@ -1179,17 +1227,68 @@ def test_ragged_trial_blocks_give_the_per_trial_counts(monkeypatch, level, depth
     assert counts.tolist() == [list(per_trial_counts(target, quads, iso, schedule).values()) for iso in isos]
 
 
+#: Angles within 1e-9 of a multiple of pi/4, where a leaf's moved box is square to the axes or
+#: widest, or anywhere.
+near_eighth_turns = st.one_of(
+    st.builds(lambda j, eps: j * math.pi / 4 + eps, st.integers(0, 7), st.floats(-1e-9, 1e-9)),
+    st.floats(0.0, 2 * math.pi))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(level=st.integers(2, 10), unit=st.booleans(), bounds=bounds_strategy,
+       alpha=st.floats(0.2, 0.45), depth=st.integers(1, 5), cells=st.floats(0.2, 2560.0),
+       motions=st.lists(st.tuples(near_eighth_turns, st.booleans(), st.floats(-0.5, 1.5),
+                                  st.floats(-0.5, 1.5)), min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1), density=st.sampled_from([0.002, 0.05, 0.5, 1.0]))
+# leaf diagonals of 1 and 3 cells to within rounding, turned by pi/4 and placed so that the
+# rounding of the moved coordinates widens a box to 2 and 4 cells: the + 1 of the rule keeps
+# these boxes below 2**K
+@example(level=2, unit=False, bounds=Square((-0.8, -3.0), 0.3), alpha=0.4, depth=1,
+         cells=2.499999999999999, motions=[(math.pi / 4, False, 0.5624999999999998, 0.062499999999999195)],
+         seed=0, density=1.0)
+@example(level=3, unit=False, bounds=Square((-2.3, -0.8), 0.4), alpha=0.3, depth=1,
+         cells=9.999999999999996, motions=[(math.pi / 4, True, -0.062499999999999445, 0.12500000000000064)],
+         seed=0, density=1.0)
+def test_every_moved_leaf_box_spans_fewer_cells_than_the_prune_halving(
+        level, unit, bounds, alpha, depth, cells, motions, seed, density):
+    # copies from under one cell across to wider than the grid (cells is the diameter in cells)
+    bounds = UNIT if unit else bounds
+    n = 1 << level
+    w = bounds.side / n
+    quads = scaled_quads(generate_cantor(alpha, depth), min(cells, 2.5 * n) * w)
+    (x0, y0), side = bounds.corner, bounds.side
+    isos = [Isometry(theta, reflect, (x0 + u * side, y0 + v * side)) for theta, reflect, u, v in motions]
+    target = BoxGrid(bounds, level, random_bits(seed, level, density))
+    schedule = ScaleSchedule.span(level - 2, level)
+    kernel = boxdim._quad_hits
+
+    def checked(xy, bounds, level, cells, occ):
+        # K is read from occ: every moved leaf box, clipped to the grid, spans fewer than 2**K cells
+        k = level - (len(occ) - 1).bit_length()
+        lo, hi, _ = _index_ranges(xy.min(axis=2), xy.max(axis=2), np.array([[x0], [y0]]), w, n)
+        assert (hi - lo).max() < 1 << k
+        assert np.array_equal(occ, reference_downsample(target.bits, level, level - k))
+        return kernel(xy, bounds, level, cells, occ)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(boxdim, "_quad_hits", checked)
+        counts = overlap_counts(target, quads, motions_of(isos), schedule)
+    assert counts.tolist() == [list(per_trial_counts(target, quads, iso, schedule).values()) for iso in isos]
+
+
 @pytest.mark.parametrize("level", [1, 6])
-def test_quad_hits_reads_the_pyramid_it_is_given(level):
+def test_quad_hits_reads_the_coarse_raster_it_is_given(level):
     target = BoxGrid(UNIT, level, random_bits(5, level, 0.5))
-    halvings = pyramid(target.bits)
-    given, values = list(halvings), [h.copy() for h in halvings]
     quads = scaled_quads(generate_cantor(0.3, 2), 3.0)  # wider than the grid
+    k = prune_halving(quads, target)
+    occ = coarsened(target.bits, k)
+    cells = np.flatnonzero(target.bits)
+    values = occ.copy(), cells.copy()
     moved = np.stack([Isometry(0.4 * i, i % 2 == 1, (0.1 * i - 1.0, -0.6)).apply(quads) for i in range(5)])
-    hits = geometry._quad_hits(coordinate_major(moved), UNIT, level, np.flatnonzero(target.bits), halvings)
+    hits = geometry._quad_hits(coordinate_major(moved), UNIT, level, cells, occ)
     t, c = np.concatenate([np.stack(block) for block in hits], axis=1)
-    assert len(halvings) == len(given) == level + 1
-    assert all(a is b and np.array_equal(a, v) for a, b, v in zip(halvings, given, values))
+    assert occ.shape == (1 << level - k,) * 2 and k == min(level, 5)
+    assert np.array_equal(occ, values[0]) and np.array_equal(cells, values[1])
     # the cells met are the raster's occupied cells, trial by trial
     for i, trial in enumerate(moved):
         raster = rasterize_quads(trial, UNIT, level).bits & target.bits
