@@ -25,8 +25,8 @@ from typing import Callable, Iterator
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import FormatError, ParameterError
-from .geometry import Alpha, BoxGrid, Square
+from .errors import BudgetError, FormatError, ParameterError
+from .geometry import Alpha, BoxGrid, Square, grid_size
 
 
 #: Lines per block that the readers and writers convert at once; bounds their scratch.
@@ -53,9 +53,9 @@ def _encode(codes: np.ndarray, letters: np.ndarray):
         yield text
 
 
-def _read(data: bytes | str, magic: str, what: str, types,
-          width) -> tuple[list, np.ndarray, int | None]:
-    """Header fields of a file, its lines after the header as an (n, w) uint8 view, and their offset.
+def _read(data: bytes | str, magic: str, what: str, types, width,
+          release: Callable | None = None) -> tuple[list, np.ndarray, Callable | None]:
+    """Header fields of a file, its lines after the header as an (n, w) uint8 view, and their release.
 
     The header is ``<magic> 1`` followed by one field per entry of
     ``types``, which converts it, and ends at the file's first break.
@@ -63,13 +63,14 @@ def _read(data: bytes | str, magic: str, what: str, types,
     length of every line.  The lines must each be w bytes followed by the
     header's break, the last break optional; their breaks are checked by
     a strided compare, a block of lines at a time, and no line is copied
-    (``_lines``); the offset is the byte of ``data`` where line 0 starts.
-    A read-only map ``data`` holds about one block of lines through the
-    check, since each checked block's pages are released.  When the lines
-    are not so, the file is read again with one LF per break, which
-    decides; the lines are then a view of that copy, the offset is None,
-    and a map ``data`` is released whole (``_release``), since nothing
-    reads it again.
+    (``_lines``).  ``release(lo, hi)``, which ``read_bgr_bands`` gives for
+    its own map, drops the pages of bytes [lo, hi) of ``data``; the
+    release returned drops those of lines [lo, hi) of the view, for the
+    check and decode passes to hand on the lines they are done with.
+    When the lines are not so, the file is read again with one LF per
+    break, which decides; the lines are then a view of that copy,
+    ``data`` is released whole, since nothing reads it again, and the
+    release returned is None, as it is when none is given.
     """
     raw = data.encode() if isinstance(data, str) else data
     buf = np.frombuffer(raw, dtype=np.uint8)
@@ -77,44 +78,27 @@ def _read(data: bytes | str, magic: str, what: str, types,
     end, brk = (first.start(), first.group()) if first else (len(raw), b"")
     fields = _header(buf[:end], magic, what, types)
     w = width(*fields)
-    offset = end + len(brk)
-    lines = _lines(buf, offset, w, brk, data)
+    start, stride = end + len(brk), w + len(brk)
+    release_lines = release and (lambda lo, hi: release(start + lo * stride, start + hi * stride))
+    lines = _lines(buf, start, w, brk, release_lines)
     if lines is None:  # not every break is the header's, or a line is not w bytes long
-        offset, copy = None, _one_lf_per_break(buf)
-        _release(data, len(raw))
+        copy, release_lines = _one_lf_per_break(buf), None
+        if release:
+            release(0, len(buf))
         lines = _lines(copy, end + 1, w, b"\n")
     if lines is None:
         raise FormatError(f"the {what} lines are not {w} bytes each")
-    return fields, lines, offset
+    return fields, lines, release_lines
 
 
-def _release(data, stop: int, start: int = 0) -> int:
-    """Drop the pages of a file map ``data`` that lie wholly in bytes [start, stop); the new start.
-
-    A page that ends past ``stop`` is kept, unless ``stop`` is the end of the
-    map.  A dropped page that is read again is read from the file again, so
-    no byte changes.  Anything but a map, or a platform without
-    ``madvise`` or ``MADV_DONTNEED``, drops nothing.
-    """
-    if not (isinstance(data, mmap.mmap) and hasattr(data, "madvise")
-            and hasattr(mmap, "MADV_DONTNEED")):
-        return start
-    stop = len(data) if stop >= len(data) else stop - stop % mmap.PAGESIZE
-    if stop > start:
-        data.madvise(mmap.MADV_DONTNEED, start, stop - start)
-    return max(start, stop)
-
-
-def _lines(buf: np.ndarray, start: int, width: int, brk: bytes, data=None) -> np.ndarray | None:
+def _lines(buf: np.ndarray, start: int, width: int, brk: bytes,
+           release: Callable | None = None) -> np.ndarray | None:
     """Lines from ``start`` on, each ``width`` bytes and ``brk``, as an (n, width) view; else None.
 
     The breaks are compared BGR_BLOCK_ROWS lines at a time.  A compare
-    touches one byte a line, about one page, so when ``buf`` is a
-    read-only view of a file map ``data`` the pages of each checked block
-    are released (``_release``) before the next block is compared: they
-    read the file again, so the rows decoded later are the same bytes.
-    A writable map may hold bytes written to it alone, which a released
-    page would lose, so it keeps its pages until they are decoded.
+    touches one byte a line, about one page, so ``release(lo, hi)``, when
+    given, drops the pages of lines [lo, hi) of each checked block
+    before the next block is compared.
     """
     if start >= len(buf):
         return np.empty((0, width), dtype=np.uint8)
@@ -126,13 +110,12 @@ def _lines(buf: np.ndarray, start: int, width: int, brk: bytes, data=None) -> np
     n, rest = divmod(stop - start, stride)
     if rest:
         return None
-    released = 0  # bytes of data before this are released
     for first in range(0, n, BGR_BLOCK_ROWS):
         block = buf[start + first * stride:start + (first + BGR_BLOCK_ROWS) * stride]
         if not all((block[width + j::stride] == b).all() for j, b in enumerate(brk)):
             return None
-        if not buf.flags.writeable:
-            released = _release(data, start + (first + BGR_BLOCK_ROWS) * stride, released)
+        if release:
+            release(first, first + BGR_BLOCK_ROWS)
     return as_strided(buf[start:], (n, width), (stride, 1), writeable=False)
 
 
@@ -163,29 +146,24 @@ def _header(header: np.ndarray, magic: str, what: str, types) -> list:
 
 
 def _decode(lines: np.ndarray, letters: np.ndarray, what: str, out: np.ndarray | None = None,
-            first: int = 0, data=None, offset: int | None = None) -> np.ndarray:
+            first: int = 0, release: Callable | None = None) -> np.ndarray:
     """Lines of letters from line ``first`` on as codes, a letter's index in ``letters``.
 
     The codes fill the rows of ``out``, as many lines as it has rows, or
     of a new uint8 array for every line, BGR_BLOCK_ROWS lines at a time.
-    When the lines are a strided view of ``data`` from byte ``offset`` on
-    (``_read``) and ``data`` is a file map, the pages of each decoded
-    block are released (``_release``) before the next block is read, so a
+    ``release(lo, hi)``, when given, drops the pages of lines [lo, hi) of
+    each decoded block before the next block is read (``_read``), so a
     read holds about its output plus one block, not the file as well.
     """
     out = np.empty(lines.shape, dtype=np.uint8) if out is None else out
-    released = 0  # bytes of data before this are released or read already
-    if offset is not None:  # from the page that holds line ``first``'s first byte
-        released = offset + first * lines.strides[0]
-        released -= released % mmap.PAGESIZE
     for start in range(first, first + len(out), BGR_BLOCK_ROWS):
         rows = out[start - first:start - first + BGR_BLOCK_ROWS]
         np.subtract(lines[start:start + len(rows)], letters[0], out=rows)
         if rows.max(initial=0) >= len(letters):  # a byte below the first letter wraps past them
             bad = start + np.flatnonzero((rows >= len(letters)).any(axis=1))[0]
             raise FormatError(f"bad {what} on line {bad + 2}")
-        if offset is not None:  # the next line starts the first byte not yet decoded
-            released = _release(data, offset + (start + len(rows)) * lines.strides[0], released)
+        if release:
+            release(start, start + len(rows))
     return out
 
 
@@ -200,7 +178,8 @@ def dump_bgr(grid: BoxGrid) -> str:
     return b"".join(_bgr_chunks(grid)).decode("ascii")
 
 
-def _bands(data: bytes | str, rows: Callable[[int], int] | None = None) -> Iterator:
+def _bands(data: bytes | str, rows: Callable[[int], int] | None = None,
+           release: Callable | None = None) -> Iterator:
     """The header of BGR v1 ``data`` as ``(bounds, level)``, then its rows decoded a band at a time.
 
     ``data`` is text or a bytes-like object, such as a map of a file.  A
@@ -211,19 +190,20 @@ def _bands(data: bytes | str, rows: Callable[[int], int] | None = None) -> Itera
     them.  Every band is decoded into the same array, which is
     overwritten when the next band is read.  The whole file is checked
     before the header is yielded, but for the row letters, which each
-    band checks as it is decoded (``_decode``); from a map, the pages of
-    the rows already decoded are released as decoding goes.
+    band checks as it is decoded (``_decode``).  ``release``, given only
+    for a file map (``read_bgr_bands``), drops the pages of the rows
+    already checked and decoded as the passes go (``_read``).
     """
-    (m, cx, cy, side), lines, offset = _read(data, "bgr", "grid", (int, float, float, float),
-                                             _grid_width)
+    (m, cx, cy, side), lines, release = _read(data, "bgr", "grid", (int, float, float, float),
+                                              _grid_width, release)
     n = len(lines)
-    if n != 1 << min(m, 64):  # a file holds fewer than 2**64 lines
+    if n != 1 << m:
         raise FormatError(f"expected 2**{m} grid rows, found {n}")
     yield Square((cx, cy), side), m
     band = np.empty((n if rows is None else min(rows(m), n), n), dtype=bool)
     for start in range(0, n, len(band)):  # file order runs from the top row down
         part = band[:n - start]
-        _decode(lines, _BITS, "grid row", part[::-1].view(np.uint8), start, data, offset)
+        _decode(lines, _BITS, "grid row", part[::-1].view(np.uint8), start, release)
         yield part
 
 
@@ -238,19 +218,22 @@ def parse_bgr(data: bytes | str) -> BoxGrid:
     """Read BGR v1 from text or a bytes-like object, such as a map of a file.
 
     The grid owns its bits: it holds no view of ``data``.  It is the one
-    band of ``_bands``: from a map, the pages of the rows already decoded
-    are released as decoding goes, so the read peaks at about one grid
-    plus one block of rows; the map stays open and readable.
+    band of ``_bands``, and ``data`` is never changed: no page of a map
+    passed in is released, so a private map keeps the bytes written to it.
     """
     return _grid(_bands(data))
 
 
 def _grid_width(m: int, cx: float, cy: float, side: float) -> int:
-    """Length of the rows of a grid header, once its values are checked."""
+    """Length of the rows of a grid header, once its values are checked and its level is within
+    ``CELL_BUDGET``, so that nothing is sized from a level over it."""
     if m < 0 or not all(map(math.isfinite, (cx, cy, side))) or not side > 0.0:
         raise FormatError("bad grid header: need level >= 0, a finite corner "
                           "and a finite positive side")
-    return 1 << min(m, 62)  # a larger level is refused by its row count
+    try:
+        return grid_size(m)
+    except BudgetError as exc:
+        raise FormatError(f"bad grid header: {exc}") from exc
 
 
 def read_bgr_bands(path, rows: Callable[[int], int] | None = None) -> Iterator:
@@ -258,10 +241,13 @@ def read_bgr_bands(path, rows: Callable[[int], int] | None = None) -> Iterator:
 
     ``rows`` gives the rows of a band from the grid's level, or None reads
     every row in one band.  The file is read through a read-only map of
-    it, so it is not copied, and its pages are released as they are
-    checked and decoded: the read holds about one band and one block of
-    rows.  A file that cannot be mapped, such as an empty file or a FIFO,
-    is read whole.  A CAD file is refused by name.
+    it, so it is not copied, and this map is the only one whose pages are
+    released, as they are checked and decoded: the read holds about one
+    band and one block of rows.  A dropped page that is read again is read
+    from the file again, so no byte changes.  A file that cannot be
+    mapped, such as an empty file or a FIFO, is read whole, and where
+    ``MADV_DONTNEED`` is missing nothing is released.  A CAD file is
+    refused by name.
     """
     with open(path, "rb") as fh:
         try:
@@ -270,7 +256,16 @@ def read_bgr_bands(path, rows: Callable[[int], int] | None = None) -> Iterator:
             data = fh.read()
     if data[:4] == b"cad ":
         raise FormatError("expected a bgr grid file; rasterize addresses with gen --grid-out first")
-    yield from _bands(data, rows)
+    release = None
+    if isinstance(data, mmap.mmap) and hasattr(mmap, "MADV_DONTNEED"):
+        def release(lo: int, hi: int) -> None:
+            """Drop the map's pages from the one holding byte ``lo`` up to the one holding byte
+            ``hi``, which may hold bytes not yet read; past the map's end, to its end."""
+            lo -= lo % mmap.PAGESIZE
+            hi = len(data) if hi >= len(data) else hi - hi % mmap.PAGESIZE
+            if hi > lo:
+                data.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
+    yield from _bands(data, rows, release)
     # closed once every band is read, and on success only: an error's traceback holds views
     # of the map, which then closes with the last of them, and closing it under the error
     # raises BufferError

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dustlab import cli, formats
+from dustlab import cli, formats, geometry
 from dustlab.boxdim import (ScaleSchedule, box_counts, counts_csv_lines, estimate_dimension,
                             window_counts)
 from dustlab.cli import main
@@ -513,8 +513,8 @@ def loaded(monkeypatch):
     seen = []
     load, bands = formats.read_bgr, formats._bands
     monkeypatch.setattr(formats, "read_bgr", lambda path: seen.append(load(path)) or seen[-1])
-    monkeypatch.setattr(formats, "_bands",
-                        lambda data, rows=None: seen.append(type(data)) or bands(data, rows))
+    monkeypatch.setattr(formats, "_bands", lambda data, rows=None, release=None:
+                        seen.append(type(data)) or bands(data, rows, release))
     return seen
 
 
@@ -659,27 +659,76 @@ class TestReleasedPages:
         assert not feeder.is_alive()
         assert same_grid(grid, parse_bgr(path.read_bytes()))
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux") or not hasattr(mmap, "MADV_DONTNEED"),
-                        reason="needs Linux MADV_DONTNEED, which rereads a private map's pages")
     @pytest.mark.parametrize("block", [formats.BGR_BLOCK_ROWS, 7])
     @pytest.mark.parametrize("breaks", BREAKS)
     def test_no_page_is_released_before_its_rows_are_decoded(self, tmp_path, monkeypatch, breaks,
                                                              block):
-        # a private map holds the inverted grid in pages of its own; a page released reads
-        # the file again, so a row decoded from a page released too early would come out of
-        # the file, and every page released leaves the map equal to the file
-        path = tmp_path / "g.bgr"
+        # a private map of a file holds the inverted grid, or other addresses, in pages of its
+        # own; a page released would read the file again, so parsing the map gives the map's
+        # bytes and leaves them there only if it releases no page of a map it is given
+        path, cad = tmp_path / "g.bgr", tmp_path / "a.cad"
         grid = written_grid(path, 8, 5, breaks)
         inverted = BREAKS[breaks](formats.dump_bgr(BoxGrid(grid.bounds, 8, ~grid.bits)).encode())
+        codes = np.random.default_rng(5).integers(0, 4, (600, 9), dtype=np.uint8)
+        cad.write_bytes(BREAKS[breaks](formats.dump_cad(0.25, 9, codes).encode()))
+        other = BREAKS[breaks](formats.dump_cad(0.25, 9, 3 - codes).encode())
         monkeypatch.setattr(formats, "BGR_BLOCK_ROWS", block)
-        with open(path, "rb") as fh:
-            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
-        try:
-            data[:] = inverted
-            assert same_grid(parse_bgr(data), BoxGrid(grid.bounds, 8, ~grid.bits))
-            assert data[:] == path.read_bytes()
-        finally:
-            data.close()
+        for file, mine, parse, check in [
+                (path, inverted, parse_bgr,
+                 lambda got: same_grid(got, BoxGrid(grid.bounds, 8, ~grid.bits))),
+                (cad, other, formats.parse_cad, lambda got: np.array_equal(got[2], 3 - codes))]:
+            with open(file, "rb") as fh:
+                data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+            try:
+                data[:] = mine
+                assert check(parse(data))
+                assert data[:] == mine
+            finally:
+                data.close()
+
+    @pytest.mark.parametrize("block", [formats.BGR_BLOCK_ROWS, 7])
+    @pytest.mark.parametrize("breaks", BREAKS)
+    def test_reader_releases_only_lines_it_is_done_with(self, tmp_path, monkeypatch, breaks, block):
+        # the reader's own map is read from a writable copy instead, and each range handed to
+        # its release is spoilt in the copy as if it were lost: break bytes while the breaks are
+        # checked, every byte once the rows are decoded.  A break compared, or a row decoded,
+        # after its bytes were handed to release then fails the read or changes the grid
+        path = tmp_path / "g.bgr"
+        grid = written_grid(path, 8, 12, breaks)
+        monkeypatch.setattr(formats, "BGR_BLOCK_ROWS", block)
+        bands, decode, calls = formats._bands, formats._decode, {True: [], False: []}
+        copy = bytearray(path.read_bytes())
+
+        def spy(release):
+            def spoil(lo, hi):
+                calls[checking].append((lo, hi))
+                part = np.frombuffer(memoryview(copy)[lo:hi], dtype=np.uint8)
+                part[np.isin(part, np.frombuffer(b"\n\r", dtype=np.uint8)) if checking else
+                     slice(None)] = ord("x")
+                release(lo, hi)
+            assert release is not None
+            return spoil
+
+        def decode_after_check(*args, **kwargs):
+            nonlocal checking
+            checking = False
+            return decode(*args, **kwargs)
+
+        checking = True
+        monkeypatch.setattr(formats, "_bands", lambda data, rows=None, release=None:
+                            bands(copy, rows, spy(release)))
+        monkeypatch.setattr(formats, "_decode", decode_after_check)
+        reader = formats.read_bgr_bands(path, lambda level: 100)  # bands of 100, 100 and 56 rows
+        assert next(reader) == (grid.bounds, grid.level)
+        assert np.array_equal(np.concatenate([band.copy() for band in reader][::-1]), grid.bits)
+        # each pass hands every row of the file to release; a mixed file's rows are decoded
+        # from its one-LF copy, and the map is handed over whole once the copy is made
+        header = len(path.read_bytes().splitlines(keepends=True)[0])
+        for checked, ranges in calls.items():
+            covered = np.zeros(len(copy), dtype=bool)
+            for lo, hi in ranges:
+                covered[lo:hi] = True
+            assert covered[header:].all() or (breaks == "mixed" and not checked and not ranges)
 
     @pytest.mark.parametrize("breaks", ["LF", "CR LF"])
     def test_bad_row_after_a_released_block_is_a_format_error(self, tmp_path, capsys, breaks):
@@ -691,6 +740,21 @@ class TestReleasedPages:
         path.write_bytes(bytes(text))
         assert run("dim", "--in", str(path)) == 4
         assert capsys.readouterr() == ("", "error: bad grid row on line 702\n")
+
+
+def test_grid_file_over_the_cell_budget_is_refused_at_its_header(tmp_path, capsys, monkeypatch):
+    # a level-7 file under a budget of 4**6 cells: its lines are never sized, nor a band allocated
+    path = tmp_path / "g.bgr"
+    written_grid(path, 7, 13)
+    monkeypatch.setattr(geometry, "CELL_BUDGET", 4 ** 6)
+    monkeypatch.setattr(formats, "_lines", lambda *args: pytest.fail("a grid over the budget was sized"))
+    message = "bad grid header: a level-7 grid has 4**7 cells, over the budget of 4096"
+    for read in (formats.read_bgr, lambda path: parse_bgr(path.read_bytes())):
+        with pytest.raises(FormatError) as info:
+            read(path)
+        assert str(info.value) == message
+    assert run("dim", "--in", str(path)) == 4
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @st.composite
