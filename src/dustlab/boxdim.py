@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from . import geometry
 from .errors import ParameterError
 from .geometry import BoxGrid, _aligned_window, _closed_span, _matrices, _quad_hits, coarsened
 
@@ -76,25 +77,45 @@ class DimensionEstimate:
 
 
 def box_counts(grid: BoxGrid, schedule: ScaleSchedule) -> dict[int, int]:
-    """Occupied-cell counts of a grid per schedule level (none above its resolution)."""
-    return window_counts(grid.bits, grid.level, schedule)
+    """Occupied-cell counts of a grid per schedule level (none above its resolution): the
+    ``window_counts`` of its bands of ``geometry._HALVE_BAND`` cells, so no halving holds more."""
+    rows = max(1, geometry._HALVE_BAND >> grid.level)
+    return window_counts((grid.bits[y:y + rows] for y in range(0, grid.size, rows)), grid.level, schedule)
 
 
-def window_counts(bits: np.ndarray, level: int, schedule: ScaleSchedule) -> dict[int, int]:
-    """Occupied-cell counts per schedule level of a window of a level-``level`` raster.
+def window_counts(bands: Iterable[np.ndarray], level: int, schedule: ScaleSchedule) -> dict[int, int]:
+    """Occupied-cell counts per schedule level of a window of a level-``level`` raster given as
+    equal bands of rows, top or bottom band first: ``[bits]`` is one band.
 
-    Counts are taken from fine to coarse, each schedule level ``coarsened`` straight from the
-    one after it, so a level the schedule does not ask for is never built.  The window's start
-    and size must be multiples of 2**(level - schedule.levels[0]), so that it splits into whole
-    cells at every schedule level; its counts then equal those of the full grid with every cell
-    outside the window cleared.  A whole grid is such a window.
-    """
+    The window's start and size must be multiples of 2**(level - schedule.levels[0]), so that it
+    splits into whole cells at every schedule level; its counts then equal those of the full grid
+    with every cell outside the window cleared.  A whole grid is such a window.  Each band counts
+    the levels at which its rows split into whole cells, fine to coarse, each ``coarsened``
+    straight from the one after it, so a level the schedule does not ask for is never built.  When
+    the coarsest such level is above the schedule's first (below which the window's width need
+    not split), the bands are coarsened to it and stacked to count the rest.  No band is kept.  A
+    schedule finer than the raster is refused after the last band."""
+    if isinstance(bands, np.ndarray):
+        raise TypeError("a window is a list of bands: pass [bits]")
+    fits, counts, coarse = schedule.levels[-1] <= level, dict.fromkeys(schedule.levels, 0), []
+    for band in bands:
+        if fits:  # else read on, so that an error in reading a band comes first
+            stop = level + 1 - (len(band) & -len(band)).bit_length() if len(band) else 0
+            bits, at = _count_down(band, level, [m for m in schedule.levels[::-1] if m >= stop], counts)
+            if stop > schedule.levels[0]:  # a copy: the band's array may be read anew
+                coarse.append(coarsened(bits, at - stop).copy())
     _require_resolution(schedule, level)
-    counts: dict[int, int] = {}
-    for m in reversed(schedule.levels):
+    if coarse:
+        _count_down(np.concatenate(coarse), stop, [m for m in schedule.levels[::-1] if m < stop], counts)
+    return counts
+
+
+def _count_down(bits: np.ndarray, level: int, levels: list[int], counts: dict[int, int]) -> tuple:
+    """Add to ``counts`` the occupied cells at each of ``levels``, fine to coarse; the last (bits, level)."""
+    for m in levels:
         bits, level = coarsened(bits, level - m), m
-        counts[m] = int(np.count_nonzero(bits))
-    return dict(sorted(counts.items()))
+        counts[m] += int(np.count_nonzero(bits))
+    return bits, level
 
 
 #: Quads ``overlap_counts`` moves and scores per step: a trial's, or more trials' up to this many.
@@ -287,7 +308,7 @@ def find_full_dimension_point(grid: BoxGrid, min_clearance: float = 0.0) -> tupl
     for r in (side / 8.0, side / 16.0, side / 32.0):
         sched = ScaleSchedule.resolving(grid, r / 2.0, floor=0)
         windows = _ball_windows(grid, pool, r, 1 << (grid.level - sched.levels[0]))
-        counts = [list(window_counts(bits, grid.level, sched).values()) for bits in windows]
+        counts = [list(window_counts([bits], grid.level, sched).values()) for bits in windows]
         slope, _, _, empty, _ = fit_dimensions(sched.levels, counts, side=side)
         scores = np.minimum(scores, np.where(empty, 0.0, slope))
     return pool[best_index(scores)]

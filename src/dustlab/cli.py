@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
 
-from . import formats
+from . import formats, geometry
 from .boxdim import ScaleSchedule, counts_csv_lines, estimate_dimension, window_counts
 from .cantor import CantorApproximant, alpha_for_dimension, cantor_dimension, generate_cantor
 from .composite import check_pipeline, run_pipeline
@@ -104,21 +103,18 @@ def cmd_gen(args) -> int:
 
 
 def cmd_dim(args) -> int:
-    """Box-count a grid file a band of rows at a time, never holding the whole grid.
-
-    The bands' counts add up to the grid's (``_band_rows``), so the table
-    is the whole grid's.  A malformed file is reported before a schedule
-    that does not fit its level.
-    """
+    """Box-count a grid file in the bands ``box_counts`` takes, never holding the whole grid.  A
+    malformed file is reported before a schedule that does not fit its level (``window_counts``)."""
     levels = None if args.levels is None else _parse_levels(args.levels)
     window = None if args.window is None else _parse_window(args.window)
-    reader = formats.read_bgr_bands(args.infile, lambda level: _band_rows(levels, level))
+    reader = formats.read_bgr_bands(args.infile, lambda level: max(1, geometry._HALVE_BAND >> level))
     bounds, level = next(reader)
-    counts = Counter()
-    for band in reader:
-        # resolved once a band's rows are checked: when no schedule fits, that band is the grid
+    try:
         schedule = levels or ScaleSchedule.default_for(level)
-        counts.update(window_counts(band, level, schedule))
+    except ParameterError:  # a level-0 or level-1 grid: a malformed one is reported first
+        list(reader)
+        raise
+    counts = window_counts(reader, level, schedule)
     est = estimate_dimension(counts, window=window, side=bounds.side)
     lines = [_config_line(args, resolved_levels=",".join(map(str, schedule.levels)))]
     lines += counts_csv_lines(counts, side=bounds.side)
@@ -127,23 +123,6 @@ def cmd_dim(args) -> int:
         _write_lines(args.out, lines)
     print("\n".join(lines))
     return 0
-
-
-def _band_rows(levels: ScaleSchedule | None, level: int) -> int:
-    """Rows of ``cmd_dim``'s bands of a level-``level`` grid, for ``levels`` or the default schedule.
-
-    A band is 2**(level - lo) rows, lo the schedule's coarsest level, so
-    that it splits into whole cells at every schedule level and the bands'
-    counts add up to the grid's (``window_counts``).  When the schedule
-    does not fit the grid, the band is the whole grid: its rows are all
-    checked before the schedule is refused, so a malformed file is
-    reported first.
-    """
-    try:
-        lo, *_, hi = (levels or ScaleSchedule.default_for(level)).levels
-    except ParameterError:
-        return 1 << level
-    return 1 << (level - lo if hi <= level else level)
 
 
 def cmd_john(args) -> int:

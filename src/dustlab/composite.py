@@ -227,7 +227,7 @@ def build_annuli(E: BoxGrid, p, d_seq, min_mass: int) -> AnnulusChain:
             bits = _annulus_window(E, p, r_in, r_out, 1 << (E.level - schedule.levels[0]))
             if np.count_nonzero(bits) >= min_mass:
                 # every resolved level: in a thin slice the finest levels carry the structure
-                counts = window_counts(bits, E.level, schedule)
+                counts = window_counts([bits], E.level, schedule)
                 est = estimate_dimension(counts, window=(schedule.levels[0], E.level), side=E.bounds.side)
                 if est.slope >= d_n - 0.1:
                     break

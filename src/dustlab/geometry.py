@@ -107,7 +107,8 @@ def freeze(values, dtype) -> np.ndarray:
     return arr
 
 
-#: Cells of the row-pair scratch ``halve`` ORs a band of rows into; bounds its temporary.
+#: Cells of the row-pair scratch ``halve`` ORs a band of rows into, and of the bands of rows
+#: that ``boxdim.box_counts`` and ``dim`` count a grid in; a power of two, it bounds their temporaries.
 _HALVE_BAND = 1 << 20
 
 

@@ -127,21 +127,19 @@ def check_survey(trials: int, tolerance: float, seed: int) -> None:
 
 
 def mattila_survey(a: BoxGrid, b: CantorApproximant, trials: int, tolerance: float = 0.15,
-                   seed: int = 0, s: float | None = None) -> MattilaSurvey:
+                   seed: int = 0) -> MattilaSurvey:
     """Count sampled motions of the dust B whose intersection slope reaches s + t - 2.
 
-    s defaults to the box-count slope of A, and t is the exact dimension
-    of the dust.  The hypotheses s + t > 2 and t > 3/2 are enforced
-    before any trial runs.  Motions are drawn from
-    ``default_survey_window(a)``, all at once (``trial_motions``), and
-    scored by one ``overlap_counts`` call.  Trials draw independent
-    per-index generator streams, so runs are reproducible.
+    s is the box-count slope of A and t the exact dimension of the dust.
+    The hypotheses s + t > 2 and t > 3/2 are enforced before any trial
+    runs.  Motions are drawn from ``default_survey_window(a)``, all at once
+    (``trial_motions``), and scored by one ``overlap_counts`` call.  Trials
+    draw independent per-index generator streams, so runs are reproducible.
     """
     check_survey(trials, tolerance, seed)
     if a.is_empty():
         raise ParameterError("set A has no occupied cells")
-    if s is None:
-        s = estimate_dimension(box_counts(a, ScaleSchedule.default_for(a.level)), side=a.bounds.side).slope
+    s = estimate_dimension(box_counts(a, ScaleSchedule.default_for(a.level)), side=a.bounds.side).slope
     t = cantor_dimension(b.alpha)  # in (0, 2) for every valid ratio
     if not 0.0 < s < 2.0:
         raise ParameterError(f"hypothesis 0 < s < 2 violated: s={s:.6g}")

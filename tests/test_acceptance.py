@@ -15,7 +15,7 @@ from dustlab.cantor import alpha_for_dimension, cantor_dimension, generate_canto
 from dustlab.cli import main
 from dustlab.composite import check_plan, run_pipeline
 from dustlab.errors import ParameterError
-from dustlab.geometry import Square, rasterize
+from dustlab.geometry import BoxGrid, Square, rasterize
 from dustlab.intersect import mattila_survey
 from dustlab.john import ring_clearance_bound, sample_ring_clearances, verify_john
 
@@ -157,8 +157,10 @@ def test_criterion_5_intersection_survey():
     if bad:
         failures.append(f"trials {bad} exceed the min(s,t)+0.1 slope bound")
 
-    with pytest.raises(ParameterError):
-        mattila_survey(a, b, trials=5, seed=1, s=0.25)  # s + t = 1.95 <= 2
+    line = np.zeros((512, 512), dtype=bool)
+    line[256] = True  # one row of cells: s = 1 exactly, so s + t = 2 with B's t = 1
+    with pytest.raises(ParameterError, match="s \\+ t > 2"):
+        mattila_survey(BoxGrid(Square.unit(), 9, line), generate_cantor(0.25, 4), trials=5, seed=1)
     with pytest.raises(ParameterError):
         mattila_survey(a, generate_cantor(alpha_for_dimension(1.4), 4), trials=5, seed=1)
 

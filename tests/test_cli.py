@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import threading
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -759,19 +758,21 @@ def test_grid_file_over_the_cell_budget_is_refused_at_its_header(tmp_path, capsy
 
 @st.composite
 def banded_grids(draw):
-    """(grid, schedule levels or None, rows per band): a schedule's bands are 2**(level - lo) rows."""
+    """(grid, schedule levels or None, rows per band): bands of any power of two rows, whatever
+    the schedule."""
     level = draw(st.integers(0, 9))
     n = 1 << level
     density = draw(st.sampled_from([0.0, 0.3, 1.0]))  # empty, random, full
     grid = BoxGrid(Square((0.5, -2.0), 3.0), level,
                    np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).random((n, n)) < density)
-    if level < 2:  # no schedule fits: bands of any height
-        return grid, None, 1 << draw(st.integers(0, level))
+    rows = 1 << draw(st.integers(0, level))
+    if level < 2:  # no schedule fits
+        return grid, None, rows
     levels = tuple(sorted(draw(st.sets(st.integers(0, level), min_size=3))))
     if draw(st.booleans()):  # a regular schedule
         lo = draw(st.integers(0, level - 2))
         levels = tuple(range(lo, level + 1, draw(st.integers(1, (level - lo) // 2))))
-    return grid, levels, 1 << level - levels[0]
+    return grid, levels, rows
 
 
 def irregular_grid(level: int) -> BoxGrid:
@@ -780,12 +781,13 @@ def irregular_grid(level: int) -> BoxGrid:
 
 
 class TestBands:
-    """``read_bgr_bands`` splits a grid file into bands whose counts add up to the grid's."""
+    """``read_bgr_bands`` splits a grid file into bands that ``window_counts`` counts as the grid."""
 
     @settings(max_examples=60, deadline=None)
     @given(banded_grids())
     @example((irregular_grid(9), (3, 7, 9), 1 << 6))
     @example((irregular_grid(9), tuple(range(10)), 1 << 9))  # lo = 0: a single band
+    @example((irregular_grid(9), tuple(range(10)), 1))  # lo = 0: one-row bands
     @example((BoxGrid.empty(Square.unit(), 5), (1, 3, 5), 1 << 4))
     @example((BoxGrid(Square.unit(), 4, np.ones((16, 16), dtype=bool)), (2, 3, 4), 1 << 2))
     @example((irregular_grid(3), None, 3))  # bands of 3, 3 and 2 rows
@@ -799,14 +801,17 @@ class TestBands:
         assert [len(band) for band in bands] == [min(rows, grid.size - s) for s in range(0, grid.size, rows)]
         assert np.array_equal(np.concatenate(bands[::-1]), grid.bits)  # top band first
         if levels is not None:
-            schedule, counts = ScaleSchedule(levels), Counter()
-            for band in bands:
-                counts.update(window_counts(band, grid.level, schedule))
-            assert dict(counts) == box_counts(grid, schedule)
+            reader = formats.read_bgr_bands(path, lambda level: rows)
+            next(reader)
+            # the reader's one array, read anew for each band, top band first
+            assert (window_counts(reader, grid.level, ScaleSchedule(levels))
+                    == {m: grid.downsampled(m).occupied_count for m in levels})
 
     @pytest.mark.parametrize("breaks", ["LF", "CR"])
-    def test_bad_row_in_the_third_band_is_a_format_error(self, tmp_path, capsys, breaks):
-        # 2:10:2 reads 256-row bands; row 600 is in the third, after two have been counted
+    def test_bad_row_in_the_third_band_is_a_format_error(self, tmp_path, capsys, monkeypatch, breaks):
+        # bands of 2**18 cells are 256 rows at level 10; row 600 is in the third, after two have
+        # been counted
+        monkeypatch.setattr(geometry, "_HALVE_BAND", 1 << 18)
         path, out = tmp_path / "g.bgr", tmp_path / "dim.csv"
         written_grid(path, 10, 7, breaks)
         text = bytearray(path.read_bytes())
@@ -897,7 +902,7 @@ def test_level_12_dim_holds_one_grid(tmp_path):
     assert grown < n * n + (6 << 20), grown / 2**20
 
 
-#: Run in a fresh interpreter: VmHWM growth over a level-12 ``dim --levels 2:12:2`` after its imports.
+#: Run in a fresh interpreter: VmHWM growth over a level-12 ``dim --levels`` argv[3] after its imports.
 PEAK_OF_BANDED_DIM = """
 import sys
 from dustlab.cli import main
@@ -907,7 +912,7 @@ def high_water():
         return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) << 10
 
 before = high_water()
-code = main(["dim", "--in", sys.argv[1], "--levels", "2:12:2", "--out", sys.argv[2]])
+code = main(["dim", "--in", sys.argv[1], "--levels", sys.argv[3], "--out", sys.argv[2]])
 print(high_water() - before, code)
 """
 
@@ -916,23 +921,25 @@ print(high_water() - before, code)
                     or not hasattr(mmap, "MADV_DONTNEED"),
                     reason="needs Linux /proc/self/status and MADV_DONTNEED")
 def test_level_12_dim_holds_one_band(tmp_path):
-    # dim holds one 1024-row band (4 MB) and about a block of the file's pages at a time; the
-    # whole grid, or the file's pages faulted in by the break check, would be 16 MB more
+    # dim holds one 256-row band (1 MB) and about a block of the file's pages at a time, from
+    # level 0 as well; the whole grid, or the file's pages faulted in by the break check, would
+    # be 16 MB more
     n = 1 << 12
     bits = np.zeros((n, n), dtype=bool)
     bits[::3, ::5] = True
     write_bgr(BoxGrid(Square.unit(), 12, bits), tmp_path / "g.bgr")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-c", PEAK_OF_BANDED_DIM, str(tmp_path / "g.bgr"),
-                           str(tmp_path / "dim.csv")], env=env, capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    grown, code = map(int, proc.stdout.splitlines()[-1].split())
-    assert code == 0
-    counts = dict(line.split(",")[::2] for line in (tmp_path / "dim.csv").read_text().splitlines()
-                  if line[:1].isdigit() and line.count(",") == 2)
-    assert int(counts["12"]) == np.count_nonzero(bits)
-    assert grown < 8 << 20, grown / 2**20
+    for levels in ("2:12:2", "0:12"):
+        proc = subprocess.run([sys.executable, "-c", PEAK_OF_BANDED_DIM, str(tmp_path / "g.bgr"),
+                               str(tmp_path / "dim.csv"), levels], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        grown, code = map(int, proc.stdout.splitlines()[-1].split())
+        assert code == 0
+        counts = dict(line.split(",")[::2] for line in (tmp_path / "dim.csv").read_text().splitlines()
+                      if line[:1].isdigit() and line.count(",") == 2)
+        assert int(counts["12"]) == np.count_nonzero(bits)
+        assert grown < 8 << 20, (levels, grown / 2**20)
 
 
 #: One complete argv per subcommand.

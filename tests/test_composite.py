@@ -181,7 +181,7 @@ def test_annulus_window_counts_as_the_full_slice(case, data):
     assert np.count_nonzero(bits) == full.occupied_count
     if grid.level - lo >= 2:
         schedule = ScaleSchedule.span(lo, grid.level)
-        assert window_counts(bits, grid.level, schedule) == box_counts(full, schedule)
+        assert window_counts([bits], grid.level, schedule) == box_counts(full, schedule)
 
 
 def reference_build_annuli(E, p, d_seq, min_mass):

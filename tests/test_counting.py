@@ -135,7 +135,7 @@ def ball_window_counts(grid, p, radius, schedule):
     """Counts of ``grid`` in the ball B(p, radius) as ``find_full_dimension_point`` takes them:
     ``window_counts`` of the ball's window, widened to whole cells at the schedule's coarsest level."""
     window = next(boxdim._ball_windows(grid, [p], radius, 1 << (grid.level - schedule.levels[0])))
-    return window_counts(window, grid.level, schedule)
+    return window_counts([window], grid.level, schedule)
 
 
 def schedules(level: int):
@@ -156,7 +156,7 @@ def test_window_counts_of_whole_grid_match_reference(level, data, seed, density,
 
 def test_window_counts_reject_levels_beyond_resolution():
     with pytest.raises(ParameterError):
-        window_counts(np.zeros((4, 4), dtype=bool), 2, ScaleSchedule((1, 2, 3)))
+        window_counts([np.zeros((4, 4), dtype=bool)], 2, ScaleSchedule((1, 2, 3)))
     with pytest.raises(ParameterError):
         ball_window_counts(BoxGrid(Square.unit(), 2, np.ones((4, 4), dtype=bool)), (0.5, 0.5), 0.25,
                            ScaleSchedule((1, 2, 3)))
@@ -268,7 +268,7 @@ def dense_trial_counts(grid, moved, schedule):
     inter = grid.bits[cells] & bits
     if not inter.any():
         return dict.fromkeys(schedule.levels, 0)
-    return window_counts(inter, grid.level, schedule)
+    return window_counts([inter], grid.level, schedule)
 
 
 def dense_window(quads: np.ndarray, bounds: Square, level: int, align: int,
@@ -1132,7 +1132,7 @@ def test_window_counts_that_skip_levels_match_one_level_halving(level, data, see
     # window_counts halves by up to 3 levels a pass, straight to the next schedule level
     schedule = data.draw(st.one_of(step_schedules(level), schedules(level)))
     bits = random_bits(seed, level, density)
-    assert window_counts(bits, level, schedule) == one_level_counts(bits, level, schedule)
+    assert window_counts([bits], level, schedule) == one_level_counts(bits, level, schedule)
     # a window of whole cells at the coarsest schedule level counts as the grid with the
     # rest cleared
     f = 1 << (level - schedule.levels[0])
@@ -1140,7 +1140,7 @@ def test_window_counts_that_skip_levels_match_one_level_halving(level, data, see
     x0, x1 = sorted(data.draw(st.integers(0, len(bits) // f), label="cols") for _ in range(2))
     cleared = np.zeros_like(bits)
     cleared[y0 * f:y1 * f, x0 * f:x1 * f] = bits[y0 * f:y1 * f, x0 * f:x1 * f]
-    assert (window_counts(bits[y0 * f:y1 * f, x0 * f:x1 * f], level, schedule)
+    assert (window_counts([bits[y0 * f:y1 * f, x0 * f:x1 * f]], level, schedule)
             == one_level_counts(cleared, level, schedule))
 
 
@@ -1152,6 +1152,92 @@ def test_box_counts_past_one_halve_band_match_block_reduction(density):
     counts = box_counts(BoxGrid(Square.unit(), level, bits), ScaleSchedule.span(0, level))
     assert counts == {m: int(np.count_nonzero(reference_downsample(bits, level, m)))
                       for m in range(level + 1)}
+
+
+@st.composite
+def banded_cases(draw):
+    """(level, seed, cells set per 256, log2 of ``_HALVE_BAND``, schedule levels): a grid of
+    level 0 to 12, bands from one row to more than the grid, any schedule that fits (from level 0
+    among them) and some that do not."""
+    level = draw(st.integers(0, 12))
+    too_fine = st.lists(st.integers(0, level + 3), min_size=3, unique=True).filter(lambda ms: max(ms) > level)
+    fitting = st.one_of(step_schedules(level), schedules(level)).map(lambda s: s.levels)
+    levels = draw(too_fine if level < 2 else st.one_of(fitting, fitting, too_fine))
+    return (level, draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([0, 1, 13, 128, 256])),
+            draw(st.integers(0, 2 * level + 1)), tuple(sorted(levels)))
+
+
+def one_array(bands):
+    """``bands`` read in turn into one array, as ``formats.read_bgr_bands`` reads a file's."""
+    out = np.empty_like(bands[0])
+    for band in bands:
+        out[...] = band
+        yield out
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(banded_cases())
+@example((12, 5, 13, 14, tuple(range(13))))  # from level 0 in four-row bands
+@example((9, 6, 128, 0, tuple(range(10))))  # one-row bands
+@example((9, 7, 1, 9, (2, 5, 9)))  # one-row bands, the raster's level in the schedule
+@example((5, 8, 128, 11, (1, 3, 5)))  # a grid smaller than a band
+@example((10, 9, 13, 14, (2, 4, 6, 8, 10, 12)))  # a schedule finer than the raster
+def test_banded_counts_match_whole_grid_halving(case):
+    level, seed, per256, band_log, levels = case
+    n, schedule = 1 << level, ScaleSchedule(levels)
+    bits = np.random.default_rng(seed).integers(0, 256, (n, n), dtype=np.uint8) < per256
+    grid = BoxGrid(Square.unit(), level, bits)
+    rows = min(n, max(1, (1 << band_log) >> level))
+    bands = [bits[y:y + rows] for y in range(0, n, rows)]
+    seen = []
+
+    def spy(given, *args):
+        given = list(given)
+        seen.extend(len(band) for band in given)
+        return window_counts(given, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_HALVE_BAND", 1 << band_log)  # read by box_counts at call time
+        mp.setattr(boxdim, "window_counts", spy)
+        if levels[-1] > level:
+            read = []
+            with pytest.raises(ParameterError, match="exceeds grid resolution"):
+                window_counts((read.append(band) or band for band in bands), level, schedule)
+            assert len(read) == len(bands)  # refused after the last band
+            with pytest.raises(ParameterError, match="exceeds grid resolution"):
+                box_counts(grid, schedule)
+            return
+        expected = one_level_counts(bits, level, schedule)
+        assert box_counts(grid, schedule) == expected
+        assert seen == [rows] * (n // rows)
+        # top band first, as a file holds them, each read into the one array
+        assert window_counts(one_array(bands[::-1]), level, schedule) == expected
+        assert window_counts(one_array(bands), level, schedule) == expected
+
+
+def test_level_12_box_counts_hold_about_one_band():
+    # the default schedule 2:12 of a level-12 grid, in bands of 256 rows: each band's halvings
+    # and the stacked coarse rows, about 0.8 MiB; halving the whole grid held 6 MiB
+    n = 1 << 12
+    bits = np.zeros((n, n), dtype=bool)
+    bits[::3, ::5] = True
+    grid = BoxGrid(UNIT, 12, bits)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        counts = box_counts(grid, ScaleSchedule.default_for(12))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert counts == one_level_counts(bits, 12, ScaleSchedule.default_for(12))
+    assert peak < 2 << 20, peak / 2**20
+
+
+def test_window_counts_refuse_a_bare_array():
+    # a bare array would be taken as its rows: a window of one band is [bits]
+    with pytest.raises(TypeError, match=r"pass \[bits\]"):
+        window_counts(np.zeros((4, 4), dtype=bool), 2, ScaleSchedule((0, 1, 2)))
 
 
 def test_one_overlap_call_halves_each_shape_once(monkeypatch):

@@ -28,6 +28,14 @@ def full_grid(level):
     return BoxGrid(Square.unit(), level, np.ones((n, n), dtype=bool))
 
 
+def line_grid(level):
+    """One row of cells across the unit square: its box-count slope is exactly 1."""
+    n = 1 << level
+    bits = np.zeros((n, n), dtype=bool)
+    bits[n // 2] = True
+    return BoxGrid(Square.unit(), level, bits)
+
+
 def unit_square():
     """The depth-0 approximant: the unit square itself, for any ratio."""
     return generate_cantor(0.25, 0)
@@ -154,11 +162,10 @@ def test_placement_at_diameter_sqrt2_keeps_unit_scale(survey_pair):
 
 
 class TestMattilaSurvey:
-    def test_hypothesis_gate_s_plus_t(self, survey_pair):
-        a, _ = survey_pair
-        b_small = generate_cantor(alpha_for_dimension(1.6), 4)
+    def test_hypothesis_gate_s_plus_t(self):
+        # A is one row of cells, so s = 1 exactly, and B's t = 1: s + t = 2 breaks the gate
         with pytest.raises(ParameterError, match="s \\+ t > 2"):
-            mattila_survey(a, b_small, trials=5, seed=1, s=0.3)
+            mattila_survey(line_grid(7), generate_cantor(0.25, 4), trials=5, seed=1)
 
     def test_hypothesis_gate_t(self, survey_pair):
         a, _ = survey_pair
@@ -167,9 +174,9 @@ class TestMattilaSurvey:
             mattila_survey(a, b_thin, trials=5, seed=1)
 
     def test_full_square_dimensions_rejected(self):
-        # A is the full square, so s = 2 breaks the gate 0 < s < 2
+        # A is the full square, which measures s = 2 exactly: that breaks the gate 0 < s < 2
         with pytest.raises(ParameterError, match="0 < s < 2"):
-            mattila_survey(full_grid(7), unit_square(), trials=5, seed=1, s=2.0)
+            mattila_survey(full_grid(7), unit_square(), trials=5, seed=1)
 
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf])
     def test_non_finite_tolerance_rejected(self, survey_pair, tolerance):
