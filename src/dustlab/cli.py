@@ -18,7 +18,7 @@ from .boxdim import ScaleSchedule, counts_csv_lines, estimate_dimension, window_
 from .cantor import CantorApproximant, alpha_for_dimension, cantor_dimension, generate_cantor
 from .composite import check_pipeline, run_pipeline
 from .errors import DustError, FormatError, ParameterError
-from .geometry import Alpha, BoxGrid, Square, grid_size, rasterize
+from .geometry import Alpha, BoxGrid, Square, grid_size, rasterize, rasterize_bands, squares_to_quads
 from .intersect import check_survey, mattila_survey
 from .john import verify_john
 
@@ -83,21 +83,28 @@ def _parse_window(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _band_height(level: int) -> int:
+    """Rows of a band of ``geometry._HALVE_BAND`` cells of a level-``level`` grid, at least one."""
+    return max(1, geometry._HALVE_BAND >> level)
+
+
 def cmd_gen(args) -> int:
+    """Write the dust's addresses and its raster; the raster is made and written a band of
+    ``_band_height`` at a time (``rasterize_bands``), never held whole."""
     if not args.out and not args.grid_out:
         raise ParameterError("nothing to do: give --out and/or --grid-out")
     alpha = _resolve_alpha(args.alpha, args.dim, "--alpha", "--dim")
     if args.grid_out:
-        approx, grid = _raster_dust(alpha, args.depth, args.level)
-    else:
-        approx = generate_cantor(alpha, args.depth)
+        grid_size(args.level)
+    approx = generate_cantor(alpha, args.depth)
     print(_config_line(args, resolved_alpha=float(alpha),
                        resolved_dimension=cantor_dimension(alpha)))
     if args.out:
         formats.write_cad(alpha, args.depth, approx.codes, args.out)
         print(f"wrote {approx.count} addresses to {args.out}")
     if args.grid_out:
-        formats.write_bgr(grid, args.grid_out)
+        quads = squares_to_quads(approx.leaf_corners(), approx.side)
+        formats.write_bgr(rasterize_bands(quads, Square.unit(), args.level, _band_height), args.grid_out)
         print(f"wrote level-{args.level} grid to {args.grid_out}")
     return 0
 
@@ -107,7 +114,7 @@ def cmd_dim(args) -> int:
     malformed file is reported before a schedule that does not fit its level (``window_counts``)."""
     levels = None if args.levels is None else _parse_levels(args.levels)
     window = None if args.window is None else _parse_window(args.window)
-    reader = formats.read_bgr_bands(args.infile, lambda level: max(1, geometry._HALVE_BAND >> level))
+    reader = formats.read_bgr_bands(args.infile, _band_height)
     bounds, level = next(reader)
     try:
         schedule = levels or ScaleSchedule.default_for(level)

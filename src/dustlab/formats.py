@@ -20,13 +20,13 @@ from __future__ import annotations
 import math
 import mmap
 import re
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import BudgetError, FormatError, ParameterError
-from .geometry import Alpha, BoxGrid, Square, grid_size
+from .geometry import Alpha, BoxGrid, Square, _grid, grid_size
 
 
 #: Lines per block that the readers and writers convert at once; bounds their scratch.
@@ -167,15 +167,17 @@ def _decode(lines: np.ndarray, letters: np.ndarray, what: str, out: np.ndarray |
     return out
 
 
-def _bgr_chunks(grid: BoxGrid):
-    """BGR v1 encoding of a grid as bytes-like chunks: the header line, then row blocks."""
-    x0, y0 = grid.bounds.corner
-    yield f"bgr 1 {grid.level} {x0!r} {y0!r} {grid.bounds.side!r}\n".encode()
-    yield from _encode(grid.bits[::-1].view(np.uint8), _BITS)
+def _bgr_chunks(bounds: Square, level: int, bands: Iterable):
+    """BGR v1 encoding of a grid as bytes-like chunks: the header line, then the row blocks of
+    each of its bands, top band first, in grid order (``_bands``)."""
+    x0, y0 = bounds.corner
+    yield f"bgr 1 {level} {x0!r} {y0!r} {bounds.side!r}\n".encode()
+    for band in bands:
+        yield from _encode(band[::-1].view(np.uint8), _BITS)
 
 
 def dump_bgr(grid: BoxGrid) -> str:
-    return b"".join(_bgr_chunks(grid)).decode("ascii")
+    return b"".join(_bgr_chunks(grid.bounds, grid.level, [grid.bits])).decode("ascii")
 
 
 def _bands(data: bytes | str, rows: Callable[[int], int] | None = None,
@@ -205,13 +207,6 @@ def _bands(data: bytes | str, rows: Callable[[int], int] | None = None,
         part = band[:n - start]
         _decode(lines, _BITS, "grid row", part[::-1].view(np.uint8), start, release)
         yield part
-
-
-def _grid(reader: Iterator) -> BoxGrid:
-    """The grid of a ``_bands`` reader that reads every row in one band."""
-    bounds, level = next(reader)
-    (bits,) = reader
-    return BoxGrid.adopt(bounds, level, bits)
 
 
 def parse_bgr(data: bytes | str) -> BoxGrid:
@@ -279,10 +274,18 @@ def read_bgr(path) -> BoxGrid:
     return _grid(read_bgr_bands(path))
 
 
-def write_bgr(grid: BoxGrid, path) -> None:
-    """Write a grid as BGR v1, one block of rows at a time."""
+def write_bgr(grid: BoxGrid | Iterable, path) -> None:
+    """Write a grid as BGR v1, one block of rows at a time.
+
+    ``grid`` is a BoxGrid, or the items of a band reader such as ``geometry.rasterize_bands``:
+    ``(bounds, level)``, then the grid's bands, top band first, as ``_bands`` yields them, each
+    encoded as it comes, so the whole grid is never held.  The header is taken before the file
+    is opened, so a reader that refuses its grid leaves no file.
+    """
+    bands = iter([(grid.bounds, grid.level), grid.bits] if isinstance(grid, BoxGrid) else grid)
+    bounds, level = next(bands)
     with open(path, "wb") as fh:
-        for chunk in _bgr_chunks(grid):
+        for chunk in _bgr_chunks(bounds, level, bands):
             fh.write(chunk)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -341,7 +341,8 @@ def quads_disjoint(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return disjoint
 
 
-#: (quad, cell) pairs ``_quad_hits`` SAT-tests per block.
+#: (quad, cell) pairs ``_band_hits`` SAT-tests per block.  Where no edge tests a cell, as for
+#: axis-aligned quads, a block only lists its cells and holds four times as many.
 _QUAD_BLOCK_LIMIT = 1 << 12
 
 
@@ -351,29 +352,81 @@ def rasterize_quads(quads: np.ndarray, bounds: Square, level: int) -> BoxGrid:
     A cell is occupied iff it meets a quad, where the quad's axis-aligned
     extent is treated half open (like rasterize) and the rotated edge
     directions are tested closed.  Identity and quarter-turn images of
-    grid-aligned squares therefore reproduce exact occupancy.
+    grid-aligned squares therefore reproduce exact occupancy.  The grid is
+    the one band of ``rasterize_bands``.
     """
-    bits = np.zeros((grid_size(level),) * 2, dtype=bool)
+    return _grid(rasterize_bands(quads, bounds, level))
+
+
+def rasterize_bands(quads: np.ndarray, bounds: Square, level: int,
+                    rows: Callable[[int], int] | None = None) -> Iterator:
+    """``(bounds, level)``, then ``rasterize_quads`` of ``quads`` a band of rows at a time.
+
+    The bands are those ``formats._bands`` reads a file in: h = ``rows(level)`` rows (the last
+    one fewer when h does not divide the n rows), or every row when ``rows`` is None, each a
+    bool array in grid order, top band first, so the k-th band holds the grid's rows
+    ``[n - (k + 1) * h, n - k * h)``.  Every band is filled into the same array, which is
+    overwritten when the next band is asked for.  Each band is filled from its blocks of
+    ``_band_hits``, so each (quad, cell) pair is tested in one band only.
+    """
+    n = grid_size(level)
     xy = np.asarray(quads, dtype=float).reshape(-1, 4, 2).transpose(2, 1, 0)[None]
-    for _, cell in _quad_hits(np.ascontiguousarray(xy), bounds, level):
-        bits.reshape(-1)[cell] = True
+    yield bounds, level
+    band = np.zeros((n if rows is None else min(rows(level), n), n), dtype=bool)
+    hits = _band_hits(np.ascontiguousarray(xy), bounds, level, len(band))
+    # the cells the last band set, kept while they are under 1/64 of it, to clear only them: a
+    # clear of the whole band costs more than a sparse band's raster
+    flat, marks = band.reshape(-1), []
+    for start, blocks in zip(range(0, n, len(band)), hits):  # from the top row down
+        part = band[:n - start]
+        offset = (n - start - len(part)) * n  # the band's first cell
+        if marks is None:
+            flat[:] = False
+        for cell in marks or ():
+            flat[cell] = False
+        marks, count = [], 0
+        for _, cell in blocks:
+            cell -= offset
+            flat[cell] = True
+            if marks is not None and (count := count + len(cell)) <= flat.size >> 6:
+                marks.append(cell)
+            else:
+                marks = None
+        yield part
+
+
+def _grid(reader: Iterator) -> BoxGrid:
+    """The grid of a band reader (``rasterize_bands``, ``formats._bands``) that yields every row
+    in one band."""
+    bounds, level = next(reader)
+    (bits,) = reader
     return BoxGrid.adopt(bounds, level, bits)
 
 
 def _quad_hits(xy: np.ndarray, bounds: Square, level: int, cells: np.ndarray | None = None,
-               occ: np.ndarray | None = None):
-    """Yield blocks ``(t, iy * 2**level + ix)`` of the cells met by trial t's quads, of ``xy``.
+               occ: np.ndarray | None = None) -> Iterator:
+    """The blocks of the one band of ``_band_hits`` that holds every row."""
+    return next(_band_hits(xy, bounds, level, 1 << level, cells, occ))
 
-    ``xy[t, c, v, i]`` is coordinate c of vertex v of quad i of trial t, (T, 2, 4, N), so that
-    every pass over a block reads whole rows of N.  A quad's cell box is its extent taken half
-    open, as in ``rasterize``, and its cells take a closed SAT test on its edge directions
-    (``_sat_limits``).  Given a target's index over the same bounds and level, only its
-    occupied cells are tested: ``cells`` lists them sorted as ``iy * 2**level + ix``, and
-    ``occ`` is its bits ``coarsened`` k times, where every box spans fewer than 2**k cells a
-    side; both are only read.  So each box spans at most 2x2 cells of ``occ``, and boxes with
-    none of them set are dropped by one ``_any_corner`` call; the cells of every kept box row
-    come from one ``searchsorted`` in ``cells``.  A block tests about ``_QUAD_BLOCK_LIMIT``
-    (quad, cell) pairs.
+
+def _band_hits(xy: np.ndarray, bounds: Square, level: int, height: int,
+               cells: np.ndarray | None = None, occ: np.ndarray | None = None) -> Iterator[Iterator]:
+    """Per band of ``height`` grid rows, top band first, the blocks ``(t, iy * 2**level + ix)`` of
+    the cells in it met by trial t's quads, of ``xy``.
+
+    The k-th band holds the rows ``[n - (k + 1) * height, n - k * height)`` that the grid has,
+    as in ``rasterize_bands``.  ``xy[t, c, v, i]`` is coordinate c of vertex v of quad i of
+    trial t, (T, 2, 4, N), so that every pass over a block reads whole rows of N.  A quad's
+    cell box is its extent taken half open, as in ``rasterize``, and its cells take a closed
+    SAT test on its edge directions (``_sat_limits``).  Given a target's index over the same
+    bounds and level, only its occupied cells are tested: ``cells`` lists them sorted as
+    ``iy * 2**level + ix``, and ``occ`` is its bits ``coarsened`` k times, where every box
+    spans fewer than 2**k cells a side; both are only read.  So each box spans at most 2x2
+    cells of ``occ``, and boxes with none of them set are dropped by one ``_any_corner`` call;
+    the cells of every kept box row come from one ``searchsorted`` in ``cells``.  Every box is
+    cut at band edges into pieces, one per band it meets, so each (quad, cell) pair is tested
+    in one band only, and a band's box rows are listed only when its blocks are asked for.  A
+    block tests about ``_QUAD_BLOCK_LIMIT`` (quad, cell) pairs.
     """
     trials, _, _, count = xy.shape
     n = grid_size(level)
@@ -385,35 +438,57 @@ def _quad_hits(xy: np.ndarray, bounds: Square, level: int, cells: np.ndarray | N
         k = level - (len(occ) - 1).bit_length()
         valid &= _any_corner(occ, lo >> k, hi >> k)
     kept = np.flatnonzero(valid)
-    if not len(kept):
-        return
     trial, quad = np.divmod(kept, count)
-    limits = _sat_limits(xy, kept, w)
+    limits = _sat_limits(xy, kept, w) if len(kept) else np.empty((2, 6, 0))
     lo, hi = lo[trial, :, quad], hi[trial, :, quad]  # (K, 2): (ix, iy) of each kept box's corners
-    owner, row = _ranges(lo[:, 1], hi[:, 1] - lo[:, 1] + 1)
-    first = row * n + lo[owner, 0]
-    # each row's [first, last + 1), side by side: the search for last + 1 starts from first's
-    ends = np.stack([first, first + (hi[:, 0] - lo[:, 0] + 1)[owner]], axis=1)
-    if cells is not None:  # for integers, side="right" on last is side="left" on last + 1
-        ends = cells.searchsorted(ends)
-    first, size = ends[:, 0], ends[:, 1] - ends[:, 0]
-    blocks = _QUAD_BLOCK_LIMIT * np.arange(1, size.sum() // _QUAD_BLOCK_LIMIT + 1)
-    cuts = [0, *size.cumsum().searchsorted(blocks).tolist(), len(size)]
+    # each box cut at band edges into pieces, one per band it meets, sorted by band, top band first
+    top_band = (n - 1 - hi[:, 1]) // height
+    box, band = _ranges(top_band, (n - 1 - lo[:, 1]) // height - top_band + 1)
+    order = np.argsort(band.astype(np.uint16), kind="stable")  # a radix sort: n < 2**16
+    box, band = box[order], band[order]
+    roof = n - band * height  # one past the top row of each piece's band
+    bottom = np.maximum(lo[box, 1], roof - height)
+    span = np.minimum(hi[box, 1], roof - 1) - bottom + 1
+    left, width = lo[box, 0], hi[box, 0] - lo[box, 0] + 1
+    # each band's first piece, and the end
+    edges = band.searchsorted(np.arange(-(-n // height) + 1)).tolist()
     tests = [lim for lim in limits if lim[0].any()]  # the edges that test a cell
-    for a, b in zip(cuts, cuts[1:]):
-        seg, cell = _ranges(first[a:b], size[a:b])
-        seg = owner[a:b][seg]
-        if cells is not None:
-            cell = cells[cell]
-        if tests:  # closed overlap of each cell's projection with the quad's
-            cx = x0 + (cell & (n - 1)) * w
-            cy = y0 + (cell >> level) * w
-            keep = np.ones(len(cell), dtype=bool)
-            for ax, ay, cmin, cmax, amin, amax in (lim[:, seg] for lim in tests):
-                base = cx * ax + cy * ay
-                keep &= (base + cmax >= amin) & (base + cmin <= amax)
-            seg, cell = seg[keep], cell[keep]
-        yield trial[seg], cell
+    limit = _QUAD_BLOCK_LIMIT if tests else _QUAD_BLOCK_LIMIT << 2
+
+    def blocks_of(pieces: slice) -> Iterator:
+        piece, row = _ranges(bottom[pieces], span[pieces])
+        owner = box[pieces][piece]
+        first, size = row * n + left[pieces][piece], width[pieces][piece]  # each box row's cells
+        if cells is not None:  # each row's [first, last + 1), side by side: the search for last + 1
+            # starts from first's; for integers, side="right" on last is side="left" on last + 1
+            ends = cells.searchsorted(np.stack([first, first + size], axis=1))
+            first, size = ends[:, 0], ends[:, 1] - ends[:, 0]
+        blocks = np.arange(limit, size.sum() + 1, limit)
+        cuts = [0, *size.cumsum().searchsorted(blocks).tolist(), len(size)]
+        for a, b in zip(cuts, cuts[1:]):
+            seg, cell = _ranges(first[a:b], size[a:b])
+            seg = owner[a:b][seg]
+            if cells is not None:
+                cell = cells[cell]
+            if tests:
+                seg, cell = _sat_hits(seg, cell, tests, bounds, level)
+            yield trial[seg], cell
+
+    for a, b in zip(edges, edges[1:]):
+        yield blocks_of(slice(a, b))
+
+
+def _sat_hits(seg: np.ndarray, cell: np.ndarray, tests: list, bounds: Square, level: int):
+    """The pairs of box ``seg`` and cell ``iy * 2**level + ix`` whose closed projections overlap on
+    the axis of every tested edge: ``tests`` holds those rows of ``_sat_limits``."""
+    w = bounds.side / (1 << level)
+    cx = bounds.corner[0] + (cell & ((1 << level) - 1)) * w
+    cy = bounds.corner[1] + (cell >> level) * w
+    keep = np.ones(len(cell), dtype=bool)
+    for ax, ay, cmin, cmax, amin, amax in (lim[:, seg] for lim in tests):
+        base = cx * ax + cy * ay
+        keep &= (base + cmax >= amin) & (base + cmin <= amax)
+    return seg[keep], cell[keep]
 
 
 def _any_corner(occ: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 from dustlab import cli, formats, geometry
 from dustlab.boxdim import (ScaleSchedule, box_counts, counts_csv_lines, estimate_dimension,
                             window_counts)
+from dustlab.cantor import generate_cantor
 from dustlab.cli import main
 from dustlab.errors import (AssemblyError, BudgetError, ConstructionError, DustError, FormatError,
                             ParameterError, PlacementError, RingUndeterminedError)
 from dustlab.formats import parse_bgr, read_cad, write_bgr
-from dustlab.geometry import BoxGrid, Square
+from dustlab.geometry import BoxGrid, Square, rasterize
 
 
 def run(*args):
@@ -940,6 +941,41 @@ def test_level_12_dim_holds_one_band(tmp_path):
                       if line[:1].isdigit() and line.count(",") == 2)
         assert int(counts["12"]) == np.count_nonzero(bits)
         assert grown < 8 << 20, (levels, grown / 2**20)
+
+
+#: Run in a fresh interpreter: VmHWM growth over a level-12 ``gen --grid-out argv[1]`` of the dust
+#: of ratio argv[2] and depth argv[3], after its imports.
+PEAK_OF_GEN = """
+import sys
+from dustlab.cli import main
+
+def high_water():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) << 10
+
+before = high_water()
+code = main(["gen", "--alpha", sys.argv[2], "--depth", sys.argv[3], "--level", "12",
+             "--grid-out", sys.argv[1]])
+print(high_water() - before, code)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or not os.path.exists("/proc/self/status"),
+                    reason="needs Linux /proc/self/status")
+@pytest.mark.parametrize("alpha,depth", [("0.25", "6"), ("0.45", "3")])  # the benchmark's; dense
+def test_level_12_gen_holds_one_band(tmp_path, alpha, depth):
+    # gen rasterizes and writes one 256-row band (1 MB) at a time; the whole 16 MB grid, of
+    # which transparent huge pages fault 8 MB or more, grew it by 11 MB and more
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", PEAK_OF_GEN, str(tmp_path / "c.bgr"), alpha, depth],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    grown, code = map(int, proc.stdout.splitlines()[-1].split())
+    assert code == 0
+    approx = generate_cantor(float(alpha), int(depth))
+    expected = rasterize(approx.leaf_corners(), Square.unit(), 12, side=approx.side)
+    assert same_grid(formats.read_bgr(tmp_path / "c.bgr"), expected)
+    assert grown < 8 << 20, grown / 2**20
 
 
 #: One complete argv per subcommand.

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from dustlab import cli, geometry
 from dustlab.errors import FormatError, ParameterError
 from dustlab.formats import BGR_BLOCK_ROWS, dump_bgr, dump_cad, parse_bgr, parse_cad, write_bgr
 from dustlab.cantor import address_corners
 from dustlab.geometry import (Alpha, BoxGrid, Isometry, Square, grid_intersection,
-                              quads_disjoint, rasterize, rasterize_quads, squares_to_quads)
+                              quads_disjoint, rasterize, rasterize_bands, rasterize_quads,
+                              squares_to_quads)
 
 
 def subdivide_oracle(word, alpha):
@@ -364,3 +366,74 @@ class TestQuads:
         for x, y in pts:
             ix, iy = grid.point_cell((x, y))
             assert grid.bits[iy, ix]
+
+
+def turned_square(center, side, theta, reflect):
+    """(1, 4, 2) quad of a square of ``side`` about ``center``, turned by ``theta`` and reflected."""
+    return Isometry(theta, reflect, center).apply(squares_to_quads(np.array([[-side / 2] * 2]), side))
+
+
+@st.composite
+def band_raster_cases(draw):
+    """(level, bounds, quads, log2 of ``_HALVE_BAND``, a band height): up to six squares from a
+    thousandth of a cell to the whole grid, on cell edges or anywhere, turned (quarter turns keep
+    them on the edges) and reflected, some past the grid's edges; bands from one row to more
+    than the grid, of a power of two rows or of any height."""
+    level = draw(st.integers(0, 7))
+    bounds = draw(st.sampled_from([Square.unit(), Square((0.5, -2.0), 3.0)]))
+    n = 1 << level
+    w = bounds.side / n
+    quads = [np.zeros((0, 4, 2))]
+    for _ in range(draw(st.integers(0, 6))):
+        side = draw(st.one_of(st.sampled_from([1e-3, 1.0, 2.0, 5.0, float(n)]), st.floats(1e-3, 2.0 * n)))
+        # an edge-aligned square's center is half its side from a cell corner
+        center = [draw(st.integers(-2, n + 1)) + (side / 2 if draw(st.booleans()) else draw(st.floats(0, 1)))
+                  for _ in range(2)]
+        theta = draw(st.one_of(st.sampled_from([k * math.pi / 4 for k in range(8)]),
+                               st.floats(0.0, 2 * math.pi)))
+        quads.append(turned_square((bounds.corner[0] + center[0] * w, bounds.corner[1] + center[1] * w),
+                                   side * w, theta, draw(st.booleans())))
+    return (level, bounds, np.concatenate(quads), draw(st.integers(0, 2 * level + 1)),
+            draw(st.integers(1, n + 1)))
+
+
+def sat_pairs():
+    """A list and a spy on ``geometry._sat_hits`` that appends the (quad, cell) pairs each call tests."""
+    pairs, kernel = [], geometry._sat_hits
+
+    def spy(seg, cell, *args):
+        pairs.append(len(cell))
+        return kernel(seg, cell, *args)
+
+    return pairs, spy
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=band_raster_cases())
+@example(case=(0, Square.unit(), np.zeros((0, 4, 2)), 0, 1))  # no quads
+@example(case=(6, Square.unit(), turned_square((0.5, 0.5), 0.5, 0.3, True), 0, 3))  # across every band
+@example(case=(5, Square.unit(), turned_square((0.5, 0.5), 1.0, 0.0, False), 4, 7))  # the grid itself
+@example(case=(5, Square.unit(), turned_square((0.25, 0.25), 0.25, math.pi / 2, False), 0, 8))  # on edges
+def test_bands_stack_to_the_one_band_raster(tmp_path_factory, case):
+    level, bounds, quads, band_log, height = case
+    n = 1 << level
+    one, one_spy = sat_pairs()
+    banded, banded_spy = sat_pairs()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_sat_hits", one_spy)
+        grid = rasterize_quads(quads, bounds, level)
+        mp.setattr(geometry, "_sat_hits", banded_spy)
+        mp.setattr(geometry, "_HALVE_BAND", 1 << band_log)  # read by cli._band_height at call time
+        rows = cli._band_height(level)
+        reader = rasterize_bands(quads, bounds, level, cli._band_height)
+        assert next(reader) == (bounds, level)
+        bands = [band.copy() for band in reader]
+    # top band first, each of the same height but the last
+    assert [len(band) for band in bands] == [rows] * (n // rows) + [n % rows] * (n % rows > 0)
+    assert np.array_equal(np.concatenate(bands[::-1]), grid.bits)
+    # each (quad, cell) pair is tested in one band only
+    assert sum(banded) == sum(one)
+    path = tmp_path_factory.getbasetemp() / "bands.bgr"
+    for band_rows in (lambda level: height, None):  # any height; one band
+        write_bgr(rasterize_bands(quads, bounds, level, band_rows), path)
+        assert path.read_bytes() == dump_bgr(grid).encode()
