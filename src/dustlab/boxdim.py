@@ -17,7 +17,7 @@ import numpy as np
 
 from . import geometry
 from .errors import ParameterError
-from .geometry import BoxGrid, _aligned_window, _closed_span, _matrices, _quad_hits, coarsened
+from .geometry import BoxGrid, _closed_span, _matrices, _quad_hits, coarsened
 
 LN2 = math.log(2.0)
 #: Level of the coarse grid whose occupied cells find_full_dimension_point scores.
@@ -83,39 +83,53 @@ def box_counts(grid: BoxGrid, schedule: ScaleSchedule) -> dict[int, int]:
     return window_counts((grid.bits[y:y + rows] for y in range(0, grid.size, rows)), grid.level, schedule)
 
 
-def window_counts(bands: Iterable[np.ndarray], level: int, schedule: ScaleSchedule) -> dict[int, int]:
+def window_counts(bands: Iterable[np.ndarray], level: int, schedule: ScaleSchedule) -> dict:
     """Occupied-cell counts per schedule level of a window of a level-``level`` raster given as
     equal bands of rows, top or bottom band first: ``[bits]`` is one band.
 
     The window's start and size must be multiples of 2**(level - schedule.levels[0]), so that it
     splits into whole cells at every schedule level; its counts then equal those of the full grid
-    with every cell outside the window cleared.  A whole grid is such a window.  Each band counts
-    the levels at which its rows split into whole cells, fine to coarse, each ``coarsened``
-    straight from the one after it, so a level the schedule does not ask for is never built.  When
-    the coarsest such level is above the schedule's first (below which the window's width need
-    not split), the bands are coarsened to it and stacked to count the rest.  No band is kept.  A
-    schedule finer than the raster is refused after the last band."""
+    with every cell outside the window cleared.  A whole grid is such a window.  A band may also
+    be a stack (K, rows, w) of the same rows of K windows of one shape, which are then counted
+    together, each count a (K,) array of one per window.  Each band counts the levels at which
+    its rows split into whole cells, fine to coarse, each ``coarsened`` straight from the one
+    after it (a stack as its K * rows rows), so a level the schedule does not ask for is never
+    built.  When the coarsest such level is above the schedule's first (below which the window's
+    width need not split), the bands are coarsened to it and stacked to count the rest.  No band
+    is kept.  A schedule finer than the raster is refused after the last band."""
     if isinstance(bands, np.ndarray):
         raise TypeError("a window is a list of bands: pass [bits]")
     fits, counts, coarse = schedule.levels[-1] <= level, dict.fromkeys(schedule.levels, 0), []
     for band in bands:
         if fits:  # else read on, so that an error in reading a band comes first
-            stop = level + 1 - (len(band) & -len(band)).bit_length() if len(band) else 0
+            rows = band.shape[-2]
+            stop = level + 1 - (rows & -rows).bit_length() if rows else 0
             bits, at = _count_down(band, level, [m for m in schedule.levels[::-1] if m >= stop], counts)
             if stop > schedule.levels[0]:  # a copy: the band's array may be read anew
-                coarse.append(coarsened(bits, at - stop).copy())
+                coarse.append(_coarsened(bits, at - stop).copy())
     _require_resolution(schedule, level)
     if coarse:
-        _count_down(np.concatenate(coarse), stop, [m for m in schedule.levels[::-1] if m < stop], counts)
+        rest = [m for m in schedule.levels[::-1] if m < stop]
+        _count_down(np.concatenate(coarse, axis=-2), stop, rest, counts)
     return counts
 
 
-def _count_down(bits: np.ndarray, level: int, levels: list[int], counts: dict[int, int]) -> tuple:
-    """Add to ``counts`` the occupied cells at each of ``levels``, fine to coarse; the last (bits, level)."""
+def _count_down(bits: np.ndarray, level: int, levels: list[int], counts: dict) -> tuple:
+    """Add to ``counts`` the occupied cells at each of ``levels``, fine to coarse, per window of a
+    stack; the last (bits, level)."""
     for m in levels:
-        bits, level = coarsened(bits, level - m), m
-        counts[m] += int(np.count_nonzero(bits))
+        bits, level = _coarsened(bits, level - m), m
+        if bits.ndim == 2:
+            counts[m] += int(np.count_nonzero(bits))
+        else:  # a count per window, each by the fast whole-array count
+            counts[m] = counts[m] + np.array([np.count_nonzero(window) for window in bits])
     return bits, level
+
+
+def _coarsened(bits: np.ndarray, k: int) -> np.ndarray:
+    """``coarsened`` of rows (rows, w) or of a stack (K, rows, w), each window on its own."""
+    *lead, rows, width = bits.shape
+    return coarsened(bits.reshape(math.prod(lead) * rows, width), k).reshape(*lead, rows >> k, width >> k)
 
 
 #: Quads ``overlap_counts`` moves and scores per step: a trial's, or more trials' up to this many.
@@ -219,13 +233,11 @@ def fit_dimensions(levels: Sequence[int], counts, window: tuple[int, int] | None
     levels = [int(m) for m in levels]
     if len(levels) < 3:
         raise ParameterError(f"need counts at 3 or more levels, got {len(levels)}")
-    if window is None:
-        lo, hi = (1, len(levels) - 2) if len(levels) >= 6 else (0, len(levels))
-    else:
-        inside = [k for k, m in enumerate(levels) if window[0] <= m <= window[1]]
-        if len(inside) < 3:
-            raise ParameterError(f"window {window} keeps {len(inside)} levels, need at least 3")
-        lo, hi = inside[0], inside[-1] + 1
+    first, last = window or _default_window(levels)
+    inside = [k for k, m in enumerate(levels) if first <= m <= last]
+    if len(inside) < 3:
+        raise ParameterError(f"window {window} keeps {len(inside)} levels, need at least 3")
+    lo, hi = inside[0], inside[-1] + 1
     values = np.asarray(counts, dtype=np.int64).reshape(-1, len(levels))[:, lo:hi]
     empty = ~values.any(axis=1)
     if (values[~empty] <= 0).any():
@@ -263,15 +275,43 @@ def counts_csv_lines(counts: Mapping[int, int], side: float) -> list[str]:
     return lines
 
 
-def _ball_windows(grid: BoxGrid, centers, radius: float, step: int) -> Iterator[np.ndarray]:
-    """Per center, the cells of ``grid`` in the closed Chebyshev ball B(center, radius)
-    (``_closed_span``), cut by ``_aligned_window`` one at a time, after the inputs are checked."""
+def _default_window(levels: Sequence[int]) -> tuple[int, int]:
+    """The levels (first, last) that ``fit_dimensions`` fits when given no window: all of them,
+    or from six levels up all but the coarsest and the two finest."""
+    return (levels[1], levels[-3]) if len(levels) >= 6 else (levels[0], levels[-1])
+
+
+def _ball_windows(grid: BoxGrid, centers, radius: float, step: int) -> Iterator[tuple]:
+    """The cells of ``grid`` in the closed Chebyshev balls B(center, radius) (``_closed_span``),
+    each in a zero window widened outward to multiples of ``step`` (``aligned_span``), after the
+    inputs are checked.
+
+    Yields pairs (which, stack): a stack (K, h, w) holds the windows of the centers ``which``,
+    which share one shape, in at most ``geometry._HALVE_BAND`` cells; a larger window is a stack
+    of its own.  Every stack is filled into the same array, which is overwritten when the next
+    stack is asked for.  A center's span may be empty, off the grid: its window is then widened
+    from the span's start, which is 0 or the grid's size, and holds no cell."""
     c = np.asarray(centers, dtype=float).reshape(-1, 2)
     if not (0.0 < radius < math.inf and np.isfinite(c).all()):
         raise ParameterError(f"need finite centers and a positive, finite radius, got radius {radius!r}")
     lo, hi = _closed_span(c - radius, c + radius, grid.bounds.corner, grid.cell_size, grid.size)
-    return (_aligned_window(grid.bits, slice(y0, y1 + 1), slice(x0, x1 + 1), step)[0]
-            for (x0, y0), (x1, y1) in zip(lo.tolist(), hi.tolist()))
+    start = lo - lo % step
+    size = (np.maximum(lo, hi) // step + 1) * step - start  # (x, y) of each window
+    shapes, group = np.unique(size, axis=0, return_inverse=True)
+    group, cells = group.reshape(-1), shapes.prod(axis=1)
+    per = np.maximum(1, geometry._HALVE_BAND // cells)  # windows a stack of each shape holds
+    # one array for every stack: fresh pages for each would fault on every call
+    store = np.empty(int((np.minimum(per, np.bincount(group)) * cells).max()), dtype=grid.bits.dtype)
+    lo, hi, start = (a.tolist() for a in (lo, hi + 1, start))
+    for g, ((w, h), p) in enumerate(zip(shapes.tolist(), per.tolist())):
+        members = np.flatnonzero(group == g)
+        for which in (members[s:s + p] for s in range(0, len(members), p)):
+            stack = store[:len(which) * h * w].reshape(len(which), h, w)
+            stack[:] = False
+            for window, i in zip(stack, which.tolist()):
+                (x0, y0), (x1, y1), (sx, sy) = lo[i], hi[i], start[i]
+                window[y0 - sy:y1 - sy, x0 - sx:x1 - sx] = grid.bits[y0:y1, x0:x1]
+            yield which, stack
 
 
 def clip_to_ball(grid: BoxGrid, p: Sequence[float], radius: float) -> BoxGrid:
@@ -280,7 +320,8 @@ def clip_to_ball(grid: BoxGrid, p: Sequence[float], radius: float) -> BoxGrid:
     Cells survive when their half-open extent meets the closed ball, which
     keeps the clipped set a union of whole cells of the original raster.
     """
-    return BoxGrid.adopt(grid.bounds, grid.level, next(_ball_windows(grid, [p], radius, grid.size)))
+    ((_, (bits,)),) = _ball_windows(grid, [p], radius, grid.size)
+    return BoxGrid.adopt(grid.bounds, grid.level, bits)
 
 
 def find_full_dimension_point(grid: BoxGrid, min_clearance: float = 0.0) -> tuple[float, float]:
@@ -289,12 +330,16 @@ def find_full_dimension_point(grid: BoxGrid, min_clearance: float = 0.0) -> tupl
     Scans occupied cells of a coarse candidate grid; each candidate is
     represented by its first occupied fine cell (row-major from the bottom
     row) and scored by the minimum local slope over the radii side/8,
-    side/16 and side/32: each ball's ``window_counts`` (of its
-    ``_ball_windows`` window) fitted over the levels from where cells
-    resolve its radius to the raster's.  Ties keep the earliest candidate
-    in row-major order.  ``min_clearance`` optionally discards candidates
-    closer than that to the bounds edge (falling back to all of them if
-    none survive).
+    side/16 and side/32.  A radius's fit takes the levels from where cells
+    resolve the radius to the raster's, and reads those of its default
+    window (``_default_window``); only those are counted, and the fit is
+    given them as its window.  The balls of a radius are cut in windows
+    of whole cells at the first level read, stacked by shape
+    (``_ball_windows``), and each stack is counted by one
+    ``window_counts``.  Ties keep the earliest candidate in row-major
+    order.  ``min_clearance`` optionally discards candidates closer than
+    that to the bounds edge (falling back to all of them if none
+    survive).
     """
     if grid.is_empty():
         raise ParameterError("cannot locate a point in an empty set")
@@ -306,10 +351,12 @@ def find_full_dimension_point(grid: BoxGrid, min_clearance: float = 0.0) -> tupl
     side = grid.bounds.side
     scores = np.inf
     for r in (side / 8.0, side / 16.0, side / 32.0):
-        sched = ScaleSchedule.resolving(grid, r / 2.0, floor=0)
-        windows = _ball_windows(grid, pool, r, 1 << (grid.level - sched.levels[0]))
-        counts = [list(window_counts([bits], grid.level, sched).values()) for bits in windows]
-        slope, _, _, empty, _ = fit_dimensions(sched.levels, counts, side=side)
+        window = _default_window(ScaleSchedule.resolving(grid, r / 2.0, floor=0).levels)
+        read = ScaleSchedule.span(*window)
+        counts = np.empty((len(pool), len(read.levels)), dtype=np.int64)
+        for which, stack in _ball_windows(grid, pool, r, 1 << (grid.level - window[0])):
+            counts[which] = np.stack(list(window_counts([stack], grid.level, read).values()), axis=1)
+        slope, _, _, empty, _ = fit_dimensions(read.levels, counts, window, side)
         scores = np.minimum(scores, np.where(empty, 0.0, slope))
     return pool[best_index(scores)]
 

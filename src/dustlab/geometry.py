@@ -14,7 +14,9 @@ Conventions used throughout the package:
   Balls and frames take the closed span of the cells whose extent meets
   them (``_closed_span``), and annuli the cells whose centre they hold
   (``composite._annulus_window``).  Balls and annuli are cut into zero
-  windows aligned to a step of cells (``_aligned_window``).
+  windows aligned to a step of cells (``aligned_span``): an annulus by
+  ``_aligned_window``, the balls of a radius stacked by shape
+  (``boxdim._ball_windows``).
 """
 
 from __future__ import annotations
@@ -439,7 +441,7 @@ def _band_hits(xy: np.ndarray, bounds: Square, level: int, height: int,
         valid &= _any_corner(occ, lo >> k, hi >> k)
     kept = np.flatnonzero(valid)
     trial, quad = np.divmod(kept, count)
-    limits = _sat_limits(xy, kept, w) if len(kept) else np.empty((2, 6, 0))
+    tests = _sat_limits(xy, kept, w) if len(kept) else []  # the edges that test a cell
     lo, hi = lo[trial, :, quad], hi[trial, :, quad]  # (K, 2): (ix, iy) of each kept box's corners
     # each box cut at band edges into pieces, one per band it meets, sorted by band, top band first
     top_band = (n - 1 - hi[:, 1]) // height
@@ -452,7 +454,6 @@ def _band_hits(xy: np.ndarray, bounds: Square, level: int, height: int,
     left, width = lo[box, 0], hi[box, 0] - lo[box, 0] + 1
     # each band's first piece, and the end
     edges = band.searchsorted(np.arange(-(-n // height) + 1)).tolist()
-    tests = [lim for lim in limits if lim[0].any()]  # the edges that test a cell
     limit = _QUAD_BLOCK_LIMIT if tests else _QUAD_BLOCK_LIMIT << 2
 
     def blocks_of(pieces: slice) -> Iterator:
@@ -497,17 +498,19 @@ def _any_corner(occ: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return occ.reshape(-1)[rows[:, None] + np.stack([lo[:, 0], hi[:, 0]])].any(axis=(0, 1))
 
 
-def _sat_limits(xy: np.ndarray, kept: np.ndarray, w: float) -> np.ndarray:
-    """SAT constants of the quads ``kept`` (indices t * N + i of ``xy``, sorted), (2, 6, K).
+def _sat_limits(xy: np.ndarray, kept: np.ndarray, w: float) -> list:
+    """SAT constants of the quads ``kept`` (indices t * N + i of ``xy``, sorted): one (6, K) row
+    per edge j (from vertex 0 to vertex 1 or 3) that some kept quad tests, none when no edge is
+    tested, as for axis-aligned squares.
 
-    Row [j, :, p] holds, for edge j (from vertex 0 to vertex 1 or 3) of kept quad p, the unit
-    axis (ax, ay), the offsets w * (min(ax, 0) + min(ay, 0)) and w * (max(ax, 0) + max(ay, 0))
-    of a cell's projection from its corner's, and the quad's span on the axis; an edge of zero
-    length or within 1e-12 of a grid axis tests nothing: (0, 0, 0, 0, -inf, inf).  They are
-    built once per reference quad: quad 0 of a trial whose quads are all congruent (equal edge
-    vectors to within 1e-12), each kept quad of any other trial.  A congruent trial's member
-    spans are its reference's moved by ``(v0 - v0_ref) @ axis``, one (K, 2) @ (2,) product
-    per trial and tested edge.
+    Row [:, p] holds, for kept quad p, the unit axis (ax, ay), the offsets
+    w * (min(ax, 0) + min(ay, 0)) and w * (max(ax, 0) + max(ay, 0)) of a cell's projection from
+    its corner's, and the quad's span on the axis; an edge of zero length or within 1e-12 of a
+    grid axis tests nothing: (0, 0, 0, 0, -inf, inf).  Whether an edge is tested is known from
+    the reference quads' edges, before any row is built: quad 0 of a trial whose quads are all
+    congruent (equal edge vectors to within 1e-12), each kept quad of any other trial.  A
+    congruent trial's member spans are its reference's moved by ``(v0 - v0_ref) @ axis``, one
+    (K, 2) @ (2,) product per trial and tested edge.
     """
     trials, _, _, count = xy.shape
     e = xy[:, :, 1::2] - xy[:, :, :1]  # (T, 2, 2, N): each quad's edge vectors
@@ -522,11 +525,14 @@ def _sat_limits(xy: np.ndarray, kept: np.ndarray, w: float) -> np.ndarray:
     # stacked products run the BLAS calls of the per-quad forms: ddot for the norm, gemv for rel
     norm = np.sqrt(edge[..., None, :] @ edge[..., None])[..., 0]
     axis = edge / np.where(norm > 0.0, norm, 1.0)
+    tested = (norm[..., 0] > 0.0) & (abs(axis).min(axis=2) >= 1e-12)
+    edges = np.flatnonzero(tested[slot].any(axis=0)).tolist()
+    if not edges:
+        return []
     rel = (quads[:, None] @ axis[..., None])[..., 0]
     table = np.concatenate([axis, w * np.minimum(axis, 0.0).sum(axis=2, keepdims=True),
                             w * np.maximum(axis, 0.0).sum(axis=2, keepdims=True),
                             rel.min(axis=2, keepdims=True), rel.max(axis=2, keepdims=True)], axis=2)
-    tested = (norm[..., 0] > 0.0) & (abs(axis).min(axis=2) >= 1e-12)
     table[~tested] = (0.0, 0.0, 0.0, 0.0, -np.inf, np.inf)
     limits = np.ascontiguousarray(table.transpose(1, 2, 0))[:, :, slot]  # (2, 6, K)
     d = xy[trial, :, 0, quad] - xy[trial, :, 0, 0]  # (K, 2): vertex 0 from its trial's quad 0
@@ -534,7 +540,7 @@ def _sat_limits(xy: np.ndarray, kept: np.ndarray, w: float) -> np.ndarray:
     for t, j in np.argwhere(tested[:trials] & congruent[:, None]).tolist():
         a, b = start[t], start[t + 1]
         limits[j, 4:, a:b] += d[a:b] @ axis[t, j]
-    return limits
+    return [limits[j] for j in edges]
 
 
 def _ranges(first: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -47,7 +47,8 @@
   ``xy[t, c, v, i]`` that ``_quad_hits`` takes (``coordinate_major``
   converts (T, N, 4, 2) quads to it); each trial must equal
   ``Isometry.apply`` float for float.  ``geometry._sat_limits`` builds the
-  SAT constants once per reference quad and gathers them per kept quad;
+  SAT constants once per reference quad and gathers them per kept quad,
+  for the edges some kept quad tests only;
   the per-trial loop it replaced is kept here verbatim
   (``reference_sat_slots``), and its stacked norm and projection products
   are checked against the per-quad ``np.linalg.norm`` and gemv.
@@ -56,9 +57,14 @@
   (``scalar_estimate_dimension``), and each row must equal it float for
   float.
 * ``find_full_dimension_point`` takes every block's representative by one
-  ``argmax`` and fits its candidates as one batch per radius; the
-  per-block ``np.nonzero`` scan and the per-candidate scoring are kept
-  here verbatim (``reference_full_dimension_point``).
+  ``argmax``, counts the balls of a radius in stacks of windows
+  (``_ball_windows``) at the levels its fit reads only, and fits its
+  candidates as one batch per radius.  The per-block ``np.nonzero`` scan
+  is kept here verbatim, and the per-candidate scoring with each ball
+  counted as ``box_counts`` of its full-grid ``clip_to_ball`` at every
+  schedule level, fitted by the default window
+  (``reference_full_dimension_point``); the stacks' per-window counts are
+  checked against the same full clips.
 * ``ScaleSchedule.resolving`` replaced three per-caller formulas, kept
   here verbatim.
 * ``rasterize`` became a thin entry to ``rasterize_quads``, whose block
@@ -134,7 +140,7 @@ def test_halving_matches_block_reduction(level, data, seed, density):
 def ball_window_counts(grid, p, radius, schedule):
     """Counts of ``grid`` in the ball B(p, radius) as ``find_full_dimension_point`` takes them:
     ``window_counts`` of the ball's window, widened to whole cells at the schedule's coarsest level."""
-    window = next(boxdim._ball_windows(grid, [p], radius, 1 << (grid.level - schedule.levels[0])))
+    ((_, (window,)),) = boxdim._ball_windows(grid, [p], radius, 1 << (grid.level - schedule.levels[0]))
     return window_counts([window], grid.level, schedule)
 
 
@@ -941,7 +947,8 @@ def test_batched_fit_equals_scalar_fit(levels, side, data):
 
 
 # The point search's per-block scan that the one argmax replaced, and its scoring by one
-# local_dimension_profile per candidate with scalar fits, kept verbatim.
+# local_dimension_profile per candidate with scalar fits, kept verbatim but for the counts of a
+# ball: box_counts of its full-grid clip_to_ball at every schedule level, no window or stack.
 
 def reference_representatives(grid):
     clevel = min(boxdim.CANDIDATE_LEVEL, grid.level)
@@ -967,7 +974,7 @@ def reference_full_dimension_point(grid, min_clearance=0.0):
 
     def profile(p):
         return [scalar_estimate_dimension(
-            ball_window_counts(grid, p, r, ScaleSchedule.resolving(grid, r / 2.0, floor=0)), side=side)
+            box_counts(clip_to_ball(grid, p, r), ScaleSchedule.resolving(grid, r / 2.0, floor=0)), side=side)
             for r in radii]
 
     candidates = reference_representatives(grid)
@@ -1006,6 +1013,98 @@ def test_point_search_matches_per_candidate_reference(level, bounds, seed, densi
         return
     expected = reference_full_dimension_point(grid, clearance * bounds.side)
     assert find_full_dimension_point(grid, clearance * bounds.side) == expected
+
+
+def dust_grid(alpha, depth, level):
+    approx = generate_cantor(alpha, depth)
+    return rasterize(approx.leaf_corners(), UNIT, level, side=approx.side)
+
+
+def blocks_grid(seed, level):
+    """Random squares of random densities: few candidates with unequal scores."""
+    n, rng = 1 << level, np.random.default_rng(seed)
+    bits = np.zeros((n, n), dtype=bool)
+    for _ in range(6):
+        s = int(rng.integers(n // 80, n // 7))
+        y, x = rng.integers(0, n - s, 2)
+        bits[y:y + s, x:x + s] |= rng.random((s, s)) < rng.choice([0.01, 0.1, 0.5, 1.0])
+    return BoxGrid(UNIT, level, bits)
+
+
+FIT_DROP_GRIDS = [
+    (dust_grid, (0.4, 5, 8), 0.25),  # no radius's schedule has 6 levels yet
+    (dust_grid, (0.4, 5, 9), 0.0),  # side/8 fits 4:9 by the drop rule, reading 5:7
+    (dust_grid, (0.45, 4, 9), 0.25),
+    (blocks_grid, (3, 9), 0.0),
+    (dust_grid, (0.4, 5, 10), 0.25),  # the construct benchmark's E
+    (dust_grid, (0.45, 5, 10), 0.0),
+    (dust_grid, (0.35, 5, 10), 0.25),
+    (blocks_grid, (0, 10), 0.0),
+    # from level 12 the levels side/8 reads, 5:10, are six: fitted without an explicit window
+    # they would be dropped to 6:8 again, and the search would pick (0.336..., 0.336...)
+    (dust_grid, (0.4, 5, 12), 0.25),
+]
+
+
+@pytest.mark.parametrize("make,args,clearance", FIT_DROP_GRIDS, ids=[
+    "-".join(map(str, (make.__name__, *args, clearance))) for make, args, clearance in FIT_DROP_GRIDS])
+def test_point_search_matches_reference_where_fits_drop_levels(make, args, clearance):
+    # the drop rule applies from 6 levels, which no schedule of the levels 2-7 above reaches
+    grid = make(*args)
+    expected = reference_full_dimension_point(grid, clearance)
+    assert find_full_dimension_point(grid, clearance) == expected
+
+
+def test_point_search_halvings_on_the_construct_e(monkeypatch):
+    # 36 candidates at 3 radii: each ball counted in its own window at every schedule level took
+    # 540 halvings; the stacks of a radius at the levels its fit reads take 19
+    grid, calls = dust_grid(0.4, 5, 10), []
+
+    def spy(bits, k=1):
+        calls.append(k)
+        return halve(bits, k)
+
+    monkeypatch.setattr(geometry, "halve", spy)
+    assert find_full_dimension_point(grid, 0.25) == (0.37548828125, 0.37548828125)
+    assert len(calls) == 19
+
+
+@SETTINGS
+@given(level=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), density=densities,
+       bounds=bounds_strategy, data=st.data(),
+       band=st.sampled_from([1, 16, 64, 256, 1 << 20]))
+@example(level=6, seed=1, density=0.5, bounds=UNIT, data=None, band=256)  # every edge and corner
+def test_stacked_ball_windows_count_as_full_clips(level, seed, density, bounds, data, band):
+    # a lowered band splits the windows of one radius into many stacks, down to one a stack
+    grid, n = BoxGrid(bounds, level, random_bits(seed, level, density)), 1 << level
+    w = grid.cell_size
+    if data is None:
+        cells, radius, schedule = [(0, 0), (n - 1, 0), (0, n - 1), (n - 1, n - 1), (n // 2, 0),
+                                   (0, n // 2), (n - 1, n // 2), (n // 2, n - 1), (n // 2, n // 2),
+                                   (n // 2, n // 2 + 1)], 5.5 * w, ScaleSchedule.span(3, 6)
+    else:
+        # cells on every grid edge give windows clipped there, of unequal aligned sizes
+        edge = st.sampled_from([0, n - 1])
+        index = st.one_of(edge, st.integers(0, n - 1))
+        cells = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=12))
+        radius = data.draw(st.floats(0.25, 1.5 * n)) * w
+        schedule = data.draw(schedules(level))
+    corner = np.array(bounds.corner)
+    centers = [tuple(corner + (np.array(c) + 0.5) * w) for c in cells]
+    expected = [box_counts(clip_to_ball(grid, p, radius), schedule) for p in centers]
+    seen, shapes = [], set()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_HALVE_BAND", band)
+        stacks = boxdim._ball_windows(grid, centers, radius, 1 << (level - schedule.levels[0]))
+        for which, stack in stacks:
+            assert stack.size <= band or len(stack) == 1
+            counts = window_counts([stack], level, schedule)
+            for j, i in enumerate(which.tolist()):
+                assert {m: int(c[j]) for m, c in counts.items()} == expected[i]
+            seen.extend(which.tolist())
+            shapes.add(stack.shape[1:])
+    assert sorted(seen) == list(range(len(centers)))
+    assert data is not None or len(shapes) > 1
 
 
 def test_quad_whose_box_meets_no_occupied_cell_does_not_widen_window():
@@ -1785,9 +1884,13 @@ def test_sat_limits_equal_per_trial_loop(trials, count, w, seed, density):
     rng = np.random.default_rng(seed)
     moved = np.stack([trial_quads(rng, count, *trial) for trial in trials])
     kept = np.flatnonzero(rng.random(len(trials) * count) < density)
-    limits = geometry._sat_limits(coordinate_major(moved), kept, w)
-    assert limits.shape == (2, 6, len(kept))
-    assert np.array_equal(limits.transpose(2, 0, 1), reference_sat_slots(moved, kept, w))
+    tests = geometry._sat_limits(coordinate_major(moved), kept, w)
+    expected = reference_sat_slots(moved, kept, w).transpose(1, 2, 0)
+    # only the edges some kept quad tests are built; every other edge tests nothing
+    used = [lim[0].any() for lim in expected]
+    assert len(tests) == sum(used)
+    assert all(np.array_equal(a, b) for a, b in zip(tests, expected[used]))
+    assert (expected[~np.array(used)].transpose(0, 2, 1) == (0, 0, 0, 0, -np.inf, np.inf)).all()
 
 
 @settings(max_examples=300, deadline=None)
